@@ -229,11 +229,3 @@ def F_scalar(m: ConformalMetric, u: VectorField):
 def G_scalar(m: ConformalMetric, u: VectorField, v: VectorField):
     """Polarization G(u,v) = F(u+v) - F(u) - F(v)."""
     return F_scalar(m, u + v) - F_scalar(m, u) - F_scalar(m, v)
-
-
-def linf_vec(u: VectorField) -> float:
-    return u.linf()
-
-
-def l2_vec(m: ConformalMetric, u: VectorField) -> float:
-    return float(np.sqrt(max(inner0(m, u, u), 0.0)))

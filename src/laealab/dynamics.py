@@ -43,6 +43,10 @@ class CflError(RuntimeError):
     pass
 
 
+class NonFiniteStateError(FloatingPointError):
+    """A state holds NaN or infinite values."""
+
+
 @dataclass
 class SolverConfig:
     alpha: float
@@ -243,14 +247,25 @@ class LaeProblem:
         g = self.geo.grid
         speed = max(np.max(np.abs(u.c1.data)) / g.hx,
                     np.max(np.abs(u.c2.data)) / g.hy)
-        if abs(self.cfg.dt) * speed > self.cfg.cfl_factor:
+        if not abs(self.cfg.dt) * speed <= self.cfg.cfl_factor:   # NaN fails too
             raise CflError(
                 f"dt={self.cfg.dt} exceeds cfl bound "
                 f"{self.cfg.cfl_factor / max(speed, 1e-300):.3e} (speed {speed:.3e})")
 
 
+def _require_finite(state: State):
+    u = state.u
+    if not (np.all(np.isfinite(u.c1.data)) and np.all(np.isfinite(u.c2.data))):
+        raise NonFiniteStateError(f"state at t={state.t} is not finite")
+
+
 def step(problem: LaeProblem, state: State) -> State:
-    """One projected step of the configured integrator."""
+    """One projected step of the configured integrator.
+
+    A non-finite state raises NonFiniteStateError instead of being carried
+    forward; a step that produces one fails the solver residual checks.
+    """
+    _require_finite(state)
     problem.check_cfl(state.u)
     dt = problem.cfg.dt
     u = state.u

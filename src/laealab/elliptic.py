@@ -91,24 +91,43 @@ def _oneside_dy_row(grid, j: int):
     return (j, j - 1, j - 2), (3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h))
 
 
+def _stored(geo: Geometry, key, build):
+    """geo.factors[key], built by build() on first use.
+
+    Keys are (kind, alpha, BcRegime), with None where the artifact does not
+    depend on alpha or on the regime.  Values must not refer back to the
+    geometry (see Geometry).
+    """
+    store = geo.factors
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _assemble_interior(geo: Geometry, alpha: float):
+    if alpha == 0.0:
+        return sp.identity(2 * geo.grid.n_nodes, format="csr")
+    lop = ca.l_operator(geo.metric, op_vector_unknown(geo.grid))
+    L = sp.vstack([lop.c1.mat, lop.c2.mat], format="csr")
+    return (sp.identity(2 * geo.grid.n_nodes) - alpha**2 * L).tocsr()
+
+
 class EllipticOperator:
-    """(1 - alpha^2 Lop) with per-regime boundary rows and cached factorizations."""
+    """(1 - alpha^2 Lop) with per-regime boundary rows and factorizations.
+
+    A thin view over the geometry's store: operators built on the same
+    geometry object with the same alpha share the assembled matrix, the
+    BC-substituted matrices and their LUs.
+    """
 
     def __init__(self, geo: Geometry, alpha: float):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.geo = geo
         self.alpha = float(alpha)
-        grid, metric = geo.grid, geo.metric
-        self.n = grid.n_nodes
-        uop = op_vector_unknown(grid)
-        if alpha == 0.0:
-            self.interior = sp.identity(2 * self.n, format="csr")
-        else:
-            lop = ca.l_operator(metric, uop)
-            L = sp.vstack([lop.c1.mat, lop.c2.mat], format="csr")
-            self.interior = (sp.identity(2 * self.n) - alpha**2 * L).tocsr()
-        self._factors: dict = {}
+        self.n = geo.grid.n_nodes
+        self.interior = _stored(geo, ("interior", self.alpha, None),
+                                lambda: _assemble_interior(geo, self.alpha))
 
     # -- pointwise application (no boundary rows) ----------------------------
 
@@ -121,7 +140,8 @@ class EllipticOperator:
 
     def _bc_rows(self, bc: BcRegime):
         """(row indices, replacement rows as sparse matrix over 2N unknowns)."""
-        grid, metric, bdata = self.geo
+        geo = self.geo
+        grid, metric, bdata = geo.grid, geo.metric, geo.boundary
         rows, cols, vals, row_idx = [], [], [], []
         cursor = 0
         for w in bdata.walls:
@@ -168,28 +188,29 @@ class EllipticOperator:
         return np.asarray(row_idx, dtype=int), repl
 
     def matrix(self, bc: BcRegime):
-        """BC-row-substituted system matrix for the regime."""
-        key = ("mat", bc)
-        if key not in self._factors:
-            if not bc.has_boundary:
-                self._factors[key] = (self.interior.copy(), np.zeros(0, dtype=int))
-            else:
-                idx, repl = self._bc_rows(bc)
-                A = self.interior.tolil()
-                A[idx, :] = repl
-                self._factors[key] = (A.tocsc(), idx)
-        return self._factors[key]
+        """(BC-row-substituted system matrix, substituted row indices)."""
+        return _stored(self.geo, ("matrix", self.alpha, bc),
+                       lambda: self._substituted(bc))
+
+    def _substituted(self, bc: BcRegime):
+        if not bc.has_boundary:
+            return self.interior, np.zeros(0, dtype=int)
+        idx, repl = self._bc_rows(bc)
+        A = self.interior.tolil()
+        A[idx, :] = repl
+        return A.tocsc(), idx
 
     def factor(self, bc: BcRegime):
-        key = ("lu", bc)
-        if key not in self._factors:
-            A, idx = self.matrix(bc)
-            try:
-                lu = spla.splu(A.tocsc())
-            except RuntimeError as e:
-                raise SolveError(f"singular assembly for regime {bc.variant}: {e}")
-            self._factors[key] = (lu, idx)
-        return self._factors[key]
+        """(SuperLU of matrix(bc), substituted row indices)."""
+        return _stored(self.geo, ("lu", self.alpha, bc), lambda: self._factorize(bc))
+
+    def _factorize(self, bc: BcRegime):
+        A, idx = self.matrix(bc)
+        try:
+            lu = spla.splu(A.tocsc())
+        except RuntimeError as e:
+            raise SolveError(f"singular assembly for regime {bc.variant}: {e}")
+        return lu, idx
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
         if self.alpha == 0.0:
@@ -202,7 +223,7 @@ class EllipticOperator:
         A, _ = self.matrix(bc)
         res = np.linalg.norm(A @ x - rhs)
         scale = np.linalg.norm(rhs) + 1e-300
-        if res > 1e-8 * scale:
+        if not res <= 1e-8 * scale:              # NaN fails too
             raise SolveError(f"direct solve residual {res / scale:.3e}")
         return VectorField.from_flat(self.geo.grid, x)
 
@@ -241,49 +262,61 @@ def _gradient_kernel_modes(grid, with_y_parity: bool) -> np.ndarray:
     return np.stack([m.ravel() for m in modes], axis=1)
 
 
+def _divergence(geo: Geometry):
+    """Sparse divergence over the stacked unknowns, (n, 2n)."""
+    return ca.divergence(geo.metric, op_vector_unknown(geo.grid)).mat
+
+
+def _gradient(geo: Geometry, bc_idx: np.ndarray):
+    """Sparse gradient of the pressure, (2n, n), zero on the BC rows."""
+    n = geo.grid.n_nodes
+    gradp = ca.gradient(geo.metric, OpScalar(geo.grid, sp.identity(n, format="csr")))
+    G = sp.vstack([gradp.c1.mat, gradp.c2.mat], format="csr")
+    if bc_idx.size:
+        G = G.tolil()
+        G[bc_idx, :] = 0.0
+        G = G.tocsr()
+    return G
+
+
 class StokesProjector:
-    """H^1-orthogonal projection onto divergence-free, BC-satisfying fields."""
+    """H^1-orthogonal projection onto divergence-free, BC-satisfying fields.
+
+    A thin view over the geometry's store: projectors for the same (alpha,
+    regime) on the same geometry object share one saddle factorization.
+    """
 
     def __init__(self, op: EllipticOperator, bc: BcRegime):
         self.op = op
         self.bc = bc
         geo = op.geo
-        grid, metric = geo.grid, geo.metric
-        n = grid.n_nodes
-        self.n = n
+        self.n = geo.grid.n_nodes
+        self.mu = geo.metric.quad_mu().ravel()
+        self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
+        self.S, self.lu, self.k = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
 
-        # sparse divergence and gradient over the stacked unknowns
-        uop = op_vector_unknown(grid)
-        div = ca.divergence(metric, uop)
-        self.D = div.mat                        # (n, 2n)
-        pop = OpScalar(grid, sp.identity(n, format="csr"))
-        gradp = ca.gradient(metric, pop)
-        G = sp.vstack([gradp.c1.mat, gradp.c2.mat], format="csr")  # (2n, n)
-
+    def _factorize(self):
+        """(saddle matrix, its SuperLU, number of gauge columns)."""
+        op, bc, n, mu = self.op, self.bc, self.n, self.mu
+        geo = op.geo
         A, bc_idx = op.matrix(bc)
-        if bc_idx.size:
-            G = G.tolil()
-            G[bc_idx, :] = 0.0
-            G = G.tocsr()
-        mu = metric.quad_mu().ravel()
-        self.mu = mu
+        G = _stored(geo, ("gradient", None, bc), lambda: _gradient(geo, bc_idx))
 
         # gauge away the whole discrete-gradient kernel (constants and the
         # sawtooth modes), with matching slack columns in the divergence rows
-        modes = _gradient_kernel_modes(grid, with_y_parity=True)
+        modes = _gradient_kernel_modes(geo.grid, with_y_parity=True)
         Z = sp.csr_matrix(mu[:, None] * modes)
         k = modes.shape[1]
-        self.k = k
 
         top = sp.hstack([A, -G, sp.csr_matrix((2 * n, k))])
         mid = sp.hstack([self.D, sp.csr_matrix((n, n)), Z])
         bot = sp.hstack([sp.csr_matrix((k, 2 * n)), Z.T, sp.csr_matrix((k, k))])
         S = sp.vstack([top, mid, bot]).tocsc()
         try:
-            self.lu = spla.splu(S)
+            lu = spla.splu(S)
         except RuntimeError as e:
             raise SolveError(f"stokes saddle factorization failed: {e}")
-        self.S = S
+        return S, lu, k
 
     def project(self, v: VectorField, return_parts: bool = False):
         n, k = self.n, self.k
@@ -292,7 +325,7 @@ class StokesProjector:
         x = self.lu.solve(rhs)
         res = np.linalg.norm(self.S @ x - rhs)
         scale = np.linalg.norm(rhs) + 1e-300
-        if res > 1e-7 * scale:
+        if not res <= 1e-7 * scale:              # NaN fails too
             raise SolveError(f"stokes composite residual {res / scale:.3e}")
         w = VectorField.from_flat(self.op.geo.grid, x[:2 * n])
         out = v - w

@@ -17,7 +17,7 @@ identically for phi == 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class DomainSpec:
     """Domain kind plus physical extents and per-wall condition tags.
 
     wall_roles maps 'y0' / 'yL' to 'dirichlet' or 'neumann' (channel only).
+    The spec keeps its own copy of the mapping and hashes it as a sorted
+    tuple, so equal specs hash equally and can key caches.
     """
 
     kind: str
@@ -51,8 +53,13 @@ class DomainSpec:
             for w, r in roles.items():
                 if r not in ("dirichlet", "neumann"):
                     raise ValueError(f"wall {w}: bad role {r!r}")
+            object.__setattr__(self, "wall_roles", dict(roles))
         elif self.wall_roles is not None:
             raise ValueError("torus takes no wall_roles")
+
+    def __hash__(self):
+        roles = tuple(sorted(self.wall_roles.items())) if self.wall_roles else None
+        return hash((self.kind, self.Lx, self.Ly, roles))
 
     @property
     def periodic_y(self) -> bool:
@@ -111,9 +118,6 @@ class ConformalMetric:
         z = np.zeros_like(self.e2phi)
         return (self.e2phi, z, z.copy(), self.e2phi.copy())
 
-    def volume_density(self) -> np.ndarray:
-        return self.e2phi
-
     def quad_mu(self) -> np.ndarray:
         """Quadrature weights against the Riemannian area element."""
         return self.grid.weights * self.e2phi
@@ -142,10 +146,22 @@ class BoundaryData:
         raise KeyError(name)
 
 
-class Geometry(NamedTuple):
+@dataclass(eq=False)
+class Geometry:
+    """Grid, metric and walls, plus the store of the sparse artifacts built on them.
+
+    ``factors`` maps (kind, alpha, BcRegime) keys to the matrices and
+    factorizations that elliptic.py assembles for this geometry, so every
+    EllipticOperator and StokesProjector on the same geometry object shares
+    them.  It holds only arrays, sparse matrices and SuperLU objects, never
+    anything that points back at the geometry: dropping the last reference to
+    the geometry frees its factorizations by reference counting alone.
+    """
+
     grid: Grid
     metric: ConformalMetric
     boundary: BoundaryData
+    factors: dict = field(default_factory=dict, repr=False)
 
 
 def _check_periodic(phi_fn, grid: Grid, spec: DomainSpec):

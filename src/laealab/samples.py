@@ -59,9 +59,8 @@ def random_scalar(grid: Grid, seed: int, kmax: int = 3, amp: float = 1.0,
     return _trig_scalar_channel(grid, rng, kmax, amp, vanish_at_walls)
 
 
-def random_vector(grid: Grid, seed: int, kmax: int = 3, amp: float = 1.0,
-                  tangent: bool = False) -> VectorField:
-    """Band-limited vector field; tangent=True makes u2 vanish at the walls."""
+def random_vector(grid: Grid, seed: int, kmax: int = 3, amp: float = 1.0) -> VectorField:
+    """Band-limited vector field; on the channel u2 vanishes at the walls."""
     rng = np.random.default_rng(seed)
     if grid.periodic_y:
         a1 = _trig_scalar_torus(grid, rng, kmax, amp)
@@ -69,10 +68,6 @@ def random_vector(grid: Grid, seed: int, kmax: int = 3, amp: float = 1.0,
     else:
         a1 = _trig_scalar_channel(grid, rng, kmax, amp, vanish_at_walls=False)
         a2 = _trig_scalar_channel(grid, rng, kmax, amp, vanish_at_walls=True)
-        if not tangent:
-            # still keep u2 bounded away from violating nothing; tangency only
-            # matters for constrained tests, so leave as sampled
-            pass
     return VectorField.from_arrays(grid, a1, a2)
 
 

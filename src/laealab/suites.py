@@ -3,10 +3,15 @@
 Each suite evaluates its residuals across a grid ladder, fits convergence
 orders by least squares, and emits one manifest entry per analytic fact.
 Test fields are band-limited trig samples from the configured seed, so runs
-with identical configuration are bit-identical.
+with identical configuration are bit-identical.  Within one run, blocks on
+the same domain, grid and metric share one geometry and its factorizations
+(see _geo); nothing is shared between runs.
 """
 
 from __future__ import annotations
+
+import os
+import traceback
 
 import numpy as np
 
@@ -39,9 +44,21 @@ PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
 
 
-def _geo(spec, n, phi):
-    ny = n if spec.kind == "torus" else n + 1
-    return build_geometry(spec, n, ny, phi)
+def _build(spec, n, phi):
+    return build_geometry(spec, n, n if spec.kind == "torus" else n + 1, phi)
+
+
+def _geo(geos: dict, spec, n, phi):
+    """The geometry of (spec, n, phi) in geos, the geometries of one suite run.
+
+    Blocks that ask for the same domain, grid and metric get the same
+    Geometry object and so share its factorizations.  run_suite makes geos
+    for one call; dropping it when the call returns frees them.
+    """
+    key = (spec, n, phi)
+    if key not in geos:
+        geos[key] = _build(spec, n, phi)
+    return geos[key]
 
 
 def _machinery(geo, alpha, spec):
@@ -58,14 +75,25 @@ def _member(geo, op, sp, bc, seed, kmax=1, amp=0.5):
     return sp.project(raw)
 
 
+def _traceback_tail(e: BaseException) -> str:
+    """The innermost four frames of e's traceback as 'file:line func' entries."""
+    tb = traceback.extract_tb(e.__traceback__)[-4:]
+    return " <- ".join(f"{os.path.basename(f.filename)}:{f.lineno} {f.name}"
+                       for f in reversed(tb))
+
+
 def _guarded(results, name, identity, fn):
-    """Run one suite block; record a failed entry instead of propagating."""
+    """Run one suite block; record a failed entry instead of propagating.
+
+    The entry's note keeps the error and the innermost frames of its
+    traceback, innermost first.
+    """
     try:
         fn()
     except Exception as e:                        # noqa: BLE001
-        results.append(bool_result(name, identity, False,
-                                   "completed without error",
-                                   note=f"error: {type(e).__name__}: {e}"))
+        results.append(bool_result(
+            name, identity, False, "completed without error",
+            note=f"error: {type(e).__name__}: {e}; at {_traceback_tail(e)}"))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +114,7 @@ def _boundary_integral(geo, u, v):
     return total
 
 
-def run_identities(cfg: ExperimentConfig, ladder) -> list:
+def run_identities(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     seed = cfg.seed
     alpha = cfg.getfloat("solver", "alpha")
     results = []
@@ -97,15 +125,16 @@ def run_identities(cfg: ExperimentConfig, ladder) -> list:
     def ladder_block():
       for label, spec, phi in cases:
         for n in ladder:
-            geo = _geo(spec, n, phi)
+            # no other block uses these geometries: keeping them for the
+            # suite's span would only hold their factorizations
+            geo = _build(spec, n, phi)
             m = geo.metric
             grid = geo.grid
             op, sp, bc = _machinery(geo, alpha, spec)
             h = grid.h
             u = _member(geo, op, sp, bc, seed + 1)
             v = _member(geo, op, sp, bc, seed + 2)
-            w_free = random_vector(grid, seed=seed + 3, kmax=1,
-                                   tangent=spec.kind == "channel")
+            w_free = random_vector(grid, seed=seed + 3, kmax=1)
             scale = max(u.linf(), 1.0)
 
             from .reference import hodge_exterior
@@ -119,8 +148,8 @@ def run_identities(cfg: ExperimentConfig, ladder) -> list:
 
             ibp = 0.0
             for s_off in (0, 1000):
-                ut = random_vector(grid, seed=seed + 4 + s_off, kmax=1, tangent=True)
-                vt = random_vector(grid, seed=seed + 5 + s_off, kmax=1, tangent=True)
+                ut = random_vector(grid, seed=seed + 4 + s_off, kmax=1)
+                vt = random_vector(grid, seed=seed + 5 + s_off, kmax=1)
                 ibp_lhs = -2.0 * ca.inner0_tensor(m, ca.def_tensor(m, ut),
                                                   ca.def_tensor(m, vt))
                 ibp_rhs = ca.inner0(m, ca.l_operator(m, ut), vt)
@@ -137,8 +166,7 @@ def run_identities(cfg: ExperimentConfig, ladder) -> list:
             anti = abs(ca.inner0(m, vm, ca.nabla_along(m, um, wv))
                        + ca.inner0(m, ca.nabla_along(m, um, vm), wv))
 
-            uf1 = random_vector(grid, seed=seed + 20, kmax=1,
-                                tangent=spec.kind == "channel")
+            uf1 = random_vector(grid, seed=seed + 20, kmax=1)
             du = ca.covariant_derivative(m, uf1)
             dut = ca.transpose_metric(m, du)
             cc = ca.curvature_contractions(m, uf1, uf1)
@@ -183,7 +211,7 @@ def run_identities(cfg: ExperimentConfig, ladder) -> list:
 
     # flat-metric curvature terms are exact zeros
     def flat_zero_block():
-        geo = _geo(TORUS, ladder[0], phi_flat)
+        geo = _geo(geos, TORUS, ladder[0], phi_flat)
         m = geo.metric
         uf = random_vector(geo.grid, seed=seed + 9, kmax=2)
         vf = random_vector(geo.grid, seed=seed + 10, kmax=2)
@@ -206,14 +234,14 @@ def run_identities(cfg: ExperimentConfig, ladder) -> list:
 # elliptic
 # ---------------------------------------------------------------------------
 
-def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
+def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     seed = cfg.seed
     alpha = cfg.getfloat("solver", "alpha")
     results = []
 
     def roundtrip_block():
         # round trip at the solve tolerance
-        geo = _geo(MIXED, ladder[min(1, len(ladder) - 1)], PHI_C)
+        geo = _geo(geos, MIXED, ladder[min(1, len(ladder) - 1)], PHI_C)
         op, sp, bc = _machinery(geo, alpha, MIXED)
         u = l_alpha(op, random_vector(geo.grid, seed=seed + 11, kmax=2), bc)
         rt = (helmholtz_solve(op, helmholtz_apply(op, u), bc) - u).linf() \
@@ -228,7 +256,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
         # manufactured solution order on the curved mixed channel
         hs, errs = [], []
         for n in ladder:
-            geo = _geo(MIXED, n, PHI_C)
+            geo = _geo(geos, MIXED, n, PHI_C)
             g = geo.grid
             q = 3 * g.Y**2 - 2 * g.Y**3
             r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
@@ -246,7 +274,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
 
     def projector_block():
         # projector contracts at the solver level (flat torus)
-        geo = _geo(TORUS, max(ladder), phi_flat)
+        geo = _geo(geos, TORUS, max(ladder), phi_flat)
         m = geo.metric
         op, sp, bc = _machinery(geo, alpha, TORUS)
         v = random_vector(geo.grid, seed=seed + 12, kmax=2)
@@ -270,7 +298,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
         # idempotence holds in every wall regime
         worst_idem = idem
         for spec in (MIXED, DIRICH, NEUM):
-            geo_c = _geo(spec, ladder[0], PHI_C)
+            geo_c = _geo(geos, spec, ladder[0], PHI_C)
             op_c, sp_c, bc_c = _machinery(geo_c, alpha, spec)
             vv = _member(geo_c, op_c, sp_c, bc_c, seed + 14)
             again = stokes_project(sp_c, vv, bc_c)
@@ -284,7 +312,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
 
     def leray_block():
         # alpha -> 0 limit against the FFT Leray oracle
-        geo = _geo(TORUS, max(ladder), phi_flat)
+        geo = _geo(geos, TORUS, max(ladder), phi_flat)
         v = random_vector(geo.grid, seed=seed + 15, kmax=2)
         oracle = leray_fft(geo.grid, v)
         worst = 0.0
@@ -303,7 +331,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
         # per-level worst case over two fields steadies the trend
         hs, errs = [], []
         for n in ladder:
-            geo = _geo(MIXED, n, PHI_C)
+            geo = _geo(geos, MIXED, n, PHI_C)
             m = geo.metric
             op, sp, bc = _machinery(geo, alpha, MIXED)
             worst = 0.0
@@ -331,7 +359,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder) -> list:
 # dynamics
 # ---------------------------------------------------------------------------
 
-def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
+def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     seed = cfg.seed
     alpha = cfg.getfloat("solver", "alpha")
     results = []
@@ -341,7 +369,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
         for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
             hs, errs = [], []
             for n in ladder:
-                geo = _geo(spec, n, phi)
+                geo = _geo(geos, spec, n, phi)
                 op, sp, bc = _machinery(geo, alpha, spec)
                 u = _member(geo, op, sp, bc, seed + 21)
                 a = dy.f_alpha(geo.metric, op, u, bc)
@@ -358,7 +386,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
         # transported-momentum residual of produced right-hand sides
         hs, errs = [], []
         for n in ladder:
-            geo = _geo(TORUS, n, PHI_T)
+            geo = _geo(geos, TORUS, n, PHI_T)
             m = geo.metric
             op, sp, bc = _machinery(geo, alpha, TORUS)
             gr = GradientRemover(geo)
@@ -378,7 +406,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
         # below the spatial floor, so the study runs at a fixed seed and alpha
         # where the branch is resolvable, recorded in the note.
         study_seed, study_alpha = 50, 0.2
-        geo = _geo(TORUS, 24, PHI_T)
+        geo = _geo(geos, TORUS, 24, PHI_T)
         m = geo.metric
         bc = BcRegime.from_domain(TORUS)
         op = EllipticOperator(geo, study_alpha)
@@ -421,7 +449,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
         # defect over several fields is immune to cancellation along trajectories
         hs, floors = [], []
         for n in (16, 24, 32):
-            geo_f = _geo(TORUS, n, PHI_T)
+            geo_f = _geo(geos, TORUS, n, PHI_T)
             bc_f = BcRegime.from_domain(TORUS)
             op_f = EllipticOperator(geo_f, alpha)
             sp_f = StokesProjector(op_f, bc_f)
@@ -445,7 +473,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
 
     def alpha_sweep_block():
         # alpha sweep toward the euler baseline
-        geo = _geo(TORUS, 24, PHI_T)
+        geo = _geo(geos, TORUS, 24, PHI_T)
         m = geo.metric
         op0 = EllipticOperator(geo, 0.0)
         sp0 = StokesProjector(op0, BcRegime.from_domain(TORUS))
@@ -501,7 +529,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder) -> list:
 # material
 # ---------------------------------------------------------------------------
 
-def run_material(cfg: ExperimentConfig, ladder) -> list:
+def run_material(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     seed = cfg.seed
     alpha = cfg.getfloat("solver", "alpha")
     results = []
@@ -511,7 +539,7 @@ def run_material(cfg: ExperimentConfig, ladder) -> list:
         t = 0.1
         hs, ds = [], []
         for n, steps in ((16, 8), (24, 12), (32, 16)):
-            geo = _geo(TORUS, n, PHI_T)
+            geo = _geo(geos, TORUS, n, PHI_T)
             c = dy.SolverConfig(alpha=alpha, dt=t / steps, t_end=t,
                                 bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
             prob = dy.LaeProblem(geo, c)
@@ -532,7 +560,7 @@ def run_material(cfg: ExperimentConfig, ladder) -> list:
 
     def volume_block():
         # volume preservation along the steady-shear spray
-        geo = _geo(TORUS, 32, phi_flat)
+        geo = _geo(geos, TORUS, 32, phi_flat)
         c = dy.SolverConfig(alpha=0.35, dt=1e-3, t_end=0.2,
                             bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
         prob = dy.LaeProblem(geo, c)
@@ -549,7 +577,7 @@ def run_material(cfg: ExperimentConfig, ladder) -> list:
 
     def generic_volume_block():
         # generic-field volume distortion, reported against a loose ceiling
-        geo = _geo(TORUS, 24, PHI_T)
+        geo = _geo(geos, TORUS, 24, PHI_T)
         c = dy.SolverConfig(alpha=alpha, dt=5e-3, t_end=0.1,
                             bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
         prob = dy.LaeProblem(geo, c)
@@ -597,14 +625,14 @@ def _observable_triple(ctx, cfg):
     return obs[0], obs[1], obs[2]
 
 
-def run_poisson(cfg: ExperimentConfig, ladder) -> list:
+def run_poisson(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     seed = cfg.seed
     alpha = cfg.getfloat("solver", "alpha")
     results = []
 
     def axioms_block():
         # algebraic axioms at one working grid
-        geo = _geo(MIXED, 24, PHI_C)
+        geo = _geo(geos, MIXED, 24, PHI_C)
         ctx = po.PoissonContext(geo, alpha, BcRegime.from_domain(MIXED))
         f, g, hq = _observable_triple(ctx, cfg)
         u = _member(geo, ctx.op, ctx.sp, ctx.bc, seed + 43)
@@ -625,7 +653,7 @@ def run_poisson(cfg: ExperimentConfig, ladder) -> list:
         for label, spec in (("dirichlet", DIRICH), ("mixed", MIXED)):
             hs, errs = [], []
             for n in ladder:
-                geo_j = _geo(spec, n, PHI_C)
+                geo_j = _geo(geos, spec, n, PHI_C)
                 ctx_j = po.PoissonContext(geo_j, alpha, BcRegime.from_domain(spec))
                 fj = po.LinearObservable(ctx_j, random_vector(geo_j.grid, seed=seed + 44, kmax=1))
                 gj = po.LinearObservable(ctx_j, random_vector(geo_j.grid, seed=seed + 45, kmax=1))
@@ -644,7 +672,7 @@ def run_poisson(cfg: ExperimentConfig, ladder) -> list:
         # derivative of the bracket against central differences
         hs, errs = [], []
         for n in ladder:
-            geo_d = _geo(MIXED, n, PHI_C)
+            geo_d = _geo(geos, MIXED, n, PHI_C)
             ctx_d = po.PoissonContext(geo_d, alpha, BcRegime.from_domain(MIXED))
             fd_ = po.LinearObservable(ctx_d, random_vector(geo_d.grid, seed=seed + 48, kmax=1))
             gd_ = po.QuadraticObservable(ctx_d, "smooth")
@@ -671,7 +699,7 @@ def run_poisson(cfg: ExperimentConfig, ladder) -> list:
         t = 0.04
         hs, errs = [], []
         for n, steps in ((16, 8), (24, 12), (32, 16)):
-            geo_h = _geo(TORUS, n, PHI_T)
+            geo_h = _geo(geos, TORUS, n, PHI_T)
             ctx_h = po.PoissonContext(geo_h, alpha, BcRegime.from_domain(TORUS))
             c = dy.SolverConfig(alpha=alpha, dt=t / steps, t_end=t,
                                 bc=ctx_h.bc, cfl_factor=5.0)
@@ -692,7 +720,7 @@ def run_poisson(cfg: ExperimentConfig, ladder) -> list:
         hs, devs = [], []
         t_map = 0.1
         for n, steps in ((16, 8), (24, 12), (32, 16)):
-            geo_p = _geo(TORUS, n, PHI_T)
+            geo_p = _geo(geos, TORUS, n, PHI_T)
             ctx_p = po.PoissonContext(geo_p, alpha, BcRegime.from_domain(TORUS))
             c = dy.SolverConfig(alpha=alpha, dt=t_map / steps, t_end=t_map,
                                 bc=ctx_p.bc, cfl_factor=5.0)
@@ -725,7 +753,7 @@ def run_poisson(cfg: ExperimentConfig, ladder) -> list:
         max_dim = cfg.getint("poisson", "flow_check_max_dim")
         devs, hs = [], []
         for n in (12, 16):
-            geo_f = _geo(TORUS, n, PHI_T)
+            geo_f = _geo(geos, TORUS, n, PHI_T)
             ctx_f = po.PoissonContext(geo_f, alpha, BcRegime.from_domain(TORUS))
             c = dy.SolverConfig(alpha=alpha, dt=5e-3, t_end=0.05,
                                 bc=ctx_f.bc, cfl_factor=5.0)
@@ -770,7 +798,7 @@ def run_suite(cfg: ExperimentConfig, suite: str | None = None,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     ladder = tuple(ladder) if ladder else cfg.grid_ladder()
-    results = SUITES[name](cfg, ladder)
+    results = SUITES[name](cfg, ladder, {})      # a fresh geometry memo per run
     man = RunManifest(suite=name, config_echo=cfg.echo(), version=__import__(
         "laealab").__version__, seed=cfg.seed, grid_ladder=list(ladder),
         results=results)

@@ -400,8 +400,8 @@ def test_def_integration_by_parts_with_boundary_term():
     for n in (16, 32, 64):
         geo = channel(n)
         m = geo.metric
-        u = random_vector(geo.grid, seed=81, kmax=1, tangent=True)
-        v = random_vector(geo.grid, seed=82, kmax=1, tangent=True)
+        u = random_vector(geo.grid, seed=81, kmax=1)
+        v = random_vector(geo.grid, seed=82, kmax=1)
         lhs = -2.0 * ca.inner0_tensor(m, ca.def_tensor(m, u), ca.def_tensor(m, v))
         rhs = ca.inner0(m, ca.l_operator(m, u), v) - wall_boundary_integral(geo, u, v)
         hs.append(geo.grid.h)

@@ -4,7 +4,7 @@ import pytest
 from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab.elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                              StokesProjector, l_alpha)
+                              SolveError, StokesProjector, l_alpha)
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -398,6 +398,23 @@ def test_cfl_violation_raises():
     u = eigenfield(geo.grid, amp=1.0)
     with pytest.raises(dy.CflError):
         dy.step(prob, dy.State(u, 0.0))
+
+
+def test_nan_state_fails_loudly():
+    # one NaN node in an 8^2 torus state used to integrate silently to t_end
+    geo = torus(8)
+    cfg = dy.SolverConfig(alpha=0.3, dt=1e-2, t_end=0.1, bc=BC_T, cfl_factor=5.0)
+    prob = dy.LaeProblem(geo, cfg)
+    u = prob.sp.project(taylor_green_like(geo.grid, amp=0.3))
+    u.c1.data[3, 4] = np.nan
+    with pytest.raises(dy.NonFiniteStateError):
+        dy.integrate(prob, dy.State(u, 0.0), 0.1)
+    with pytest.raises(dy.CflError):
+        prob.check_cfl(u)
+    with pytest.raises(SolveError):
+        prob.op.solve(u, BC_T)
+    with pytest.raises(SolveError):
+        prob.sp.project(u)
 
 
 def test_energy_basics():

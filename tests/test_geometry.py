@@ -121,3 +121,14 @@ def test_small_grids_rejected():
 def test_channel_needs_wall_roles():
     with pytest.raises(ValueError):
         DomainSpec("channel", 1.0, 1.0)
+
+
+def test_domain_spec_is_hashable_and_keeps_its_roles():
+    roles = {"yL": "neumann", "y0": "dirichlet"}
+    a = DomainSpec("channel", 1.0, 1.0, wall_roles=roles)
+    b = DomainSpec("channel", 1.0, 1.0,
+                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
+    roles["yL"] = "dirichlet"          # the spec holds its own copy
+    assert a == b and hash(a) == hash(b)
+    assert a.wall_roles == {"y0": "dirichlet", "yL": "neumann"}
+    assert len({a, b, CHANNEL, TORUS, DomainSpec("torus", 1.0, 1.0)}) == 2

@@ -173,6 +173,24 @@ def test_manifest_deterministic_across_runs(tmp_path):
     assert p1 == p2
 
 
+def test_failed_block_keeps_a_traceback_tail():
+    from laealab.suites import _guarded
+
+    def inner():
+        raise ValueError("boom")
+
+    def block():
+        inner()
+
+    results = []
+    _guarded(results, "broken", "a block that raises", block)
+    (entry,) = results
+    assert not entry.passed
+    assert entry.note.startswith("error: ValueError: boom; at ")
+    assert "test_lab.py:" in entry.note
+    assert entry.note.index(" inner") < entry.note.index(" block")
+
+
 def test_manifest_written_with_series(tmp_path):
     cfg = small_cfg()
     man = run_suite(cfg, "elliptic", (16, 24))
