@@ -22,27 +22,25 @@ from .samples import (eigenfield, make_phi_cosx, make_phi_cosx_siny,
 ENV_PREFIX = "LAEALAB_"
 
 _SCHEMA = {
-    "lab": {"suite", "output_dir", "seed", "grid_ladder", "parallel"},
+    "lab": {"suite", "output_dir", "seed", "grid_ladder"},
     "domain": {"kind", "lx", "ly", "nx", "ny", "phi", "wall_roles"},
-    "solver": {"alpha", "linear_tol", "method"},
+    "solver": {"alpha"},
     "run": {"dt", "t_end", "integrator", "cfl_factor"},
     "diagnostics": {"every_n_steps"},
     "initial": {"preset"},
-    "material": {"interp", "newton_tol"},
     "poisson": {"observables", "flow_check_max_dim"},
 }
 
 _DEFAULTS = {
     "lab": {"suite": "identities", "output_dir": "lab_out", "seed": "1234",
-            "grid_ladder": "16,32,64", "parallel": "false"},
+            "grid_ladder": "16,32,64"},
     "domain": {"kind": "torus", "lx": "1.0", "ly": "1.0", "nx": "32",
                "ny": "32", "phi": "sinusoidal:0.15,1,1", "wall_roles": ""},
-    "solver": {"alpha": "0.3", "linear_tol": "1e-12", "method": "direct"},
+    "solver": {"alpha": "0.3"},
     "run": {"dt": "0.005", "t_end": "0.1", "integrator": "rk4",
             "cfl_factor": "0.5"},
     "diagnostics": {"every_n_steps": "1"},
     "initial": {"preset": "taylor_green_like"},
-    "material": {"interp": "bicubic", "newton_tol": "1e-12"},
     "poisson": {"observables": "linear:101,linear:102,quadratic:smooth",
                 "flow_check_max_dim": "600"},
 }
@@ -115,12 +113,8 @@ class ExperimentConfig:
     def validate(self):
         if self.get("domain", "kind") not in ("torus", "channel"):
             raise ConfigError("domain.kind must be torus or channel")
-        if self.get("solver", "method") not in ("direct", "iterative"):
-            raise ConfigError("solver.method must be direct or iterative")
         if self.get("run", "integrator") not in ("rk4", "midpoint"):
             raise ConfigError("run.integrator must be rk4 or midpoint")
-        if self.get("material", "interp") != "bicubic":
-            raise ConfigError("material.interp supports only bicubic")
         self.phi_function()   # validates the preset string
         self.grid_ladder()
         if self.getfloat("run", "dt") == 0:

@@ -23,7 +23,9 @@ and the mutual agreement of the two routes is a grid-convergence test, not an
 assumption.  Alongside sit the bilinear maps Dop, Bop and the polarization
 FFop used by the connector and the bracket machinery.
 
-Setting a = 0 and dropping Fop recovers the incompressible Euler baseline.
+transport() picks the transport form by regime, and rhs() is the one
+right-hand side for every regime and alpha: at a = 0, Fop vanishes and La is
+the identity, so it is the incompressible Euler baseline.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import calculus as ca
 from .elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                       StokesProjector)
+                       StokesProjector, l_alpha)
 from .fields import VectorField
 from .geometry import Geometry
 
@@ -174,25 +176,20 @@ def frak_f_alpha(m, op: EllipticOperator, u: VectorField, v: VectorField,
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def rhs_dirichlet(m, op: EllipticOperator, sp: StokesProjector,
-                  u: VectorField) -> VectorField:
-    """-P(grad_u u + Fop(u)); valid when grad_u u stays in the subspace."""
+def transport(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
+    """The transport term as it enters the constrained dynamics.
+
+    Under free-slip and mixed walls grad_u u leaves the subspace and is
+    carried back by La = (1 - a^2 Lop)^{-1}(1 - a^2 Lop); otherwise it is v.
+    """
+    return l_alpha(op, v, bc) if bc.uses_l_alpha_transport else v
+
+
+def rhs(m, op: EllipticOperator, sp: StokesProjector, u: VectorField) -> VectorField:
+    """-P(T grad_u u + Fop(u)), T per transport(); Euler at a = 0."""
     bc = sp.bc
-    adv = ca.nabla_along(m, u, u)
+    adv = transport(op, ca.nabla_along(m, u, u), bc)
     return -sp.project(adv + f_alpha(m, op, u, bc))
-
-
-def rhs_mixed(m, op: EllipticOperator, sp: StokesProjector,
-              u: VectorField) -> VectorField:
-    """-P(La grad_u u + Fop(u)); La restores the free-slip rows."""
-    bc = sp.bc
-    adv = op.solve(op.apply(ca.nabla_along(m, u, u)), bc)
-    return -sp.project(adv + f_alpha(m, op, u, bc))
-
-
-def rhs_euler(m, sp0: StokesProjector, u: VectorField) -> VectorField:
-    """Incompressible Euler baseline, -P0(grad_u u)."""
-    return -sp0.project(ca.nabla_along(m, u, u))
 
 
 def energy(m, alpha: float, u: VectorField) -> float:
@@ -230,15 +227,9 @@ class LaeProblem:
             "noboundary" if geo.grid.periodic_y else "dirichlet")
         self.op = EllipticOperator(geo, cfg.alpha)
         self.sp = StokesProjector(self.op, self.bc)
-        self.newton_tol = 1e-12   # map-inversion tolerance for material runs
 
     def rhs(self, u: VectorField) -> VectorField:
-        m = self.geo.metric
-        if self.cfg.alpha == 0.0:
-            return rhs_euler(m, self.sp, u)
-        if self.bc.uses_l_alpha_transport:
-            return rhs_mixed(m, self.op, self.sp, u)
-        return rhs_dirichlet(m, self.op, self.sp, u)
+        return rhs(self.geo.metric, self.op, self.sp, u)
 
     def project(self, u: VectorField) -> VectorField:
         return self.sp.project(u)

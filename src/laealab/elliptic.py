@@ -228,16 +228,6 @@ class EllipticOperator:
         return VectorField.from_flat(self.geo.grid, x)
 
 
-def helmholtz_apply(op: EllipticOperator, u: VectorField) -> VectorField:
-    """(1 - alpha^2 Lop) u, pointwise, no boundary rows."""
-    return op.apply(u)
-
-
-def helmholtz_solve(op: EllipticOperator, f: VectorField, bc: BcRegime) -> VectorField:
-    """(1 - alpha^2 Lop)^{-1} f mapped into the regime's boundary subspace."""
-    return op.solve(f, bc)
-
-
 def l_alpha(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
     """Composite (1 - a^2 Lop)^{-1} (1 - a^2 Lop) v; identity on the subspace."""
     return op.solve(op.apply(v), bc)

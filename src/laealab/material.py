@@ -23,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .dynamics import LaeProblem, State, integrate
+from .dynamics import LaeProblem, State, frak_f_alpha, integrate, transport
 from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField
 from .interp import BicubicField
+
+
+NEWTON_TOL = 1e-12      # max-norm residual at which map inversion stops
 
 
 class InversionError(RuntimeError):
@@ -97,8 +100,7 @@ def volume_distortion(metric, ms: MaterialState) -> float:
 # right translation to the identity
 # ---------------------------------------------------------------------------
 
-def _invert_map(eta: FlowMap, newton_tol: float = 1e-12,
-                max_iter: int = 60) -> np.ndarray:
+def _invert_map(eta: FlowMap, max_iter: int = 60) -> np.ndarray:
     """Labels q with eta(q) = x for every grid node x, by Newton iteration."""
     g = eta.grid
     d1, d2 = eta.displacement()
@@ -126,7 +128,7 @@ def _invert_map(eta: FlowMap, newton_tol: float = 1e-12,
         r1 = wrap_x(qx + v1 - g.X)
         r2 = wrap_y(qy + v2 - g.Y)
         worst = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
-        if worst < newton_tol:
+        if worst < NEWTON_TOL:
             break
         j11 = 1.0 + a11
         j12 = a12
@@ -147,11 +149,11 @@ def _invert_map(eta: FlowMap, newton_tol: float = 1e-12,
     return eta.inv_seed
 
 
-def pi_r(ms: MaterialState, newton_tol: float = 1e-12) -> VectorField:
+def pi_r(ms: MaterialState) -> VectorField:
     """Spatial velocity u = V o eta^{-1} on the grid nodes."""
     g = ms.eta.grid
     ms.eta.check_invertible()
-    q = _invert_map(ms.eta, newton_tol)
+    q = _invert_map(ms.eta)
     qx = np.mod(q[0], g.Lx)
     qy = np.mod(q[1], g.Ly) if g.periodic_y else q[1]
     u1 = BicubicField(g, ms.V.c1.data).eval(qx, qy)
@@ -180,7 +182,7 @@ def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorFiel
     """(d_t u + grad_u u) o eta - Gamma_eta(V, V)."""
     geo = problem.geo
     m = geo.metric
-    u = pi_r(ms, newton_tol=getattr(problem, "newton_tol", 1e-12))
+    u = pi_r(ms)
     acc = problem.rhs(u) + ca.nabla_along(m, u, u)
     acc_at = compose_with_map(acc, ms.eta)
     g = geo.grid
@@ -239,10 +241,7 @@ def connector_contract(m, op: EllipticOperator, sp: StokesProjector,
                        u: VectorField, v: VectorField, bc: BcRegime) -> VectorField:
     """K(Tu o v) = P(grad_v u + FF(u,v)), with the La composite on the
     transport term for free-slip and mixed regimes."""
-    from .dynamics import frak_f_alpha
-    adv = ca.nabla_along(m, v, u)
-    if bc.uses_l_alpha_transport:
-        adv = op.solve(op.apply(adv), bc)
+    adv = transport(op, ca.nabla_along(m, v, u), bc)
     return sp.project(adv + frak_f_alpha(m, op, u, v, bc))
 
 
@@ -257,7 +256,7 @@ def commute_check(problem: LaeProblem, u0: VectorField, t: float) -> dict:
     ms = MaterialState(FlowMap.identity(problem.geo.grid), u0.copy(), 0.0)
     for _ in range(nsteps):
         ms = spray_advance(problem, ms)
-    u_material = pi_r(ms, newton_tol=getattr(problem, "newton_tol", 1e-12))
+    u_material = pi_r(ms)
     scale = max(u0.linf(), 1e-300)
     disc = (spatial.u - u_material).linf() / scale
     return {

@@ -174,10 +174,6 @@ class ProductObservable(Observable):
                 + self.g.ddiff(u, v) * self.f.value(u))
 
 
-def functional_derivative(f: Observable, u: VectorField) -> VectorField:
-    return f.diff(u)
-
-
 # ---------------------------------------------------------------------------
 # bracket and its functional derivative
 # ---------------------------------------------------------------------------
@@ -194,9 +190,7 @@ def _transported_argument(ctx: PoissonContext, df: VectorField,
                           u: VectorField) -> VectorField:
     """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime."""
     m = ctx.metric
-    adv = ca.nabla_along(m, df, u)
-    if ctx.bc.uses_l_alpha_transport and ctx.alpha > 0:
-        adv = ctx.op.solve(ctx.op.apply(adv), ctx.bc)
+    adv = dy.transport(ctx.op, ca.nabla_along(m, df, u), ctx.bc)
     part = ctx.sp.project(adv + dy.d_alpha(m, ctx.op, df, u, ctx.bc))
     return part + dy.b_alpha(m, ctx.op, ctx.sp, u, df, ctx.bc)
 
@@ -265,9 +259,18 @@ def bracket_report(ctx: PoissonContext, f: Observable, g: Observable,
 # Hamilton's equations along the flow
 # ---------------------------------------------------------------------------
 
+def _require_same_system(problem: dy.LaeProblem, ctx: PoissonContext):
+    """Raise ValueError unless problem and ctx share geometry, alpha and regime."""
+    if not (problem.geo is ctx.geo and problem.op.alpha == ctx.alpha
+            and problem.bc == ctx.bc):
+        raise ValueError("problem and context differ in geometry, alpha or "
+                         "boundary regime")
+
+
 def hamilton_check(problem: dy.LaeProblem, ctx: PoissonContext, f: Observable,
                    u0: VectorField, t_end: float) -> dict:
     """Compare d/dt f(u(t)) with {f, h}(u(t)) along the integrated flow."""
+    _require_same_system(problem, ctx)
     ham = HamiltonianObservable(ctx)
     states = []
     dy.integrate(problem, dy.State(u0.copy(), 0.0), t_end,
@@ -354,9 +357,8 @@ def constrained_basis(ctx: PoissonContext, max_dim: int = 2048) -> np.ndarray:
 def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorField:
     """Exact linearization of the right-hand side (the operators are quadratic)."""
     m = ctx.metric
-    adv = ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v)
-    if ctx.bc.uses_l_alpha_transport and ctx.alpha > 0:
-        adv = ctx.op.solve(ctx.op.apply(adv), ctx.bc)
+    adv = dy.transport(ctx.op, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
+                       ctx.bc)
     return -ctx.sp.project(adv + dy.frak_f_alpha(m, ctx.op, u, v, ctx.bc) * 2.0)
 
 
@@ -370,6 +372,7 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
     pullback derivatives d(f o Flow) through the H^1 Gram matrix, and
     compares {f o Flow, g o Flow}(u0) with {f, g}(Flow(u0)).
     """
+    _require_same_system(problem, ctx)
     grid = ctx.geo.grid
     m = ctx.metric
     B = constrained_basis(ctx, max_dim)

@@ -12,6 +12,8 @@ smooth up to the boundary without assuming periodicity in y.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fields import VectorField
@@ -93,18 +95,24 @@ def phi_flat(X, Y):
     return np.zeros_like(X)
 
 
+# The phi factories are memoized: equal preset arguments give the same
+# callable, which is what the suites key shared geometries by.  The closures
+# are immutable and there are only as many as distinct presets.
+@lru_cache(maxsize=None)
 def make_phi_sinusoidal(amp: float, kx: int, ky: int, Lx: float, Ly: float):
     def phi(X, Y):
         return amp * np.sin(2 * np.pi * kx * X / Lx) * np.sin(2 * np.pi * ky * Y / Ly)
     return phi
 
 
+@lru_cache(maxsize=None)
 def make_phi_cosx(amp: float, k: int, Lx: float):
     def phi(X, Y):
         return amp * np.cos(2 * np.pi * k * X / Lx) + 0.0 * Y
     return phi
 
 
+@lru_cache(maxsize=None)
 def make_phi_cosx_siny(amp: float, k: int, Lx: float, Ly: float):
     """x-periodic, y-dependent factor with nonzero slope at channel walls."""
     def phi(X, Y):

@@ -2,7 +2,8 @@
 
 Layout: 8-byte magic "LAEALAB1", a little-endian uint32 header length, the
 UTF-8 JSON header (domain spec, nx, ny, alpha, t, ordered field names), then
-each field as row-major little-endian binary64.
+each field as row-major little-endian binary64.  Nothing follows the last
+field; a reader rejects trailing bytes.
 """
 
 from __future__ import annotations
@@ -62,4 +63,6 @@ def read_snapshot(path: str):
             if len(data) < 8 * nx * ny:
                 raise SnapshotError(f"truncated field {name}")
             fields[name] = np.frombuffer(data, dtype="<f8").reshape(nx, ny).copy()
+        if fh.read(1):
+            raise SnapshotError("trailing bytes after the last field")
         return header, fields

@@ -21,8 +21,7 @@ from . import material as mt
 from . import poisson as po
 from .config import ExperimentConfig
 from .elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                       StokesProjector, helmholtz_apply, helmholtz_solve,
-                       l_alpha, stokes_project)
+                       StokesProjector, l_alpha, stokes_project)
 from .fields import VectorField
 from .geometry import DomainSpec, build_geometry
 from .manifest import (RunManifest, bool_result, max_result, order_result,
@@ -44,20 +43,19 @@ PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
 
 
-def _build(spec, n, phi):
-    return build_geometry(spec, n, n if spec.kind == "torus" else n + 1, phi)
+def _geo(geos: dict, spec, n, phi, ny=None):
+    """The geometry of (spec, n, ny, phi) in geos, the geometries of one suite run.
 
-
-def _geo(geos: dict, spec, n, phi):
-    """The geometry of (spec, n, phi) in geos, the geometries of one suite run.
-
-    Blocks that ask for the same domain, grid and metric get the same
-    Geometry object and so share its factorizations.  run_suite makes geos
-    for one call; dropping it when the call returns frees them.
+    ny defaults to n on the torus and n + 1 on the channel.  Blocks that ask
+    for the same domain, grid and metric get the same Geometry object and so
+    share its factorizations; phi presets are memoized callables, so equal
+    presets match.  run_suite makes geos for one call; dropping it when the
+    call returns frees them.
     """
-    key = (spec, n, phi)
+    ny = ny if ny is not None else (n if spec.kind == "torus" else n + 1)
+    key = (spec, n, ny, phi)
     if key not in geos:
-        geos[key] = _build(spec, n, phi)
+        geos[key] = build_geometry(spec, n, ny, phi)
     return geos[key]
 
 
@@ -127,7 +125,7 @@ def run_identities(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         for n in ladder:
             # no other block uses these geometries: keeping them for the
             # suite's span would only hold their factorizations
-            geo = _build(spec, n, phi)
+            geo = _geo({}, spec, n, phi)
             m = geo.metric
             grid = geo.grid
             op, sp, bc = _machinery(geo, alpha, spec)
@@ -178,9 +176,7 @@ def run_identities(cfg: ExperimentConfig, ladder, geos: dict) -> list:
 
             mom = vm - ca.ricci_laplacian(m, vm) * alpha**2
             tlhs = op.solve(ca.nabla_along(m, um, mom), bc)
-            adv = ca.nabla_along(m, um, vm)
-            if bc.uses_l_alpha_transport:
-                adv = op.solve(op.apply(adv), bc)
+            adv = dy.transport(op, ca.nabla_along(m, um, vm), bc)
             transport = (tlhs - (adv + dy.d_alpha(m, op, um, vm, bc))).linf()
 
             for name, val in (("weitzenboeck", weitz / scale),
@@ -244,7 +240,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         geo = _geo(geos, MIXED, ladder[min(1, len(ladder) - 1)], PHI_C)
         op, sp, bc = _machinery(geo, alpha, MIXED)
         u = l_alpha(op, random_vector(geo.grid, seed=seed + 11, kmax=2), bc)
-        rt = (helmholtz_solve(op, helmholtz_apply(op, u), bc) - u).linf() \
+        rt = (op.solve(op.apply(u), bc) - u).linf() \
             / max(u.linf(), 1e-300)
         results.append(max_result("helmholtz_round_trip",
                                   "inverse composed with operator is the identity on the subspace",
@@ -263,7 +259,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
             ustar = VectorField.from_arrays(
                 g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)
             op, sp, bc = _machinery(geo, alpha, MIXED)
-            sol = helmholtz_solve(op, helmholtz_apply(op, ustar), bc)
+            sol = op.solve(op.apply(ustar), bc)
             hs.append(g.h)
             errs.append((sol - ustar).linf() / ustar.linf())
         results.append(order_result("manufactured_solution",
@@ -391,7 +387,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
             op, sp, bc = _machinery(geo, alpha, TORUS)
             gr = GradientRemover(geo)
             u = sp.project(random_vector(geo.grid, seed=seed + 22, kmax=1, amp=0.5))
-            dudt = dy.rhs_dirichlet(m, op, sp, u)
+            dudt = dy.rhs(m, op, sp, u)
             hs.append(geo.grid.h)
             errs.append(dy.eq2_residual(m, op, gr, u, dudt) / max(u.linf(), 1e-300))
         results.append(order_result("momentum_form_residual",
@@ -408,9 +404,7 @@ def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         study_seed, study_alpha = 50, 0.2
         geo = _geo(geos, TORUS, 24, PHI_T)
         m = geo.metric
-        bc = BcRegime.from_domain(TORUS)
-        op = EllipticOperator(geo, study_alpha)
-        sp = StokesProjector(op, bc)
+        _, sp, bc = _machinery(geo, study_alpha, TORUS)
         u0 = sp.project(random_vector(geo.grid, seed=study_seed, kmax=2, amp=0.7))
         e0 = dy.energy(m, study_alpha, u0)
         T = 0.6
@@ -450,15 +444,13 @@ def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         hs, floors = [], []
         for n in (16, 24, 32):
             geo_f = _geo(geos, TORUS, n, PHI_T)
-            bc_f = BcRegime.from_domain(TORUS)
-            op_f = EllipticOperator(geo_f, alpha)
-            sp_f = StokesProjector(op_f, bc_f)
+            op_f, sp_f, _ = _machinery(geo_f, alpha, TORUS)
             worst = 0.0
             for s_off in (0, 1, 2, 3):
                 w0 = sp_f.project(taylor_green_like(geo_f.grid, amp=0.5)
                                   + random_vector(geo_f.grid, seed=seed + 23 + s_off,
                                                   kmax=2, amp=0.125))
-                r = dy.rhs_dirichlet(geo_f.metric, op_f, sp_f, w0)
+                r = dy.rhs(geo_f.metric, op_f, sp_f, w0)
                 rate = abs(ca.inner1(geo_f.metric, alpha, w0, r)) \
                     / dy.energy(geo_f.metric, alpha, w0)
                 worst = max(worst, rate)
@@ -475,16 +467,14 @@ def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         # alpha sweep toward the euler baseline
         geo = _geo(geos, TORUS, 24, PHI_T)
         m = geo.metric
-        op0 = EllipticOperator(geo, 0.0)
-        sp0 = StokesProjector(op0, BcRegime.from_domain(TORUS))
+        op0, sp0, _ = _machinery(geo, 0.0, TORUS)
         u = sp0.project(random_vector(geo.grid, seed=seed + 24, kmax=1, amp=0.5))
-        base = dy.rhs_euler(m, sp0, u)
+        base = dy.rhs(m, op0, sp0, u)
         alphas = (0.02, 0.01, 0.005)
         errs = []
         for a in alphas:
-            op_a = EllipticOperator(geo, a)
-            sp_a = StokesProjector(op_a, BcRegime.from_domain(TORUS))
-            errs.append((dy.rhs_dirichlet(m, op_a, sp_a, u) - base).linf())
+            op_a, sp_a, _ = _machinery(geo, a, TORUS)
+            errs.append((dy.rhs(m, op_a, sp_a, u) - base).linf())
         results.append(order_result("alpha_sweep_to_euler",
                                     "right-hand side approaches the euler baseline quadratically in alpha",
                                     alphas, errs, 1.7, 2.3,
@@ -495,9 +485,9 @@ def run_dynamics(cfg: ExperimentConfig, ladder, geos: dict) -> list:
     # configured run: integrate the configured domain/initial/run setup and
     # record its conservation behavior
     def configured_block():
-        geo_u = cfg.build_geometry()
+        geo_u = _geo(geos, cfg.domain_spec(), cfg.getint("domain", "nx"),
+                     cfg.phi_function(), cfg.getint("domain", "ny"))
         prob = dy.LaeProblem(geo_u, cfg.solver_config())
-        prob.newton_tol = cfg.getfloat("material", "newton_tol")
         u0 = prob.project(cfg.initial_field(geo_u))
         e0 = dy.energy(geo_u.metric, prob.cfg.alpha, u0)
         every = max(cfg.getint("diagnostics", "every_n_steps"), 1)

@@ -3,8 +3,7 @@ import pytest
 
 from laealab import calculus as ca
 from laealab.elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                              StokesProjector, helmholtz_apply, helmholtz_solve,
-                              l_alpha, stokes_project)
+                              StokesProjector, l_alpha, stokes_project)
 from laealab.fields import ScalarField, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -43,7 +42,7 @@ def test_apply_alpha_zero_is_identity():
     geo = geo_torus(16)
     op = EllipticOperator(geo, 0.0)
     u = random_vector(geo.grid, seed=1)
-    assert (helmholtz_apply(op, u) - u).linf() == 0.0
+    assert (op.apply(u) - u).linf() == 0.0
 
 
 def test_apply_flat_eigenfield_symbol():
@@ -52,7 +51,7 @@ def test_apply_flat_eigenfield_symbol():
     op = EllipticOperator(geo, 0.4)
     u = eigen_u(g)
     s = np.sin(2 * np.pi * g.hy) / g.hy
-    got = helmholtz_apply(op, u)
+    got = op.apply(u)
     want = (1 + 0.4**2 * s * s)
     assert np.max(np.abs(got.c1.data - want * u.c1.data)) < 1e-11
     assert np.max(np.abs(got.c1.data - (1 + 0.4**2 * 4 * np.pi**2) * u.c1.data)) < 0.1
@@ -63,8 +62,8 @@ def test_apply_linearity():
     op = EllipticOperator(geo, 0.3)
     u = random_vector(geo.grid, seed=2)
     v = random_vector(geo.grid, seed=3)
-    lin = helmholtz_apply(op, u * 2.0 - v * 0.5)
-    ref = helmholtz_apply(op, u) * 2.0 - helmholtz_apply(op, v) * 0.5
+    lin = op.apply(u * 2.0 - v * 0.5)
+    ref = op.apply(u) * 2.0 - op.apply(v) * 0.5
     assert (lin - ref).linf() < 1e-11 * max(ref.linf(), 1.0)
 
 
@@ -73,7 +72,7 @@ def test_assembled_matrix_matches_pointwise_apply():
     op = EllipticOperator(geo, 0.27)
     u = random_vector(geo.grid, seed=4)
     via_mat = VectorField.from_flat(geo.grid, op.interior @ u.flat())
-    via_ops = helmholtz_apply(op, u)
+    via_ops = op.apply(u)
     assert (via_mat - via_ops).linf() < 1e-13 * max(via_ops.linf(), 1.0)
 
 
@@ -85,7 +84,7 @@ def test_solve_zero_gives_zero():
     geo = geo_channel(16)
     op = EllipticOperator(geo, 0.3)
     bc = BcRegime.from_domain(MIXED)
-    u = helmholtz_solve(op, VectorField.zeros(geo.grid), bc)
+    u = op.solve(VectorField.zeros(geo.grid), bc)
     assert u.linf() < 1e-14
 
 
@@ -96,7 +95,7 @@ def test_solve_flat_torus_eigenfield():
     bc = BcRegime.from_domain(TORUS)
     s = np.sin(2 * np.pi * g.hy) / g.hy
     f = eigen_u(g) * (1 + 0.4**2 * s * s)
-    u = helmholtz_solve(op, f, bc)
+    u = op.solve(f, bc)
     assert (u - eigen_u(g)).linf() < 1e-10
 
 
@@ -125,8 +124,8 @@ def test_manufactured_solution_second_order(spec):
         ustar = VectorField.from_arrays(
             g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)
         op = EllipticOperator(geo, 0.3)
-        f = helmholtz_apply(op, ustar)
-        u = helmholtz_solve(op, f, bc)
+        f = op.apply(ustar)
+        u = op.solve(f, bc)
         hs.append(g.h)
         errs.append((u - ustar).linf() / ustar.linf())
     if bc.variant == "dirichlet":
@@ -143,7 +142,7 @@ def test_roundtrip_solve_after_apply_on_subspace_fields():
     op = EllipticOperator(geo, 0.35)
     w = random_vector(geo.grid, seed=5)
     u = l_alpha(op, w, bc)         # now BC-satisfying
-    u2 = helmholtz_solve(op, helmholtz_apply(op, u), bc)
+    u2 = op.solve(op.apply(u), bc)
     assert (u2 - u).linf() < 1e-10 * max(u.linf(), 1.0)
 
 
@@ -152,8 +151,8 @@ def test_roundtrip_apply_after_solve_interior():
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.35)
     f = random_vector(geo.grid, seed=6)
-    u = helmholtz_solve(op, f, bc)
-    g = helmholtz_apply(op, u)
+    u = op.solve(f, bc)
+    g = op.apply(u)
     interior = np.ones((geo.grid.nx, geo.grid.ny), dtype=bool)
     interior[:, 0] = interior[:, -1] = False
     err = max(np.max(np.abs((g.c1.data - f.c1.data)[interior])),
@@ -165,7 +164,7 @@ def test_solve_output_satisfies_bc_rows_exactly():
     geo = geo_channel(16)
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.3)
-    u = helmholtz_solve(op, random_vector(geo.grid, seed=7), bc)
+    u = op.solve(random_vector(geo.grid, seed=7), bc)
     # dirichlet wall y0: both components vanish
     assert np.max(np.abs(u.c1.data[:, 0])) < 1e-12
     assert np.max(np.abs(u.c2.data[:, 0])) < 1e-12
@@ -221,7 +220,7 @@ def test_projection_annihilates_gradient_summand():
     q = random_scalar(geo.grid, seed=12)
     q = q - np.sum(geo.metric.quad_mu() * q) / np.sum(geo.metric.quad_mu())
     gq = ca.gradient(geo.metric, ScalarField(geo.grid, q))
-    v = helmholtz_solve(op, gq, bc)
+    v = op.solve(gq, bc)
     pv = stokes_project(sp_, v, bc)
     assert pv.linf() < 1e-8 * max(v.linf(), 1e-300)
 

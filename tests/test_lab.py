@@ -61,6 +61,25 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_text("[domain]\nphi = nonsense\n")
 
 
+def test_config_rejects_the_removed_keys():
+    # parsed and then ignored before; now unknown like any other key
+    for sec, key, val in (("lab", "parallel", "false"),
+                          ("solver", "method", "direct"),
+                          ("solver", "linear_tol", "1e-12"),
+                          ("material", "interp", "bicubic"),
+                          ("material", "newton_tol", "1e-12")):
+        with pytest.raises(ConfigError, match="unknown"):
+            ExperimentConfig.from_text(f"[{sec}]\n{key} = {val}\n")
+
+
+def test_phi_presets_are_shared_callables():
+    from laealab.suites import PHI_T
+    cfg = ExperimentConfig.defaults()
+    assert cfg.get("domain", "phi") == "sinusoidal:0.15,1,1"
+    assert cfg.phi_function() is PHI_T
+    assert cfg.phi_function() is ExperimentConfig.defaults().phi_function()
+
+
 def test_env_override(monkeypatch):
     monkeypatch.setenv("LAEALAB_SOLVER__ALPHA", "0.125")
     cfg = ExperimentConfig.defaults()
@@ -114,6 +133,15 @@ def test_snapshot_rejects_truncation(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-16])
     with pytest.raises(SnapshotError):
+        read_snapshot(p)
+
+
+def test_snapshot_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "x.snap"
+    write_snapshot(p, {"kind": "torus"}, 8, 8, 0.1, 0.0, {"u1": np.zeros((8, 8))})
+    read_snapshot(p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(SnapshotError, match="trailing"):
         read_snapshot(p)
 
 

@@ -54,7 +54,7 @@ def test_hamiltonian_derivative_is_identity():
     ctx = ctx_torus(16)
     u = member(ctx, 1)
     ham = po.HamiltonianObservable(ctx)
-    assert (po.functional_derivative(ham, u) - u).linf() == 0.0
+    assert (ham.diff(u) - u).linf() == 0.0
 
 
 def test_linear_derivative_is_projector_fixed_point():
@@ -314,6 +314,27 @@ def test_hamilton_check_zero_and_energy():
     # derivative side reproduces the spatial conservation floor
     assert po.bracket(ctx, ham, ham, u0) == 0.0
     assert rep2["deviation"] < 0.05 * max(ham.value(u0), 1e-300)
+
+
+def test_checks_reject_a_mismatched_problem_and_context():
+    ctx = ctx_torus(8)
+    chan = ctx_channel(8)
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 40, kmax=1)
+
+    def problem(geo, alpha, bc):
+        return dy.LaeProblem(geo, dy.SolverConfig(alpha=alpha, dt=5e-3, t_end=0.01,
+                                                  bc=bc, cfl_factor=5.0))
+
+    # each check raises before it evaluates anything
+    for prob, c in ((problem(ctx.geo, 0.2, ctx.bc), ctx),                # alpha
+                    (problem(ctx_torus(8).geo, ctx.alpha, ctx.bc), ctx),  # geometry
+                    (problem(chan.geo, chan.alpha, BcRegime.from_domain(DIRICH)),
+                     chan)):                                              # regime
+        with pytest.raises(ValueError, match="differ"):
+            po.hamilton_check(prob, c, f, u0, 0.01)
+        with pytest.raises(ValueError, match="differ"):
+            po.flow_poisson_check(prob, c, f, g, u0, 0.01)
 
 
 def test_hamilton_check_linear_observable_converges():
