@@ -54,8 +54,8 @@ class SolverConfig:
     alpha: float
     dt: float
     t_end: float
+    bc: BcRegime
     integrator: str = "rk4"
-    bc: BcRegime | None = None
     cfl_factor: float = 0.5
 
     def __post_init__(self):
@@ -223,8 +223,7 @@ class LaeProblem:
     def __init__(self, geo: Geometry, cfg: SolverConfig):
         self.geo = geo
         self.cfg = cfg
-        self.bc = cfg.bc if cfg.bc is not None else BcRegime(
-            "noboundary" if geo.grid.periodic_y else "dirichlet")
+        self.bc = cfg.bc
         self.op = EllipticOperator(geo, cfg.alpha)
         self.sp = StokesProjector(self.op, self.bc)
 

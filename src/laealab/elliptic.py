@@ -104,6 +104,29 @@ def _stored(geo: Geometry, key, build):
     return store[key]
 
 
+def _replace_rows(M, idx, R):
+    """M with its rows idx replaced by the rows of R, in order (M itself if idx is empty)."""
+    if not idx.size:
+        return M
+    keep = np.ones(M.shape[0])
+    keep[idx] = 0.0
+    P = sp.csr_matrix((np.ones(idx.size), (idx, np.arange(idx.size))),
+                      shape=(M.shape[0], idx.size))
+    return sp.diags(keep) @ M + P @ R
+
+
+def _gauge_bordered(K, Z, row0: int):
+    """CSC saddle [[K, Zc], [Zc^T, 0]], Zc the gauge columns Z placed at rows row0.
+
+    The gauge columns Z (mu-weighted gradient-kernel modes) fix the pressure
+    kernel exactly and give the constrained rows a matching slack.
+    """
+    Zc = np.zeros((K.shape[0], Z.shape[1]))
+    Zc[row0:row0 + Z.shape[0]] = Z
+    Zc = sp.csr_matrix(Zc)
+    return sp.bmat([[K, Zc], [Zc.T, None]], format="csc")
+
+
 def _assemble_interior(geo: Geometry, alpha: float):
     if alpha == 0.0:
         return sp.identity(2 * geo.grid.n_nodes, format="csr")
@@ -141,51 +164,32 @@ class EllipticOperator:
     def _bc_rows(self, bc: BcRegime):
         """(row indices, replacement rows as sparse matrix over 2N unknowns)."""
         geo = self.geo
-        grid, metric, bdata = geo.grid, geo.metric, geo.boundary
-        rows, cols, vals, row_idx = [], [], [], []
-        cursor = 0
-        for w in bdata.walls:
-            cond = bc.condition(w.name)
+        grid, metric, n = geo.grid, geo.metric, self.n
+        idx, blocks = [], []
+
+        def rows(at, cols, vals):
+            """Replace rows at by rows with entries vals[c][k] at columns cols[c][k]."""
+            idx.append(at)
+            r = np.repeat(np.arange(at.size), len(cols))
+            c, v = np.stack(cols, axis=1).ravel(), np.stack(vals, axis=1).ravel()
+            blocks.append(sp.csr_matrix((v, (r, c)), shape=(at.size, 2 * n)))
+
+        for w in geo.boundary.walls:
             flat = grid.wall_flat_indices(w.name)
-            emphi = np.exp(-metric.phi[:, w.j])
-            if cond == "dirichlet":
-                for comp in (0, 1):
-                    for k, nf in enumerate(flat):
-                        row_idx.append(comp * self.n + nf)
-                        rows.append(cursor)
-                        cols.append(comp * self.n + nf)
-                        vals.append(1.0)
-                        cursor += 1
-            else:
-                # tangency rows u2 = 0
-                for nf in flat:
-                    row_idx.append(self.n + nf)
-                    rows.append(cursor)
-                    cols.append(self.n + nf)
-                    vals.append(1.0)
-                    cursor += 1
-                # free-slip rows on the u1 equations:
-                # sign e^{-phi} [dy u1 + G^1_21 u1 + G^1_22 u2] + s u1 = 0
-                offs, coefs = _oneside_dy_row(grid, w.j)
-                g121 = metric.gamma[0, 1, 0][:, w.j]   # Gamma^1_{y x}
-                g122 = metric.gamma[0, 1, 1][:, w.j]   # Gamma^1_{y y}
-                for k in range(grid.nx):
-                    r = cursor
-                    cursor += 1
-                    row_idx.append(flat[k])
-                    pref = w.normal_sign * emphi[k]
-                    for off, cf in zip(offs, coefs):
-                        rows.append(r)
-                        cols.append(k * grid.ny + off)
-                        vals.append(pref * cf)
-                    rows.append(r)
-                    cols.append(flat[k])
-                    vals.append(pref * g121[k] + w.s_weingarten[k])
-                    rows.append(r)
-                    cols.append(self.n + flat[k])
-                    vals.append(pref * g122[k])
-        repl = sp.csr_matrix((vals, (rows, cols)), shape=(cursor, 2 * self.n))
-        return np.asarray(row_idx, dtype=int), repl
+            if bc.condition(w.name) == "dirichlet":       # u1 = 0, u2 = 0
+                unit = np.concatenate([flat, n + flat])
+                rows(unit, [unit], [np.ones(unit.size)])
+                continue
+            rows(n + flat, [n + flat], [np.ones(flat.size)])   # tangency u2 = 0
+            # free-slip rows on the u1 equations:
+            # sign e^{-phi} [dy u1 + G^1_21 u1 + G^1_22 u2] + s u1 = 0
+            offs, coefs = _oneside_dy_row(grid, w.j)
+            pref = w.normal_sign * np.exp(-metric.phi[:, w.j])
+            g121 = metric.gamma[0, 1, 0][:, w.j]   # Gamma^1_{y x}
+            g122 = metric.gamma[0, 1, 1][:, w.j]   # Gamma^1_{y y}
+            rows(flat, [flat - w.j + off for off in offs] + [flat, n + flat],
+                 [pref * cf for cf in coefs] + [pref * g121 + w.s_weingarten, pref * g122])
+        return np.concatenate(idx), sp.vstack(blocks, format="csr")
 
     def matrix(self, bc: BcRegime):
         """(BC-row-substituted system matrix, substituted row indices)."""
@@ -196,9 +200,7 @@ class EllipticOperator:
         if not bc.has_boundary:
             return self.interior, np.zeros(0, dtype=int)
         idx, repl = self._bc_rows(bc)
-        A = self.interior.tolil()
-        A[idx, :] = repl
-        return A.tocsc(), idx
+        return _replace_rows(self.interior, idx, repl).tocsc(), idx
 
     def factor(self, bc: BcRegime):
         """(SuperLU of matrix(bc), substituted row indices)."""
@@ -262,11 +264,7 @@ def _gradient(geo: Geometry, bc_idx: np.ndarray):
     n = geo.grid.n_nodes
     gradp = ca.gradient(geo.metric, OpScalar(geo.grid, sp.identity(n, format="csr")))
     G = sp.vstack([gradp.c1.mat, gradp.c2.mat], format="csr")
-    if bc_idx.size:
-        G = G.tolil()
-        G[bc_idx, :] = 0.0
-        G = G.tocsr()
-    return G
+    return _replace_rows(G, bc_idx, sp.csr_matrix((bc_idx.size, n)))
 
 
 class StokesProjector:
@@ -295,13 +293,9 @@ class StokesProjector:
         # gauge away the whole discrete-gradient kernel (constants and the
         # sawtooth modes), with matching slack columns in the divergence rows
         modes = _gradient_kernel_modes(geo.grid, with_y_parity=True)
-        Z = sp.csr_matrix(mu[:, None] * modes)
+        K = sp.bmat([[A, -G], [self.D, sp.csr_matrix((n, n))]])
+        S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
         k = modes.shape[1]
-
-        top = sp.hstack([A, -G, sp.csr_matrix((2 * n, k))])
-        mid = sp.hstack([self.D, sp.csr_matrix((n, n)), Z])
-        bot = sp.hstack([sp.csr_matrix((k, 2 * n)), Z.T, sp.csr_matrix((k, k))])
-        S = sp.vstack([top, mid, bot]).tocsc()
         try:
             lu = spla.splu(S)
         except RuntimeError as e:
@@ -325,57 +319,42 @@ class StokesProjector:
         return out
 
 
-def stokes_project(sp_: StokesProjector, v: VectorField, bc: BcRegime) -> VectorField:
-    if bc != sp_.bc:
-        raise ValueError("projector was factorized for a different regime")
-    return sp_.project(v)
-
-
 class GradientRemover:
     """Least-squares removal of the metric-gradient part of a field.
 
     Solves div(grad p) = div w with the regime's natural normal-derivative
     matching at walls (or periodicity), zero-mean gauge, and returns
     w - grad p.  Used to measure how close a field is to a pure pressure
-    gradient.
+    gradient.  A thin view over the geometry's store: removers on the same
+    geometry object share one factorization.
     """
 
     def __init__(self, geo: Geometry):
         self.geo = geo
-        grid, metric = geo.grid, geo.metric
-        n = grid.n_nodes
-        self.n = n
+        self.n = geo.grid.n_nodes
+        self.lu, self.k = _stored(geo, ("remover", None, None), self._factorize)
+
+    def _factorize(self):
+        """(SuperLU of the gauged, wall-substituted Laplacian, number of gauge columns)."""
+        grid, metric, n = self.geo.grid, self.geo.metric, self.n
         pop = OpScalar(grid, sp.identity(n, format="csr"))
-        lap = ca.divergence(metric, ca.gradient(metric, pop))
-        A = lap.mat.tolil()
-        mu = metric.quad_mu().ravel()
-        self.bc_rows = []
-        if not grid.periodic_y:
-            for w in geo.boundary.walls:
-                offs, coefs = _oneside_dy_row(grid, w.j)
-                flat = grid.wall_flat_indices(w.name)
-                for k in range(grid.nx):
-                    A.rows[flat[k]] = [k * grid.ny + o for o in offs]
-                    A.data[flat[k]] = list(coefs)
-                self.bc_rows.append((w, flat))
-        # one-sided wall rows exclude the y-parity sawtooth from the kernel
+        lap = ca.divergence(metric, ca.gradient(metric, pop)).mat
+        # wall rows carry the grid's own d/dy, so that grad p matches w . normal
+        idx = np.array([grid.wall_flat_indices(w.name) for w in self.geo.boundary.walls],
+                       dtype=int).ravel()
+        A = _replace_rows(lap, idx, grid.DY[idx])
+        # wall rows exclude the y-parity sawtooth from the kernel
         modes = _gradient_kernel_modes(grid, with_y_parity=grid.periodic_y)
-        Z = sp.csr_matrix(mu[:, None] * modes)
-        k = modes.shape[1]
-        self.k = k
-        S = sp.vstack([
-            sp.hstack([A.tocsr(), Z]),
-            sp.hstack([Z.T, sp.csr_matrix((k, k))]),
-        ]).tocsc()
-        self.lu = spla.splu(S)
-        self.mu = mu
+        mu = metric.quad_mu().ravel()
+        return spla.splu(_gauge_bordered(A, mu[:, None] * modes, 0)), modes.shape[1]
 
     def remove_gradient(self, w: VectorField) -> VectorField:
         grid, metric = self.geo.grid, self.geo.metric
         rhs = np.zeros(self.n + self.k)
         rhs[:self.n] = ca.divergence(metric, w).data.ravel()
-        for wall, flat in self.bc_rows:
+        for wall in self.geo.boundary.walls:
             # match (grad p) . normal = w . normal: dy p = e^{2 phi} w2
+            flat = grid.wall_flat_indices(wall.name)
             rhs[flat] = metric.e2phi[:, wall.j] * w.c2.data[:, wall.j]
         x = self.lu.solve(rhs)
         p = ScalarField(grid, x[:self.n].reshape(grid.nx, grid.ny))

@@ -22,13 +22,10 @@ import scipy.sparse as sp
 
 
 def _d1_periodic(n: int, h: float) -> sp.csr_matrix:
-    main = np.zeros(n)
-    up = np.full(n, 1.0 / (2.0 * h))
-    lo = np.full(n, -1.0 / (2.0 * h))
-    d = sp.diags([lo, main, up], offsets=[-1, 0, 1], shape=(n, n), format="lil")
-    d[0, n - 1] = -1.0 / (2.0 * h)
-    d[n - 1, 0] = 1.0 / (2.0 * h)
-    return d.tocsr()
+    i = np.arange(n)
+    c = np.full(n, 1.0 / (2.0 * h))
+    return sp.csr_matrix((np.r_[-c, c], (np.r_[i, i], np.r_[(i - 1) % n, (i + 1) % n])),
+                         shape=(n, n))
 
 
 def _d1_wall(n: int, h: float) -> sp.csr_matrix:
@@ -39,14 +36,12 @@ def _d1_wall(n: int, h: float) -> sp.csr_matrix:
     stays smooth across the wall and composed second derivatives remain
     second-order accurate up to the boundary.
     """
-    d = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -1.0 / (2.0 * h)
-        d[i, i + 1] = 1.0 / (2.0 * h)
-    c = np.array([-2.0, 3.5, -2.0, 0.5]) / h
-    d[0, 0:4] = c
-    d[n - 1, n - 4:n] = -c[::-1]
-    return d.tocsr()
+    i = np.arange(1, n - 1)
+    c = np.full(n - 2, 1.0 / (2.0 * h))
+    w = np.array([-2.0, 3.5, -2.0, 0.5]) / h
+    rows = np.r_[i, i, [0] * 4, [n - 1] * 4]
+    cols = np.r_[i - 1, i + 1, 0:4, n - 4:n]
+    return sp.csr_matrix((np.r_[-c, c, w, -w[::-1]], (rows, cols)), shape=(n, n))
 
 
 class Grid:

@@ -335,11 +335,7 @@ def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
 
 def constrained_basis(ctx: PoissonContext, max_dim: int = 2048) -> np.ndarray:
     """Dense basis (2n, d) of the discrete constrained subspace."""
-    grid = ctx.geo.grid
-    n = grid.n_nodes
-    uop = op_vector_unknown(grid)
-    D = ca.divergence(ctx.metric, uop).mat
-    rows = [D.toarray()]
+    rows = [ctx.sp.D.toarray()]
     A, bc_idx = ctx.op.matrix(ctx.bc)
     if bc_idx.size:
         R = A.tocsr()[bc_idx, :].toarray()

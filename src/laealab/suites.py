@@ -21,7 +21,7 @@ from . import material as mt
 from . import poisson as po
 from .config import ExperimentConfig
 from .elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                       StokesProjector, l_alpha, stokes_project)
+                       StokesProjector, l_alpha)
 from .fields import VectorField
 from .geometry import DomainSpec, build_geometry
 from .manifest import (RunManifest, bool_result, max_result, order_result,
@@ -275,9 +275,9 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         op, sp, bc = _machinery(geo, alpha, TORUS)
         v = random_vector(geo.grid, seed=seed + 12, kmax=2)
         w = random_vector(geo.grid, seed=seed + 13, kmax=2)
-        pv = stokes_project(sp, v, bc)
-        pw = stokes_project(sp, w, bc)
-        idem = (stokes_project(sp, pv, bc) - pv).linf() / max(pv.linf(), 1e-300)
+        pv = sp.project(v)
+        pw = sp.project(w)
+        idem = (sp.project(pv) - pv).linf() / max(pv.linf(), 1e-300)
         ortho = abs(ca.inner1(m, alpha, pv, v - pv)) / (
             np.sqrt(ca.inner1(m, alpha, pv, pv))
             * np.sqrt(ca.inner1(m, alpha, v - pv, v - pv)) + 1e-300)
@@ -297,7 +297,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
             geo_c = _geo(geos, spec, ladder[0], PHI_C)
             op_c, sp_c, bc_c = _machinery(geo_c, alpha, spec)
             vv = _member(geo_c, op_c, sp_c, bc_c, seed + 14)
-            again = stokes_project(sp_c, vv, bc_c)
+            again = sp_c.project(vv)
             worst_idem = max(worst_idem,
                              (again - vv).linf() / max(vv.linf(), 1e-300))
         results.append(max_result("projector_idempotent_all_regimes",
@@ -314,7 +314,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
         worst = 0.0
         for a in (0.0, alpha):
             op_a, sp_a, bc_a = _machinery(geo, a, TORUS)
-            worst = max(worst, (stokes_project(sp_a, v, bc_a) - oracle).linf()
+            worst = max(worst, (sp_a.project(v) - oracle).linf()
                         / max(oracle.linf(), 1e-300))
         results.append(max_result("leray_limit",
                                   "projector reduces to the discrete leray projector on the flat torus",
@@ -334,7 +334,7 @@ def run_elliptic(cfg: ExperimentConfig, ladder, geos: dict) -> list:
             for s_off in (0, 1000):
                 vv = l_alpha(op, random_vector(geo.grid, seed=seed + 16 + s_off,
                                                kmax=1), bc)
-                pv = stokes_project(sp, vv, bc)
+                pv = sp.project(vv)
                 num = abs(ca.inner1(m, alpha, pv, vv - pv))
                 den = (np.sqrt(ca.inner1(m, alpha, pv, pv))
                        * np.sqrt(max(ca.inner1(m, alpha, vv - pv, vv - pv), 1e-300))

@@ -397,6 +397,13 @@ def test_eq2_residual_negative_control():
 # integration
 # ---------------------------------------------------------------------------
 
+def test_solver_config_requires_a_regime():
+    # without one, a channel problem used to fall back to a regime with no
+    # wall conditions and fail later with a KeyError
+    with pytest.raises(TypeError):
+        dy.SolverConfig(alpha=0.3, dt=1e-3, t_end=0.01)
+
+
 def test_step_keeps_zero_field_fixed():
     geo = torus(16)
     cfg = dy.SolverConfig(alpha=0.3, dt=1e-2, t_end=1e-2, bc=BC_T)

@@ -3,7 +3,7 @@ import pytest
 
 from laealab import calculus as ca
 from laealab.elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                              StokesProjector, l_alpha, stokes_project)
+                              StokesProjector, l_alpha)
 from laealab.fields import ScalarField, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -210,7 +210,7 @@ def test_projection_fixes_divergence_free_subspace_fields():
     geo = geo_channel(20)
     sp_, op, bc = projector(geo, MIXED, 0.3)
     v = sp_.project(l_alpha(op, random_vector(geo.grid, seed=11), bc))
-    again = stokes_project(sp_, v, bc)
+    again = sp_.project(v)
     assert (again - v).linf() < 1e-8 * max(v.linf(), 1.0)
 
 
@@ -221,7 +221,7 @@ def test_projection_annihilates_gradient_summand():
     q = q - np.sum(geo.metric.quad_mu() * q) / np.sum(geo.metric.quad_mu())
     gq = ca.gradient(geo.metric, ScalarField(geo.grid, q))
     v = op.solve(gq, bc)
-    pv = stokes_project(sp_, v, bc)
+    pv = sp_.project(v)
     assert pv.linf() < 1e-8 * max(v.linf(), 1e-300)
 
 
@@ -230,7 +230,7 @@ def test_projection_divergence_small_independent_of_h():
         geo = geo_channel(n)
         sp_, op, bc = projector(geo, MIXED, 0.3)
         v = l_alpha(op, random_vector(geo.grid, seed=13), bc)
-        pv = stokes_project(sp_, v, bc)
+        pv = sp_.project(v)
         div = ca.divergence(geo.metric, pv).linf()
         assert div < 1e-9 * max(pv.linf(), 1.0)
 
@@ -240,14 +240,14 @@ def test_projection_idempotent_all_regimes():
         geo = geo_channel(16, spec)
         sp_, op, bc = projector(geo, spec, 0.3)
         v = l_alpha(op, random_vector(geo.grid, seed=14), bc)
-        p1 = stokes_project(sp_, v, bc)
-        p2 = stokes_project(sp_, p1, bc)
+        p1 = sp_.project(v)
+        p2 = sp_.project(p1)
         assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
     geo = geo_torus(16)
     sp_, op, bc = projector(geo, TORUS, 0.3)
     v = random_vector(geo.grid, seed=15)
-    p1 = stokes_project(sp_, v, bc)
-    p2 = stokes_project(sp_, p1, bc)
+    p1 = sp_.project(v)
+    p2 = sp_.project(p1)
     assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
 
 
@@ -256,7 +256,7 @@ def test_h1_orthogonality_flat_torus_solver_level():
     alpha = 0.3
     sp_, op, bc = projector(geo, TORUS, alpha)
     v = random_vector(geo.grid, seed=16)
-    pv = stokes_project(sp_, v, bc)
+    pv = sp_.project(v)
     w = v - pv
     m = geo.metric
     val = abs(ca.inner1(m, alpha, pv, w))
@@ -271,8 +271,8 @@ def test_h1_self_adjointness_flat_torus_solver_level():
     m = geo.metric
     v = random_vector(geo.grid, seed=17)
     w = random_vector(geo.grid, seed=18)
-    pv = stokes_project(sp_, v, bc)
-    pw = stokes_project(sp_, w, bc)
+    pv = sp_.project(v)
+    pw = sp_.project(w)
     a = ca.inner1(m, alpha, pv, w)
     b = ca.inner1(m, alpha, v, pw)
     assert abs(a - b) / (abs(a) + abs(b) + 1e-300) < 1e-8
@@ -285,7 +285,7 @@ def test_h1_orthogonality_defect_converges_on_curved_channel():
         geo = geo_channel(n)
         sp_, op, bc = projector(geo, MIXED, alpha)
         v = l_alpha(op, random_vector(geo.grid, seed=19, kmax=1), bc)
-        pv = stokes_project(sp_, v, bc)
+        pv = sp_.project(v)
         w = v - pv
         m = geo.metric
         num = abs(ca.inner1(m, alpha, pv, w))
@@ -303,24 +303,22 @@ def test_alpha_zero_limit_matches_fft_leray_oracle():
     geo = geo_torus(32, phi_flat)
     v = random_vector(geo.grid, seed=20)
     oracle = leray_fft(geo.grid, v)
-    bc = BcRegime.from_domain(TORUS)
     for a in (0.0, 0.05, 0.3):
         spa, opa, _ = projector(geo, TORUS, a)
-        assert (stokes_project(spa, v, bc) - oracle).linf() \
+        assert (spa.project(v) - oracle).linf() \
             < 1e-8 * max(oracle.linf(), 1.0)
 
 
 def test_alpha_to_zero_quadratic_on_curved_torus():
     geo = geo_torus(24)
     v = random_vector(geo.grid, seed=23)
-    bc = BcRegime.from_domain(TORUS)
     sp0, _, _ = projector(geo, TORUS, 0.0)
-    base = stokes_project(sp0, v, bc)
+    base = sp0.project(v)
     alphas = (0.05, 0.025, 0.0125)
     errs = []
     for a in alphas:
         spa, _, _ = projector(geo, TORUS, a)
-        errs.append((stokes_project(spa, v, bc) - base).linf())
+        errs.append((spa.project(v) - base).linf())
     order = fit_order(alphas, errs)
     assert 1.6 < order < 2.4, (errs, order)
 
@@ -329,8 +327,9 @@ def test_alpha_to_zero_quadratic_on_curved_torus():
 # gradient removal helper
 # ---------------------------------------------------------------------------
 
-def test_gradient_remover_kills_pure_gradients():
-    geo = geo_torus(24)
+@pytest.mark.parametrize("make_geo", (geo_torus, geo_channel), ids=("torus", "channel"))
+def test_gradient_remover_kills_pure_gradients(make_geo):
+    geo = make_geo(24)
     gr = GradientRemover(geo)
     q = random_scalar(geo.grid, seed=21)
     gq = ca.gradient(geo.metric, ScalarField(geo.grid, q))

@@ -81,6 +81,22 @@ def test_shared_solvers_match_a_fresh_geometry_bit_for_bit(spec, ny, phi):
             assert np.array_equal(a.c2.data, b.c2.data)
 
 
+@pytest.mark.parametrize("spec,ny,phi", CASES)
+def test_gradient_removers_share_one_factorization(spec, ny, phi):
+    geo = build_geometry(spec, 12, ny, phi)
+    gr1, gr2 = el.GradientRemover(geo), el.GradientRemover(geo)
+    assert gr2.lu is gr1.lu
+    fresh = el.GradientRemover(build_geometry(spec, 12, ny, phi))
+    assert fresh.lu is not gr1.lu
+
+    w = random_vector(geo.grid, seed=6, kmax=2)
+    ref = gr1.remove_gradient(w)
+    for gr in (gr2, fresh):
+        r = gr.remove_gradient(w)
+        assert np.array_equal(r.c1.data, ref.c1.data)
+        assert np.array_equal(r.c2.data, ref.c2.data)
+
+
 def test_store_keys_on_alpha_and_regime():
     geo = build_geometry(MIXED, 12, 13, PHI_C)
     bc = BcRegime.from_domain(MIXED)
