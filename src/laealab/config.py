@@ -111,14 +111,13 @@ class ExperimentConfig:
         return int(self.get(sec, key))
 
     def validate(self):
-        if self.get("domain", "kind") not in ("torus", "channel"):
-            raise ConfigError("domain.kind must be torus or channel")
-        if self.get("run", "integrator") not in ("rk4", "midpoint"):
-            raise ConfigError("run.integrator must be rk4 or midpoint")
-        self.phi_function()   # validates the preset string
+        """Build what the config describes: phi, ladder, domain, regime, solver."""
+        self.phi_function()
         self.grid_ladder()
-        if self.getfloat("run", "dt") == 0:
-            raise ConfigError("run.dt must be nonzero")
+        try:
+            self.solver_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     # -- derived objects ------------------------------------------------------
 

@@ -61,7 +61,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
-        if self.integrator not in ("rk4", "midpoint"):
+        if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
@@ -249,6 +249,46 @@ def _require_finite(state: State):
         raise NonFiniteStateError(f"state at t={state.t} is not finite")
 
 
+def _shifted(y: tuple, k: tuple, c: float) -> tuple:
+    return tuple(a + b * c for a, b in zip(y, k))
+
+
+def rk4(f, y: tuple, dt: float) -> tuple:
+    """One classical Runge-Kutta step of y' = f(y).
+
+    y and f(y) are equal-length tuples of fields or arrays, marched part by
+    part with the same stage weights.
+    """
+    k1 = f(y)
+    k2 = f(_shifted(y, k1, 0.5 * dt))
+    k3 = f(_shifted(y, k2, 0.5 * dt))
+    k4 = f(_shifted(y, k3, dt))
+    return tuple(a + (b1 + (b2 + b3) * 2.0 + b4) * (dt / 6.0)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def midpoint(f, y: tuple, dt: float) -> tuple:
+    """One explicit midpoint step of y' = f(y), over tuples as rk4()."""
+    return _shifted(y, f(_shifted(y, f(y), 0.5 * dt)), dt)
+
+
+INTEGRATORS = {"rk4": rk4, "midpoint": midpoint}
+
+
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """Number of dt steps from t0 to t_end; ValueError unless dt divides the span.
+
+    The count is round((t_end - t0)/dt), so resuming from an intermediate
+    state reproduces the single-run schedule bit for bit.
+    """
+    nsteps = int(round((t_end - t0) / dt))
+    if nsteps < 0:
+        raise ValueError("t_end is not reachable with this step sign")
+    if abs(t0 + nsteps * dt - t_end) > 1e-6 * abs(dt):
+        raise ValueError(f"dt={dt} does not divide the span {t_end - t0} evenly")
+    return nsteps
+
+
 def step(problem: LaeProblem, state: State) -> State:
     """One projected step of the configured integrator.
 
@@ -258,34 +298,15 @@ def step(problem: LaeProblem, state: State) -> State:
     _require_finite(state)
     problem.check_cfl(state.u)
     dt = problem.cfg.dt
-    u = state.u
-    f = problem.rhs
-    if problem.cfg.integrator == "rk4":
-        k1 = f(u)
-        k2 = f(u + k1 * (0.5 * dt))
-        k3 = f(u + k2 * (0.5 * dt))
-        k4 = f(u + k3 * dt)
-        unew = u + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
-    else:
-        k1 = f(u)
-        unew = u + f(u + k1 * (0.5 * dt)) * dt
-    return State(problem.project(unew), state.t + dt)
+    (u,) = INTEGRATORS[problem.cfg.integrator](
+        lambda y: (problem.rhs(y[0]),), (state.u,), dt)
+    return State(problem.project(u), state.t + dt)
 
 
 def integrate(problem: LaeProblem, state: State, t_end: float,
               record=None) -> State:
-    """March to t_end on the fixed step schedule; optional per-step recorder.
-
-    The number of steps is round((t_end - t)/dt), so resuming from an
-    intermediate state reproduces the single-run schedule bit for bit.
-    """
-    dt = problem.cfg.dt
-    nsteps = int(round((t_end - state.t) / dt))
-    if nsteps < 0:
-        raise ValueError("t_end is not reachable with this step sign")
-    if abs(state.t + nsteps * dt - t_end) > 1e-6 * abs(dt):
-        raise ValueError(
-            f"dt={dt} does not divide the span {t_end - state.t} evenly")
+    """March to t_end on the step_count() schedule; optional per-step recorder."""
+    nsteps = step_count(state.t, t_end, problem.cfg.dt)
     if record is not None:
         record(state)
     for _ in range(nsteps):

@@ -302,7 +302,7 @@ class StokesProjector:
             raise SolveError(f"stokes saddle factorization failed: {e}")
         return S, lu, k
 
-    def project(self, v: VectorField, return_parts: bool = False):
+    def project(self, v: VectorField) -> VectorField:
         n, k = self.n, self.k
         rhs = np.zeros(3 * n + k)
         rhs[2 * n:3 * n] = self.D @ v.flat()
@@ -312,11 +312,7 @@ class StokesProjector:
         if not res <= 1e-7 * scale:              # NaN fails too
             raise SolveError(f"stokes composite residual {res / scale:.3e}")
         w = VectorField.from_flat(self.op.geo.grid, x[:2 * n])
-        out = v - w
-        if return_parts:
-            p = x[2 * n:3 * n].reshape(self.op.geo.grid.nx, self.op.geo.grid.ny)
-            return out, w, p
-        return out
+        return v - w
 
 
 class GradientRemover:

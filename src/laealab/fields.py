@@ -96,12 +96,6 @@ def _raw(v):
     return v
 
 
-def zero_like(s):
-    if isinstance(s, ScalarField):
-        return ScalarField(s.grid, np.zeros((s.grid.nx, s.grid.ny)))
-    return OpScalar(s.grid, sp.csr_matrix(s.mat.shape))
-
-
 class VectorField:
     __slots__ = ("grid", "c1", "c2")
 

@@ -74,16 +74,13 @@ class ConformalMetric:
         phix, phiy         : first derivatives of phi (grid stencils)
         gamma              : (2,2,2,nx,ny) Christoffel symbols Gamma^k_ij
         K, Kx, Ky          : Gaussian curvature and its coordinate derivatives
-        phi_fn             : the analytic phi callable, kept for off-node use
     """
 
-    def __init__(self, grid: Grid, phi_values: np.ndarray,
-                 phi_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+    def __init__(self, grid: Grid, phi_values: np.ndarray):
         self.grid = grid
         self.phi = np.asarray(phi_values, dtype=np.float64)
         if self.phi.shape != (grid.nx, grid.ny):
             raise ValueError("phi samples do not match the grid")
-        self.phi_fn = phi_fn
         self.e2phi = np.exp(2.0 * self.phi)
         self.em2phi = np.exp(-2.0 * self.phi)
         self.phix = grid.ddx(self.phi)
@@ -130,20 +127,12 @@ class Wall:
     normal_sign: float   # n = normal_sign * e^{-phi} d_y (outward)
     ephi: np.ndarray     # e^{phi} restricted to the wall, shape (nx,)
     s_weingarten: np.ndarray  # S_n(tau) = s * tau on the unit tangent
-    phix: np.ndarray     # d_x phi on the wall
-    phiy: np.ndarray     # d_y phi on the wall
     mu_weights: np.ndarray    # boundary quadrature weights (arc length)
 
 
 @dataclass
 class BoundaryData:
     walls: list = field(default_factory=list)
-
-    def wall(self, name: str) -> Wall:
-        for w in self.walls:
-            if w.name == name:
-                return w
-        raise KeyError(name)
 
 
 @dataclass(eq=False)
@@ -186,19 +175,17 @@ def build_geometry(spec: DomainSpec, nx: int, ny: int,
     phi_values = np.asarray(phi(grid.X, grid.Y), dtype=np.float64)
     if phi_values.shape != (nx, ny):
         phi_values = np.broadcast_to(phi_values, (nx, ny)).copy()
-    metric = ConformalMetric(grid, phi_values, phi_fn=phi)
+    metric = ConformalMetric(grid, phi_values)
 
     bd = BoundaryData()
     if spec.kind == "channel":
         for name, j, sign in (("y0", 0, -1.0), ("yL", ny - 1, +1.0)):
             ephi = np.exp(metric.phi[:, j])
-            phix = metric.phix[:, j]
-            phiy = metric.phiy[:, j]
             # S_n(u) = -grad_u n; on a straight wall of a conformal metric
             # this reduces to multiplication by -sign * e^{-phi} d_y(phi).
-            s = -sign * np.exp(-metric.phi[:, j]) * phiy
+            s = -sign * np.exp(-metric.phi[:, j]) * metric.phiy[:, j]
             mu_w = grid.wx * ephi
-            bd.walls.append(Wall(name, j, sign, ephi, s, phix, phiy, mu_w))
+            bd.walls.append(Wall(name, j, sign, ephi, s, mu_w))
     return Geometry(grid, metric, bd)
 
 

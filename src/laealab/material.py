@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .dynamics import LaeProblem, State, frak_f_alpha, integrate, transport
+from .dynamics import (INTEGRATORS, LaeProblem, State, frak_f_alpha, integrate,
+                       step_count, transport)
 from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField
 from .interp import BicubicField
@@ -201,36 +202,23 @@ def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorFiel
 
 
 def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
-    """One RK4 step of (d/dt eta, d/dt V) = (V, spray acceleration)."""
-    dt = problem.cfg.dt
-    seed = None if ms.eta.inv_seed is None else ms.eta.inv_seed.copy()
+    """One step of (d/dt eta, d/dt V) = (V, spray acceleration) by the
+    configured integrator; every stage map starts inversion from ms's seed."""
+    seed = ms.eta.inv_seed
 
-    def shifted(e1, e2, V):
-        fm = FlowMap(problem.geo.grid, e1, e2, None if seed is None else seed.copy())
-        return MaterialState(fm, V, ms.t)
+    def flow_map(e1, e2):
+        return FlowMap(problem.geo.grid, e1, e2, None if seed is None else seed.copy())
 
-    def rhs(state: MaterialState):
-        a = _material_acceleration(problem, state)
-        return state.V, a
+    def f(y):
+        e1, e2, V = y
+        acc = _material_acceleration(problem, MaterialState(flow_map(e1, e2), V))
+        return V.c1.data, V.c2.data, acc
 
-    e1, e2 = ms.eta.e1, ms.eta.e2
-    k1v, k1a = rhs(ms)
-    s2 = shifted(e1 + 0.5 * dt * k1v.c1.data, e2 + 0.5 * dt * k1v.c2.data,
-                 ms.V + k1a * (0.5 * dt))
-    k2v, k2a = rhs(s2)
-    s3 = shifted(e1 + 0.5 * dt * k2v.c1.data, e2 + 0.5 * dt * k2v.c2.data,
-                 ms.V + k2a * (0.5 * dt))
-    k3v, k3a = rhs(s3)
-    s4 = shifted(e1 + dt * k3v.c1.data, e2 + dt * k3v.c2.data, ms.V + k3a * dt)
-    k4v, k4a = rhs(s4)
-
-    new_e1 = e1 + dt / 6.0 * (k1v.c1.data + 2 * (k2v.c1.data + k3v.c1.data) + k4v.c1.data)
-    new_e2 = e2 + dt / 6.0 * (k1v.c2.data + 2 * (k2v.c2.data + k3v.c2.data) + k4v.c2.data)
-    new_V = ms.V + (k1a + (k2a + k3a) * 2.0 + k4a) * (dt / 6.0)
-    fm = FlowMap(problem.geo.grid, new_e1, new_e2,
-                 None if seed is None else seed.copy())
+    e1, e2, V = INTEGRATORS[problem.cfg.integrator](
+        f, (ms.eta.e1, ms.eta.e2, ms.V), problem.cfg.dt)
+    fm = flow_map(e1, e2)
     fm.check_invertible()
-    return MaterialState(fm, new_V, ms.t + dt)
+    return MaterialState(fm, V, ms.t + problem.cfg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +240,8 @@ def connector_contract(m, op: EllipticOperator, sp: StokesProjector,
 def commute_check(problem: LaeProblem, u0: VectorField, t: float) -> dict:
     """Evolve spatially and materially from u0 and compare at time t."""
     spatial = integrate(problem, State(u0.copy(), 0.0), t)
-    nsteps = int(round(t / problem.cfg.dt))
     ms = MaterialState(FlowMap.identity(problem.geo.grid), u0.copy(), 0.0)
-    for _ in range(nsteps):
+    for _ in range(step_count(0.0, t, problem.cfg.dt)):
         ms = spray_advance(problem, ms)
     u_material = pi_r(ms)
     scale = max(u0.linf(), 1e-300)

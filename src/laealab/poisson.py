@@ -124,8 +124,6 @@ class QuadraticObservable(Observable):
         ctx = self.ctx
         if self.kind == "cutoff":
             u = VectorField(u.grid, u.c1 * self.chi, u.c2 * self.chi)
-        if ctx.alpha == 0.0:
-            return ctx.sp.project(u)
         return ctx.sp.project(ctx.op.solve(u, ctx.bc))
 
     def value(self, u):
@@ -363,43 +361,30 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
                        t: float, max_dim: int = 2048) -> dict:
     """Verify that the time-t flow preserves the bracket.
 
-    Integrates the tangent flow for every basis direction of the constrained
-    subspace (RK4 stages shared with the base trajectory), assembles the
-    pullback derivatives d(f o Flow) through the H^1 Gram matrix, and
-    compares {f o Flow, g o Flow}(u0) with {f, g}(Flow(u0)).
+    Marches the base state and the tangent flow of every basis direction of
+    the constrained subspace as one tuple by the problem's integrator,
+    projecting each part after each step; assembles the pullback derivatives
+    d(f o Flow) through the H^1 Gram matrix, and compares
+    {f o Flow, g o Flow}(u0) with {f, g}(Flow(u0)).
     """
     _require_same_system(problem, ctx)
+    dt = problem.cfg.dt
+    nsteps = dy.step_count(0.0, t, dt)
+    march = dy.INTEGRATORS[problem.cfg.integrator]
     grid = ctx.geo.grid
     m = ctx.metric
     B = constrained_basis(ctx, max_dim)
     d = B.shape[1]
-    dt = problem.cfg.dt
-    nsteps = int(round(t / dt))
 
-    u = u0.copy()
-    T = [VectorField.from_flat(grid, B[:, k]) for k in range(d)]
+    def f_rhs(y):
+        u, *tangents = y
+        return (problem.rhs(u), *(tangent_rhs(ctx, u, w) for w in tangents))
 
-    def stage(base_u, tangents):
-        ku = problem.rhs(base_u)
-        kt = [tangent_rhs(ctx, base_u, w) for w in tangents]
-        return ku, kt
-
+    y = (u0.copy(), *(VectorField.from_flat(grid, B[:, k]) for k in range(d)))
     for _ in range(nsteps):
-        k1u, k1t = stage(u, T)
-        u2 = u + k1u * (0.5 * dt)
-        T2 = [w + kw * (0.5 * dt) for w, kw in zip(T, k1t)]
-        k2u, k2t = stage(u2, T2)
-        u3 = u + k2u * (0.5 * dt)
-        T3 = [w + kw * (0.5 * dt) for w, kw in zip(T, k2t)]
-        k3u, k3t = stage(u3, T3)
-        u4 = u + k3u * dt
-        T4 = [w + kw * dt for w, kw in zip(T, k3t)]
-        k4u, k4t = stage(u4, T4)
-        u = problem.project(u + (k1u + (k2u + k3u) * 2.0 + k4u) * (dt / 6.0))
-        T = [problem.project(w + (a + (b + c) * 2.0 + e) * (dt / 6.0))
-             for w, a, b, c, e in zip(T, k1t, k2t, k3t, k4t)]
+        y = tuple(problem.project(v) for v in march(f_rhs, y, dt))
+    uT, *T = y
 
-    uT = u
     W = ctx.gram_matrix()
     M = B.T @ (W @ B)
     DF = np.stack([w.flat() for w in T], axis=1)     # (2n, d)

@@ -61,6 +61,13 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_text("[domain]\nphi = nonsense\n")
 
 
+def test_config_rejects_a_bogus_wall_role():
+    # the domain is built while validating, not first inside a suite
+    with pytest.raises(ConfigError, match="bogus"):
+        ExperimentConfig.from_text(
+            CFG_TEXT.replace("yL:neumann", "yL:bogus"))
+
+
 def test_config_rejects_the_removed_keys():
     # parsed and then ignored before; now unknown like any other key
     for sec, key, val in (("lab", "parallel", "false"),

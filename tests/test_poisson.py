@@ -439,3 +439,29 @@ def test_flow_poisson_check_small_time_16():
     u0 = member(ctx, 39, kmax=1, amp=0.4)
     rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
     assert rep["deviation"] < 5e-3, rep
+
+
+def test_flow_poisson_check_rejects_an_uneven_or_negative_time():
+    ctx = ctx_torus(8)
+    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.05, bc=ctx.bc,
+                          cfl_factor=5.0)
+    prob = dy.LaeProblem(ctx.geo, cfg)
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 39, kmax=1, amp=0.4)
+    with pytest.raises(ValueError, match="divide"):
+        po.flow_poisson_check(prob, ctx, f, g, u0, 0.052)
+    with pytest.raises(ValueError, match="reachable"):
+        po.flow_poisson_check(prob, ctx, f, g, u0, -0.01)
+
+
+def test_flow_poisson_check_follows_the_midpoint_integrator():
+    # the flow check linearizes the trajectory that integrate() produces
+    ctx = ctx_torus(12)
+    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.01, bc=ctx.bc,
+                          integrator="midpoint", cfl_factor=5.0)
+    prob = dy.LaeProblem(ctx.geo, cfg)
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 39, kmax=1, amp=0.4)
+    rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
+    uT = dy.integrate(prob, dy.State(u0.copy(), 0.0), 0.01).u
+    assert rep["rhs"] == po.bracket(ctx, f, g, uT)
