@@ -29,6 +29,7 @@ import numpy as np
 
 from .fields import Tensor11Field, VectorField
 from .geometry import ConformalMetric
+from .grid import require_unbatched
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +149,27 @@ def gbar_pair(m: ConformalMetric, R: Tensor11Field, S: Tensor11Field):
     return transpose_metric(m, R).matmul(S).trace()
 
 
+def _integral(m: ConformalMetric, density) -> float:
+    """integral density mu of one pointwise density; a batch raises ValueError."""
+    require_unbatched(density.data)
+    return float(np.sum(m.quad_mu() * density.data))
+
+
 def inner0(m: ConformalMetric, u: VectorField, v: VectorField) -> float:
-    return float(np.sum(m.quad_mu() * g_pair(m, u, v).data))
+    return _integral(m, g_pair(m, u, v))
 
 
 def inner1(m: ConformalMetric, alpha: float, u: VectorField, v: VectorField) -> float:
     base = g_pair(m, u, v)
     if alpha == 0.0:
-        return float(np.sum(m.quad_mu() * base.data))
+        return _integral(m, base)
     dpair = gbar_pair(m, def_tensor(m, u), def_tensor(m, v))
-    return float(np.sum(m.quad_mu() * (base.data + 2.0 * alpha**2 * dpair.data)))
+    return _integral(m, base + dpair * (2.0 * alpha**2))
 
 
 def inner0_tensor(m: ConformalMetric, R: Tensor11Field, S: Tensor11Field) -> float:
     """(R, S)_0 = integral gbar(R, S) mu."""
-    return float(np.sum(m.quad_mu() * gbar_pair(m, R, S).data))
+    return _integral(m, gbar_pair(m, R, S))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import scipy.sparse.linalg as spla
 from . import calculus as ca
 from .fields import OpScalar, ScalarField, VectorField, op_vector_unknown
 from .geometry import Geometry
+from .grid import matvec_last
 
 _WALLS = ("y0", "yL")
 
@@ -102,6 +103,30 @@ def _stored(geo: Geometry, key, build):
     if key not in store:
         store[key] = build()
     return store[key]
+
+
+def _solve_each(lu, A, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """lu's solution of A x = b for each right-hand side b along rhs's last axis.
+
+    One SuperLU call per right-hand side, so a batch member gets the bits it
+    would get alone (one multi-column call differs in the last bits), and each
+    residual is held to tol on its own, so one bad member fails the batch.
+    """
+    if rhs.ndim == 1:
+        x = lu.solve(rhs)
+        res, scale = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
+    else:
+        x = np.stack([lu.solve(b) for b in rhs.reshape(-1, rhs.shape[-1])])
+        x = x.reshape(rhs.shape)
+        res = np.linalg.norm(matvec_last(A, x) - rhs, axis=-1)
+        scale = np.linalg.norm(rhs, axis=-1) + 1e-300
+    ok = res <= tol * scale                          # NaN fails too
+    # a lone bool is tested as it is: np.all costs microseconds per solve
+    if not (ok.all() if rhs.ndim > 1 else ok):
+        j = int(np.argmin(np.ravel(ok)))
+        raise SolveError(f"{what} residual {np.ravel(res / scale)[j]:.3e}"
+                         + (f" (batch member {j})" if rhs.ndim > 1 else ""))
+    return x
 
 
 def _replace_rows(M, idx, R):
@@ -215,18 +240,15 @@ class EllipticOperator:
         return lu, idx
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
+        """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace; f may be a batch."""
         if self.alpha == 0.0:
             return f.copy()
         lu, idx = self.factor(bc)
         rhs = f.flat()
         if idx.size:
-            rhs[idx] = 0.0
-        x = lu.solve(rhs)
+            rhs[..., idx] = 0.0
         A, _ = self.matrix(bc)
-        res = np.linalg.norm(A @ x - rhs)
-        scale = np.linalg.norm(rhs) + 1e-300
-        if not res <= 1e-8 * scale:              # NaN fails too
-            raise SolveError(f"direct solve residual {res / scale:.3e}")
+        x = _solve_each(lu, A, rhs, 1e-8, "direct solve")
         return VectorField.from_flat(self.geo.grid, x)
 
 
@@ -303,15 +325,13 @@ class StokesProjector:
         return S, lu, k
 
     def project(self, v: VectorField) -> VectorField:
+        """P v; v may be a batch (..., nx, ny), projected member by member."""
         n, k = self.n, self.k
-        rhs = np.zeros(3 * n + k)
-        rhs[2 * n:3 * n] = self.D @ v.flat()
-        x = self.lu.solve(rhs)
-        res = np.linalg.norm(self.S @ x - rhs)
-        scale = np.linalg.norm(rhs) + 1e-300
-        if not res <= 1e-7 * scale:              # NaN fails too
-            raise SolveError(f"stokes composite residual {res / scale:.3e}")
-        w = VectorField.from_flat(self.op.geo.grid, x[:2 * n])
+        div = matvec_last(self.D, v.flat())
+        rhs = np.zeros(div.shape[:-1] + (3 * n + k,))
+        rhs[..., 2 * n:3 * n] = div
+        x = _solve_each(self.lu, self.S, rhs, 1e-7, "stokes composite")
+        w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return v - w
 
 

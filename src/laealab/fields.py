@@ -1,6 +1,8 @@
 """Grid-sampled fields and their linear-operator twins.
 
-``ScalarField`` wraps an (nx, ny) array of binary64 node values.  ``OpScalar``
+``ScalarField`` wraps an (nx, ny) array of binary64 node values, or a batch of
+them, (..., nx, ny): every pointwise operation and derivative acts on each
+member as it would alone, bit for bit, by broadcasting.  ``OpScalar``
 wraps a sparse matrix mapping some fixed vector of unknowns to the node values
 of a scalar, so that any expression built from +, -, scaling by coefficient
 arrays, d/dx and d/dy can be evaluated either pointwise (ScalarField) or
@@ -26,8 +28,8 @@ class ScalarField:
 
     def __init__(self, grid: Grid, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
-        if data.shape != (grid.nx, grid.ny):
-            raise ValueError(f"shape {data.shape} != grid {(grid.nx, grid.ny)}")
+        if data.shape != grid.shape and data.shape[-2:] != grid.shape:
+            raise ValueError(f"shape {data.shape} != grid {grid.shape}")
         self.grid = grid
         self.data = data
 
@@ -85,6 +87,9 @@ class OpScalar:
         w = _raw(w)
         if np.isscalar(w) or np.ndim(w) == 0:
             return OpScalar(self.grid, float(w) * self.mat)
+        if np.ndim(w) > 2:
+            raise ValueError(f"operator assembly takes one coefficient field, "
+                             f"not a batch of shape {np.shape(w)}")
         return OpScalar(self.grid, sp.diags(np.asarray(w).ravel()) @ self.mat)
 
     __rmul__ = __mul__
@@ -120,14 +125,15 @@ class VectorField:
         return (self.c1.data, self.c2.data)
 
     def flat(self) -> np.ndarray:
-        """Stacked DOF vector (u1 nodes, then u2 nodes)."""
-        return np.concatenate([self.c1.data.ravel(), self.c2.data.ravel()])
+        """Stacked DOF vector (u1 nodes, then u2 nodes), (..., 2n) for a batch."""
+        a1 = self.c1.data
+        return np.concatenate([a1, self.c2.data], axis=-2).reshape(a1.shape[:-2] + (-1,))
 
     @classmethod
     def from_flat(cls, grid: Grid, v: np.ndarray) -> "VectorField":
-        n = grid.n_nodes
-        return cls.from_arrays(grid, v[:n].reshape(grid.nx, grid.ny),
-                               v[n:].reshape(grid.nx, grid.ny))
+        """Inverse of flat(): (..., 2n) to a field, batched over the leading axes."""
+        w = v.reshape(v.shape[:-1] + (2 * grid.nx, grid.ny))
+        return cls.from_arrays(grid, w[..., :grid.nx, :], w[..., grid.nx:, :])
 
     def __add__(self, other):
         return VectorField(self.grid, self.c1 + other.c1, self.c2 + other.c2)

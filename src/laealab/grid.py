@@ -8,7 +8,8 @@ Two domain kinds are supported:
            wall nodes included.
 
 All differentiation goes through two cached sparse matrices DX, DY acting on
-flattened (nx, ny) node arrays (C order).  Interior rows are centered
+flattened (nx, ny) node arrays (C order); a leading batch axis, (..., nx, ny),
+is differentiated by one sparse matmat.  Interior rows are centered
 second-order stencils; wall rows of DY use a one-sided 4-point stencil (third
 order) so that composed second derivatives stay second-order accurate up to
 the walls.  Quadrature is the rectangle rule in periodic directions and the
@@ -44,6 +45,30 @@ def _d1_wall(n: int, h: float) -> sp.csr_matrix:
     return sp.csr_matrix((np.r_[-c, c, w, -w[::-1]], (rows, cols)), shape=(n, n))
 
 
+def require_unbatched(a: np.ndarray):
+    """ValueError if a carries a batch axis (ndim > 2).
+
+    Reductions sum over the whole array, so a batch would be summed into one
+    scalar across its members instead of giving one value per member.
+    """
+    if np.ndim(a) > 2:
+        raise ValueError(f"reduction over a batch of shape {np.shape(a)}; "
+                         "reduce each member separately")
+
+
+def matvec_last(M, a: np.ndarray) -> np.ndarray:
+    """M applied along the last axis of a (..., m).
+
+    One sparse matvec for a vector; one sparse matmat for a batch.  Both sum
+    each row's products in the same order, so every vector of a batch gets
+    the bits it would get alone.
+    """
+    if a.ndim == 1:
+        return M @ a
+    cols = M @ a.reshape(-1, a.shape[-1]).T
+    return np.ascontiguousarray(cols.T).reshape(a.shape[:-1] + (M.shape[0],))
+
+
 class Grid:
     """Node coordinates, sparse derivative operators and quadrature weights."""
 
@@ -51,6 +76,7 @@ class Grid:
         if nx < 8 or ny < 8:
             raise ValueError(f"need nx, ny >= 8 (got {nx}, {ny})")
         self.nx, self.ny = nx, ny
+        self.shape = (nx, ny)
         self.Lx, self.Ly = float(Lx), float(Ly)
         self.periodic_x = True
         self.periodic_y = periodic_y
@@ -74,13 +100,20 @@ class Grid:
         self.wx, self.wy = wx, wy
         self.weights = np.outer(wx, wy)
 
-    # -- derivative application on (nx, ny) arrays ---------------------------
+    # -- derivative application on (..., nx, ny) arrays ------------------------
 
     def ddx(self, a: np.ndarray) -> np.ndarray:
-        return (self.DX @ a.ravel()).reshape(self.nx, self.ny)
+        if a.ndim == 2:
+            return (self.DX @ a.ravel()).reshape(self.shape)
+        return self._batched(self.DX, a)
 
     def ddy(self, a: np.ndarray) -> np.ndarray:
-        return (self.DY @ a.ravel()).reshape(self.nx, self.ny)
+        if a.ndim == 2:
+            return (self.DY @ a.ravel()).reshape(self.shape)
+        return self._batched(self.DY, a)
+
+    def _batched(self, D, a: np.ndarray) -> np.ndarray:
+        return matvec_last(D, a.reshape(a.shape[:-2] + (-1,))).reshape(a.shape)
 
     # -- helpers -------------------------------------------------------------
 
@@ -101,6 +134,7 @@ class Grid:
 
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature of a nodal scalar against the coordinate area element."""
+        require_unbatched(f)
         return float(np.sum(self.weights * f))
 
     def __repr__(self) -> str:

@@ -3,9 +3,11 @@
 A manifest echoes the configuration, the code version, the seed and the grid
 ladder, and records one entry per suite test: the measured value, its
 tolerance or admissible order window, pass/fail, and the least-squares
-convergence order when a refinement series backs the test.  Timestamps live
-in a separate field so that manifests from identical configurations compare
-bit-for-bit.
+convergence order when a refinement series backs the test.  Timestamps and
+the BLAS thread settings live in separate fields, outside
+deterministic_payload(), so that manifests from identical configurations
+compare bit-for-bit; the thread settings are recorded because the results'
+last bits depend on them (dense LAPACK calls differ between thread counts).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class RunManifest:
     grid_ladder: list
     results: list = field(default_factory=list)
     timestamps: dict = field(default_factory=dict)
+    threads: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -60,6 +63,7 @@ class RunManifest:
     def to_json(self) -> str:
         payload = self.deterministic_payload()
         payload["timestamps"] = self.timestamps
+        payload["threads"] = self.threads
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def write(self, outdir: str) -> str:
@@ -104,5 +108,9 @@ def bool_result(name: str, identity: str, ok: bool, statement: str,
 
 
 def stamp(manifest: RunManifest) -> RunManifest:
+    """Record the write time and the thread settings (None where unset)."""
     manifest.timestamps = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    manifest.threads = {k: os.environ.get(k)
+                        for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    manifest.threads["cpu_count"] = os.cpu_count()
     return manifest

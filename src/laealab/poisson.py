@@ -349,11 +349,27 @@ def constrained_basis(ctx: PoissonContext, max_dim: int = 2048) -> np.ndarray:
 
 
 def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorField:
-    """Exact linearization of the right-hand side (the operators are quadratic)."""
+    """Exact linearization of the right-hand side (the operators are quadratic).
+
+    v may be a batch of tangent directions; u is the one base state.
+    """
     m = ctx.metric
     adv = dy.transport(ctx.op, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
                        ctx.bc)
     return -ctx.sp.project(adv + dy.frak_f_alpha(m, ctx.op, u, v, ctx.bc) * 2.0)
+
+
+# values per batched tangent block, (directions x 2n): the batched march's
+# temporaries scale with it, so it caps peak memory whatever the grid size
+_BLOCK_VALUES = 1 << 15
+
+
+def _direction_blocks(d: int, n2: int) -> list:
+    """Slices cutting d >= 1 directions of length n2 into near-equal blocks
+    of at most max(1, _BLOCK_VALUES // n2) directions each."""
+    nblocks = -(-d // max(1, _BLOCK_VALUES // n2))
+    edges = [k * d // nblocks for k in range(nblocks + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
@@ -361,9 +377,12 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
                        t: float, max_dim: int = 2048) -> dict:
     """Verify that the time-t flow preserves the bracket.
 
-    Marches the base state and the tangent flow of every basis direction of
-    the constrained subspace as one tuple by the problem's integrator,
-    projecting each part after each step; assembles the pullback derivatives
+    Marches the base state and the tangent flow of the basis directions of
+    the constrained subspace as one tuple (u, T) by the problem's
+    integrator, projecting each part after each step.  T is one batched
+    field per block of directions (see _direction_blocks), and u is
+    re-marched with each block, so every direction's tangent carries the
+    bits it would carry marched alone.  Assembles the pullback derivatives
     d(f o Flow) through the H^1 Gram matrix, and compares
     {f o Flow, g o Flow}(u0) with {f, g}(Flow(u0)).
     """
@@ -377,17 +396,19 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
     d = B.shape[1]
 
     def f_rhs(y):
-        u, *tangents = y
-        return (problem.rhs(u), *(tangent_rhs(ctx, u, w) for w in tangents))
+        u, T = y
+        return problem.rhs(u), tangent_rhs(ctx, u, T)
 
-    y = (u0.copy(), *(VectorField.from_flat(grid, B[:, k]) for k in range(d)))
-    for _ in range(nsteps):
-        y = tuple(problem.project(v) for v in march(f_rhs, y, dt))
-    uT, *T = y
+    DF = np.empty(B.shape)                            # (2n, d), C order
+    for block in _direction_blocks(d, B.shape[0]):
+        y = (u0.copy(), VectorField.from_flat(grid, B[:, block].T))
+        for _ in range(nsteps):
+            y = tuple(problem.project(v) for v in march(f_rhs, y, dt))
+        uT, T = y
+        DF[:, block] = T.flat().T
 
     W = ctx.gram_matrix()
     M = B.T @ (W @ B)
-    DF = np.stack([w.flat() for w in T], axis=1)     # (2n, d)
 
     def pullback_derivative(obs: Observable) -> VectorField:
         # <delta, b_k>_1 = <d obs(uT), DF b_k>_1 for all k, delta in span(B)

@@ -4,6 +4,9 @@ Layout: 8-byte magic "LAEALAB1", a little-endian uint32 header length, the
 UTF-8 JSON header (domain spec, nx, ny, alpha, t, ordered field names), then
 each field as row-major little-endian binary64.  Nothing follows the last
 field; a reader rejects trailing bytes.
+
+save() and resume() pair a snapshot with a problem: resume() returns the
+stored state only if the header's grid, alpha and domain are the problem's.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import json
 import struct
 
 import numpy as np
+
+from . import dynamics as dy
+from .fields import VectorField
 
 MAGIC = b"LAEALAB1"
 
@@ -66,3 +72,35 @@ def read_snapshot(path: str):
         if fh.read(1):
             raise SnapshotError("trailing bytes after the last field")
         return header, fields
+
+
+def _domain(problem: dy.LaeProblem) -> dict:
+    """The header's domain entry for a problem: kind, extents, wall roles."""
+    grid = problem.geo.grid
+    domain = {"kind": "torus" if grid.periodic_y else "channel",
+              "Lx": grid.Lx, "Ly": grid.Ly}
+    if problem.bc.has_boundary:
+        domain["wall_roles"] = dict(problem.bc.wall_conditions)
+    return domain
+
+
+def save(problem: dy.LaeProblem, state: dy.State, path: str) -> None:
+    """Write state with the problem's grid, alpha and domain in the header."""
+    grid = problem.geo.grid
+    write_snapshot(path, _domain(problem), grid.nx, grid.ny, problem.cfg.alpha,
+                   state.t, {"u1": state.u.c1.data, "u2": state.u.c2.data})
+
+
+def resume(problem: dy.LaeProblem, path: str) -> dy.State:
+    """The state stored at path; SnapshotError unless it belongs to problem."""
+    header, fields = read_snapshot(path)
+    grid = problem.geo.grid
+    expected = {"nx": grid.nx, "ny": grid.ny, "alpha": problem.cfg.alpha,
+                "domain": _domain(problem)}
+    for key, want in expected.items():
+        if header[key] != want:
+            raise SnapshotError(f"snapshot {key} {header[key]!r} != problem's {want!r}")
+    if set(fields) != {"u1", "u2"}:
+        raise SnapshotError(f"snapshot fields {sorted(fields)} are not u1, u2")
+    return dy.State(VectorField.from_arrays(grid, fields["u1"], fields["u2"]),
+                    header["t"])

@@ -445,3 +445,23 @@ def test_h1_pairing_equals_l2_of_helmholtz_operator_torus():
         hs.append(geo.grid.h)
         errs.append(abs(lhs - rhs))
     assert 1.5 < fit_order(hs, errs) < 2.8
+
+
+def test_reductions_refuse_a_batch():
+    # a batch would otherwise be summed into one scalar across its members
+    from laealab import dynamics as dy
+    from laealab.fields import OpScalar, op_vector_unknown
+    m = torus(12).metric
+    g = m.grid
+    u = random_vector(g, seed=1)
+    T = VectorField.from_arrays(g, np.stack([u.c1.data] * 2), np.stack([u.c2.data] * 2))
+    du = ca.covariant_derivative(m, T)
+    for reduce in (lambda: ca.inner0(m, T, u), lambda: ca.inner1(m, 0.3, u, T),
+                   lambda: ca.inner1(m, 0.0, T, T), lambda: ca.inner0_tensor(m, du, du),
+                   lambda: g.integrate(T.c1.data), lambda: dy.energy(m, 0.3, T)):
+        with pytest.raises(ValueError, match="batch"):
+            reduce()
+    with pytest.raises(ValueError, match="batch"):
+        op_vector_unknown(g).c1 * T.c1
+    assert isinstance(op_vector_unknown(g).c1 * u.c1, OpScalar)
+    assert ca.inner1(m, 0.3, u, u) == dy.energy(m, 0.3, u) * 2.0

@@ -8,6 +8,7 @@ from laealab import dynamics as dy
 from laealab.cli import main as cli_main
 from laealab.config import ConfigError, ExperimentConfig
 from laealab.elliptic import BcRegime
+from laealab.fields import VectorField
 from laealab.geometry import DomainSpec
 from laealab.samples import make_phi_sinusoidal
 from laealab.snapshot import SnapshotError, read_snapshot, write_snapshot
@@ -246,3 +247,70 @@ def test_cli_runs_and_exits_clean(tmp_path, capsys):
     assert rc == 0
     assert "all tests passed" in out
     assert (tmp_path / "out" / "manifest_elliptic.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# resuming a snapshot into a problem
+# ---------------------------------------------------------------------------
+
+def _snap_problem(spec, nx=12, ny=12, alpha=0.3):
+    from laealab.geometry import build_geometry
+    geo = build_geometry(spec, nx, ny, make_phi_sinusoidal(0.1, 1, 1, 1, 1)
+                         if spec.kind == "torus" else lambda x, y: 0.0 * x)
+    cfg = dy.SolverConfig(alpha=alpha, dt=1e-2, t_end=1.0,
+                          bc=BcRegime.from_domain(spec), cfl_factor=5.0)
+    return dy.LaeProblem(geo, cfg)
+
+
+def test_resume_returns_the_saved_state(tmp_path):
+    from laealab import snapshot
+    from laealab.samples import random_vector
+    prob = _snap_problem(DomainSpec("channel", 1.0, 1.0,
+                                    {"y0": "dirichlet", "yL": "neumann"}), ny=13)
+    state = dy.State(random_vector(prob.geo.grid, seed=3), 0.25)
+    snapshot.save(prob, state, tmp_path / "s.snap")
+    back = snapshot.resume(prob, tmp_path / "s.snap")
+    assert back.t == 0.25
+    assert np.array_equal(back.u.c1.data, state.u.c1.data)
+    assert np.array_equal(back.u.c2.data, state.u.c2.data)
+
+
+TORUS_SPEC = DomainSpec("torus", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("other,what", [
+    (lambda: _snap_problem(TORUS_SPEC, nx=16), "nx"),
+    (lambda: _snap_problem(TORUS_SPEC, ny=16), "ny"),
+    (lambda: _snap_problem(TORUS_SPEC, alpha=0.25), "alpha"),
+    (lambda: _snap_problem(DomainSpec("torus", 2.0, 1.0)), "domain"),
+    (lambda: _snap_problem(DomainSpec("channel", 1.0, 1.0,
+                                      {"y0": "dirichlet", "yL": "dirichlet"})), "domain"),
+])
+def test_resume_rejects_a_snapshot_of_another_problem(tmp_path, other, what):
+    from laealab import snapshot
+    src = other()
+    snapshot.save(src, dy.State(VectorField.zeros(src.geo.grid), 0.0), tmp_path / "s.snap")
+    with pytest.raises(SnapshotError, match=f"snapshot {what} "):
+        snapshot.resume(_snap_problem(TORUS_SPEC), tmp_path / "s.snap")
+
+
+def test_resume_rejects_mismatched_wall_roles(tmp_path):
+    from laealab import snapshot
+    mixed = {"y0": "dirichlet", "yL": "neumann"}
+    src = _snap_problem(DomainSpec("channel", 1.0, 1.0, mixed))
+    snapshot.save(src, dy.State(VectorField.zeros(src.geo.grid), 0.0), tmp_path / "s.snap")
+    flipped = _snap_problem(DomainSpec("channel", 1.0, 1.0,
+                                       {"y0": "neumann", "yL": "dirichlet"}))
+    with pytest.raises(SnapshotError, match="snapshot domain "):
+        snapshot.resume(flipped, tmp_path / "s.snap")
+
+
+def test_manifest_records_the_thread_settings_outside_the_payload(monkeypatch):
+    from laealab.manifest import RunManifest, stamp
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    man = stamp(RunManifest("elliptic", {}, "0", 1, [16]))
+    data = json.loads(man.to_json())
+    assert data["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None,
+                               "cpu_count": os.cpu_count()}
+    assert "threads" not in man.deterministic_payload()

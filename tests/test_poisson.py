@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import material as mt
 from laealab import poisson as po
-from laealab.elliptic import BcRegime, l_alpha
+from laealab.elliptic import BcRegime, SolveError, l_alpha
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -465,3 +466,77 @@ def test_flow_poisson_check_follows_the_midpoint_integrator():
     rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
     uT = dy.integrate(prob, dy.State(u0.copy(), 0.0), 0.01).u
     assert rep["rhs"] == po.bracket(ctx, f, g, uT)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: a batch of fields gives each member its own bits
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = [(TORUS, 16, 16, PHI_T), (MIXED, 12, 13, PHI_C)]
+
+
+def _batch(grid, fields):
+    return VectorField.from_arrays(grid, np.stack([v.c1.data for v in fields]),
+                                   np.stack([v.c2.data for v in fields]))
+
+
+def _members_equal(batched, singles):
+    return all(np.array_equal(batched.c1.data[k], v.c1.data)
+               and np.array_equal(batched.c2.data[k], v.c2.data)
+               for k, v in enumerate(singles))
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi", BATCH_CASES)
+def test_batched_operations_equal_per_field_bit_for_bit(spec, nx, ny, phi):
+    geo = build_geometry(spec, nx, ny, phi)
+    ctx = po.PoissonContext(geo, ALPHA, BcRegime.from_domain(spec))
+    grid = geo.grid
+    # eight members: a multi-column SuperLU solve already differs from
+    # column-by-column solves at four on the channel saddle
+    vs = [random_vector(grid, seed=200 + k, kmax=2) for k in range(8)]
+    T = _batch(grid, vs)
+    a = T.c1.data
+    assert np.array_equal(grid.ddx(a), np.stack([grid.ddx(x) for x in a]))
+    assert np.array_equal(grid.ddy(a), np.stack([grid.ddy(x) for x in a]))
+    assert np.array_equal(VectorField.from_flat(grid, T.flat()).c2.data, T.c2.data)
+    assert _members_equal(ctx.op.solve(T, ctx.bc), [ctx.op.solve(v, ctx.bc) for v in vs])
+    assert _members_equal(ctx.sp.project(T), [ctx.sp.project(v) for v in vs])
+    # the channel case runs the BC rows and the La-on-transport solve
+    u = member(ctx, 210, kmax=1, amp=0.4)
+    ws = [ctx.sp.project(v) for v in vs]
+    assert _members_equal(po.tangent_rhs(ctx, u, _batch(grid, ws)),
+                          [po.tangent_rhs(ctx, u, w) for w in ws])
+
+
+def test_a_non_finite_batch_member_fails_the_solve():
+    ctx = ctx_channel(12)
+    grid = ctx.geo.grid
+    T = _batch(grid, [random_vector(grid, seed=220 + k) for k in range(3)])
+    T.c1.data[1, 3, 4] = np.nan
+    with pytest.raises(SolveError, match="batch member 1"):
+        ctx.op.solve(T, ctx.bc)
+    with pytest.raises(SolveError, match="batch member 1"):
+        ctx.sp.project(T)
+
+
+def test_flow_poisson_check_does_not_depend_on_the_direction_blocks(monkeypatch):
+    # one direction per block is the per-direction march
+    ctx = ctx_torus(8)
+    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.01, bc=ctx.bc,
+                          cfl_factor=5.0)
+    prob = dy.LaeProblem(ctx.geo, cfg)
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 39, kmax=1, amp=0.4)
+    rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
+    monkeypatch.setattr(po, "_BLOCK_VALUES", 1)
+    single = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
+    assert len(po._direction_blocks(rep["dim"], 2 * 64)) == rep["dim"]
+    assert (rep["lhs"], rep["rhs"], rep["deviation"]) == \
+        (single["lhs"], single["rhs"], single["deviation"])
+
+
+def test_direction_blocks_cover_every_direction_once():
+    for d, n2 in ((260, 512), (7, 512), (1, 10**6), (300, 1)):
+        blocks = po._direction_blocks(d, n2)
+        assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(d))
+        assert max(b.stop - b.start for b in blocks) <= max(1, po._BLOCK_VALUES // n2)
