@@ -11,7 +11,9 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
+from . import poisson as po
 from .dynamics import SolverConfig
 from .elliptic import BcRegime
 from .geometry import DomainSpec, Geometry, build_geometry
@@ -105,15 +107,28 @@ class ExperimentConfig:
         return self.sections[sec][key]
 
     def getfloat(self, sec: str, key: str) -> float:
-        return float(self.get(sec, key))
+        return self._typed(float, sec, key)
 
     def getint(self, sec: str, key: str) -> int:
-        return int(self.get(sec, key))
+        return self._typed(int, sec, key)
+
+    def _typed(self, kind, sec: str, key: str):
+        raw = self.get(sec, key)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{sec}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
     def validate(self):
-        """Build what the config describes: phi, ladder, domain, regime, solver."""
+        """Parse every key a run reads and build what the config describes."""
         self.phi_function()
         self.grid_ladder()
+        self.initial_maker()
+        self.observables()
+        for sec, key in (("lab", "seed"), ("domain", "nx"), ("domain", "ny"),
+                         ("diagnostics", "every_n_steps"),
+                         ("poisson", "flow_check_max_dim")):
+            self.getint(sec, key)
         try:
             self.solver_config()
         except ValueError as e:
@@ -181,16 +196,41 @@ class ExperimentConfig:
                             bc=self.bc_regime(),
                             cfl_factor=self.getfloat("run", "cfl_factor"))
 
-    def initial_field(self, geo: Geometry):
+    def initial_maker(self):
+        """The maker grid -> VectorField that initial.preset names."""
         spec = self.get("initial", "preset")
+        kind, _, arg = spec.partition(":")
         if spec == "eigenfield":
-            return eigenfield(geo.grid, amp=0.8)
+            return partial(eigenfield, amp=0.8)
         if spec == "taylor_green_like":
-            return taylor_green_like(geo.grid, amp=0.5)
-        if spec.startswith("random_bandlimited:"):
-            seed = int(spec.split(":", 1)[1])
-            return random_vector(geo.grid, seed=seed, kmax=2, amp=0.5)
+            return partial(taylor_green_like, amp=0.5)
+        if kind == "random_bandlimited" and arg.strip().isdigit():
+            return partial(random_vector, seed=int(arg), kmax=2, amp=0.5)
         raise ConfigError(f"unknown initial preset {spec!r}")
+
+    def initial_field(self, geo: Geometry):
+        return self.initial_maker()(geo.grid)
+
+    def observables(self):
+        """Three makers PoissonContext -> Observable that poisson.observables names.
+
+        Items: linear:<seed>, quadratic:<kind> (poisson.QUADRATIC_KINDS) and
+        hamiltonian, comma-separated.
+        """
+        makers = []
+        for item in self.get("poisson", "observables").split(","):
+            kind, _, arg = item.strip().partition(":")
+            if kind == "linear" and arg.strip().isdigit():
+                makers.append(partial(po.LinearObservable.seeded, seed=int(arg)))
+            elif kind == "quadratic" and arg.strip() in po.QUADRATIC_KINDS:
+                makers.append(partial(po.QuadraticObservable, kind=arg.strip()))
+            elif item.strip() == "hamiltonian":
+                makers.append(po.HamiltonianObservable)
+            else:
+                raise ConfigError(f"unknown observable {item.strip()!r}")
+        if len(makers) != 3:
+            raise ConfigError(f"poisson observables: need exactly three, got {len(makers)}")
+        return makers
 
     def echo(self) -> dict:
         return {sec: dict(sorted(vals.items()))

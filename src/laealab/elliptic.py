@@ -348,10 +348,10 @@ class GradientRemover:
     def __init__(self, geo: Geometry):
         self.geo = geo
         self.n = geo.grid.n_nodes
-        self.lu, self.k = _stored(geo, ("remover", None, None), self._factorize)
+        self.S, self.lu, self.k = _stored(geo, ("remover", None, None), self._factorize)
 
     def _factorize(self):
-        """(SuperLU of the gauged, wall-substituted Laplacian, number of gauge columns)."""
+        """(gauged, wall-substituted Laplacian, its SuperLU, number of gauge columns)."""
         grid, metric, n = self.geo.grid, self.geo.metric, self.n
         pop = OpScalar(grid, sp.identity(n, format="csr"))
         lap = ca.divergence(metric, ca.gradient(metric, pop)).mat
@@ -362,7 +362,8 @@ class GradientRemover:
         # wall rows exclude the y-parity sawtooth from the kernel
         modes = _gradient_kernel_modes(grid, with_y_parity=grid.periodic_y)
         mu = metric.quad_mu().ravel()
-        return spla.splu(_gauge_bordered(A, mu[:, None] * modes, 0)), modes.shape[1]
+        S = _gauge_bordered(A, mu[:, None] * modes, 0)
+        return S, spla.splu(S), modes.shape[1]
 
     def remove_gradient(self, w: VectorField) -> VectorField:
         grid, metric = self.geo.grid, self.geo.metric
@@ -372,6 +373,6 @@ class GradientRemover:
             # match (grad p) . normal = w . normal: dy p = e^{2 phi} w2
             flat = grid.wall_flat_indices(wall.name)
             rhs[flat] = metric.e2phi[:, wall.j] * w.c2.data[:, wall.j]
-        x = self.lu.solve(rhs)
+        x = _solve_each(self.lu, self.S, rhs, 1e-8, "gradient removal")
         p = ScalarField(grid, x[:self.n].reshape(grid.nx, grid.ny))
         return w - ca.gradient(metric, p)

@@ -26,6 +26,9 @@ from . import material as mt
 from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField, op_vector_unknown
 from .geometry import Geometry
+from .samples import random_vector
+
+QUADRATIC_KINDS = ("smooth", "cutoff")
 
 
 class PoissonContext:
@@ -89,6 +92,11 @@ class LinearObservable(Observable):
         self.ctx = ctx
         self.w = ctx.sp.project(w)
 
+    @classmethod
+    def seeded(cls, ctx: PoissonContext, seed: int) -> "LinearObservable":
+        """The observable of random_vector(grid, seed, kmax=1)."""
+        return cls(ctx, random_vector(ctx.geo.grid, seed=seed, kmax=1))
+
     def value(self, u):
         return self.ctx.inner1(self.w, u)
 
@@ -111,14 +119,14 @@ class QuadraticObservable(Observable):
                  chi: np.ndarray | None = None):
         self.ctx = ctx
         self.kind = kind
+        if kind not in QUADRATIC_KINDS:
+            raise ValueError(kind)
         if kind == "cutoff":
             if chi is None:
                 g = ctx.geo.grid
                 chi = 1.0 + 0.5 * np.sin(2 * np.pi * g.X / g.Lx) \
                     * np.sin(np.pi * g.Y / g.Ly)
             self.chi = np.asarray(chi)
-        elif kind != "smooth":
-            raise ValueError(kind)
 
     def apply_kernel(self, u: VectorField) -> VectorField:
         ctx = self.ctx

@@ -3,7 +3,7 @@ import pytest
 
 from laealab import calculus as ca
 from laealab.elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                              StokesProjector, l_alpha)
+                              SolveError, StokesProjector, l_alpha)
 from laealab.fields import ScalarField, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -343,3 +343,11 @@ def test_gradient_remover_preserves_divergence_free_part():
     gr = GradientRemover(geo)
     r = gr.remove_gradient(u)
     assert (r - u).linf() < 1e-8 * max(u.linf(), 1.0)
+
+
+def test_gradient_remover_fails_loudly_on_a_non_finite_input():
+    geo = geo_torus(12, phi_flat)
+    w = random_vector(geo.grid, seed=22)
+    w.c1.data[3, 5] = np.nan
+    with pytest.raises(SolveError, match="gradient removal"):
+        GradientRemover(geo).remove_gradient(w)

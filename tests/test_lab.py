@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -10,9 +11,11 @@ from laealab.config import ConfigError, ExperimentConfig
 from laealab.elliptic import BcRegime
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec
+from laealab.manifest import bool_result
 from laealab.samples import make_phi_sinusoidal
 from laealab.snapshot import SnapshotError, read_snapshot, write_snapshot
-from laealab.suites import run_suite
+from laealab import suites
+from laealab.suites import Run, run_suite
 
 CFG_TEXT = """
 [lab]
@@ -67,6 +70,34 @@ def test_config_rejects_a_bogus_wall_role():
     with pytest.raises(ConfigError, match="bogus"):
         ExperimentConfig.from_text(
             CFG_TEXT.replace("yL:neumann", "yL:bogus"))
+
+
+def test_config_rejects_a_bogus_initial_preset():
+    for preset in ("bogus", "random_bandlimited:x"):
+        with pytest.raises(ConfigError, match="initial preset"):
+            ExperimentConfig.from_text(f"[initial]\npreset = {preset}\n")
+
+
+def test_config_rejects_a_non_integer_diagnostics_interval():
+    with pytest.raises(ConfigError, match="every_n_steps"):
+        ExperimentConfig.from_text("[diagnostics]\nevery_n_steps = 2.5\n")
+
+
+def test_config_rejects_a_non_integer_flow_check_max_dim():
+    with pytest.raises(ConfigError, match="flow_check_max_dim"):
+        ExperimentConfig.from_text("[poisson]\nflow_check_max_dim = many\n")
+
+
+def test_config_parses_exactly_three_observables():
+    for spec, match in (("linear:1,linear:2,bogus", "unknown observable"),
+                        ("linear:1,quadratic:sharp,hamiltonian", "unknown observable"),
+                        ("linear:1,linear:2", "exactly three"),
+                        ("linear:1,linear:2,linear:3,hamiltonian", "exactly three")):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_text(f"[poisson]\nobservables = {spec}\n")
+    cfg = ExperimentConfig.from_text(
+        "[poisson]\nobservables = hamiltonian, quadratic:cutoff, linear:7\n")
+    assert len(cfg.observables()) == 3
 
 
 def test_config_rejects_the_removed_keys():
@@ -209,22 +240,67 @@ def test_manifest_deterministic_across_runs(tmp_path):
     assert p1 == p2
 
 
-def test_failed_block_keeps_a_traceback_tail():
-    from laealab.suites import _guarded
-
+def test_failed_block_keeps_a_traceback_tail(monkeypatch):
     def inner():
         raise ValueError("boom")
 
-    def block():
+    def block(run):
+        """a block that raises"""
         inner()
+        yield
 
-    results = []
-    _guarded(results, "broken", "a block that raises", block)
-    (entry,) = results
+    monkeypatch.setitem(suites.SUITES, "broken", [block])
+    (entry,) = run_suite(small_cfg(), "broken", (8,)).results
     assert not entry.passed
+    assert (entry.name, entry.identity) == ("block", "a block that raises")
     assert entry.note.startswith("error: ValueError: boom; at ")
     assert "test_lab.py:" in entry.note
     assert entry.note.index(" inner") < entry.note.index(" block")
+
+
+def test_failed_block_keeps_the_entries_it_yielded(monkeypatch):
+    def half_done(run):
+        """a block that raises after one entry"""
+        yield bool_result("first_fact", "the first fact", True, "true")
+        raise ValueError("boom")
+
+    monkeypatch.setitem(suites.SUITES, "broken", [half_done])
+    first, failed = run_suite(small_cfg(), "broken", (8,)).results
+    assert first.name == "first_fact" and first.passed
+    assert failed.name == "half_done" and not failed.passed
+
+
+def test_a_one_level_identities_ladder_fails_its_block_instead_of_raising():
+    man = run_suite(ExperimentConfig.defaults(), "identities", (8,))
+    failed = [r for r in man.results if not r.passed]
+    assert [r.name for r in failed] == ["identity_ladder"]
+    assert "need at least two ladder levels" in failed[0].note
+    assert [r.name for r in man.results] == ["identity_ladder", "flat_curvature_exact_zero"]
+
+
+def test_block_names_are_unique_and_no_suite_is_empty():
+    blocks = [fn for fns in suites.SUITES.values() for fn in fns]
+    names = [fn.__name__ for fn in blocks]
+    assert len(names) == len(set(names))
+    assert set(suites.SUITES) == {"identities", "elliptic", "dynamics", "material", "poisson"}
+    assert all(suites.SUITES.values())
+    assert all(inspect.getdoc(fn) for fn in blocks)       # the identity line
+
+
+def test_cli_suite_choices_are_the_registry():
+    from laealab.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    (suite,) = [a for a in sub.choices["run"]._actions if a.dest == "suite"]
+    assert sorted(suite.choices) == sorted(suites.SUITES)
+
+
+def test_a_block_run_alone_gives_its_suite_entries():
+    cfg = small_cfg()
+    whole = run_suite(cfg, "elliptic", (16, 24)).results
+    for fn in (suites.leray_limit, suites.projector_contracts):
+        alone = list(fn(Run(cfg, (16, 24))))
+        assert alone and all(r.passed for r in alone)
+        assert [r for r in whole if r.name in {a.name for a in alone}] == alone
 
 
 def test_manifest_written_with_series(tmp_path):
