@@ -4,6 +4,14 @@ Keys' kernel with a = -1/2 is third-order accurate and C^1; its derivative
 supplies the Jacobians needed by Newton inversion of flow maps.  Periodic
 directions wrap; across channel walls the array is extended by two ghost rows
 of cubic extrapolation so accuracy is preserved up to the boundary.
+
+The values may carry a batch axis, (..., nx, ny), with the wall extension
+along the last axis.  The members share every query point: each call locates
+its points, computes the kernel weights and builds the 4 x 4 stencil's flat
+gather indices once, gathers all members with one ``np.take`` and returns
+(..., *q.shape).  Each member gets the arithmetic it would get alone, so a
+batch equals per-field evaluation bit for bit; a single field is a batch of
+none.
 """
 
 from __future__ import annotations
@@ -15,110 +23,97 @@ from .grid import Grid
 
 def _kernel(t: np.ndarray) -> np.ndarray:
     at = np.abs(t)
-    out = np.zeros_like(at)
-    m1 = at <= 1.0
-    m2 = (at > 1.0) & (at < 2.0)
-    out[m1] = (1.5 * at[m1] - 2.5) * at[m1] * at[m1] + 1.0
-    out[m2] = ((-0.5 * at[m2] + 2.5) * at[m2] - 4.0) * at[m2] + 2.0
-    return out
+    inner = (1.5 * at - 2.5) * at * at + 1.0
+    outer = ((-0.5 * at + 2.5) * at - 4.0) * at + 2.0
+    return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
 def _kernel_deriv(t: np.ndarray) -> np.ndarray:
     at = np.abs(t)
     s = np.sign(t)
-    out = np.zeros_like(at)
-    m1 = at <= 1.0
-    m2 = (at > 1.0) & (at < 2.0)
-    out[m1] = s[m1] * (4.5 * at[m1] - 5.0) * at[m1]
-    out[m2] = s[m2] * ((-1.5 * at[m2] + 5.0) * at[m2] - 4.0)
-    return out
+    inner = s * (4.5 * at - 5.0) * at
+    outer = s * ((-1.5 * at + 5.0) * at - 4.0)
+    return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
 def _extend_wall(F: np.ndarray) -> np.ndarray:
-    """Two ghost rows of cubic extrapolation on each wall side (y axis)."""
-    nx, ny = F.shape
-    out = np.empty((nx, ny + 4))
-    out[:, 2:-2] = F
-    out[:, 1] = 4 * F[:, 0] - 6 * F[:, 1] + 4 * F[:, 2] - F[:, 3]
-    out[:, 0] = 4 * out[:, 1] - 6 * F[:, 0] + 4 * F[:, 1] - F[:, 2]
-    out[:, -2] = 4 * F[:, -1] - 6 * F[:, -2] + 4 * F[:, -3] - F[:, -4]
-    out[:, -1] = 4 * out[:, -2] - 6 * F[:, -1] + 4 * F[:, -2] - F[:, -3]
+    """Two ghost rows of cubic extrapolation on each wall side (last axis)."""
+    out = np.empty(F.shape[:-1] + (F.shape[-1] + 4,))
+    out[..., 2:-2] = F
+    out[..., 1] = 4 * F[..., 0] - 6 * F[..., 1] + 4 * F[..., 2] - F[..., 3]
+    out[..., 0] = 4 * out[..., 1] - 6 * F[..., 0] + 4 * F[..., 1] - F[..., 2]
+    out[..., -2] = 4 * F[..., -1] - 6 * F[..., -2] + 4 * F[..., -3] - F[..., -4]
+    out[..., -1] = 4 * out[..., -2] - 6 * F[..., -1] + 4 * F[..., -2] - F[..., -3]
     return out
 
 
 class BicubicField:
-    """Interpolant of one nodal (nx, ny) array on a Grid."""
+    """Interpolant of nodal arrays of shape (..., nx, ny) on a Grid."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
-        if grid.periodic_y:
-            self.F = np.asarray(values, dtype=float)
-            self.joff = 0
-        else:
-            self.F = _extend_wall(np.asarray(values, dtype=float))
-            self.joff = 2
+        F = np.asarray(values, dtype=float)
+        if not grid.periodic_y:
+            F = _extend_wall(F)
+        self.batch = F.shape[:-2]
+        self.ny = F.shape[-1]              # columns of the (extended) array
+        self.F = F.reshape(-1, grid.nx * self.ny)
 
-    def _locate(self, qx, qy):
+    def _stencil(self, qx, qy):
+        """Kernel arguments tx - a and ty - b, (4, *q.shape), and the values
+        vals[:, b, a], (members, 4, 4, *q.shape), of every query's stencil
+        a, b = -1..2."""
         g = self.grid
-        fx = qx / g.hx
-        fy = qy / g.hy
+        fx = np.asarray(qx) / g.hx
+        fy = np.asarray(qy) / g.hy
+        off = np.arange(-1, 3).reshape((4,) + (1,) * fx.ndim)
         ix = np.floor(fx).astype(np.int64)
         iy = np.floor(fy).astype(np.int64)
         tx = fx - ix
-        ty = fy - iy
-        if not g.periodic_y:
+        if g.periodic_y:
+            ty = fy - iy
+            cols = np.mod(iy + off, g.ny)
+        else:
             # clamp so the 4-point y-stencil stays inside the extended array
             iy = np.clip(iy, -1, g.ny - 1)
             ty = fy - iy
-        return ix, iy, tx, ty
+            cols = np.clip(iy + off + 2, 0, self.ny - 1)
+        rows = np.mod(ix + off, g.nx) * self.ny
+        vals = np.take(self.F, cols[:, None] + rows[None, :], axis=1)
+        return tx - off, ty - off, vals
 
-    def _gather(self, ix, iy):
-        g = self.grid
-        cols = []
-        for b in range(-1, 3):
-            jb = iy + b
-            if g.periodic_y:
-                jb = np.mod(jb, g.ny)
-            else:
-                jb = np.clip(jb + self.joff, 0, self.F.shape[1] - 1)
-            rows = []
-            for a in range(-1, 3):
-                ia = np.mod(ix + a, g.nx)
-                rows.append(self.F[ia, jb])
-            cols.append(rows)
-        return cols  # cols[b][a]
+    def _shaped(self, out):
+        return out.reshape(self.batch + out.shape[1:])
 
     def eval(self, qx, qy):
-        ix, iy, tx, ty = self._locate(np.asarray(qx), np.asarray(qy))
-        vals = self._gather(ix, iy)
-        wx = [_kernel(tx - a) for a in range(-1, 3)]
-        wy = [_kernel(ty - b) for b in range(-1, 3)]
-        out = np.zeros_like(tx, dtype=float)
+        sx, sy, vals = self._stencil(qx, qy)
+        wx = _kernel(sx)
+        wy = _kernel(sy)
+        out = np.zeros_like(vals[:, 0, 0])
         for b in range(4):
             row = np.zeros_like(out)
             for a in range(4):
-                row += wx[a] * vals[b][a]
+                row += wx[a] * vals[:, b, a]
             out += wy[b] * row
-        return out
+        return self._shaped(out)
 
     def eval_with_grad(self, qx, qy):
         g = self.grid
-        ix, iy, tx, ty = self._locate(np.asarray(qx), np.asarray(qy))
-        vals = self._gather(ix, iy)
-        wx = [_kernel(tx - a) for a in range(-1, 3)]
-        wy = [_kernel(ty - b) for b in range(-1, 3)]
-        dwx = [_kernel_deriv(tx - a) / g.hx for a in range(-1, 3)]
-        dwy = [_kernel_deriv(ty - b) / g.hy for b in range(-1, 3)]
-        out = np.zeros_like(tx, dtype=float)
+        sx, sy, vals = self._stencil(qx, qy)
+        wx = _kernel(sx)
+        wy = _kernel(sy)
+        dwx = _kernel_deriv(sx) / g.hx
+        dwy = _kernel_deriv(sy) / g.hy
+        out = np.zeros_like(vals[:, 0, 0])
         dx = np.zeros_like(out)
         dy = np.zeros_like(out)
         for b in range(4):
             row = np.zeros_like(out)
             drow = np.zeros_like(out)
             for a in range(4):
-                row += wx[a] * vals[b][a]
-                drow += dwx[a] * vals[b][a]
+                row += wx[a] * vals[:, b, a]
+                drow += dwx[a] * vals[:, b, a]
             out += wy[b] * row
             dx += wy[b] * drow
             dy += dwy[b] * row
-        return out, dx, dy
+        return self._shaped(out), self._shaped(dx), self._shaped(dy)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .dynamics import (INTEGRATORS, LaeProblem, State, frak_f_alpha, integrate,
-                       step_count, transport)
+from .dynamics import (INTEGRATORS, LaeProblem, NonFiniteStateError, State,
+                       frak_f_alpha, integrate, step_count, transport)
 from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField
 from .interp import BicubicField
@@ -72,6 +72,10 @@ class FlowMap:
         return j11 * j22 - j12 * j21
 
     def check_invertible(self):
+        bad = ~(np.isfinite(self.e1) & np.isfinite(self.e2))
+        if np.any(bad):
+            node = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise NonFiniteStateError(f"flow map is not finite at node {node}")
         det = self.jacobian_determinant()
         if np.min(det) <= 0:
             raise InversionError(
@@ -88,11 +92,7 @@ class MaterialState:
 def volume_distortion(metric, ms: MaterialState) -> float:
     """max |det(D eta) e^{2 phi(eta)} / e^{2 phi} - 1| over nodes."""
     det = ms.eta.jacobian_determinant()
-    phi_itp = BicubicField(metric.grid, metric.phi)
-    g = metric.grid
-    qx = np.mod(ms.eta.e1, g.Lx)
-    qy = np.mod(ms.eta.e2, g.Ly) if g.periodic_y else np.clip(ms.eta.e2, 0.0, g.Ly)
-    phi_at = phi_itp.eval(qx, qy)
+    phi_at = _at_map(ms.eta, metric.phi)
     ratio = det * np.exp(2.0 * phi_at) / metric.e2phi
     return float(np.max(np.abs(ratio - 1.0)))
 
@@ -104,9 +104,7 @@ def volume_distortion(metric, ms: MaterialState) -> float:
 def _invert_map(eta: FlowMap, max_iter: int = 60) -> np.ndarray:
     """Labels q with eta(q) = x for every grid node x, by Newton iteration."""
     g = eta.grid
-    d1, d2 = eta.displacement()
-    i1 = BicubicField(g, d1)
-    i2 = BicubicField(g, d2)
+    disp = BicubicField(g, np.stack(eta.displacement()))
     if eta.inv_seed is not None:
         qx, qy = eta.inv_seed[0].copy(), eta.inv_seed[1].copy()
     else:
@@ -122,10 +120,8 @@ def _invert_map(eta: FlowMap, max_iter: int = 60) -> np.ndarray:
 
     worst = np.inf
     for _ in range(max_iter):
-        v1, a11, a12 = i1.eval_with_grad(np.mod(qx, g.Lx),
-                                         np.mod(qy, g.Ly) if g.periodic_y else qy)
-        v2, a21, a22 = i2.eval_with_grad(np.mod(qx, g.Lx),
-                                         np.mod(qy, g.Ly) if g.periodic_y else qy)
+        (v1, v2), (a11, a21), (a12, a22) = disp.eval_with_grad(
+            np.mod(qx, g.Lx), np.mod(qy, g.Ly) if g.periodic_y else qy)
         r1 = wrap_x(qx + v1 - g.X)
         r2 = wrap_y(qy + v2 - g.Y)
         worst = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
@@ -157,22 +153,24 @@ def pi_r(ms: MaterialState) -> VectorField:
     q = _invert_map(ms.eta)
     qx = np.mod(q[0], g.Lx)
     qy = np.mod(q[1], g.Ly) if g.periodic_y else q[1]
-    u1 = BicubicField(g, ms.V.c1.data).eval(qx, qy)
-    u2 = BicubicField(g, ms.V.c2.data).eval(qx, qy)
+    u1, u2 = BicubicField(g, np.stack(ms.V.arrays())).eval(qx, qy)
     if not g.periodic_y:
         u2[:, 0] = 0.0
         u2[:, -1] = 0.0
     return VectorField.from_arrays(g, u1, u2)
 
 
-def compose_with_map(field: VectorField, eta: FlowMap) -> VectorField:
-    """Right translation w o eta by interpolation at the mapped positions."""
+def _at_map(eta: FlowMap, values: np.ndarray) -> np.ndarray:
+    """Nodal arrays (..., nx, ny) interpolated at the mapped positions eta(q)."""
     g = eta.grid
     qx = np.mod(eta.e1, g.Lx)
     qy = np.mod(eta.e2, g.Ly) if g.periodic_y else np.clip(eta.e2, 0.0, g.Ly)
-    w1 = BicubicField(g, field.c1.data).eval(qx, qy)
-    w2 = BicubicField(g, field.c2.data).eval(qx, qy)
-    return VectorField.from_arrays(g, w1, w2)
+    return BicubicField(g, values).eval(qx, qy)
+
+
+def compose_with_map(field: VectorField, eta: FlowMap) -> VectorField:
+    """Right translation w o eta by interpolation at the mapped positions."""
+    return VectorField.from_arrays(eta.grid, *_at_map(eta, np.stack(field.arrays())))
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +179,18 @@ def compose_with_map(field: VectorField, eta: FlowMap) -> VectorField:
 
 def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorField:
     """(d_t u + grad_u u) o eta - Gamma_eta(V, V)."""
-    geo = problem.geo
-    m = geo.metric
+    m = problem.geo.metric
     u = pi_r(ms)
     acc = problem.rhs(u) + ca.nabla_along(m, u, u)
-    acc_at = compose_with_map(acc, ms.eta)
-    g = geo.grid
-    qx = np.mod(ms.eta.e1, g.Lx)
-    qy = np.mod(ms.eta.e2, g.Ly) if g.periodic_y else np.clip(ms.eta.e2, 0.0, g.Ly)
+    if m.is_flat:
+        return compose_with_map(acc, ms.eta)
+    # acc^k with Gamma^k_00, Gamma^k_01, Gamma^k_11 at eta, for k = 1, 2
+    gam = m.gamma[:, (0, 0, 1), (0, 1, 1)]
+    at = _at_map(ms.eta, np.concatenate([np.stack(acc.arrays())[:, None], gam], axis=1))
     v1, v2 = ms.V.arrays()
-    chris = np.zeros((2, g.nx, g.ny))
-    if not m.is_flat:
-        for k in range(2):
-            g00 = BicubicField(g, m.gamma[k, 0, 0]).eval(qx, qy)
-            g01 = BicubicField(g, m.gamma[k, 0, 1]).eval(qx, qy)
-            g11 = BicubicField(g, m.gamma[k, 1, 1]).eval(qx, qy)
-            chris[k] = g00 * v1 * v1 + 2.0 * g01 * v1 * v2 + g11 * v2 * v2
-    return VectorField.from_arrays(g, acc_at.c1.data - chris[0],
-                                   acc_at.c2.data - chris[1])
+    a1, a2 = (a - (g00 * v1 * v1 + 2.0 * g01 * v1 * v2 + g11 * v2 * v2)
+              for a, g00, g01, g11 in at)
+    return VectorField.from_arrays(ms.eta.grid, a1, a2)
 
 
 def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
