@@ -23,6 +23,10 @@ It is solved as one sparse saddle system in (w, p, lam):
 
 so that w = (1 - a^2 Lop)^{-1} grad p exactly and div(v - w) sits at the
 factorization's residual level, independent of h.
+
+On the torus every factorization is ordered by nested dissection of the grid's
+nodes (the two wrap-around seams first), which fills less than COLAMD there;
+channel factorizations keep SuperLU's COLAMD.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .geometry import Geometry
 from .grid import matvec_last
 
 _WALLS = ("y0", "yL")
+_ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
+_ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
 
 
 class SolveError(RuntimeError):
@@ -96,8 +102,9 @@ def _stored(geo: Geometry, key, build):
     """geo.factors[key], built by build() on first use.
 
     Keys are (kind, alpha, BcRegime), with None where the artifact does not
-    depend on alpha or on the regime.  Values must not refer back to the
-    geometry (see Geometry).
+    depend on alpha or on the regime; the nodes' dissection order is keyed by
+    the stencil reach in the regime's place.  Values must not refer back to
+    the geometry (see Geometry).
     """
     store = geo.factors
     if key not in store:
@@ -105,19 +112,115 @@ def _stored(geo: Geometry, key, build):
     return store[key]
 
 
-def _solve_each(lu, A, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _reach(M, grid, n_node_dofs: int):
+    """(rx, ry): the largest x and y node distance that M's node unknowns couple.
+
+    Unknown r belongs to node r % n (unknowns beyond n_node_dofs are gauge
+    rows and do not count); distances wrap around the periodic directions.
+    """
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    C = M.tocoo()
+    keep = (C.row < n_node_dofs) & (C.col < n_node_dofs)
+    r, c = C.row[keep] % n, C.col[keep] % n
+    di = np.abs(r // ny - c // ny)
+    dj = np.abs(r % ny - c % ny)
+    return int(np.minimum(di, nx - di).max()), int(np.minimum(dj, ny - dj).max())
+
+
+def _dissection(nx: int, ny: int, rx: int, ry: int) -> np.ndarray:
+    """Nested-dissection order of the nodes of an nx x ny torus grid.
+
+    Recursive coordinate bisection (George 1973): a box is cut by a band of
+    separator nodes, as wide as the stencil's reach across it, and its two
+    halves are ordered before the band.  A box that wraps around in a
+    direction is cut along both of its seams at once.  Each box is cut along
+    the axis with the smaller separator (ties cut the y axis, which fills
+    less on the curved torus); boxes of at most _ND_LEAF nodes, or too thin
+    to cut, keep their natural order.
+    """
+    out = []
+
+    def nodes(i0, i1, j0, j1):
+        out.append((np.arange(i0, i1)[:, None] * ny + np.arange(j0, j1)).ravel())
+
+    def cut(lo, hi, wraps, reach):
+        """(halves, bands) of [lo, hi) along one axis."""
+        if wraps:
+            mid = (lo + reach + hi) // 2
+            return (((lo + reach, mid), (mid + reach, hi)),
+                    ((lo, lo + reach), (mid, mid + reach)))
+        mid = (lo + hi - reach) // 2
+        return ((lo, mid), (mid + reach, hi)), ((mid, mid + reach),)
+
+    def box(i0, i1, j0, j1, px, py):
+        wx, wy = i1 - i0, j1 - j0
+        sx = rx * wy * (1 + px) if wx > (1 + px) * rx + 1 else np.inf
+        sy = ry * wx * (1 + py) if wy > (1 + py) * ry + 1 else np.inf
+        if wx * wy <= _ND_LEAF or min(sx, sy) == np.inf:
+            nodes(i0, i1, j0, j1)
+        elif sx < sy:
+            halves, bands = cut(i0, i1, px, rx)
+            for a, b in halves:
+                box(a, b, j0, j1, False, py)
+            for a, b in bands:
+                nodes(a, b, j0, j1)
+        else:
+            halves, bands = cut(j0, j1, py, ry)
+            for a, b in halves:
+                box(i0, i1, a, b, px, False)
+            for a, b in bands:
+                nodes(i0, i1, a, b)
+
+    box(0, nx, 0, ny, True, True)
+    return np.concatenate(out)
+
+
+def _factorized(geo: Geometry, M, k: int):
+    """(SuperLU of M, permutation of M's unknowns or None).
+
+    M's last k unknowns are gauge rows.  On the torus M is factored as
+    M[perm][:, perm] under SuperLU's NATURAL column order, perm the
+    nested-dissection order of the nodes with each node's unknowns kept
+    together and the gauge rows last.  The node order is built once per
+    geometry and reach and stored with the factorizations.  Channel matrices
+    get SuperLU's default COLAMD and perm None.
+    """
+    grid = geo.grid
+    if not grid.periodic_y:
+        return spla.splu(M.tocsc()), None
+    n = grid.n_nodes
+    d = (M.shape[0] - k) // n
+    reach = _reach(M, grid, d * n)
+    order = _stored(geo, ("dissection", None, reach),
+                    lambda: _dissection(grid.nx, grid.ny, *reach))
+    perm = np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
+                           np.arange(d * n, d * n + k)])
+    lu = spla.splu(M.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=_ND_PIVOT)
+    return lu, perm
+
+
+def _solve_each(lu, perm, A, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
     """lu's solution of A x = b for each right-hand side b along rhs's last axis.
 
-    One SuperLU call per right-hand side, so a batch member gets the bits it
-    would get alone (one multi-column call differs in the last bits), and each
-    residual is held to tol on its own, so one bad member fails the batch.
+    lu factors A[perm][:, perm] (A itself if perm is None); the batch is
+    permuted in and out with one fancy index each.  One SuperLU call per
+    right-hand side, so a batch member gets the bits it would get alone (one
+    multi-column call differs in the last bits), and each residual against
+    the unpermuted A is held to tol on its own, so one bad member fails the
+    batch.
     """
+    b = rhs if perm is None else rhs[..., perm]
+    if b.ndim == 1:
+        x = lu.solve(b)
+    else:
+        x = np.stack([lu.solve(c) for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
+    if perm is not None:
+        y, x = x, np.empty_like(x)
+        x[..., perm] = y
     if rhs.ndim == 1:
-        x = lu.solve(rhs)
         res, scale = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
     else:
-        x = np.stack([lu.solve(b) for b in rhs.reshape(-1, rhs.shape[-1])])
-        x = x.reshape(rhs.shape)
         res = np.linalg.norm(matvec_last(A, x) - rhs, axis=-1)
         scale = np.linalg.norm(rhs, axis=-1) + 1e-300
     ok = res <= tol * scale                          # NaN fails too
@@ -228,27 +331,27 @@ class EllipticOperator:
         return _replace_rows(self.interior, idx, repl).tocsc(), idx
 
     def factor(self, bc: BcRegime):
-        """(SuperLU of matrix(bc), substituted row indices)."""
+        """(SuperLU of matrix(bc), substituted row indices, its permutation or None)."""
         return _stored(self.geo, ("lu", self.alpha, bc), lambda: self._factorize(bc))
 
     def _factorize(self, bc: BcRegime):
         A, idx = self.matrix(bc)
         try:
-            lu = spla.splu(A.tocsc())
+            lu, perm = _factorized(self.geo, A, 0)
         except RuntimeError as e:
             raise SolveError(f"singular assembly for regime {bc.variant}: {e}")
-        return lu, idx
+        return lu, idx, perm
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
         """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace; f may be a batch."""
         if self.alpha == 0.0:
             return f.copy()
-        lu, idx = self.factor(bc)
+        lu, idx, perm = self.factor(bc)
         rhs = f.flat()
         if idx.size:
             rhs[..., idx] = 0.0
         A, _ = self.matrix(bc)
-        x = _solve_each(lu, A, rhs, 1e-8, "direct solve")
+        x = _solve_each(lu, perm, A, rhs, 1e-8, "direct solve")
         return VectorField.from_flat(self.geo.grid, x)
 
 
@@ -303,10 +406,11 @@ class StokesProjector:
         self.n = geo.grid.n_nodes
         self.mu = geo.metric.quad_mu().ravel()
         self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
-        self.S, self.lu, self.k = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
+        self.S, self.lu, self.perm, self.k = _stored(geo, ("saddle", op.alpha, bc),
+                                                     self._factorize)
 
     def _factorize(self):
-        """(saddle matrix, its SuperLU, number of gauge columns)."""
+        """(saddle matrix, its SuperLU, its permutation or None, number of gauge columns)."""
         op, bc, n, mu = self.op, self.bc, self.n, self.mu
         geo = op.geo
         A, bc_idx = op.matrix(bc)
@@ -319,10 +423,10 @@ class StokesProjector:
         S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
         k = modes.shape[1]
         try:
-            lu = spla.splu(S)
+            lu, perm = _factorized(geo, S, k)
         except RuntimeError as e:
             raise SolveError(f"stokes saddle factorization failed: {e}")
-        return S, lu, k
+        return S, lu, perm, k
 
     def project(self, v: VectorField) -> VectorField:
         """P v; v may be a batch (..., nx, ny), projected member by member."""
@@ -330,7 +434,7 @@ class StokesProjector:
         div = matvec_last(self.D, v.flat())
         rhs = np.zeros(div.shape[:-1] + (3 * n + k,))
         rhs[..., 2 * n:3 * n] = div
-        x = _solve_each(self.lu, self.S, rhs, 1e-7, "stokes composite")
+        x = _solve_each(self.lu, self.perm, self.S, rhs, 1e-7, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return v - w
 
@@ -348,10 +452,12 @@ class GradientRemover:
     def __init__(self, geo: Geometry):
         self.geo = geo
         self.n = geo.grid.n_nodes
-        self.S, self.lu, self.k = _stored(geo, ("remover", None, None), self._factorize)
+        self.S, self.lu, self.perm, self.k = _stored(geo, ("remover", None, None),
+                                                     self._factorize)
 
     def _factorize(self):
-        """(gauged, wall-substituted Laplacian, its SuperLU, number of gauge columns)."""
+        """(gauged, wall-substituted Laplacian, its SuperLU, its permutation or None,
+        number of gauge columns)."""
         grid, metric, n = self.geo.grid, self.geo.metric, self.n
         pop = OpScalar(grid, sp.identity(n, format="csr"))
         lap = ca.divergence(metric, ca.gradient(metric, pop)).mat
@@ -363,7 +469,8 @@ class GradientRemover:
         modes = _gradient_kernel_modes(grid, with_y_parity=grid.periodic_y)
         mu = metric.quad_mu().ravel()
         S = _gauge_bordered(A, mu[:, None] * modes, 0)
-        return S, spla.splu(S), modes.shape[1]
+        k = modes.shape[1]
+        return (S, *_factorized(self.geo, S, k), k)
 
     def remove_gradient(self, w: VectorField) -> VectorField:
         grid, metric = self.geo.grid, self.geo.metric
@@ -373,6 +480,6 @@ class GradientRemover:
             # match (grad p) . normal = w . normal: dy p = e^{2 phi} w2
             flat = grid.wall_flat_indices(wall.name)
             rhs[flat] = metric.e2phi[:, wall.j] * w.c2.data[:, wall.j]
-        x = _solve_each(self.lu, self.S, rhs, 1e-8, "gradient removal")
+        x = _solve_each(self.lu, self.perm, self.S, rhs, 1e-8, "gradient removal")
         p = ScalarField(grid, x[:self.n].reshape(grid.nx, grid.ny))
         return w - ca.gradient(metric, p)

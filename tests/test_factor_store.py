@@ -3,7 +3,9 @@
 Solvers on the same geometry object share one factorization per (alpha,
 regime); a fresh geometry builds its own, with bit-identical results.  A
 suite run factorizes each distinct matrix once, and its factorizations are
-freed when the run ends.
+freed when the run ends.  Torus factorizations are ordered by nested
+dissection and agree with a COLAMD factorization of the same matrix to
+round-off; channel factorizations are COLAMD's, bit for bit.
 """
 
 import gc
@@ -12,15 +14,18 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import elliptic as el
 from laealab import poisson as po
 from laealab import suites
 from laealab.config import ExperimentConfig
 from laealab.elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
+from laealab.fields import ScalarField, VectorField
 from laealab.geometry import DomainSpec, build_geometry
-from laealab.samples import make_phi_cosx_siny, make_phi_sinusoidal, random_vector
+from laealab.samples import make_phi_cosx_siny, make_phi_sinusoidal, phi_flat, random_vector
 from laealab.suites import run_suite
 
 TORUS = DomainSpec("torus", 1.0, 1.0)
@@ -161,3 +166,86 @@ def test_dropped_problem_frees_its_factorizations_without_gc():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _reference_solutions(op, sp_, gr, bc, f):
+    """op.solve, sp_.project and gr.remove_gradient of f through a default
+    (COLAMD) splu of each unpermuted stored matrix."""
+    geo = op.geo
+    grid, metric, n = geo.grid, geo.metric, geo.grid.n_nodes
+    A, idx = op.matrix(bc)
+    rhs = f.flat()
+    rhs[idx] = 0.0
+    solved = VectorField.from_flat(grid, spla.splu(A.tocsc()).solve(rhs))
+
+    rhs = np.zeros(sp_.S.shape[0])
+    rhs[2 * n:3 * n] = sp_.D @ f.flat()
+    projected = f - VectorField.from_flat(grid, spla.splu(sp_.S).solve(rhs)[:2 * n])
+
+    rhs = np.zeros(gr.S.shape[0])
+    rhs[:n] = ca.divergence(metric, f).data.ravel()
+    for wall in geo.boundary.walls:
+        flat = grid.wall_flat_indices(wall.name)
+        rhs[flat] = metric.e2phi[:, wall.j] * f.c2.data[:, wall.j]
+    p = ScalarField(grid, spla.splu(gr.S).solve(rhs)[:n].reshape(grid.shape))
+    removed = f - ca.gradient(metric, p)
+    return solved, projected, removed
+
+
+def _solutions(op, sp_, gr, bc, f):
+    return op.solve(f, bc), sp_.project(f), gr.remove_gradient(f)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("phi", [PHI_T, phi_flat], ids=["curved", "flat"])
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_torus_dissection_order_matches_colamd(n, phi, alpha):
+    geo = build_geometry(TORUS, n, n, phi)
+    bc = BcRegime.from_domain(TORUS)
+    op = EllipticOperator(geo, alpha)
+    sp_ = StokesProjector(op, bc)
+    gr = el.GradientRemover(geo)
+    perm = op.factor(bc)[2]
+    # every unknown exactly once, the gauge rows last
+    for p, size, k in ((perm, 2 * geo.grid.n_nodes, 0), (sp_.perm, sp_.S.shape[0], sp_.k),
+                       (gr.perm, gr.S.shape[0], gr.k)):
+        assert np.array_equal(np.sort(p), np.arange(size))
+        assert np.array_equal(p[size - k:], np.arange(size - k, size))
+
+    f = random_vector(geo.grid, seed=7, kmax=2)
+    for got, ref in zip(_solutions(op, sp_, gr, bc, f),
+                        _reference_solutions(op, sp_, gr, bc, f)):
+        err = np.linalg.norm(got.flat() - ref.flat()) / np.linalg.norm(ref.flat())
+        assert err <= 1e-12
+
+
+def test_channel_factorizations_stay_colamd(monkeypatch):
+    options = []
+    real = el.spla.splu
+
+    def recording(A, *args, **kwargs):
+        options.append((args, kwargs))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(el.spla, "splu", recording)
+    geo = build_geometry(MIXED, 12, 13, PHI_C)
+    bc = BcRegime.from_domain(MIXED)
+    op = EllipticOperator(geo, 0.3)
+    sp_ = StokesProjector(op, bc)
+    gr = el.GradientRemover(geo)
+    assert op.factor(bc)[2] is None and sp_.perm is None and gr.perm is None
+    assert options == [((), {})] * 3
+    monkeypatch.setattr(el.spla, "splu", real)
+
+    f = random_vector(geo.grid, seed=7, kmax=2)
+    for got, ref in zip(_solutions(op, sp_, gr, bc, f),
+                        _reference_solutions(op, sp_, gr, bc, f)):
+        assert np.array_equal(got.flat(), ref.flat())
+
+
+def test_torus_saddle_fills_less_than_colamd():
+    geo = build_geometry(TORUS, 32, 32, PHI_T)
+    bc = BcRegime.from_domain(TORUS)
+    sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
+    colamd = spla.splu(sp_.S)
+    assert sp_.lu.L.nnz + sp_.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
