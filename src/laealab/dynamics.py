@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                       StokesProjector, l_alpha)
+from .elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
 from .fields import VectorField
 from .geometry import Geometry
 
@@ -197,20 +196,25 @@ def energy(m, alpha: float, u: VectorField) -> float:
     return 0.5 * ca.inner1(m, alpha, u, u)
 
 
-def eq2_residual(m, op: EllipticOperator, remover: GradientRemover,
-                 u: VectorField, dudt: VectorField) -> float:
-    """Residual of the transported-momentum formulation.
+def eq2_residual(m, op: EllipticOperator, u: VectorField, dudt: VectorField) -> float:
+    """Residual of the transported-momentum formulation, a torus measure.
 
     Evaluates (1 - a^2 Lap_r) d_t u + grad_u[(1 - a^2 Lap_r) u]
-    - a^2 grad u^t . Lap_r u, removes its gradient part, and returns the
-    max-norm of the remainder (small iff (u, d_t u) solves the dynamics).
+    - a^2 grad u^t . Lap_r u, removes its gradient part with the a = 0 Stokes
+    projector (the Leray projector), and returns the max-norm of the remainder
+    (small iff (u, d_t u) solves the dynamics).  Only on the torus is that
+    projector the removal of gradients: on a channel its wall rows also
+    constrain the remainder, so a channel geometry raises ValueError.
     """
+    if op.geo.boundary.walls:
+        raise ValueError("eq2_residual is a torus measure; the geometry has walls")
     a2 = op.alpha**2
     mom = u - ca.ricci_laplacian(m, u) * a2
     lhs = (dudt - ca.ricci_laplacian(m, dudt) * a2) + ca.nabla_along(m, u, mom)
     dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
     lhs = lhs - dut.apply(ca.ricci_laplacian(m, u)) * a2
-    return remover.remove_gradient(lhs).linf()
+    leray = StokesProjector(EllipticOperator(op.geo, 0.0), BcRegime("noboundary"))
+    return leray.project(lhs).linf()
 
 
 # ---------------------------------------------------------------------------

@@ -22,23 +22,29 @@ It is solved as one sparse saddle system in (w, p, lam):
     sum(mu p)            = 0      (gauge)
 
 so that w = (1 - a^2 Lop)^{-1} grad p exactly and div(v - w) sits at the
-factorization's residual level, independent of h.
+factorization's residual level, independent of h.  At a = 0 the composite is
+the identity and P is the discrete Leray projector: on the torus P v is v less
+its gradient part, which is how gradient parts are removed elsewhere.
 
-On the torus every factorization is ordered by nested dissection of the grid's
-nodes (the two wrap-around seams first), which fills less than COLAMD there;
-channel factorizations keep SuperLU's COLAMD.
+Both factorizations, the BC-substituted (1 - a^2 Lop) and the saddle, are one
+record, (SuperLU, permutation, matrix), whose solve holds every right-hand
+side's residual against the unpermuted matrix.  On the torus each is ordered
+by nested dissection of the grid's nodes (the two wrap-around seams first),
+which fills less than COLAMD there; channel factorizations keep SuperLU's
+COLAMD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import calculus as ca
-from .fields import OpScalar, ScalarField, VectorField, op_vector_unknown
+from .fields import OpScalar, VectorField, op_vector_unknown
 from .geometry import Geometry
 from .grid import matvec_last
 
@@ -175,61 +181,73 @@ def _dissection(nx: int, ny: int, rx: int, ry: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _factorized(geo: Geometry, M, k: int):
-    """(SuperLU of M, permutation of M's unknowns or None).
+class _Factorization(NamedTuple):
+    """A factorized matrix: lu is SuperLU of matrix[perm][:, perm], or of
+    matrix itself when perm is None."""
 
-    M's last k unknowns are gauge rows.  On the torus M is factored as
-    M[perm][:, perm] under SuperLU's NATURAL column order, perm the
-    nested-dissection order of the nodes with each node's unknowns kept
-    together and the gauge rows last.  The node order is built once per
-    geometry and reach and stored with the factorizations.  Channel matrices
-    get SuperLU's default COLAMD and perm None.
-    """
-    grid = geo.grid
-    if not grid.periodic_y:
-        return spla.splu(M.tocsc()), None
-    n = grid.n_nodes
-    d = (M.shape[0] - k) // n
-    reach = _reach(M, grid, d * n)
-    order = _stored(geo, ("dissection", None, reach),
-                    lambda: _dissection(grid.nx, grid.ny, *reach))
-    perm = np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
-                           np.arange(d * n, d * n + k)])
-    lu = spla.splu(M.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=_ND_PIVOT)
-    return lu, perm
+    lu: spla.SuperLU
+    perm: np.ndarray | None
+    matrix: sp.spmatrix
 
+    @classmethod
+    def of(cls, geo: Geometry, M, k: int, what: str) -> "_Factorization":
+        """The factorization of M, whose last k unknowns are gauge rows.
 
-def _solve_each(lu, perm, A, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """lu's solution of A x = b for each right-hand side b along rhs's last axis.
+        On the torus M is factored as M[perm][:, perm] under SuperLU's NATURAL
+        column order, perm the nested-dissection order of the nodes with each
+        node's unknowns kept together and the gauge rows last.  The node order
+        is built once per geometry and reach and stored with the
+        factorizations.  Channel matrices get SuperLU's default COLAMD and perm
+        None.  A singular M raises SolveError, its message prefixed by what.
+        """
+        grid = geo.grid
+        perm, options = None, {}
+        if grid.periodic_y:
+            n = grid.n_nodes
+            d = (M.shape[0] - k) // n
+            reach = _reach(M, grid, d * n)
+            order = _stored(geo, ("dissection", None, reach),
+                            lambda: _dissection(grid.nx, grid.ny, *reach))
+            perm = np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
+                                   np.arange(d * n, d * n + k)])
+            options = {"permc_spec": "NATURAL", "diag_pivot_thresh": _ND_PIVOT}
+        try:
+            lu = spla.splu(M.tocsc() if perm is None else M.tocsr()[perm][:, perm].tocsc(),
+                           **options)
+        except RuntimeError as e:
+            raise SolveError(f"{what}: {e}")
+        return cls(lu, perm, M)
 
-    lu factors A[perm][:, perm] (A itself if perm is None); the batch is
-    permuted in and out with one fancy index each.  One SuperLU call per
-    right-hand side, so a batch member gets the bits it would get alone (one
-    multi-column call differs in the last bits), and each residual against
-    the unpermuted A is held to tol on its own, so one bad member fails the
-    batch.
-    """
-    b = rhs if perm is None else rhs[..., perm]
-    if b.ndim == 1:
-        x = lu.solve(b)
-    else:
-        x = np.stack([lu.solve(c) for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
-    if perm is not None:
-        y, x = x, np.empty_like(x)
-        x[..., perm] = y
-    if rhs.ndim == 1:
-        res, scale = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
-    else:
-        res = np.linalg.norm(matvec_last(A, x) - rhs, axis=-1)
-        scale = np.linalg.norm(rhs, axis=-1) + 1e-300
-    ok = res <= tol * scale                          # NaN fails too
-    # a lone bool is tested as it is: np.all costs microseconds per solve
-    if not (ok.all() if rhs.ndim > 1 else ok):
-        j = int(np.argmin(np.ravel(ok)))
-        raise SolveError(f"{what} residual {np.ravel(res / scale)[j]:.3e}"
-                         + (f" (batch member {j})" if rhs.ndim > 1 else ""))
-    return x
+    def solve(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
+        """The solution of matrix x = b for each right-hand side b along rhs's last axis.
+
+        The batch is permuted in and out with one fancy index each.  One
+        SuperLU call per right-hand side, so a batch member gets the bits it
+        would get alone (one multi-column call differs in the last bits), and
+        each residual against the unpermuted matrix is held to tol on its own,
+        so one bad member fails the batch.
+        """
+        lu, perm, A = self
+        b = rhs if perm is None else rhs[..., perm]
+        if b.ndim == 1:
+            x = lu.solve(b)
+        else:
+            x = np.stack([lu.solve(c) for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
+        if perm is not None:
+            y, x = x, np.empty_like(x)
+            x[..., perm] = y
+        if rhs.ndim == 1:
+            res, scale = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
+        else:
+            res = np.linalg.norm(matvec_last(A, x) - rhs, axis=-1)
+            scale = np.linalg.norm(rhs, axis=-1) + 1e-300
+        ok = res <= tol * scale                          # NaN fails too
+        # a lone bool is tested as it is: np.all costs microseconds per solve
+        if not (ok.all() if rhs.ndim > 1 else ok):
+            j = int(np.argmin(np.ravel(ok)))
+            raise SolveError(f"{what} residual {np.ravel(res / scale)[j]:.3e}"
+                             + (f" (batch member {j})" if rhs.ndim > 1 else ""))
+        return x
 
 
 def _replace_rows(M, idx, R):
@@ -325,34 +343,30 @@ class EllipticOperator:
                        lambda: self._substituted(bc))
 
     def _substituted(self, bc: BcRegime):
+        walls = tuple(w.name for w in self.geo.boundary.walls)
+        if tuple(w for w, _ in bc.wall_conditions) != walls:
+            raise ValueError(f"regime {bc.variant} {bc.wall_conditions} does not fit "
+                             f"a geometry with walls {walls}")
         if not bc.has_boundary:
             return self.interior, np.zeros(0, dtype=int)
         idx, repl = self._bc_rows(bc)
         return _replace_rows(self.interior, idx, repl).tocsc(), idx
 
-    def factor(self, bc: BcRegime):
-        """(SuperLU of matrix(bc), substituted row indices, its permutation or None)."""
-        return _stored(self.geo, ("lu", self.alpha, bc), lambda: self._factorize(bc))
-
-    def _factorize(self, bc: BcRegime):
-        A, idx = self.matrix(bc)
-        try:
-            lu, perm = _factorized(self.geo, A, 0)
-        except RuntimeError as e:
-            raise SolveError(f"singular assembly for regime {bc.variant}: {e}")
-        return lu, idx, perm
+    def factor(self, bc: BcRegime) -> _Factorization:
+        """(SuperLU, permutation or None, matrix) of matrix(bc)."""
+        return _stored(self.geo, ("lu", self.alpha, bc), lambda: _Factorization.of(
+            self.geo, self.matrix(bc)[0], 0, f"singular assembly for regime {bc.variant}"))
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
         """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace; f may be a batch."""
         if self.alpha == 0.0:
             return f.copy()
-        lu, idx, perm = self.factor(bc)
+        fac = self.factor(bc)
+        _, idx = self.matrix(bc)
         rhs = f.flat()
         if idx.size:
             rhs[..., idx] = 0.0
-        A, _ = self.matrix(bc)
-        x = _solve_each(lu, perm, A, rhs, 1e-8, "direct solve")
-        return VectorField.from_flat(self.geo.grid, x)
+        return VectorField.from_flat(self.geo.grid, fac.solve(rhs, 1e-8, "direct solve"))
 
 
 def l_alpha(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
@@ -360,7 +374,7 @@ def l_alpha(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
     return op.solve(op.apply(v), bc)
 
 
-def _gradient_kernel_modes(grid, with_y_parity: bool) -> np.ndarray:
+def _gradient_kernel_modes(grid) -> np.ndarray:
     """Nodal basis of the discrete-gradient null space of the pressure.
 
     Centered stencils on even periodic extents annihilate Nyquist sawtooth
@@ -372,7 +386,7 @@ def _gradient_kernel_modes(grid, with_y_parity: bool) -> np.ndarray:
     modes = [np.ones((nx, ny))]
     if nx % 2 == 0:
         modes.append(np.outer((-1.0) ** ii, np.ones(ny)))
-    if with_y_parity and (not grid.periodic_y or ny % 2 == 0):
+    if not grid.periodic_y or ny % 2 == 0:
         modes.append(np.outer(np.ones(nx), (-1.0) ** jj))
         if nx % 2 == 0:
             modes.append(np.outer((-1.0) ** ii, (-1.0) ** jj))
@@ -406,11 +420,14 @@ class StokesProjector:
         self.n = geo.grid.n_nodes
         self.mu = geo.metric.quad_mu().ravel()
         self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
-        self.S, self.lu, self.perm, self.k = _stored(geo, ("saddle", op.alpha, bc),
-                                                     self._factorize)
+        self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
 
-    def _factorize(self):
-        """(saddle matrix, its SuperLU, its permutation or None, number of gauge columns)."""
+    @property
+    def lu(self):
+        """SuperLU of the saddle system."""
+        return self.saddle.lu
+
+    def _factorize(self) -> _Factorization:
         op, bc, n, mu = self.op, self.bc, self.n, self.mu
         geo = op.geo
         A, bc_idx = op.matrix(bc)
@@ -418,68 +435,17 @@ class StokesProjector:
 
         # gauge away the whole discrete-gradient kernel (constants and the
         # sawtooth modes), with matching slack columns in the divergence rows
-        modes = _gradient_kernel_modes(geo.grid, with_y_parity=True)
+        modes = _gradient_kernel_modes(geo.grid)
         K = sp.bmat([[A, -G], [self.D, sp.csr_matrix((n, n))]])
         S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
-        k = modes.shape[1]
-        try:
-            lu, perm = _factorized(geo, S, k)
-        except RuntimeError as e:
-            raise SolveError(f"stokes saddle factorization failed: {e}")
-        return S, lu, perm, k
+        return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed")
 
     def project(self, v: VectorField) -> VectorField:
         """P v; v may be a batch (..., nx, ny), projected member by member."""
-        n, k = self.n, self.k
+        n = self.n
         div = matvec_last(self.D, v.flat())
-        rhs = np.zeros(div.shape[:-1] + (3 * n + k,))
+        rhs = np.zeros(div.shape[:-1] + self.saddle.matrix.shape[:1])
         rhs[..., 2 * n:3 * n] = div
-        x = _solve_each(self.lu, self.perm, self.S, rhs, 1e-7, "stokes composite")
+        x = self.saddle.solve(rhs, 1e-7, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return v - w
-
-
-class GradientRemover:
-    """Least-squares removal of the metric-gradient part of a field.
-
-    Solves div(grad p) = div w with the regime's natural normal-derivative
-    matching at walls (or periodicity), zero-mean gauge, and returns
-    w - grad p.  Used to measure how close a field is to a pure pressure
-    gradient.  A thin view over the geometry's store: removers on the same
-    geometry object share one factorization.
-    """
-
-    def __init__(self, geo: Geometry):
-        self.geo = geo
-        self.n = geo.grid.n_nodes
-        self.S, self.lu, self.perm, self.k = _stored(geo, ("remover", None, None),
-                                                     self._factorize)
-
-    def _factorize(self):
-        """(gauged, wall-substituted Laplacian, its SuperLU, its permutation or None,
-        number of gauge columns)."""
-        grid, metric, n = self.geo.grid, self.geo.metric, self.n
-        pop = OpScalar(grid, sp.identity(n, format="csr"))
-        lap = ca.divergence(metric, ca.gradient(metric, pop)).mat
-        # wall rows carry the grid's own d/dy, so that grad p matches w . normal
-        idx = np.array([grid.wall_flat_indices(w.name) for w in self.geo.boundary.walls],
-                       dtype=int).ravel()
-        A = _replace_rows(lap, idx, grid.DY[idx])
-        # wall rows exclude the y-parity sawtooth from the kernel
-        modes = _gradient_kernel_modes(grid, with_y_parity=grid.periodic_y)
-        mu = metric.quad_mu().ravel()
-        S = _gauge_bordered(A, mu[:, None] * modes, 0)
-        k = modes.shape[1]
-        return (S, *_factorized(self.geo, S, k), k)
-
-    def remove_gradient(self, w: VectorField) -> VectorField:
-        grid, metric = self.geo.grid, self.geo.metric
-        rhs = np.zeros(self.n + self.k)
-        rhs[:self.n] = ca.divergence(metric, w).data.ravel()
-        for wall in self.geo.boundary.walls:
-            # match (grad p) . normal = w . normal: dy p = e^{2 phi} w2
-            flat = grid.wall_flat_indices(wall.name)
-            rhs[flat] = metric.e2phi[:, wall.j] * w.c2.data[:, wall.j]
-        x = _solve_each(self.lu, self.perm, self.S, rhs, 1e-8, "gradient removal")
-        p = ScalarField(grid, x[:self.n].reshape(grid.nx, grid.ny))
-        return w - ca.gradient(metric, p)

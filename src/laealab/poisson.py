@@ -15,8 +15,6 @@ as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp_
 
@@ -223,42 +221,16 @@ def _double_bracket(ctx: PoissonContext, a: Observable, b: Observable,
 
 
 def jacobi_residual(ctx: PoissonContext, f: Observable, g: Observable,
-                    h: Observable, u: VectorField) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}|(u), inner derivatives closed-form."""
-    return abs(_double_bracket(ctx, f, g, h, u)
-               + _double_bracket(ctx, g, h, f, u)
-               + _double_bracket(ctx, h, f, g, u))
+                    h: Observable, u: VectorField) -> tuple[float, float]:
+    """(|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}|(u), the largest term's magnitude).
 
-
-@dataclass
-class BracketReport:
-    """Value and residuals of the bracket axioms at one state and grid."""
-
-    value: float
-    antisymmetry_residual: float
-    leibniz_residual: float
-    jacobi_residual: float
-    jacobi_scale: float
-    nx: int
-    ny: int
-    h: float
-
-
-def bracket_report(ctx: PoissonContext, f: Observable, g: Observable,
-                   h: Observable, u: VectorField) -> BracketReport:
-    value = bracket(ctx, f, g, u)
-    anti = abs(value + bracket(ctx, g, f, u))
-    fg = ProductObservable(ctx, f, g)
-    leib = abs(bracket(ctx, fg, h, u)
-               - bracket(ctx, f, h, u) * g.value(u)
-               - f.value(u) * bracket(ctx, g, h, u))
+    The inner derivatives are taken in closed form; the second entry is the
+    scale the residual is measured against.
+    """
     terms = (_double_bracket(ctx, f, g, h, u),
              _double_bracket(ctx, g, h, f, u),
              _double_bracket(ctx, h, f, g, u))
-    jac = abs(sum(terms))
-    scale = max(*(abs(t) for t in terms), 1e-300)
-    grid = ctx.geo.grid
-    return BracketReport(value, anti, leib, jac, scale, grid.nx, grid.ny, grid.h)
+    return abs(sum(terms)), max(*(abs(t) for t in terms), 1e-300)
 
 
 # ---------------------------------------------------------------------------

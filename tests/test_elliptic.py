@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from laealab import calculus as ca
-from laealab.elliptic import (BcRegime, EllipticOperator, GradientRemover,
-                              SolveError, StokesProjector, l_alpha)
+from laealab import dynamics as dy
+from laealab.elliptic import (BcRegime, EllipticOperator, SolveError,
+                              StokesProjector, l_alpha)
 from laealab.fields import ScalarField, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -324,24 +325,24 @@ def test_alpha_to_zero_quadratic_on_curved_torus():
 
 
 # ---------------------------------------------------------------------------
-# gradient removal helper
+# gradient removal: the alpha = 0 projector on the torus
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make_geo", (geo_torus, geo_channel), ids=("torus", "channel"))
+@pytest.mark.parametrize("make_geo", (geo_torus,), ids=("torus",))
 def test_gradient_remover_kills_pure_gradients(make_geo):
     geo = make_geo(24)
-    gr = GradientRemover(geo)
+    leray, _, _ = projector(geo, TORUS, 0.0)
     q = random_scalar(geo.grid, seed=21)
     gq = ca.gradient(geo.metric, ScalarField(geo.grid, q))
-    r = gr.remove_gradient(gq)
+    r = leray.project(gq)
     assert r.linf() < 1e-9 * max(gq.linf(), 1.0)
 
 
 def test_gradient_remover_preserves_divergence_free_part():
     geo = geo_torus(24, phi_flat)
     u = leray_fft(geo.grid, random_vector(geo.grid, seed=22))
-    gr = GradientRemover(geo)
-    r = gr.remove_gradient(u)
+    leray, _, _ = projector(geo, TORUS, 0.0)
+    r = leray.project(u)
     assert (r - u).linf() < 1e-8 * max(u.linf(), 1.0)
 
 
@@ -349,5 +350,21 @@ def test_gradient_remover_fails_loudly_on_a_non_finite_input():
     geo = geo_torus(12, phi_flat)
     w = random_vector(geo.grid, seed=22)
     w.c1.data[3, 5] = np.nan
-    with pytest.raises(SolveError, match="gradient removal"):
-        GradientRemover(geo).remove_gradient(w)
+    leray, _, _ = projector(geo, TORUS, 0.0)
+    with pytest.raises(SolveError, match="stokes composite"):
+        leray.project(w)
+
+
+# ---------------------------------------------------------------------------
+# regime and geometry must agree on the walls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_geo,bc_spec", ((geo_channel, TORUS), (geo_torus, MIXED)),
+                         ids=("torus_regime_on_channel", "mixed_regime_on_torus"))
+def test_regime_must_name_the_geometry_walls(make_geo, bc_spec):
+    geo = make_geo(12)
+    bc = BcRegime.from_domain(bc_spec)
+    with pytest.raises(ValueError, match=r"regime .* does not fit a geometry with walls"):
+        EllipticOperator(geo, 0.3).matrix(bc)
+    with pytest.raises(ValueError, match="does not fit"):
+        dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=0.05, bc=bc))

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import elliptic as el
 from laealab import poisson as po
 from laealab import suites
 from laealab.config import ExperimentConfig
 from laealab.elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
-from laealab.fields import ScalarField, VectorField
+from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.samples import make_phi_cosx_siny, make_phi_sinusoidal, phi_flat, random_vector
 from laealab.suites import run_suite
@@ -84,22 +83,6 @@ def test_shared_solvers_match_a_fresh_geometry_bit_for_bit(spec, ny, phi):
                      (sp_.project(l_alpha(op, f, bc)), ref_proj)):
             assert np.array_equal(a.c1.data, b.c1.data)
             assert np.array_equal(a.c2.data, b.c2.data)
-
-
-@pytest.mark.parametrize("spec,ny,phi", CASES)
-def test_gradient_removers_share_one_factorization(spec, ny, phi):
-    geo = build_geometry(spec, 12, ny, phi)
-    gr1, gr2 = el.GradientRemover(geo), el.GradientRemover(geo)
-    assert gr2.lu is gr1.lu
-    fresh = el.GradientRemover(build_geometry(spec, 12, ny, phi))
-    assert fresh.lu is not gr1.lu
-
-    w = random_vector(geo.grid, seed=6, kmax=2)
-    ref = gr1.remove_gradient(w)
-    for gr in (gr2, fresh):
-        r = gr.remove_gradient(w)
-        assert np.array_equal(r.c1.data, ref.c1.data)
-        assert np.array_equal(r.c2.data, ref.c2.data)
 
 
 def test_store_keys_on_alpha_and_regime():
@@ -168,32 +151,24 @@ def test_dropped_problem_frees_its_factorizations_without_gc():
         gc.enable()
 
 
-def _reference_solutions(op, sp_, gr, bc, f):
-    """op.solve, sp_.project and gr.remove_gradient of f through a default
-    (COLAMD) splu of each unpermuted stored matrix."""
-    geo = op.geo
-    grid, metric, n = geo.grid, geo.metric, geo.grid.n_nodes
+def _reference_solutions(op, sp_, bc, f):
+    """op.solve and sp_.project of f through a default (COLAMD) splu of each
+    unpermuted stored matrix."""
+    grid, n = op.geo.grid, op.geo.grid.n_nodes
     A, idx = op.matrix(bc)
     rhs = f.flat()
     rhs[idx] = 0.0
     solved = VectorField.from_flat(grid, spla.splu(A.tocsc()).solve(rhs))
 
-    rhs = np.zeros(sp_.S.shape[0])
+    S = sp_.saddle.matrix
+    rhs = np.zeros(S.shape[0])
     rhs[2 * n:3 * n] = sp_.D @ f.flat()
-    projected = f - VectorField.from_flat(grid, spla.splu(sp_.S).solve(rhs)[:2 * n])
-
-    rhs = np.zeros(gr.S.shape[0])
-    rhs[:n] = ca.divergence(metric, f).data.ravel()
-    for wall in geo.boundary.walls:
-        flat = grid.wall_flat_indices(wall.name)
-        rhs[flat] = metric.e2phi[:, wall.j] * f.c2.data[:, wall.j]
-    p = ScalarField(grid, spla.splu(gr.S).solve(rhs)[:n].reshape(grid.shape))
-    removed = f - ca.gradient(metric, p)
-    return solved, projected, removed
+    projected = f - VectorField.from_flat(grid, spla.splu(S).solve(rhs)[:2 * n])
+    return solved, projected
 
 
-def _solutions(op, sp_, gr, bc, f):
-    return op.solve(f, bc), sp_.project(f), gr.remove_gradient(f)
+def _solutions(op, sp_, bc, f):
+    return op.solve(f, bc), sp_.project(f)
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -204,17 +179,14 @@ def test_torus_dissection_order_matches_colamd(n, phi, alpha):
     bc = BcRegime.from_domain(TORUS)
     op = EllipticOperator(geo, alpha)
     sp_ = StokesProjector(op, bc)
-    gr = el.GradientRemover(geo)
-    perm = op.factor(bc)[2]
     # every unknown exactly once, the gauge rows last
-    for p, size, k in ((perm, 2 * geo.grid.n_nodes, 0), (sp_.perm, sp_.S.shape[0], sp_.k),
-                       (gr.perm, gr.S.shape[0], gr.k)):
+    for fac, k in ((op.factor(bc), 0), (sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)):
+        p, size = fac.perm, fac.matrix.shape[0]
         assert np.array_equal(np.sort(p), np.arange(size))
         assert np.array_equal(p[size - k:], np.arange(size - k, size))
 
     f = random_vector(geo.grid, seed=7, kmax=2)
-    for got, ref in zip(_solutions(op, sp_, gr, bc, f),
-                        _reference_solutions(op, sp_, gr, bc, f)):
+    for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
         err = np.linalg.norm(got.flat() - ref.flat()) / np.linalg.norm(ref.flat())
         assert err <= 1e-12
 
@@ -232,14 +204,12 @@ def test_channel_factorizations_stay_colamd(monkeypatch):
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.3)
     sp_ = StokesProjector(op, bc)
-    gr = el.GradientRemover(geo)
-    assert op.factor(bc)[2] is None and sp_.perm is None and gr.perm is None
-    assert options == [((), {})] * 3
+    assert op.factor(bc).perm is None and sp_.saddle.perm is None
+    assert options == [((), {})] * 2
     monkeypatch.setattr(el.spla, "splu", real)
 
     f = random_vector(geo.grid, seed=7, kmax=2)
-    for got, ref in zip(_solutions(op, sp_, gr, bc, f),
-                        _reference_solutions(op, sp_, gr, bc, f)):
+    for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
         assert np.array_equal(got.flat(), ref.flat())
 
 
@@ -247,5 +217,5 @@ def test_torus_saddle_fills_less_than_colamd():
     geo = build_geometry(TORUS, 32, 32, PHI_T)
     bc = BcRegime.from_domain(TORUS)
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
-    colamd = spla.splu(sp_.S)
+    colamd = spla.splu(sp_.saddle.matrix)
     assert sp_.lu.L.nnz + sp_.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
