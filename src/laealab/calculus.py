@@ -76,17 +76,11 @@ def nabla_along(m: ConformalMetric, v: VectorField, u: VectorField) -> VectorFie
     return covariant_derivative(m, u).apply(v)
 
 
-def jacobi_lie_bracket(m: ConformalMetric, u: VectorField, v: VectorField,
-                       form: str = "covariant") -> VectorField:
-    """[u, v] = grad_u v - grad_v u; Christoffel terms cancel in coordinates."""
-    if form == "covariant":
-        return nabla_along(m, u, v) - nabla_along(m, v, u)
-    if form == "coordinate":
-        g = m.grid
-        b1 = u.c1 * v.c1.dx() + u.c2 * v.c1.dy() - (v.c1 * u.c1.dx() + v.c2 * u.c1.dy())
-        b2 = u.c1 * v.c2.dx() + u.c2 * v.c2.dy() - (v.c1 * u.c2.dx() + v.c2 * u.c2.dy())
-        return VectorField(g, b1, b2)
-    raise ValueError(form)
+def jacobi_lie_bracket(m: ConformalMetric, u: VectorField, v: VectorField) -> VectorField:
+    """[u, v] = grad_u v - grad_v u, in coordinates, where the Christoffel terms cancel."""
+    b1 = u.c1 * v.c1.dx() + u.c2 * v.c1.dy() - (v.c1 * u.c1.dx() + v.c2 * u.c1.dy())
+    b2 = u.c1 * v.c2.dx() + u.c2 * v.c2.dy() - (v.c1 * u.c2.dx() + v.c2 * u.c2.dy())
+    return VectorField(m.grid, b1, b2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,7 @@ from .samples import (eigenfield, make_phi_cosx, make_phi_cosx_siny,
 
 ENV_PREFIX = "LAEALAB_"
 
-_SCHEMA = {
-    "lab": {"suite", "output_dir", "seed", "grid_ladder"},
-    "domain": {"kind", "lx", "ly", "nx", "ny", "phi", "wall_roles"},
-    "solver": {"alpha"},
-    "run": {"dt", "t_end", "integrator", "cfl_factor"},
-    "diagnostics": {"every_n_steps"},
-    "initial": {"preset"},
-    "poisson": {"observables", "flow_check_max_dim"},
-}
-
+# every known section and key, with its default; no other parses
 _DEFAULTS = {
     "lab": {"suite": "identities", "output_dir": "lab_out", "seed": "1234",
             "grid_ladder": "16,32,64"},
@@ -43,8 +34,7 @@ _DEFAULTS = {
             "cfl_factor": "0.5"},
     "diagnostics": {"every_n_steps": "1"},
     "initial": {"preset": "taylor_green_like"},
-    "poisson": {"observables": "linear:101,linear:102,quadratic:smooth",
-                "flow_check_max_dim": "600"},
+    "poisson": {"observables": "linear:101,linear:102,quadratic:smooth"},
 }
 
 
@@ -78,10 +68,10 @@ class ExperimentConfig:
         sections = {name: dict(values) for name, values in _DEFAULTS.items()}
         for sec in parser.sections():
             key = sec.lower()
-            if key not in _SCHEMA:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config section [{sec}]")
             for k, v in parser.items(sec):
-                if k.lower() not in _SCHEMA[key]:
+                if k.lower() not in _DEFAULTS[key]:
                     raise ConfigError(f"unknown key {k!r} in section [{sec}]")
                 sections[key][k.lower()] = v
         cfg = cls(sections)
@@ -97,7 +87,7 @@ class ExperimentConfig:
             if "__" not in rest:
                 continue
             sec, key = rest.split("__", 1)
-            if sec not in _SCHEMA or key not in _SCHEMA[sec]:
+            if sec not in _DEFAULTS or key not in _DEFAULTS[sec]:
                 raise ConfigError(f"unknown env override {name}")
             self.sections[sec][key] = value
 
@@ -126,8 +116,7 @@ class ExperimentConfig:
         self.initial_maker()
         self.observables()
         for sec, key in (("lab", "seed"), ("domain", "nx"), ("domain", "ny"),
-                         ("diagnostics", "every_n_steps"),
-                         ("poisson", "flow_check_max_dim")):
+                         ("diagnostics", "every_n_steps")):
             self.getint(sec, key)
         try:
             self.solver_config()

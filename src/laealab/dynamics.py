@@ -1,12 +1,15 @@
-"""Right-hand sides and time integration of the averaged-Euler dynamics.
+"""The reduced LAE-alpha system, its right-hand sides and time integration.
 
-The evolution of a divergence-free, boundary-respecting velocity u is
+A System binds one domain, alpha and wall regime to the geometry's
+factorized operator (1 - a^2 Lop) and Stokes projector P; every operator
+below takes it whole.  The evolution of a divergence-free,
+boundary-respecting velocity u is
 
     d_t u + P(grad_u u + Fop(u)) = 0          (no-slip / torus transport)
     d_t u + P(La grad_u u + Fop(u)) = 0       (free-slip / mixed transport)
 
-with P the Stokes projector, La the boundary-restoring composite
-(1 - a^2 Lop)^{-1}(1 - a^2 Lop), and Fop = Uop + Rop the quadratic operator
+with La the boundary-restoring composite (1 - a^2 Lop)^{-1}(1 - a^2 Lop),
+and Fop = Uop + Rop the quadratic operator
 
     Uop(u) = (1-a^2 Lop)^{-1} a^2 Div(grad u . grad u^t + grad u . grad u
                                       - grad u^t . grad u)
@@ -25,7 +28,8 @@ FFop used by the connector and the bracket machinery.
 
 transport() picks the transport form by regime, and rhs() is the one
 right-hand side for every regime and alpha: at a = 0, Fop vanishes and La is
-the identity, so it is the incompressible Euler baseline.
+the identity, so it is the incompressible Euler baseline.  LaeProblem is the
+System with a time-stepping configuration.
 """
 
 from __future__ import annotations
@@ -70,6 +74,33 @@ class State:
     t: float = 0.0
 
 
+class System:
+    """The reduced system of one (geometry, alpha, regime).
+
+    Holds the metric, the operator (1 - a^2 Lop) and the Stokes projector of
+    the regime; their factorizations live in the geometry's store, so
+    Systems on one geometry object share them.
+    """
+
+    def __init__(self, geo: Geometry, alpha: float, bc: BcRegime):
+        self.geo = geo
+        self.alpha = float(alpha)
+        self.bc = bc
+        self.metric = geo.metric
+        self.op = EllipticOperator(geo, alpha)
+        self.sp = StokesProjector(self.op, bc)
+
+    def inner1(self, u: VectorField, v: VectorField) -> float:
+        return ca.inner1(self.metric, self.alpha, u, v)
+
+    def admissible(self, v: VectorField) -> VectorField:
+        """A divergence-free, boundary-respecting field made from v: La v on a
+        walled regime with a > 0 (so the wall rows hold), then projected."""
+        if self.bc.has_boundary and self.alpha > 0:
+            v = l_alpha(self.op, v, self.bc)
+        return self.sp.project(v)
+
+
 # ---------------------------------------------------------------------------
 # quadratic operator stack
 # ---------------------------------------------------------------------------
@@ -88,47 +119,49 @@ def _r_alpha_interior(m, u: VectorField) -> VectorField:
     return (cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
 
 
-def u_alpha(m, op: EllipticOperator, u: VectorField, bc: BcRegime) -> VectorField:
+def u_alpha(s: System, u: VectorField) -> VectorField:
     """Flat-space quadratic term, boundary-respecting by the inverse."""
-    if op.alpha == 0.0:
+    if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
-    inner = ca.div_11(m, _transport_combination(m, u)) * op.alpha**2
-    return op.solve(inner, bc)
+    inner = ca.div_11(s.metric, _transport_combination(s.metric, u)) * s.alpha**2
+    return s.op.solve(inner, s.bc)
 
 
-def r_alpha(m, op: EllipticOperator, u: VectorField, bc: BcRegime) -> VectorField:
+def r_alpha(s: System, u: VectorField) -> VectorField:
     """Curvature part of the quadratic term (exactly zero on flat metrics)."""
-    if op.alpha == 0.0 or m.is_flat:
+    if s.alpha == 0.0 or s.metric.is_flat:
         return VectorField.zeros(u.grid)
-    return op.solve(_r_alpha_interior(m, u) * op.alpha**2, bc)
+    return s.op.solve(_r_alpha_interior(s.metric, u) * s.alpha**2, s.bc)
 
 
-def f_alpha(m, op: EllipticOperator, u: VectorField, bc: BcRegime) -> VectorField:
+def f_alpha(s: System, u: VectorField) -> VectorField:
     """Uop + Rop with a single elliptic solve."""
-    if op.alpha == 0.0:
+    if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
+    m = s.metric
     inner = ca.div_11(m, _transport_combination(m, u))
     if not m.is_flat:
         inner = inner + _r_alpha_interior(m, u)
-    return op.solve(inner * op.alpha**2, bc)
+    return s.op.solve(inner * s.alpha**2, s.bc)
 
 
-def f_alpha_alt(m, op: EllipticOperator, u: VectorField, bc: BcRegime) -> VectorField:
+def f_alpha_alt(s: System, u: VectorField) -> VectorField:
     """Independent route via Dop(u,u), grad F(u) and grad u^t . Lap_r u."""
-    if op.alpha == 0.0:
+    if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
+    m = s.metric
     du = ca.covariant_derivative(m, u)
     dut = ca.transpose_metric(m, du)
     trans = dut.apply(ca.ricci_laplacian(m, u))
     inner = ca.gradient(m, ca.F_scalar(m, u)) + trans
-    return d_alpha(m, op, u, u, bc) - op.solve(inner * op.alpha**2, bc)
+    return d_alpha(s, u, u) - s.op.solve(inner * s.alpha**2, s.bc)
 
 
-def d_alpha(m, op: EllipticOperator, u: VectorField, v: VectorField,
-            bc: BcRegime) -> VectorField:
+def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Bilinear transport correction Dop(u, v)."""
-    if op.alpha == 0.0:
+    if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
+    m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
@@ -139,56 +172,50 @@ def d_alpha(m, op: EllipticOperator, u: VectorField, v: VectorField,
         inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
         grad_arg = grad_arg + ca.g_pair(m, u, v) * m.K
     inner = inner + ca.gradient(m, grad_arg)
-    return op.solve(inner * op.alpha**2, bc)
+    return s.op.solve(inner * s.alpha**2, s.bc)
 
 
-def b_alpha(m, op: EllipticOperator, sp: StokesProjector, v: VectorField,
-            w: VectorField, bc: BcRegime) -> VectorField:
+def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
     """Duality partner of the H^1 transport pairing,
     Bop(v, w) = P (1-a^2 Lop)^{-1} (grad w^t . (1 - a^2 Lap_r) v)."""
+    m = s.metric
     dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
-    z = v if op.alpha == 0.0 else v - ca.ricci_laplacian(m, v) * op.alpha**2
-    return sp.project(op.solve(dwt.apply(z), bc))
+    z = v if s.alpha == 0.0 else v - ca.ricci_laplacian(m, v) * s.alpha**2
+    return s.sp.project(s.op.solve(dwt.apply(z), s.bc))
 
 
-def frak_f_alpha(m, op: EllipticOperator, u: VectorField, v: VectorField,
-                 bc: BcRegime, via: str = "closed") -> VectorField:
-    """Symmetric polarization FFop(u, v) of the quadratic operator."""
-    if via == "polarization":
-        return (f_alpha(m, op, u + v, bc) - f_alpha(m, op, u, bc)
-                - f_alpha(m, op, v, bc)) * 0.5
-    if via != "closed":
-        raise ValueError(via)
-    if op.alpha == 0.0:
+def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
+    """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form."""
+    if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
+    m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
     dvt = ca.transpose_metric(m, dv)
     trans = dut.apply(ca.ricci_laplacian(m, v)) + dvt.apply(ca.ricci_laplacian(m, u))
     inner = ca.gradient(m, ca.G_scalar(m, u, v)) + trans
-    duv = d_alpha(m, op, u, v, bc) + d_alpha(m, op, v, u, bc)
-    return (duv - op.solve(inner * op.alpha**2, bc)) * 0.5
+    duv = d_alpha(s, u, v) + d_alpha(s, v, u)
+    return (duv - s.op.solve(inner * s.alpha**2, s.bc)) * 0.5
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def transport(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
+def transport(s: System, v: VectorField) -> VectorField:
     """The transport term as it enters the constrained dynamics.
 
     Under free-slip and mixed walls grad_u u leaves the subspace and is
     carried back by La = (1 - a^2 Lop)^{-1}(1 - a^2 Lop); otherwise it is v.
     """
-    return l_alpha(op, v, bc) if bc.uses_l_alpha_transport else v
+    return l_alpha(s.op, v, s.bc) if s.bc.uses_l_alpha_transport else v
 
 
-def rhs(m, op: EllipticOperator, sp: StokesProjector, u: VectorField) -> VectorField:
+def rhs(s: System, u: VectorField) -> VectorField:
     """-P(T grad_u u + Fop(u)), T per transport(); Euler at a = 0."""
-    bc = sp.bc
-    adv = transport(op, ca.nabla_along(m, u, u), bc)
-    return -sp.project(adv + f_alpha(m, op, u, bc))
+    adv = transport(s, ca.nabla_along(s.metric, u, u))
+    return -s.sp.project(adv + f_alpha(s, u))
 
 
 def energy(m, alpha: float, u: VectorField) -> float:
@@ -196,7 +223,7 @@ def energy(m, alpha: float, u: VectorField) -> float:
     return 0.5 * ca.inner1(m, alpha, u, u)
 
 
-def eq2_residual(m, op: EllipticOperator, u: VectorField, dudt: VectorField) -> float:
+def eq2_residual(s: System, u: VectorField, dudt: VectorField) -> float:
     """Residual of the transported-momentum formulation, a torus measure.
 
     Evaluates (1 - a^2 Lap_r) d_t u + grad_u[(1 - a^2 Lap_r) u]
@@ -206,33 +233,29 @@ def eq2_residual(m, op: EllipticOperator, u: VectorField, dudt: VectorField) -> 
     projector the removal of gradients: on a channel its wall rows also
     constrain the remainder, so a channel geometry raises ValueError.
     """
-    if op.geo.boundary.walls:
+    if s.geo.boundary.walls:
         raise ValueError("eq2_residual is a torus measure; the geometry has walls")
-    a2 = op.alpha**2
+    m, a2 = s.metric, s.alpha**2
     mom = u - ca.ricci_laplacian(m, u) * a2
     lhs = (dudt - ca.ricci_laplacian(m, dudt) * a2) + ca.nabla_along(m, u, mom)
     dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
     lhs = lhs - dut.apply(ca.ricci_laplacian(m, u)) * a2
-    leray = StokesProjector(EllipticOperator(op.geo, 0.0), BcRegime("noboundary"))
-    return leray.project(lhs).linf()
+    return System(s.geo, 0.0, BcRegime("noboundary")).sp.project(lhs).linf()
 
 
 # ---------------------------------------------------------------------------
 # time integration
 # ---------------------------------------------------------------------------
 
-class LaeProblem:
-    """Bundles geometry, regime and factorized solvers for one run."""
+class LaeProblem(System):
+    """The System of a run's configuration, with its time-stepping settings."""
 
     def __init__(self, geo: Geometry, cfg: SolverConfig):
-        self.geo = geo
+        super().__init__(geo, cfg.alpha, cfg.bc)
         self.cfg = cfg
-        self.bc = cfg.bc
-        self.op = EllipticOperator(geo, cfg.alpha)
-        self.sp = StokesProjector(self.op, self.bc)
 
     def rhs(self, u: VectorField) -> VectorField:
-        return rhs(self.geo.metric, self.op, self.sp, u)
+        return rhs(self, u)
 
     def project(self, u: VectorField) -> VectorField:
         return self.sp.project(u)

@@ -78,7 +78,6 @@ class Grid:
         self.nx, self.ny = nx, ny
         self.shape = (nx, ny)
         self.Lx, self.Ly = float(Lx), float(Ly)
-        self.periodic_x = True
         self.periodic_y = periodic_y
         self.hx = self.Lx / nx
         self.hy = self.Ly / ny if periodic_y else self.Ly / (ny - 1)

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import calculus as ca
 from .dynamics import (INTEGRATORS, LaeProblem, NonFiniteStateError, State,
-                       frak_f_alpha, integrate, step_count, transport)
-from .elliptic import BcRegime, EllipticOperator, StokesProjector
+                       System, frak_f_alpha, integrate, step_count, transport)
 from .fields import VectorField
 from .interp import BicubicField
 
 
 NEWTON_TOL = 1e-12      # max-norm residual at which map inversion stops
+NEWTON_MAX_ITER = 60    # iterations after which map inversion has stalled
 
 
 class InversionError(RuntimeError):
@@ -101,7 +101,7 @@ def volume_distortion(metric, ms: MaterialState) -> float:
 # right translation to the identity
 # ---------------------------------------------------------------------------
 
-def _invert_map(eta: FlowMap, max_iter: int = 60) -> np.ndarray:
+def _invert_map(eta: FlowMap) -> np.ndarray:
     """Labels q with eta(q) = x for every grid node x, by Newton iteration."""
     g = eta.grid
     disp = BicubicField(g, np.stack(eta.displacement()))
@@ -119,7 +119,7 @@ def _invert_map(eta: FlowMap, max_iter: int = 60) -> np.ndarray:
         return r
 
     worst = np.inf
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         (v1, v2), (a11, a21), (a12, a22) = disp.eval_with_grad(
             np.mod(qx, g.Lx), np.mod(qy, g.Ly) if g.periodic_y else qy)
         r1 = wrap_x(qx + v1 - g.X)
@@ -179,7 +179,7 @@ def compose_with_map(field: VectorField, eta: FlowMap) -> VectorField:
 
 def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorField:
     """(d_t u + grad_u u) o eta - Gamma_eta(V, V)."""
-    m = problem.geo.metric
+    m = problem.metric
     u = pi_r(ms)
     acc = problem.rhs(u) + ca.nabla_along(m, u, u)
     if m.is_flat:
@@ -217,12 +217,11 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
 # connector contraction
 # ---------------------------------------------------------------------------
 
-def connector_contract(m, op: EllipticOperator, sp: StokesProjector,
-                       u: VectorField, v: VectorField, bc: BcRegime) -> VectorField:
+def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
     """K(Tu o v) = P(grad_v u + FF(u,v)), with the La composite on the
     transport term for free-slip and mixed regimes."""
-    adv = transport(op, ca.nabla_along(m, v, u), bc)
-    return sp.project(adv + frak_f_alpha(m, op, u, v, bc))
+    adv = transport(s, ca.nabla_along(s.metric, v, u))
+    return s.sp.project(adv + frak_f_alpha(s, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +241,6 @@ def commute_check(problem: LaeProblem, u0: VectorField, t: float) -> dict:
         "discrepancy": disc,
         "u_spatial": spatial.u,
         "u_material": u_material,
-        "volume_error": volume_distortion(problem.geo.metric, ms),
+        "volume_error": volume_distortion(problem.metric, ms),
         "state": ms,
     }

@@ -10,7 +10,8 @@ so that df and its derivative Ddf are available in closed form; that is what
 the derivative-of-bracket formula, the Jacobi residual and the flow checks
 need.  The material-side functional derivatives (vertical and horizontal) and
 the Poisson-map checks for the right translation and for the flows live here
-as well.
+as well.  A PoissonContext is the dynamics.System the bracket is taken on,
+with its H^1 Gram matrix.
 """
 
 from __future__ import annotations
@@ -21,31 +22,18 @@ import scipy.sparse as sp_
 from . import calculus as ca
 from . import dynamics as dy
 from . import material as mt
-from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField, op_vector_unknown
-from .geometry import Geometry
 from .samples import random_vector
 
 QUADRATIC_KINDS = ("smooth", "cutoff")
+# largest constrained-subspace dimension the flow check's dense algebra takes
+FLOW_CHECK_MAX_DIM = 2048
 
 
-class PoissonContext:
-    """Geometry, regime, alpha and factorized solvers for bracket work."""
+class PoissonContext(dy.System):
+    """The System brackets are taken on, with its H^1 Gram matrix."""
 
-    def __init__(self, geo: Geometry, alpha: float, bc: BcRegime):
-        self.geo = geo
-        self.alpha = float(alpha)
-        self.bc = bc
-        self.op = EllipticOperator(geo, alpha)
-        self.sp = StokesProjector(self.op, bc)
-        self._gram = None
-
-    @property
-    def metric(self):
-        return self.geo.metric
-
-    def inner1(self, u, v):
-        return ca.inner1(self.metric, self.alpha, u, v)
+    _gram = None        # gram_matrix(), built on the first call
 
     def gram_matrix(self):
         """Sparse matrix W with u^T W v = <u, v>_1 (same stencils)."""
@@ -113,18 +101,15 @@ class QuadraticObservable(Observable):
     M_chi, which is H^1-self-adjoint because <A u, v>_1 = <chi u, v>_0.
     """
 
-    def __init__(self, ctx: PoissonContext, kind: str = "smooth",
-                 chi: np.ndarray | None = None):
+    def __init__(self, ctx: PoissonContext, kind: str = "smooth"):
         self.ctx = ctx
         self.kind = kind
         if kind not in QUADRATIC_KINDS:
             raise ValueError(kind)
         if kind == "cutoff":
-            if chi is None:
-                g = ctx.geo.grid
-                chi = 1.0 + 0.5 * np.sin(2 * np.pi * g.X / g.Lx) \
-                    * np.sin(np.pi * g.Y / g.Ly)
-            self.chi = np.asarray(chi)
+            g = ctx.geo.grid
+            self.chi = 1.0 + 0.5 * np.sin(2 * np.pi * g.X / g.Lx) \
+                * np.sin(np.pi * g.Y / g.Ly)
 
     def apply_kernel(self, u: VectorField) -> VectorField:
         ctx = self.ctx
@@ -185,18 +170,16 @@ class ProductObservable(Observable):
 def bracket(ctx: PoissonContext, f: Observable, g: Observable,
             u: VectorField) -> float:
     """{f, g}(u) = <u, [dg(u), df(u)]>_1."""
-    lie = ca.jacobi_lie_bracket(ctx.metric, g.diff(u), f.diff(u),
-                                form="coordinate")
+    lie = ca.jacobi_lie_bracket(ctx.metric, g.diff(u), f.diff(u))
     return ctx.inner1(u, lie)
 
 
 def _transported_argument(ctx: PoissonContext, df: VectorField,
                           u: VectorField) -> VectorField:
     """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime."""
-    m = ctx.metric
-    adv = dy.transport(ctx.op, ca.nabla_along(m, df, u), ctx.bc)
-    part = ctx.sp.project(adv + dy.d_alpha(m, ctx.op, df, u, ctx.bc))
-    return part + dy.b_alpha(m, ctx.op, ctx.sp, u, df, ctx.bc)
+    adv = dy.transport(ctx, ca.nabla_along(ctx.metric, df, u))
+    part = ctx.sp.project(adv + dy.d_alpha(ctx, df, u))
+    return part + dy.b_alpha(ctx, u, df)
 
 
 def delta_bracket(ctx: PoissonContext, f: Observable, g: Observable,
@@ -215,8 +198,7 @@ def _double_bracket(ctx: PoissonContext, a: Observable, b: Observable,
                     c: Observable, u: VectorField) -> float:
     """{a, {b, c}}(u) with the inner derivative taken in closed form."""
     inner_delta = delta_bracket(ctx, b, c, u)
-    lie = ca.jacobi_lie_bracket(ctx.metric, inner_delta, a.diff(u),
-                                form="coordinate")
+    lie = ca.jacobi_lie_bracket(ctx.metric, inner_delta, a.diff(u))
     return ctx.inner1(u, lie)
 
 
@@ -239,7 +221,7 @@ def jacobi_residual(ctx: PoissonContext, f: Observable, g: Observable,
 
 def _require_same_system(problem: dy.LaeProblem, ctx: PoissonContext):
     """Raise ValueError unless problem and ctx share geometry, alpha and regime."""
-    if not (problem.geo is ctx.geo and problem.op.alpha == ctx.alpha
+    if not (problem.geo is ctx.geo and problem.alpha == ctx.alpha
             and problem.bc == ctx.bc):
         raise ValueError("problem and context differ in geometry, alpha or "
                          "boundary regime")
@@ -270,8 +252,7 @@ def hamilton_check(problem: dy.LaeProblem, ctx: PoissonContext, f: Observable,
 # material-side functional derivatives
 # ---------------------------------------------------------------------------
 
-def vertical_fd(ctx: PoissonContext, f: Observable,
-                ms: mt.MaterialState) -> VectorField:
+def vertical_fd(f: Observable, ms: mt.MaterialState) -> VectorField:
     """Vertical derivative of f o pi_R: right-translate df back to eta."""
     u = mt.pi_r(ms)
     return mt.compose_with_map(f.diff(u), ms.eta)
@@ -280,13 +261,10 @@ def vertical_fd(ctx: PoissonContext, f: Observable,
 def horizontal_fd(ctx: PoissonContext, f: Observable,
                   ms: mt.MaterialState) -> VectorField:
     """Horizontal derivative of f o pi_R via the duality operators."""
-    m = ctx.metric
     u = mt.pi_r(ms)
     df = f.diff(u)
-    hor = (dy.b_alpha(m, ctx.op, ctx.sp, u, df, ctx.bc)
-           - dy.b_alpha(m, ctx.op, ctx.sp, df, u, ctx.bc)
-           + ctx.sp.project(dy.d_alpha(m, ctx.op, df, u, ctx.bc)
-                            - dy.d_alpha(m, ctx.op, u, df, ctx.bc))) * 0.5
+    hor = (dy.b_alpha(ctx, u, df) - dy.b_alpha(ctx, df, u)
+           + ctx.sp.project(dy.d_alpha(ctx, df, u) - dy.d_alpha(ctx, u, df))) * 0.5
     return mt.compose_with_map(hor, ms.eta)
 
 
@@ -300,8 +278,8 @@ def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
         b = mt.pi_r(mt.MaterialState(ms.eta, b_eta))
         return ctx.inner1(a, b)
 
-    lhs = (g1_pair(horizontal_fd(ctx, f, ms), vertical_fd(ctx, g, ms))
-           - g1_pair(vertical_fd(ctx, f, ms), horizontal_fd(ctx, g, ms)))
+    lhs = (g1_pair(horizontal_fd(ctx, f, ms), vertical_fd(g, ms))
+           - g1_pair(vertical_fd(f, ms), horizontal_fd(ctx, g, ms)))
     rhs = bracket(ctx, f, g, u)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs) / scale}
@@ -311,8 +289,9 @@ def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
 # the flow as a Poisson map
 # ---------------------------------------------------------------------------
 
-def constrained_basis(ctx: PoissonContext, max_dim: int = 2048) -> np.ndarray:
-    """Dense basis (2n, d) of the discrete constrained subspace."""
+def constrained_basis(ctx: PoissonContext) -> np.ndarray:
+    """Dense basis (2n, d) of the discrete constrained subspace;
+    ValueError if d exceeds FLOW_CHECK_MAX_DIM."""
     rows = [ctx.sp.D.toarray()]
     A, bc_idx = ctx.op.matrix(ctx.bc)
     if bc_idx.size:
@@ -323,8 +302,9 @@ def constrained_basis(ctx: PoissonContext, max_dim: int = 2048) -> np.ndarray:
     tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol))
     B = vt[rank:].T
-    if B.shape[1] > max_dim:
-        raise ValueError(f"subspace dimension {B.shape[1]} exceeds cap {max_dim}")
+    if B.shape[1] > FLOW_CHECK_MAX_DIM:
+        raise ValueError(f"subspace dimension {B.shape[1]} exceeds cap "
+                         f"{FLOW_CHECK_MAX_DIM}")
     return B
 
 
@@ -334,9 +314,8 @@ def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorFi
     v may be a batch of tangent directions; u is the one base state.
     """
     m = ctx.metric
-    adv = dy.transport(ctx.op, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
-                       ctx.bc)
-    return -ctx.sp.project(adv + dy.frak_f_alpha(m, ctx.op, u, v, ctx.bc) * 2.0)
+    adv = dy.transport(ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v))
+    return -ctx.sp.project(adv + dy.frak_f_alpha(ctx, u, v) * 2.0)
 
 
 # values per batched tangent block, (directions x 2n): the batched march's
@@ -354,7 +333,7 @@ def _direction_blocks(d: int, n2: int) -> list:
 
 def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
                        f: Observable, g: Observable, u0: VectorField,
-                       t: float, max_dim: int = 2048) -> dict:
+                       t: float) -> dict:
     """Verify that the time-t flow preserves the bracket.
 
     Marches the base state and the tangent flow of the basis directions of
@@ -372,7 +351,7 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
     march = dy.INTEGRATORS[problem.cfg.integrator]
     grid = ctx.geo.grid
     m = ctx.metric
-    B = constrained_basis(ctx, max_dim)
+    B = constrained_basis(ctx)
     d = B.shape[1]
 
     def f_rhs(y):
@@ -399,7 +378,7 @@ def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
 
     dfF = pullback_derivative(f)
     dgF = pullback_derivative(g)
-    lie = ca.jacobi_lie_bracket(m, dgF, dfF, form="coordinate")
+    lie = ca.jacobi_lie_bracket(m, dgF, dfF)
     lhs = ctx.inner1(u0, lie)
     rhs = bracket(ctx, f, g, uT)
     scale = max(abs(lhs), abs(rhs), 1e-300)

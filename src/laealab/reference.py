@@ -12,6 +12,10 @@ production operators so that agreement is evidence, not tautology:
   same centered stencils.
 * Curvature traces by explicit summation over the orthonormal frame
   e_i = e^{-phi} d_i instead of the closed-form contractions.
+* The Jacobi-Lie bracket through covariant derivatives, Christoffel terms
+  and all, against the coordinate form.
+* The polarization FFop of the quadratic operator from three evaluations of
+  Fop, against the closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import covariant_derivative, g_pair, nabla_along
+from .dynamics import System, f_alpha
 from .fields import ScalarField, Tensor11Field, VectorField
 from .geometry import ConformalMetric
 from .grid import Grid
@@ -215,3 +220,17 @@ def gamma0_pointwise(m: ConformalMetric, u: VectorField, v: VectorField) -> Vect
         out.append(g[k, 0, 0] * u1 * v1 + g[k, 0, 1] * u1 * v2
                    + g[k, 1, 0] * u2 * v1 + g[k, 1, 1] * u2 * v2)
     return VectorField.from_arrays(m.grid, out[0], out[1])
+
+
+# ---------------------------------------------------------------------------
+# covariant Jacobi-Lie bracket, polarization of the quadratic operator
+# ---------------------------------------------------------------------------
+
+def covariant_lie_bracket(m: ConformalMetric, u: VectorField, v: VectorField) -> VectorField:
+    """[u, v] = grad_u v - grad_v u with covariant derivatives."""
+    return nabla_along(m, u, v) - nabla_along(m, v, u)
+
+
+def polarized_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
+    """FFop(u, v) = (Fop(u + v) - Fop(u) - Fop(v)) / 2."""
+    return (f_alpha(s, u + v) - f_alpha(s, u) - f_alpha(s, v)) * 0.5

@@ -27,7 +27,7 @@ from . import dynamics as dy
 from . import material as mt
 from . import poisson as po
 from .config import ExperimentConfig
-from .elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
+from .elliptic import BcRegime, l_alpha
 from .fields import VectorField
 from .geometry import DomainSpec, build_geometry
 from .manifest import (RunManifest, bool_result, max_result, order_result,
@@ -83,18 +83,9 @@ def _geo(geos: dict, spec, n, phi, ny=None):
     return geos[key]
 
 
-def _machinery(geo, alpha, spec):
-    bc = BcRegime.from_domain(spec)
-    op = EllipticOperator(geo, alpha)
-    sp = StokesProjector(op, bc)
-    return op, sp, bc
-
-
-def _member(geo, op, sp, bc, seed, kmax=1, amp=0.5):
-    raw = random_vector(geo.grid, seed=seed, kmax=kmax, amp=amp)
-    if bc.has_boundary and op.alpha > 0:
-        raw = l_alpha(op, raw, bc)
-    return sp.project(raw)
+def _member(s: dy.System, seed, kmax=1, amp=0.5):
+    """The admissible field of a seeded band-limited sample."""
+    return s.admissible(random_vector(s.geo.grid, seed=seed, kmax=kmax, amp=amp))
 
 
 def _traceback_tail(e: BaseException) -> str:
@@ -154,13 +145,11 @@ def identity_ladder(run):
         for n in run.ladder:
             # no other block uses these geometries: keeping them for the
             # suite's span would only hold their factorizations
-            geo = _geo({}, spec, n, phi)
-            m = geo.metric
-            grid = geo.grid
-            op, sp, bc = _machinery(geo, alpha, spec)
+            s = dy.System(_geo({}, spec, n, phi), alpha, BcRegime.from_domain(spec))
+            geo, m, grid = s.geo, s.metric, s.geo.grid
             h = grid.h
-            u = _member(geo, op, sp, bc, seed + 1)
-            v = _member(geo, op, sp, bc, seed + 2)
+            u = _member(s, seed + 1)
+            v = _member(s, seed + 2)
             w_free = random_vector(grid, seed=seed + 3, kmax=1)
             scale = max(u.linf(), 1.0)
 
@@ -183,8 +172,8 @@ def identity_ladder(run):
                     ibp_rhs -= _boundary_integral(geo, ut, vt)
                 ibp += abs(ibp_lhs - ibp_rhs)
 
-            um = _member(geo, op, sp, bc, seed + 6)
-            vm = _member(geo, op, sp, bc, seed + 7)
+            um = _member(s, seed + 6)
+            vm = _member(s, seed + 7)
             useful = abs(ca.inner1(m, alpha, um, vm)
                          - ca.inner0(m, um - ca.l_operator(m, um) * alpha**2, vm))
 
@@ -203,9 +192,9 @@ def identity_ladder(run):
                           - ca.gradient(m, frob) * 0.5)).linf()
 
             mom = vm - ca.ricci_laplacian(m, vm) * alpha**2
-            tlhs = op.solve(ca.nabla_along(m, um, mom), bc)
-            adv = dy.transport(op, ca.nabla_along(m, um, vm), bc)
-            transport = (tlhs - (adv + dy.d_alpha(m, op, um, vm, bc))).linf()
+            tlhs = s.op.solve(ca.nabla_along(m, um, mom), s.bc)
+            adv = dy.transport(s, ca.nabla_along(m, um, vm))
+            transport = (tlhs - (adv + dy.d_alpha(s, um, vm))).linf()
 
             for name, val in (("weitzenboeck", weitz / scale),
                               ("div_of_transport", divnab / scale),
@@ -245,10 +234,9 @@ def flat_curvature_exact_zero(run):
 def helmholtz_round_trip(run):
     """inverse composed with operator is the identity on the subspace"""
     geo = _geo(run.geos, MIXED, run.ladder[min(1, len(run.ladder) - 1)], PHI_C)
-    op, sp, bc = _machinery(geo, run.alpha, MIXED)
-    u = l_alpha(op, random_vector(geo.grid, seed=run.seed + 11, kmax=2), bc)
-    rt = (op.solve(op.apply(u), bc) - u).linf() \
-        / max(u.linf(), 1e-300)
+    s = dy.System(geo, run.alpha, BcRegime.from_domain(MIXED))
+    u = l_alpha(s.op, random_vector(geo.grid, seed=run.seed + 11, kmax=2), s.bc)
+    rt = (s.op.solve(s.op.apply(u), s.bc) - u).linf() / max(u.linf(), 1e-300)
     yield max_result("helmholtz_round_trip",
                      "inverse composed with operator is the identity on the subspace",
                      rt, 1e-10)
@@ -265,8 +253,8 @@ def manufactured_solution(run):
         r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
         ustar = VectorField.from_arrays(
             g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)
-        op, sp, bc = _machinery(geo, run.alpha, MIXED)
-        sol = op.solve(op.apply(ustar), bc)
+        s = dy.System(geo, run.alpha, BcRegime.from_domain(MIXED))
+        sol = s.op.solve(s.op.apply(ustar), s.bc)
         hs.append(g.h)
         errs.append((sol - ustar).linf() / ustar.linf())
     yield order_result("manufactured_solution",
@@ -279,18 +267,15 @@ def projector_contracts(run):
     """projection contracts at the solver level"""
     seed, alpha = run.seed, run.alpha
     geo = _geo(run.geos, TORUS, max(run.ladder), phi_flat)
-    m = geo.metric
-    op, sp, bc = _machinery(geo, alpha, TORUS)
+    s = dy.System(geo, alpha, BcRegime.from_domain(TORUS))
     v = random_vector(geo.grid, seed=seed + 12, kmax=2)
     w = random_vector(geo.grid, seed=seed + 13, kmax=2)
-    pv = sp.project(v)
-    pw = sp.project(w)
-    idem = (sp.project(pv) - pv).linf() / max(pv.linf(), 1e-300)
-    ortho = abs(ca.inner1(m, alpha, pv, v - pv)) / (
-        np.sqrt(ca.inner1(m, alpha, pv, pv))
-        * np.sqrt(ca.inner1(m, alpha, v - pv, v - pv)) + 1e-300)
-    sa = abs(ca.inner1(m, alpha, pv, w) - ca.inner1(m, alpha, v, pw)) / (
-        abs(ca.inner1(m, alpha, pv, w)) + 1e-300)
+    pv = s.sp.project(v)
+    pw = s.sp.project(w)
+    idem = (s.sp.project(pv) - pv).linf() / max(pv.linf(), 1e-300)
+    ortho = abs(s.inner1(pv, v - pv)) / (
+        np.sqrt(s.inner1(pv, pv)) * np.sqrt(s.inner1(v - pv, v - pv)) + 1e-300)
+    sa = abs(s.inner1(pv, w) - s.inner1(v, pw)) / (abs(s.inner1(pv, w)) + 1e-300)
     yield max_result("projector_idempotent",
                      "projection applied twice is itself", idem, 1e-8)
     yield max_result("projector_h1_orthogonality",
@@ -301,10 +286,10 @@ def projector_contracts(run):
 
     worst_idem = idem
     for spec in (MIXED, DIRICH, NEUM):
-        geo_c = _geo(run.geos, spec, run.ladder[0], PHI_C)
-        op_c, sp_c, bc_c = _machinery(geo_c, alpha, spec)
-        vv = _member(geo_c, op_c, sp_c, bc_c, seed + 14)
-        again = sp_c.project(vv)
+        s_c = dy.System(_geo(run.geos, spec, run.ladder[0], PHI_C), alpha,
+                        BcRegime.from_domain(spec))
+        vv = _member(s_c, seed + 14)
+        again = s_c.sp.project(vv)
         worst_idem = max(worst_idem,
                          (again - vv).linf() / max(vv.linf(), 1e-300))
     yield max_result("projector_idempotent_all_regimes",
@@ -320,8 +305,8 @@ def leray_limit(run):
     oracle = leray_fft(geo.grid, v)
     worst = 0.0
     for a in (0.0, run.alpha):
-        op_a, sp_a, bc_a = _machinery(geo, a, TORUS)
-        worst = max(worst, (sp_a.project(v) - oracle).linf()
+        s = dy.System(geo, a, BcRegime.from_domain(TORUS))
+        worst = max(worst, (s.sp.project(v) - oracle).linf()
                     / max(oracle.linf(), 1e-300))
     yield max_result("leray_limit",
                      "projector reduces to the discrete leray projector on the flat torus",
@@ -338,17 +323,15 @@ def orthogonality_defect_curved(run):
     hs, errs = [], []
     for n in run.ladder:
         geo = _geo(run.geos, MIXED, n, PHI_C)
-        m = geo.metric
-        op, sp, bc = _machinery(geo, alpha, MIXED)
+        s = dy.System(geo, alpha, BcRegime.from_domain(MIXED))
         worst = 0.0
         for s_off in (0, 1000):
-            vv = l_alpha(op, random_vector(geo.grid, seed=run.seed + 16 + s_off,
-                                           kmax=1), bc)
-            pv = sp.project(vv)
-            num = abs(ca.inner1(m, alpha, pv, vv - pv))
-            den = (np.sqrt(ca.inner1(m, alpha, pv, pv))
-                   * np.sqrt(max(ca.inner1(m, alpha, vv - pv, vv - pv), 1e-300))
-                   + 1e-300)
+            vv = l_alpha(s.op, random_vector(geo.grid, seed=run.seed + 16 + s_off,
+                                             kmax=1), s.bc)
+            pv = s.sp.project(vv)
+            num = abs(s.inner1(pv, vv - pv))
+            den = (np.sqrt(s.inner1(pv, pv))
+                   * np.sqrt(max(s.inner1(vv - pv, vv - pv), 1e-300)) + 1e-300)
             worst = max(worst, num / den)
         hs.append(geo.grid.h)
         errs.append(worst + 1e-16)
@@ -363,12 +346,12 @@ def quadratic_term_two_routes(run):
     for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
         hs, errs = [], []
         for n in run.ladder:
-            geo = _geo(run.geos, spec, n, phi)
-            op, sp, bc = _machinery(geo, run.alpha, spec)
-            u = _member(geo, op, sp, bc, run.seed + 21)
-            a = dy.f_alpha(geo.metric, op, u, bc)
-            b = dy.f_alpha_alt(geo.metric, op, u, bc)
-            hs.append(geo.grid.h)
+            s = dy.System(_geo(run.geos, spec, n, phi), run.alpha,
+                          BcRegime.from_domain(spec))
+            u = _member(s, run.seed + 21)
+            a = dy.f_alpha(s, u)
+            b = dy.f_alpha_alt(s, u)
+            hs.append(s.geo.grid.h)
             errs.append((a - b).linf() / max(a.linf(), 1e-300))
         yield order_result(f"quadratic_term_two_routes[{label}]",
                            "direct and transport-split evaluations agree",
@@ -380,13 +363,11 @@ def momentum_form_residual(run):
     """projected form solves the transported-momentum equation"""
     hs, errs = [], []
     for n in run.ladder:
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        m = geo.metric
-        op, sp, bc = _machinery(geo, run.alpha, TORUS)
-        u = sp.project(random_vector(geo.grid, seed=run.seed + 22, kmax=1, amp=0.5))
-        dudt = dy.rhs(m, op, sp, u)
-        hs.append(geo.grid.h)
-        errs.append(dy.eq2_residual(m, op, u, dudt) / max(u.linf(), 1e-300))
+        s = dy.System(_geo(run.geos, TORUS, n, PHI_T), run.alpha,
+                      BcRegime.from_domain(TORUS))
+        u = s.sp.project(random_vector(s.geo.grid, seed=run.seed + 22, kmax=1, amp=0.5))
+        hs.append(s.geo.grid.h)
+        errs.append(dy.eq2_residual(s, u, dy.rhs(s, u)) / max(u.linf(), 1e-300))
     yield order_result("momentum_form_residual",
                        "projected form solves the transported-momentum equation",
                        hs, errs, 1.4, 2.6)
@@ -403,14 +384,14 @@ def energy_drift_dt_branch(run):
     study_seed, study_alpha = 50, 0.2
     geo = _geo(run.geos, TORUS, 24, PHI_T)
     m = geo.metric
-    _, sp, bc = _machinery(geo, study_alpha, TORUS)
-    u0 = sp.project(random_vector(geo.grid, seed=study_seed, kmax=2, amp=0.7))
+    bc = BcRegime.from_domain(TORUS)
+    u0 = dy.System(geo, study_alpha, bc).sp.project(
+        random_vector(geo.grid, seed=study_seed, kmax=2, amp=0.7))
     e0 = dy.energy(m, study_alpha, u0)
     T = 0.6
 
-    def run_dt(dt, integ="rk4"):
-        c = dy.SolverConfig(alpha=study_alpha, dt=dt, t_end=T, integrator=integ,
-                            bc=bc, cfl_factor=5.0)
+    def run_dt(dt):
+        c = dy.SolverConfig(alpha=study_alpha, dt=dt, t_end=T, bc=bc, cfl_factor=5.0)
         prob = dy.LaeProblem(geo, c)
         return dy.integrate(prob, dy.State(u0.copy(), 0.0), T)
 
@@ -446,15 +427,13 @@ def energy_floor_vs_h(run):
     hs, floors = [], []
     for n in (16, 24, 32):
         geo = _geo(run.geos, TORUS, n, PHI_T)
-        op, sp, _ = _machinery(geo, run.alpha, TORUS)
+        s = dy.System(geo, run.alpha, BcRegime.from_domain(TORUS))
         worst = 0.0
         for s_off in (0, 1, 2, 3):
-            w0 = sp.project(taylor_green_like(geo.grid, amp=0.5)
-                            + random_vector(geo.grid, seed=run.seed + 23 + s_off,
-                                            kmax=2, amp=0.125))
-            r = dy.rhs(geo.metric, op, sp, w0)
-            rate = abs(ca.inner1(geo.metric, run.alpha, w0, r)) \
-                / dy.energy(geo.metric, run.alpha, w0)
+            w0 = s.sp.project(taylor_green_like(geo.grid, amp=0.5)
+                              + random_vector(geo.grid, seed=run.seed + 23 + s_off,
+                                              kmax=2, amp=0.125))
+            rate = abs(s.inner1(w0, dy.rhs(s, w0))) / dy.energy(s.metric, run.alpha, w0)
             worst = max(worst, rate)
         hs.append(geo.grid.h)
         floors.append(worst)
@@ -468,15 +447,12 @@ def energy_floor_vs_h(run):
 def alpha_sweep_to_euler(run):
     """right-hand side approaches the euler baseline"""
     geo = _geo(run.geos, TORUS, 24, PHI_T)
-    m = geo.metric
-    op0, sp0, _ = _machinery(geo, 0.0, TORUS)
-    u = sp0.project(random_vector(geo.grid, seed=run.seed + 24, kmax=1, amp=0.5))
-    base = dy.rhs(m, op0, sp0, u)
+    bc = BcRegime.from_domain(TORUS)
+    s0 = dy.System(geo, 0.0, bc)
+    u = s0.sp.project(random_vector(geo.grid, seed=run.seed + 24, kmax=1, amp=0.5))
+    base = dy.rhs(s0, u)
     alphas = (0.02, 0.01, 0.005)
-    errs = []
-    for a in alphas:
-        op_a, sp_a, _ = _machinery(geo, a, TORUS)
-        errs.append((dy.rhs(m, op_a, sp_a, u) - base).linf())
+    errs = [(dy.rhs(dy.System(geo, a, bc), u) - base).linf() for a in alphas]
     yield order_result("alpha_sweep_to_euler",
                        "right-hand side approaches the euler baseline quadratically in alpha",
                        alphas, errs, 1.7, 2.3,
@@ -582,7 +558,7 @@ def bracket_axioms(run):
     geo = _geo(run.geos, MIXED, 24, PHI_C)
     ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(MIXED))
     f, g, hq = (make(ctx) for make in run.cfg.observables())
-    u = _member(geo, ctx.op, ctx.sp, ctx.bc, run.seed + 43)
+    u = _member(ctx, run.seed + 43)
     value = po.bracket(ctx, f, g, u)
     yield max_result("bracket_antisymmetry",
                      "bracket changes sign under swapping its arguments",
@@ -607,7 +583,7 @@ def jacobi_identity(run):
             geo = _geo(run.geos, spec, n, PHI_C)
             ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(spec))
             f, g, h = (po.LinearObservable.seeded(ctx, seed + k) for k in (44, 45, 46))
-            u = _member(geo, ctx.op, ctx.sp, ctx.bc, seed + 47)
+            u = _member(ctx, seed + 47)
             residual, scale = po.jacobi_residual(ctx, f, g, h, u)
             hs.append(geo.grid.h)
             errs.append(residual / scale)
@@ -626,8 +602,8 @@ def bracket_derivative(run):
         ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(MIXED))
         f = po.LinearObservable.seeded(ctx, seed + 48)
         g = po.QuadraticObservable(ctx, "smooth")
-        u = _member(geo, ctx.op, ctx.sp, ctx.bc, seed + 49)
-        v = _member(geo, ctx.op, ctx.sp, ctx.bc, seed + 50)
+        u = _member(ctx, seed + 49)
+        v = _member(ctx, seed + 50)
         got = ctx.inner1(po.delta_bracket(ctx, f, g, u), v)
         eps = 1e-4
         fd_val = (po.bracket(ctx, f, g, u + v * eps)
@@ -655,7 +631,7 @@ def hamilton_equations(run):
                             bc=ctx.bc, cfl_factor=5.0)
         prob = dy.LaeProblem(geo, c)
         f = po.LinearObservable.seeded(ctx, run.seed + 51)
-        u0 = _member(geo, ctx.op, ctx.sp, ctx.bc, run.seed + 52)
+        u0 = _member(ctx, run.seed + 52)
         rep = po.hamilton_check(prob, ctx, f, u0, t)
         hs.append(geo.grid.h)
         errs.append(rep["relative"] + 1e-16)
@@ -681,8 +657,7 @@ def right_translation_poisson_map(run):
         ms = mt.MaterialState(mt.FlowMap.identity(geo.grid), carrier.copy())
         for _ in range(steps):
             ms = mt.spray_advance(prob, ms)
-        V = mt.compose_with_map(_member(geo, ctx.op, ctx.sp, ctx.bc,
-                                        seed + 54), ms.eta)
+        V = mt.compose_with_map(_member(ctx, seed + 54), ms.eta)
         state = mt.MaterialState(ms.eta, V)
         f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (55, 56))
         rep = po.pi_r_poisson_check(ctx, f, g, state)
@@ -701,7 +676,6 @@ def right_translation_poisson_map(run):
 def flow_poisson_map(run):
     """the time-t flow preserves the bracket"""
     seed = run.seed
-    max_dim = run.cfg.getint("poisson", "flow_check_max_dim")
     devs, hs = [], []
     for n in (12, 16):
         geo = _geo(run.geos, TORUS, n, PHI_T)
@@ -710,8 +684,8 @@ def flow_poisson_map(run):
                             bc=ctx.bc, cfl_factor=5.0)
         prob = dy.LaeProblem(geo, c)
         f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (57, 58))
-        u0 = _member(geo, ctx.op, ctx.sp, ctx.bc, seed + 59, amp=0.4)
-        rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05, max_dim=max_dim)
+        u0 = _member(ctx, seed + 59, amp=0.4)
+        rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
         hs.append(geo.grid.h)
         devs.append(rep["deviation"])
     yield max_result("flow_poisson_map_16",

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from laealab import dynamics as dy
+from laealab import snapshot
 from laealab.config import ExperimentConfig
 from laealab.elliptic import BcRegime
-from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.samples import make_phi_sinusoidal, taylor_green_like
-from laealab.snapshot import read_snapshot, write_snapshot
 from laealab.suites import run_suite
 
 RUNTIMES = {}
@@ -204,13 +203,9 @@ def test_criterion_6_determinism(tmp_path):
     u0 = prob.sp.project(taylor_green_like(geo.grid, amp=0.3))
     single = dy.integrate(prob, dy.State(u0.copy(), 0.0), 1.0)
     half = dy.integrate(prob, dy.State(u0.copy(), 0.0), 0.5)
-    snap = tmp_path / "mid.snap"
-    write_snapshot(snap, {"kind": "torus"}, 16, 16, 0.3, half.t,
-                   {"u1": half.u.c1.data, "u2": half.u.c2.data})
-    header, fields = read_snapshot(snap)
-    resumed = dy.integrate(
-        prob, dy.State(VectorField.from_arrays(geo.grid, fields["u1"],
-                                               fields["u2"]), header["t"]), 1.0)
+    snap = str(tmp_path / "mid.snap")
+    snapshot.save(prob, half, snap)
+    resumed = dy.integrate(prob, snapshot.resume(prob, snap), 1.0)
     bits = (np.array_equal(resumed.u.c1.data, single.u.c1.data)
             and np.array_equal(resumed.u.c2.data, single.u.c2.data))
     ok &= _line("determinism/snapshot_resume", bits,

@@ -3,12 +3,11 @@ import pytest
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
-from laealab.elliptic import (BcRegime, EllipticOperator, SolveError,
-                              StokesProjector, l_alpha)
+from laealab.elliptic import BcRegime, SolveError, l_alpha
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
-from laealab.reference import leray_fft
+from laealab.reference import leray_fft, polarized_f_alpha
 from laealab.samples import (eigenfield, make_phi_cosx_siny, make_phi_sinusoidal,
                              phi_flat, random_vector, taylor_green_like)
 
@@ -29,17 +28,8 @@ def channel(n, phi=PHI_C):
     return build_geometry(MIXED, n, n + 1, phi)
 
 
-def machinery(geo, alpha, bc):
-    op = EllipticOperator(geo, alpha)
-    sp = StokesProjector(op, bc)
-    return op, sp
-
-
-def divfree_sample(geo, op, sp, bc, seed, kmax=2):
-    raw = random_vector(geo.grid, seed=seed, kmax=kmax)
-    if bc.has_boundary and op.alpha > 0:
-        raw = l_alpha(op, raw, bc)
-    return sp.project(raw)
+def divfree_sample(s, seed, kmax=2):
+    return s.admissible(random_vector(s.geo.grid, seed=seed, kmax=kmax))
 
 
 def sigma(k, h):
@@ -52,25 +42,23 @@ def sigma(k, h):
 
 def test_u_alpha_zero_inputs():
     geo = torus(16, phi_flat)
-    m = geo.metric
-    op, sp = machinery(geo, 0.3, BC_T)
-    assert dy.u_alpha(m, op, VectorField.zeros(geo.grid), BC_T).linf() == 0.0
-    op0 = EllipticOperator(geo, 0.0)
+    s = dy.System(geo, 0.3, BC_T)
+    assert dy.u_alpha(s, VectorField.zeros(geo.grid)).linf() == 0.0
     u = random_vector(geo.grid, seed=1)
-    assert dy.u_alpha(m, op0, u, BC_T).linf() == 0.0
+    assert dy.u_alpha(dy.System(geo, 0.0, BC_T), u).linf() == 0.0
 
 
 def test_u_alpha_flat_shear_symbol():
     geo = torus(32, phi_flat)
-    g, m = geo.grid, geo.metric
+    g = geo.grid
     alpha = 0.35
-    op, sp = machinery(geo, alpha, BC_T)
+    s = dy.System(geo, alpha, BC_T)
     A = 0.8
     u = eigenfield(g, amp=A)
     s1 = sigma(2 * np.pi, g.hy)
     s2 = sigma(4 * np.pi, g.hy)
     what = alpha**2 * A**2 * s1**2 * s2 / 2.0 / (1 + 2 * alpha**2 * s2**2)
-    got = dy.u_alpha(m, op, u, BC_T)
+    got = dy.u_alpha(s, u)
     want2 = what * np.sin(4 * np.pi * g.Y)
     assert np.max(np.abs(got.c2.data - want2)) < 1e-10 * max(abs(what), 1e-10)
     assert np.max(np.abs(got.c1.data)) < 1e-12
@@ -82,27 +70,23 @@ def test_u_alpha_flat_shear_symbol():
 
 def test_r_alpha_flat_exactly_zero_and_alpha_zero():
     geo = torus(16, phi_flat)
-    m = geo.metric
-    op, _ = machinery(geo, 0.3, BC_T)
     u = random_vector(geo.grid, seed=2)
-    assert dy.r_alpha(m, op, u, BC_T).linf() == 0.0
-    geo_c = torus(16)
-    op0 = EllipticOperator(geo_c, 0.0)
-    assert dy.r_alpha(geo_c.metric, op0, u, BC_T).linf() == 0.0
+    assert dy.r_alpha(dy.System(geo, 0.3, BC_T), u).linf() == 0.0
+    assert dy.r_alpha(dy.System(torus(16), 0.0, BC_T), u).linf() == 0.0
 
 
 def test_r_alpha_matches_termwise_assembly():
     geo = torus(24)
     m = geo.metric
     alpha = 0.3
-    op, _ = machinery(geo, alpha, BC_T)
+    s = dy.System(geo, alpha, BC_T)
     u = random_vector(geo.grid, seed=3, kmax=2)
-    got = dy.r_alpha(m, op, u, BC_T)
+    got = dy.r_alpha(s, u)
     cc = ca.curvature_contractions(m, u, u)
     du = ca.covariant_derivative(m, u)
     dut = ca.transpose_metric(m, du)
     inner = (cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
-    ref = op.solve(inner * alpha**2, BC_T)
+    ref = s.op.solve(inner * alpha**2, BC_T)
     assert (got - ref).linf() < 1e-12 * max(ref.linf(), 1e-12)
 
 
@@ -112,13 +96,13 @@ def test_f_alpha_flat_shear_both_paths_discrete_symbols():
     hs, e_main, e_alt, e_cross = [], [], [], []
     for n in (16, 32, 64):
         geo = torus(n, phi_flat)
-        g, m = geo.grid, geo.metric
-        op, _ = machinery(geo, alpha, BC_T)
+        g = geo.grid
+        s = dy.System(geo, alpha, BC_T)
         u = eigenfield(g, amp=A)
         s1, s2 = sigma(2 * np.pi, g.hy), sigma(4 * np.pi, g.hy)
         den = 1 + 2 * alpha**2 * s2**2
-        main = dy.f_alpha(m, op, u, BC_T)
-        alt = dy.f_alpha_alt(m, op, u, BC_T)
+        main = dy.f_alpha(s, u)
+        alt = dy.f_alpha_alt(s, u)
         w_main = alpha**2 * A**2 * s1**2 * s2 / 2.0 / den
         w_alt = alpha**2 * A**2 * (s1**2 * s2 / 4.0 + s1**3 / 2.0) / den
         assert np.max(np.abs(main.c2.data - w_main * np.sin(4 * np.pi * g.Y))) < 1e-10
@@ -129,11 +113,10 @@ def test_f_alpha_flat_shear_both_paths_discrete_symbols():
 
 
 def test_f_alpha_zero_field():
-    geo = channel(16)
-    op, _ = machinery(geo, 0.3, BC_M)
-    z = VectorField.zeros(geo.grid)
-    assert dy.f_alpha(geo.metric, op, z, BC_M).linf() == 0.0
-    assert dy.f_alpha_alt(geo.metric, op, z, BC_M).linf() == 0.0
+    s = dy.System(channel(16), 0.3, BC_M)
+    z = VectorField.zeros(s.geo.grid)
+    assert dy.f_alpha(s, z).linf() == 0.0
+    assert dy.f_alpha_alt(s, z).linf() == 0.0
 
 
 @pytest.mark.parametrize("case", ["torus", "channel"])
@@ -143,10 +126,10 @@ def test_f_alpha_cross_validation_converges(case):
     for n in (16, 32, 64):
         geo = torus(n) if case == "torus" else channel(n)
         bc = BC_T if case == "torus" else BC_M
-        op, sp = machinery(geo, alpha, bc)
-        u = divfree_sample(geo, op, sp, bc, seed=5, kmax=1)
-        a = dy.f_alpha(geo.metric, op, u, bc)
-        b = dy.f_alpha_alt(geo.metric, op, u, bc)
+        s = dy.System(geo, alpha, bc)
+        u = divfree_sample(s, seed=5, kmax=1)
+        a = dy.f_alpha(s, u)
+        b = dy.f_alpha_alt(s, u)
         hs.append(geo.grid.h)
         errs.append((a - b).linf() / max(a.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
@@ -158,12 +141,11 @@ def test_f_alpha_cross_validation_converges(case):
 
 def test_d_alpha_bilinear_scaling_exact():
     geo = torus(20)
-    m = geo.metric
-    op, _ = machinery(geo, 0.3, BC_T)
+    s = dy.System(geo, 0.3, BC_T)
     u = random_vector(geo.grid, seed=6)
     v = random_vector(geo.grid, seed=7)
-    a = dy.d_alpha(m, op, u * 2.0, v, BC_T)
-    b = dy.d_alpha(m, op, u, v, BC_T) * 2.0
+    a = dy.d_alpha(s, u * 2.0, v)
+    b = dy.d_alpha(s, u, v) * 2.0
     assert (a - b).linf() < 1e-11 * max(b.linf(), 1e-12)
 
 
@@ -177,13 +159,13 @@ def test_transport_identity_for_d_alpha(case):
         geo = torus(n) if case == "torus" else channel(n)
         m = geo.metric
         bc = BC_T if case == "torus" else BC_M
-        op, sp = machinery(geo, alpha, bc)
-        u = divfree_sample(geo, op, sp, bc, seed=8, kmax=1)
-        v = divfree_sample(geo, op, sp, bc, seed=9, kmax=1)
+        s = dy.System(geo, alpha, bc)
+        u = divfree_sample(s, seed=8, kmax=1)
+        v = divfree_sample(s, seed=9, kmax=1)
         mom = v - ca.ricci_laplacian(m, v) * alpha**2
-        lhs = op.solve(ca.nabla_along(m, u, mom), bc)
-        adv = dy.transport(op, ca.nabla_along(m, u, v), bc)
-        rhs = adv + dy.d_alpha(m, op, u, v, bc)
+        lhs = s.op.solve(ca.nabla_along(m, u, mom), bc)
+        adv = dy.transport(s, ca.nabla_along(m, u, v))
+        rhs = adv + dy.d_alpha(s, u, v)
         hs.append(geo.grid.h)
         errs.append((lhs - rhs).linf() / max(lhs.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
@@ -191,9 +173,8 @@ def test_transport_identity_for_d_alpha(case):
 
 def test_b_alpha_zero_w():
     geo = torus(16)
-    op, sp = machinery(geo, 0.3, BC_T)
     v = random_vector(geo.grid, seed=10)
-    out = dy.b_alpha(geo.metric, op, sp, v, VectorField.zeros(geo.grid), BC_T)
+    out = dy.b_alpha(dy.System(geo, 0.3, BC_T), v, VectorField.zeros(geo.grid))
     assert out.linf() < 1e-12
 
 
@@ -204,13 +185,13 @@ def test_b_alpha_duality():
     for n in (16, 32, 64):
         geo = torus(n)
         m = geo.metric
-        op, sp = machinery(geo, alpha, BC_T)
-        u = divfree_sample(geo, op, sp, BC_T, seed=11, kmax=1)
-        v = divfree_sample(geo, op, sp, BC_T, seed=12, kmax=1)
+        s = dy.System(geo, alpha, BC_T)
+        u = divfree_sample(s, seed=11, kmax=1)
+        v = divfree_sample(s, seed=12, kmax=1)
         w = random_vector(geo.grid, seed=13, kmax=1)
         mom = v - ca.ricci_laplacian(m, v) * alpha**2
         lhs = ca.inner0(m, mom, ca.nabla_along(m, u, w))
-        rhs = ca.inner1(m, alpha, dy.b_alpha(m, op, sp, v, w, BC_T), u)
+        rhs = ca.inner1(m, alpha, dy.b_alpha(s, v, w), u)
         hs.append(geo.grid.h)
         errs.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
@@ -219,11 +200,9 @@ def test_b_alpha_duality():
 def test_b_alpha_alpha_zero_is_leray_of_transposed_transport():
     geo = torus(24, phi_flat)
     m = geo.metric
-    op0 = EllipticOperator(geo, 0.0)
-    sp0 = StokesProjector(op0, BC_T)
     v = random_vector(geo.grid, seed=14)
     w = random_vector(geo.grid, seed=15)
-    got = dy.b_alpha(m, op0, sp0, v, w, BC_T)
+    got = dy.b_alpha(dy.System(geo, 0.0, BC_T), v, w)
     dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
     want = leray_fft(geo.grid, dwt.apply(v))
     assert (got - want).linf() < 1e-8 * max(want.linf(), 1.0)
@@ -231,42 +210,38 @@ def test_b_alpha_alpha_zero_is_leray_of_transposed_transport():
 
 def test_frak_f_symmetry_and_degeneracies():
     geo = torus(20)
-    m = geo.metric
-    op, _ = machinery(geo, 0.3, BC_T)
+    s = dy.System(geo, 0.3, BC_T)
     u = random_vector(geo.grid, seed=16)
     v = random_vector(geo.grid, seed=17)
     z = VectorField.zeros(geo.grid)
-    a = dy.frak_f_alpha(m, op, u, v, BC_T)
-    b = dy.frak_f_alpha(m, op, v, u, BC_T)
+    a = dy.frak_f_alpha(s, u, v)
+    b = dy.frak_f_alpha(s, v, u)
     assert (a - b).linf() < 1e-11 * max(a.linf(), 1e-12)
-    assert dy.frak_f_alpha(m, op, u, z, BC_T).linf() < 1e-11 * max(a.linf(), 1e-12)
+    assert dy.frak_f_alpha(s, u, z).linf() < 1e-11 * max(a.linf(), 1e-12)
 
 
 def test_frak_f_quadratic_diagonal_and_polarization_route():
     alpha = 0.3
     hs, e_diag, e_routes = [], [], []
     for n in (16, 32, 64):
-        geo = torus(n)
-        m = geo.metric
-        op, _ = machinery(geo, alpha, BC_T)
-        u = random_vector(geo.grid, seed=18, kmax=1)
-        v = random_vector(geo.grid, seed=19, kmax=1)
-        closed = dy.frak_f_alpha(m, op, u, v, BC_T, via="closed")
-        polar = dy.frak_f_alpha(m, op, u, v, BC_T, via="polarization")
-        diag = dy.frak_f_alpha(m, op, u, u, BC_T, via="closed")
-        fa = dy.f_alpha(m, op, u, BC_T)
-        hs.append(geo.grid.h)
+        s = dy.System(torus(n), alpha, BC_T)
+        u = random_vector(s.geo.grid, seed=18, kmax=1)
+        v = random_vector(s.geo.grid, seed=19, kmax=1)
+        closed = dy.frak_f_alpha(s, u, v)
+        polar = polarized_f_alpha(s, u, v)
+        diag = dy.frak_f_alpha(s, u, u)
+        fa = dy.f_alpha(s, u)
+        hs.append(s.geo.grid.h)
         e_routes.append((closed - polar).linf() / max(closed.linf(), 1e-300))
         e_diag.append((diag - fa).linf() / max(fa.linf(), 1e-300))
     # the polarization of a quadratic map recovers the map on the diagonal
     assert 1.4 < fit_order(hs, e_diag) < 2.8, e_diag
     assert 1.4 < fit_order(hs, e_routes) < 2.8, e_routes
     # and the polarization route is exactly quadratic: FF(u,u) == F(u)
-    geo = torus(24)
-    op, _ = machinery(geo, alpha, BC_T)
-    u = random_vector(geo.grid, seed=20)
-    pf = dy.frak_f_alpha(geo.metric, op, u, u, BC_T, via="polarization")
-    fa = dy.f_alpha(geo.metric, op, u, BC_T)
+    s = dy.System(torus(24), alpha, BC_T)
+    u = random_vector(s.geo.grid, seed=20)
+    pf = polarized_f_alpha(s, u, u)
+    fa = dy.f_alpha(s, u)
     assert (pf - fa).linf() < 1e-9 * max(fa.linf(), 1e-12)
 
 
@@ -275,40 +250,33 @@ def test_frak_f_quadratic_diagonal_and_polarization_route():
 # ---------------------------------------------------------------------------
 
 def test_rhs_zero_field():
-    geo = channel(16)
-    op, sp = machinery(geo, 0.3, BC_M)
-    z = VectorField.zeros(geo.grid)
-    assert dy.rhs(geo.metric, op, sp, z).linf() < 1e-14
+    s = dy.System(channel(16), 0.3, BC_M)
+    assert dy.rhs(s, VectorField.zeros(s.geo.grid)).linf() < 1e-14
 
 
 def test_rhs_eigenfield_is_steady_flat_torus():
-    geo = torus(32, phi_flat)
-    op, sp = machinery(geo, 0.35, BC_T)
-    u = eigenfield(geo.grid, amp=0.8)
-    r = dy.rhs(geo.metric, op, sp, u)
+    s = dy.System(torus(32, phi_flat), 0.35, BC_T)
+    r = dy.rhs(s, eigenfield(s.geo.grid, amp=0.8))
     assert r.linf() < 1e-9
 
 
 def test_rhs_quadratic_homogeneity_flat():
-    geo = torus(24, phi_flat)
-    op, sp = machinery(geo, 0.3, BC_T)
-    u = sp.project(random_vector(geo.grid, seed=21))
+    s = dy.System(torus(24, phi_flat), 0.3, BC_T)
+    u = s.sp.project(random_vector(s.geo.grid, seed=21))
     lam = 1.7
-    a = dy.rhs(geo.metric, op, sp, u * lam)
-    b = dy.rhs(geo.metric, op, sp, u) * lam**2
+    a = dy.rhs(s, u * lam)
+    b = dy.rhs(s, u) * lam**2
     assert (a - b).linf() < 1e-9 * max(b.linf(), 1e-12)
 
 
 def test_rhs_variants_coincide_on_torus():
-    geo = torus(24)
-    op, sp = machinery(geo, 0.3, BC_T)
-    u = sp.project(random_vector(geo.grid, seed=22))
-    m = geo.metric
-    a = dy.rhs(m, op, sp, u)
+    s = dy.System(torus(24), 0.3, BC_T)
+    u = s.sp.project(random_vector(s.geo.grid, seed=22))
+    a = dy.rhs(s, u)
     # the NoBoundary regime takes the plain transport; the La composite
     # applied by hand must agree at solver level
-    la = l_alpha(op, ca.nabla_along(m, u, u), BC_T)
-    b = -sp.project(la + dy.f_alpha(m, op, u, BC_T))
+    la = l_alpha(s.op, ca.nabla_along(s.metric, u, u), BC_T)
+    b = -s.sp.project(la + dy.f_alpha(s, u))
     assert (a - b).linf() < 1e-8 * max(a.linf(), 1e-12)
 
 
@@ -318,20 +286,17 @@ def test_rhs_at_alpha_zero_is_euler(case):
     # one right-hand side is the Euler baseline -P0(grad_u u) to the bit
     geo = torus(24) if case == "torus" else channel(24)
     bc = BC_T if case == "torus" else BC_M
-    m = geo.metric
-    op0, sp0 = machinery(geo, 0.0, bc)
-    u = sp0.project(random_vector(geo.grid, seed=28, kmax=1))
-    euler = -sp0.project(ca.nabla_along(m, u, u))
-    assert np.array_equal(dy.rhs(m, op0, sp0, u).flat(), euler.flat())
+    s0 = dy.System(geo, 0.0, bc)
+    u = s0.sp.project(random_vector(geo.grid, seed=28, kmax=1))
+    euler = -s0.sp.project(ca.nabla_along(geo.metric, u, u))
+    assert np.array_equal(dy.rhs(s0, u).flat(), euler.flat())
 
 
 def test_rhs_outputs_live_in_the_constraint_space():
-    geo = channel(24)
-    m = geo.metric
-    op, sp = machinery(geo, 0.3, BC_M)
-    u = sp.project(l_alpha(op, random_vector(geo.grid, seed=23), BC_M))
-    r = dy.rhs(m, op, sp, u)
-    assert ca.divergence(m, r).linf() < 1e-9 * max(r.linf(), 1e-12)
+    s = dy.System(channel(24), 0.3, BC_M)
+    u = s.sp.project(l_alpha(s.op, random_vector(s.geo.grid, seed=23), BC_M))
+    r = dy.rhs(s, u)
+    assert ca.divergence(s.metric, r).linf() < 1e-9 * max(r.linf(), 1e-12)
     assert np.max(np.abs(r.c1.data[:, 0])) < 1e-10   # dirichlet wall
     assert np.max(np.abs(r.c2.data[:, 0])) < 1e-10
     assert np.max(np.abs(r.c2.data[:, -1])) < 1e-10  # tangency at neumann wall
@@ -339,16 +304,11 @@ def test_rhs_outputs_live_in_the_constraint_space():
 
 def test_alpha_sweep_rhs_approaches_euler_quadratically():
     geo = torus(24)
-    m = geo.metric
-    op0 = EllipticOperator(geo, 0.0)
-    sp0 = StokesProjector(op0, BC_T)
-    u = sp0.project(random_vector(geo.grid, seed=24, kmax=1))
-    base = dy.rhs(m, op0, sp0, u)
+    s0 = dy.System(geo, 0.0, BC_T)
+    u = s0.sp.project(random_vector(geo.grid, seed=24, kmax=1))
+    base = dy.rhs(s0, u)
     alphas = (0.02, 0.01, 0.005)
-    errs = []
-    for a in alphas:
-        op, sp = machinery(geo, a, BC_T)
-        errs.append((dy.rhs(m, op, sp, u) - base).linf())
+    errs = [(dy.rhs(dy.System(geo, a, BC_T), u) - base).linf() for a in alphas]
     order = fit_order(alphas, errs)
     assert 1.7 < order < 2.3, (errs, order)
 
@@ -358,45 +318,37 @@ def test_alpha_sweep_rhs_approaches_euler_quadratically():
 # ---------------------------------------------------------------------------
 
 def test_eq2_residual_zero_state():
-    geo = torus(16)
-    op = EllipticOperator(geo, 0.3)
-    z = VectorField.zeros(geo.grid)
-    assert dy.eq2_residual(geo.metric, op, z, z) == 0.0
+    s = dy.System(torus(16), 0.3, BC_T)
+    z = VectorField.zeros(s.geo.grid)
+    assert dy.eq2_residual(s, z, z) == 0.0
 
 
 def test_eq2_residual_on_produced_rhs_converges():
     alpha = 0.3
     hs, errs = [], []
     for n in (16, 32, 64):
-        geo = torus(n)
-        m = geo.metric
-        op, sp = machinery(geo, alpha, BC_T)
-        u = sp.project(random_vector(geo.grid, seed=25, kmax=1))
-        dudt = dy.rhs(m, op, sp, u)
-        hs.append(geo.grid.h)
-        errs.append(dy.eq2_residual(m, op, u, dudt) / max(u.linf(), 1e-300))
+        s = dy.System(torus(n), alpha, BC_T)
+        u = s.sp.project(random_vector(s.geo.grid, seed=25, kmax=1))
+        hs.append(s.geo.grid.h)
+        errs.append(dy.eq2_residual(s, u, dy.rhs(s, u)) / max(u.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
 
 
 def test_eq2_residual_negative_control():
-    geo = torus(32)
-    m = geo.metric
-    alpha = 0.3
-    op, sp = machinery(geo, alpha, BC_T)
-    u = sp.project(random_vector(geo.grid, seed=26, kmax=2))
-    dudt = dy.rhs(m, op, sp, u)
-    good = dy.eq2_residual(m, op, u, dudt)
-    bad = dy.eq2_residual(m, op, u, VectorField.zeros(geo.grid))
+    s = dy.System(torus(32), 0.3, BC_T)
+    u = s.sp.project(random_vector(s.geo.grid, seed=26, kmax=2))
+    good = dy.eq2_residual(s, u, dy.rhs(s, u))
+    bad = dy.eq2_residual(s, u, VectorField.zeros(s.geo.grid))
     assert bad > 10 * good
 
 
 def test_eq2_residual_refuses_a_channel():
     # on a channel the alpha = 0 projector keeps its wall rows, so it does
     # more than remove the gradient part
-    geo = build_geometry(MIXED, 12, 13, PHI_C)
-    z = VectorField.zeros(geo.grid)
+    s = dy.System(build_geometry(MIXED, 12, 13, PHI_C), 0.3, BC_M)
+    z = VectorField.zeros(s.geo.grid)
     with pytest.raises(ValueError, match="torus"):
-        dy.eq2_residual(geo.metric, EllipticOperator(geo, 0.3), z, z)
+        dy.eq2_residual(s, z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +419,8 @@ def test_energy_drift_fourth_order_in_dt():
     # the branch, which must decay at fourth order
     geo = torus(24)
     alpha = 0.2
-    op, sp = machinery(geo, alpha, BC_T)
-    u0 = sp.project(random_vector(geo.grid, seed=28, kmax=2, amp=0.6))
+    u0 = dy.System(geo, alpha, BC_T).sp.project(
+        random_vector(geo.grid, seed=28, kmax=2, amp=0.6))
     e0 = dy.energy(geo.metric, alpha, u0)
     T = 0.6
     ref = run_to(geo, alpha, u0, T / 480, T)
@@ -485,9 +437,9 @@ def test_energy_drift_floor_decreases_with_h():
     floors, hs = [], []
     for n in (16, 24, 32):
         geo = torus(n)
-        op, sp = machinery(geo, alpha, BC_T)
-        u0 = sp.project(taylor_green_like(geo.grid, amp=0.4)
-                        + random_vector(geo.grid, seed=28, kmax=2, amp=0.1))
+        raw = (taylor_green_like(geo.grid, amp=0.4)
+               + random_vector(geo.grid, seed=28, kmax=2, amp=0.1))
+        u0 = dy.System(geo, alpha, BC_T).sp.project(raw)
         e0 = dy.energy(geo.metric, alpha, u0)
         fin = run_to(geo, alpha, u0, 2e-3, 0.2)
         floors.append(abs(dy.energy(geo.metric, alpha, fin.u) - e0) / e0)
@@ -498,8 +450,7 @@ def test_energy_drift_floor_decreases_with_h():
 def test_reversibility_smoke():
     geo = torus(24)
     alpha = 0.3
-    op, sp = machinery(geo, alpha, BC_T)
-    u0 = sp.project(taylor_green_like(geo.grid, amp=0.08))
+    u0 = dy.System(geo, alpha, BC_T).sp.project(taylor_green_like(geo.grid, amp=0.08))
     cfg_f = dy.SolverConfig(alpha=alpha, dt=1e-2, t_end=0.2, bc=BC_T)
     prob_f = dy.LaeProblem(geo, cfg_f)
     fwd = dy.integrate(prob_f, dy.State(u0, 0.0), 0.2)
@@ -512,8 +463,8 @@ def test_reversibility_smoke():
 def test_midpoint_integrator_second_order():
     geo = torus(16)
     alpha = 0.2
-    op, sp = machinery(geo, alpha, BC_T)
-    u0 = sp.project(random_vector(geo.grid, seed=28, kmax=2, amp=0.6))
+    u0 = dy.System(geo, alpha, BC_T).sp.project(
+        random_vector(geo.grid, seed=28, kmax=2, amp=0.6))
     T = 0.4
     ref = run_to(geo, alpha, u0, T / 400, T)
     dts = [T / m for m in (25, 35, 50, 70)]

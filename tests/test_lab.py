@@ -83,11 +83,6 @@ def test_config_rejects_a_non_integer_diagnostics_interval():
         ExperimentConfig.from_text("[diagnostics]\nevery_n_steps = 2.5\n")
 
 
-def test_config_rejects_a_non_integer_flow_check_max_dim():
-    with pytest.raises(ConfigError, match="flow_check_max_dim"):
-        ExperimentConfig.from_text("[poisson]\nflow_check_max_dim = many\n")
-
-
 def test_config_parses_exactly_three_observables():
     for spec, match in (("linear:1,linear:2,bogus", "unknown observable"),
                         ("linear:1,quadratic:sharp,hamiltonian", "unknown observable"),
@@ -106,7 +101,8 @@ def test_config_rejects_the_removed_keys():
                           ("solver", "method", "direct"),
                           ("solver", "linear_tol", "1e-12"),
                           ("material", "interp", "bicubic"),
-                          ("material", "newton_tol", "1e-12")):
+                          ("material", "newton_tol", "1e-12"),
+                          ("poisson", "flow_check_max_dim", "600")):
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_text(f"[{sec}]\n{key} = {val}\n")
 

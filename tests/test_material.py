@@ -4,12 +4,12 @@ import pytest
 from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import material as mt
-from laealab.elliptic import BcRegime, EllipticOperator, StokesProjector
+from laealab.elliptic import BcRegime
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.interp import BicubicField, _kernel, _kernel_deriv
 from laealab.orders import fit_order
-from laealab.reference import gamma0_pointwise
+from laealab.reference import gamma0_pointwise, polarized_f_alpha
 from laealab.samples import (eigenfield, make_phi_sinusoidal, phi_flat,
                              random_vector)
 
@@ -124,7 +124,7 @@ class OneField:
         return out, dx, dy
 
 
-def one_field_invert_map(eta, max_iter=60):
+def one_field_invert_map(eta):
     g = eta.grid
     d1, d2 = eta.displacement()
     i1, i2 = OneField(g, d1), OneField(g, d2)
@@ -135,7 +135,7 @@ def one_field_invert_map(eta, max_iter=60):
     wrap_x = lambda r: (r + 0.5 * g.Lx) % g.Lx - 0.5 * g.Lx
     wrap_y = ((lambda r: (r + 0.5 * g.Ly) % g.Ly - 0.5 * g.Ly) if g.periodic_y
               else (lambda r: r))
-    for _ in range(max_iter):
+    for _ in range(mt.NEWTON_MAX_ITER):
         qyw = np.mod(qy, g.Ly) if g.periodic_y else qy
         v1, a11, a12 = i1.eval_with_grad(np.mod(qx, g.Lx), qyw)
         v2, a21, a22 = i2.eval_with_grad(np.mod(qx, g.Lx), qyw)
@@ -473,29 +473,23 @@ def test_volume_preserved_along_generic_spray():
 # ---------------------------------------------------------------------------
 
 def test_connector_vanishes_on_zero_field():
-    geo = torus(16)
-    op = EllipticOperator(geo, 0.3)
-    sp = StokesProjector(op, BC_T)
-    v = random_vector(geo.grid, seed=8)
-    out = mt.connector_contract(geo.metric, op, sp, VectorField.zeros(geo.grid),
-                                v, BC_T)
+    s = dy.System(torus(16), 0.3, BC_T)
+    v = random_vector(s.geo.grid, seed=8)
+    out = mt.connector_contract(s, VectorField.zeros(s.geo.grid), v)
     assert out.linf() < 1e-12
 
 
 def test_connector_regime_formulas_coincide_on_torus():
-    geo = torus(20)
-    m = geo.metric
-    op = EllipticOperator(geo, 0.3)
-    sp = StokesProjector(op, BC_T)
-    u = sp.project(random_vector(geo.grid, seed=9, kmax=2))
-    v = sp.project(random_vector(geo.grid, seed=10, kmax=2))
-    from laealab.dynamics import frak_f_alpha
-    plain = sp.project(ca.nabla_along(m, v, u) + frak_f_alpha(m, op, u, v, BC_T))
-    composite = mt.connector_contract(m, op, sp, u, v, BC_T)
+    s = dy.System(torus(20), 0.3, BC_T)
+    m, op, sp = s.metric, s.op, s.sp
+    u = sp.project(random_vector(s.geo.grid, seed=9, kmax=2))
+    v = sp.project(random_vector(s.geo.grid, seed=10, kmax=2))
+    plain = sp.project(ca.nabla_along(m, v, u) + dy.frak_f_alpha(s, u, v))
+    composite = mt.connector_contract(s, u, v)
     # the NoBoundary regime takes the plain branch; the composite transport
     # applied by hand must agree at solver level
     la = op.solve(op.apply(ca.nabla_along(m, v, u)), BC_T)
-    alt = sp.project(la + frak_f_alpha(m, op, u, v, BC_T))
+    alt = sp.project(la + dy.frak_f_alpha(s, u, v))
     assert (plain - composite).linf() < 1e-12
     assert (alt - composite).linf() < 1e-7 * max(composite.linf(), 1e-12)
 
@@ -504,21 +498,17 @@ def test_connector_against_christoffel_split_oracle():
     # oracle: split grad_v u into the coordinate derivative plus the
     # pointwise Christoffel map, and build FF by polarization; the two
     # dense-assembly routes agree under refinement
-    from laealab.dynamics import frak_f_alpha
     hs, errs = [], []
     for n in (16, 24, 32):
-        geo = torus(n)
-        m = geo.metric
-        g = geo.grid
-        op = EllipticOperator(geo, 0.3)
-        sp = StokesProjector(op, BC_T)
+        s = dy.System(torus(n), 0.3, BC_T)
+        m, g, sp = s.metric, s.geo.grid, s.sp
         u = sp.project(random_vector(g, seed=11, kmax=2))
         v = sp.project(random_vector(g, seed=12, kmax=2))
-        got = mt.connector_contract(m, op, sp, u, v, BC_T)
+        got = mt.connector_contract(s, u, v)
         du_coord = VectorField(g, u.c1.dx() * v.c1 + u.c1.dy() * v.c2,
                                u.c2.dx() * v.c1 + u.c2.dy() * v.c2)
         oracle = sp.project(du_coord + gamma0_pointwise(m, u, v)
-                            + frak_f_alpha(m, op, u, v, BC_T, via="polarization"))
+                            + polarized_f_alpha(s, u, v))
         hs.append(g.h)
         errs.append((got - oracle).linf() / max(got.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 3.0, errs

@@ -5,7 +5,7 @@ from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import material as mt
 from laealab import poisson as po
-from laealab.elliptic import BcRegime, SolveError, l_alpha
+from laealab.elliptic import BcRegime, SolveError
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
@@ -34,10 +34,7 @@ def ctx_channel(n, spec=MIXED, phi=PHI_C, alpha=ALPHA):
 
 
 def member(ctx, seed, kmax=2, amp=0.5):
-    raw = random_vector(ctx.geo.grid, seed=seed, kmax=kmax, amp=amp)
-    if ctx.bc.has_boundary and ctx.alpha > 0:
-        raw = l_alpha(ctx.op, raw, ctx.bc)
-    return ctx.sp.project(raw)
+    return ctx.admissible(random_vector(ctx.geo.grid, seed=seed, kmax=kmax, amp=amp))
 
 
 def trio(ctx):
@@ -364,7 +361,7 @@ def test_vertical_fd_at_identity():
     f, _, _ = trio(ctx)
     u = member(ctx, 32)
     ms = mt.MaterialState(mt.FlowMap.identity(ctx.geo.grid), u.copy())
-    v = po.vertical_fd(ctx, f, ms)
+    v = po.vertical_fd(f, ms)
     assert (v - f.diff(u)).linf() < 1e-9 * max(v.linf(), 1e-12)
 
 
@@ -453,6 +450,18 @@ def test_flow_poisson_check_rejects_an_uneven_or_negative_time():
         po.flow_poisson_check(prob, ctx, f, g, u0, 0.052)
     with pytest.raises(ValueError, match="reachable"):
         po.flow_poisson_check(prob, ctx, f, g, u0, -0.01)
+
+
+def test_flow_poisson_check_refuses_a_subspace_above_the_cap(monkeypatch):
+    ctx = ctx_torus(12)
+    prob = dy.LaeProblem(ctx.geo, dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.0,
+                                                  bc=ctx.bc, cfl_factor=5.0))
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 39, kmax=1, amp=0.4)
+    assert po.constrained_basis(ctx).shape[1] == 148
+    monkeypatch.setattr(po, "FLOW_CHECK_MAX_DIM", 147)
+    with pytest.raises(ValueError, match="dimension 148 exceeds cap 147"):
+        po.flow_poisson_check(prob, ctx, f, g, u0, 0.0)
 
 
 def test_flow_poisson_check_follows_the_midpoint_integrator():
