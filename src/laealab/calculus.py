@@ -228,5 +228,9 @@ def F_scalar(m: ConformalMetric, u: VectorField):
 
 
 def G_scalar(m: ConformalMetric, u: VectorField, v: VectorField):
-    """Polarization G(u,v) = F(u+v) - F(u) - F(v)."""
-    return F_scalar(m, u + v) - F_scalar(m, u) - F_scalar(m, v)
+    """Polarization G(u,v) = F(u+v) - F(u) - F(v) of F, in its bilinear form
+    2 Tr(grad u . grad v) + 2 Ricci(u,v) + gbar(grad u, grad v)."""
+    du = covariant_derivative(m, u)
+    dv = covariant_derivative(m, v)
+    return (du.matmul(dv).trace() * 2.0 + g_pair(m, u, v) * m.K * 2.0
+            + gbar_pair(m, du, dv))

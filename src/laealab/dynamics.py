@@ -29,7 +29,9 @@ FFop used by the connector and the bracket machinery.
 transport() picks the transport form by regime, and rhs() is the one
 right-hand side for every regime and alpha: at a = 0, Fop vanishes and La is
 the identity, so it is the incompressible Euler baseline.  LaeProblem is the
-System with a time-stepping configuration.
+System with a time-stepping configuration.  Each integrator has a reverse
+step beside it (REVERSE_STEPS), the transpose of its stage rule on a linear
+right-hand side, for adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
+from .elliptic import (BcRegime, EllipticOperator, StokesProjector, l_alpha,
+                       l_alpha_transpose)
 from .fields import VectorField
 from .geometry import Geometry
 
@@ -157,11 +160,8 @@ def f_alpha_alt(s: System, u: VectorField) -> VectorField:
     return d_alpha(s, u, u) - s.op.solve(inner * s.alpha**2, s.bc)
 
 
-def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """Bilinear transport correction Dop(u, v)."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
-    m = s.metric
+def _d_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
+    """The field Dop(u, v) solves for: Dop = (1-a^2 Lop)^{-1} a^2 (this)."""
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
@@ -171,8 +171,14 @@ def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
         cc = ca.curvature_contractions(m, u, v)
         inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
         grad_arg = grad_arg + ca.g_pair(m, u, v) * m.K
-    inner = inner + ca.gradient(m, grad_arg)
-    return s.op.solve(inner * s.alpha**2, s.bc)
+    return inner + ca.gradient(m, grad_arg)
+
+
+def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
+    """Bilinear transport correction Dop(u, v)."""
+    if s.alpha == 0.0:
+        return VectorField.zeros(u.grid)
+    return s.op.solve(_d_alpha_interior(s.metric, u, v) * s.alpha**2, s.bc)
 
 
 def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
@@ -184,19 +190,32 @@ def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
     return s.sp.project(s.op.solve(dwt.apply(z), s.bc))
 
 
+def _potential_interior(m, u: VectorField, v: VectorField) -> VectorField:
+    """grad G(u, v) + grad u^t . Lap_r v + grad v^t . Lap_r u."""
+    dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
+    dvt = ca.transpose_metric(m, ca.covariant_derivative(m, v))
+    trans = dut.apply(ca.ricci_laplacian(m, v)) + dvt.apply(ca.ricci_laplacian(m, u))
+    return ca.gradient(m, ca.G_scalar(m, u, v)) + trans
+
+
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form."""
     if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
-    m = s.metric
-    du = ca.covariant_derivative(m, u)
-    dv = ca.covariant_derivative(m, v)
-    dut = ca.transpose_metric(m, du)
-    dvt = ca.transpose_metric(m, dv)
-    trans = dut.apply(ca.ricci_laplacian(m, v)) + dvt.apply(ca.ricci_laplacian(m, u))
-    inner = ca.gradient(m, ca.G_scalar(m, u, v)) + trans
+    inner = _potential_interior(s.metric, u, v)
     duv = d_alpha(s, u, v) + d_alpha(s, v, u)
     return (duv - s.op.solve(inner * s.alpha**2, s.bc)) * 0.5
+
+
+def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
+    """The field 2 FFop(u, v) solves for: 2 FFop = (1-a^2 Lop)^{-1} a^2 (this).
+
+    frak_f_alpha takes the same three parts through three solves, so the two
+    agree to round-off, not bit for bit.  Linear in each argument, so either
+    may be an unknown recorded on a fields.Tape.
+    """
+    return (_d_alpha_interior(m, u, v) + _d_alpha_interior(m, v, u)
+            - _potential_interior(m, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +229,11 @@ def transport(s: System, v: VectorField) -> VectorField:
     carried back by La = (1 - a^2 Lop)^{-1}(1 - a^2 Lop); otherwise it is v.
     """
     return l_alpha(s.op, v, s.bc) if s.bc.uses_l_alpha_transport else v
+
+
+def transport_transpose(s: System, y: VectorField) -> VectorField:
+    """The transpose of transport(), on a batch of fields."""
+    return l_alpha_transpose(s.op, y, s.bc) if s.bc.uses_l_alpha_transport else y
 
 
 def rhs(s: System, u: VectorField) -> VectorField:
@@ -300,6 +324,29 @@ def midpoint(f, y: tuple, dt: float) -> tuple:
 
 
 INTEGRATORS = {"rk4": rk4, "midpoint": midpoint}
+
+
+def rk4_reverse(jt, z, dt: float):
+    """The transpose of one rk4 step of a linear y' = J_s y, applied to z.
+
+    J_s is the map the step's stage s evaluates (s = 0..3, in the order rk4
+    calls f), and jt(s, x) applies its transpose.
+    """
+    q4 = jt(3, z * (dt / 6.0))
+    q3 = jt(2, z * (dt / 3.0) + q4 * dt)
+    q2 = jt(1, z * (dt / 3.0) + q3 * (0.5 * dt))
+    q1 = jt(0, z * (dt / 6.0) + q2 * (0.5 * dt))
+    return z + q1 + q2 + q3 + q4
+
+
+def midpoint_reverse(jt, z, dt: float):
+    """The transpose of one midpoint step of a linear y' = J_s y, as rk4_reverse()."""
+    q2 = jt(1, z * dt)
+    return z + q2 + jt(0, q2 * (0.5 * dt))
+
+
+# the transpose of each integrator's step, under the same name
+REVERSE_STEPS = {"rk4": rk4_reverse, "midpoint": midpoint_reverse}
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:

@@ -26,9 +26,12 @@ factorization's residual level, independent of h.  At a = 0 the composite is
 the identity and P is the discrete Leray projector: on the torus P v is v less
 its gradient part, which is how gradient parts are removed elsewhere.
 
-Both factorizations, the BC-substituted (1 - a^2 Lop) and the saddle, are one
-record, (SuperLU, permutation, matrix), whose solve holds every right-hand
-side's residual against the unpermuted matrix.  On the torus each is ordered
+Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
+the phase-space saddle of StokesProjector.riesz_representer, is one record,
+(SuperLU, permutation, matrix), whose solve holds every right-hand
+side's residual against the unpermuted matrix; its transpose solve uses the
+same factors and holds the residual against the transposed matrix, which
+gives the transposes of the solve, of La and of P.  On the torus each is ordered
 by nested dissection of the grid's nodes (the two wrap-around seams first),
 which fills less than COLAMD there; channel factorizations keep SuperLU's
 COLAMD.
@@ -227,12 +230,23 @@ class _Factorization(NamedTuple):
         each residual against the unpermuted matrix is held to tol on its own,
         so one bad member fails the batch.
         """
+        return self._solve(rhs, tol, what, "N")
+
+    def solve_transpose(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
+        """As solve(), for matrix^T x = b: the same factors under the same
+        permutation, each residual held against matrix^T."""
+        return self._solve(rhs, tol, what, "T")
+
+    def _solve(self, rhs, tol, what, trans):
         lu, perm, A = self
+        if trans == "T":
+            A = A.T
         b = rhs if perm is None else rhs[..., perm]
         if b.ndim == 1:
-            x = lu.solve(b)
+            x = lu.solve(b, trans)
         else:
-            x = np.stack([lu.solve(c) for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
+            x = np.stack([lu.solve(c, trans)
+                          for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
         if perm is not None:
             y, x = x, np.empty_like(x)
             x[..., perm] = y
@@ -368,10 +382,29 @@ class EllipticOperator:
             rhs[..., idx] = 0.0
         return VectorField.from_flat(self.geo.grid, fac.solve(rhs, 1e-8, "direct solve"))
 
+    def solve_transpose(self, y: VectorField, bc: BcRegime) -> VectorField:
+        """The transpose of solve(): the BC-substituted matrix's transpose
+        solve, then the substituted rows zeroed; y may be a batch."""
+        if self.alpha == 0.0:
+            return y.copy()
+        x = self.factor(bc).solve_transpose(y.flat(), 1e-8, "transposed direct solve")
+        _, idx = self.matrix(bc)
+        if idx.size:
+            x[..., idx] = 0.0
+        return VectorField.from_flat(self.geo.grid, x)
+
 
 def l_alpha(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
     """Composite (1 - a^2 Lop)^{-1} (1 - a^2 Lop) v; identity on the subspace."""
     return op.solve(op.apply(v), bc)
+
+
+def l_alpha_transpose(op: EllipticOperator, y: VectorField, bc: BcRegime) -> VectorField:
+    """The transpose of l_alpha(), through the assembled (1 - a^2 Lop)."""
+    x = op.solve_transpose(y, bc)
+    if op.alpha == 0.0:
+        return x
+    return VectorField.from_flat(op.geo.grid, matvec_last(op.interior.T, x.flat()))
 
 
 def _gradient_kernel_modes(grid) -> np.ndarray:
@@ -449,3 +482,50 @@ class StokesProjector:
         x = self.saddle.solve(rhs, 1e-7, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return v - w
+
+    def project_transpose(self, z: VectorField) -> VectorField:
+        """P^T z, by the saddle's transpose solve; z may be a batch."""
+        n = self.n
+        zf = z.flat()
+        rhs = np.zeros(zf.shape[:-1] + self.saddle.matrix.shape[:1])
+        rhs[..., :2 * n] = zf
+        x = self.saddle.solve_transpose(rhs, 1e-7, "transposed stokes composite")
+        return VectorField.from_flat(self.op.geo.grid,
+                                     zf - matvec_last(self.D.T, x[..., 2 * n:3 * n]))
+
+    def riesz_saddle(self, W, kind: str):
+        """(factorization, k) of the saddle [[W, C^T], [C, 0]], bordered by
+        k gauge columns as the Stokes saddle is.
+
+        C = [D; R] is the divergence and the regime's BC rows, so its null
+        space is the phase space.  Factored on the first call and stored
+        under (kind, alpha, regime), so W must be fixed by kind and alpha.
+        """
+        return _stored(self.op.geo, (kind, self.op.alpha, self.bc),
+                       lambda: self._constraint_factor(W))
+
+    def riesz_representer(self, r: VectorField, W, kind: str):
+        """(d, dim): for each member of the batch r, the member d of null(C)
+        with <d, c>_W = <r, c> for every c in null(C), from riesz_saddle();
+        dim is null(C)'s dimension.
+
+        The border width k equals C's rank deficiency (exactly on the torus,
+        where the gauge columns span C's left null space), so
+        dim = 2n - (rows of C - k).
+        """
+        fac, k = self.riesz_saddle(W, kind)
+        n2, size = 2 * self.n, fac.matrix.shape[0]
+        rhs = np.zeros(r.c1.data.shape[:-2] + (size,))
+        rhs[..., :n2] = r.flat()
+        d = fac.solve(rhs, 1e-8, kind)[..., :n2]
+        rows_c = size - n2 - k
+        return VectorField.from_flat(self.op.geo.grid, d), n2 - (rows_c - k)
+
+    def _constraint_factor(self, W):
+        geo, n = self.op.geo, self.n
+        A, bc_idx = self.op.matrix(self.bc)
+        C = sp.vstack([self.D, A.tocsr()[bc_idx]], format="csr")
+        modes = _gradient_kernel_modes(geo.grid)
+        S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, 2 * n)
+        return (_Factorization.of(geo, S, modes.shape[1], "constraint saddle factorization failed"),
+                modes.shape[1])

@@ -10,6 +10,11 @@ assembled into a sparse operator (OpScalar) from the same source line.  Both
 use the grid's DX/DY matrices, so the two evaluation paths agree to the last
 bit.
 
+A third backend, ``TapeScalar``, records the same operations on a ``Tape``
+instead of evaluating them; the tape's reverse sweep applies the transpose of
+the recorded linear map (DX^T, DY^T, the coefficients) to a batch of
+cotangents, without assembling it.
+
 ``VectorField`` holds contravariant components (u1, u2); ``Tensor11Field``
 holds mixed components T[i][j] = T^i_j.  The containers are generic over the
 scalar backend.
@@ -20,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid
+from .grid import Grid, matvec_last
 
 
 class ScalarField:
@@ -99,6 +104,123 @@ def _raw(v):
     if isinstance(v, ScalarField):
         return v.data
     return v
+
+
+_LEAF, _DX, _DY, _ADD, _SUB, _SCALE = range(6)
+
+
+class Tape:
+    """A record of linear operations on tape scalars, and its transpose.
+
+    unknown() gives a vector field of fresh leaves; an expression built from
+    them with +, -, scaling by coefficients, d/dx and d/dy appends one node
+    (kind, argument, second argument or coefficient) per operation.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.nodes = []
+
+    def push(self, kind: int, a, b=None) -> "TapeScalar":
+        self.nodes.append((kind, a, b))
+        return TapeScalar(self, len(self.nodes) - 1)
+
+    def unknown(self) -> "VectorField":
+        return VectorField(self.grid, self.push(_LEAF, None), self.push(_LEAF, None))
+
+    def transpose(self, unknown: "VectorField", seeds) -> "VectorField":
+        """The transpose of the recorded map, applied to cotangent batches.
+
+        seeds pairs each recorded output field with its cotangent, a batch of
+        fields (..., nx, ny); the result is the batch of cotangents of
+        unknown, summed over the seeds.
+        """
+        adj = [None] * len(self.nodes)
+
+        def acc(i, g):
+            adj[i] = g if adj[i] is None else adj[i] + g
+
+        for out, bar in seeds:
+            for c, b in zip(out.comps(), bar.comps()):
+                if not isinstance(c, TapeScalar) or c.tape is not self:
+                    raise TypeError("a seeded output is not recorded on this tape")
+                acc(c.node, b.data)
+        grid = self.grid
+        dxt, dyt = grid.DX.T.tocsr(), grid.DY.T.tocsr()
+        for i in range(len(self.nodes) - 1, -1, -1):
+            g = adj[i]
+            kind, a, b = self.nodes[i]
+            if g is None or kind == _LEAF:
+                continue
+            adj[i] = None
+            if kind == _DX or kind == _DY:
+                flat = g.reshape(g.shape[:-2] + (-1,))
+                acc(a, matvec_last(dxt if kind == _DX else dyt, flat).reshape(g.shape))
+            elif kind == _ADD:
+                acc(a, g)
+                acc(b, g)
+            elif kind == _SUB:
+                acc(a, g)
+                acc(b, -g)
+            else:
+                acc(a, g * b)
+        shape = next(b.c1.data.shape for _, b in seeds)
+        return VectorField.from_arrays(
+            grid, *(np.zeros(shape) if adj[c.node] is None else adj[c.node]
+                    for c in unknown.comps()))
+
+
+class TapeScalar(ScalarField):
+    """A scalar recorded on a Tape, linear in the tape's unknown.
+
+    It subclasses ScalarField only so that Python tries its reflected
+    operators first: ScalarField * TapeScalar records a scaling without any
+    test in ScalarField's own operators.  It holds no data.
+    """
+
+    __slots__ = ("tape", "node")
+    __array_ufunc__ = None          # ndarray * TapeScalar defers to __rmul__
+
+    def __init__(self, tape: Tape, node: int):
+        self.grid = tape.grid
+        self.tape = tape
+        self.node = node
+
+    def dx(self) -> "TapeScalar":
+        return self.tape.push(_DX, self.node)
+
+    def dy(self) -> "TapeScalar":
+        return self.tape.push(_DY, self.node)
+
+    def _linear(self, other) -> int:
+        if not isinstance(other, TapeScalar) or other.tape is not self.tape:
+            raise TypeError("sum of a tape scalar and a known field is not linear")
+        return other.node
+
+    def __add__(self, other):
+        return self.tape.push(_ADD, self.node, self._linear(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.tape.push(_SUB, self.node, self._linear(other))
+
+    def __rsub__(self, other):
+        return self.tape.push(_SUB, self._linear(other), self.node)
+
+    def __neg__(self):
+        return self.tape.push(_SCALE, self.node, -1.0)
+
+    def __mul__(self, w):
+        if isinstance(w, TapeScalar):
+            raise TypeError("product of two tape scalars is not linear")
+        w = _raw(w)
+        if np.ndim(w) > 2:
+            raise ValueError(f"a tape takes one coefficient field, not a batch "
+                             f"of shape {np.shape(w)}")
+        return self.tape.push(_SCALE, self.node, w)
+
+    __rmul__ = __mul__
 
 
 class VectorField:

@@ -10,8 +10,9 @@ so that df and its derivative Ddf are available in closed form; that is what
 the derivative-of-bracket formula, the Jacobi residual and the flow checks
 need.  The material-side functional derivatives (vertical and horizontal) and
 the Poisson-map checks for the right translation and for the flows live here
-as well.  A PoissonContext is the dynamics.System the bracket is taken on,
-with its H^1 Gram matrix.
+as well; the flow check is a discrete adjoint (see flow_pullback).  A
+PoissonContext is the dynamics.System the bracket is taken on, with its H^1
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import scipy.sparse as sp_
 from . import calculus as ca
 from . import dynamics as dy
 from . import material as mt
-from .fields import VectorField, op_vector_unknown
+from .fields import Tape, VectorField, op_vector_unknown
+from .grid import matvec_last
 from .samples import random_vector
 
 QUADRATIC_KINDS = ("smooth", "cutoff")
-# largest constrained-subspace dimension the flow check's dense algebra takes
-FLOW_CHECK_MAX_DIM = 2048
+PULLBACK_SADDLE = "pullback saddle"   # geo.factors kind of the saddle W enters
 
 
 class PoissonContext(dy.System):
@@ -36,7 +37,10 @@ class PoissonContext(dy.System):
     _gram = None        # gram_matrix(), built on the first call
 
     def gram_matrix(self):
-        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils)."""
+        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils).
+
+        Its first build also factors the saddle W enters in flow_pullback, so
+        every flow check does the same work."""
         if self._gram is None:
             grid, m = self.geo.grid, self.metric
             n = grid.n_nodes
@@ -51,6 +55,7 @@ class PoissonContext(dy.System):
                         B = D[i, j].mat
                         W = W + 2 * self.alpha**2 * (B.T @ sp_.diags(qbar) @ B)
             self._gram = W.tocsr()
+            self.sp.riesz_saddle(self._gram, PULLBACK_SADDLE)
         return self._gram
 
 
@@ -289,25 +294,6 @@ def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
 # the flow as a Poisson map
 # ---------------------------------------------------------------------------
 
-def constrained_basis(ctx: PoissonContext) -> np.ndarray:
-    """Dense basis (2n, d) of the discrete constrained subspace;
-    ValueError if d exceeds FLOW_CHECK_MAX_DIM."""
-    rows = [ctx.sp.D.toarray()]
-    A, bc_idx = ctx.op.matrix(ctx.bc)
-    if bc_idx.size:
-        R = A.tocsr()[bc_idx, :].toarray()
-        rows.append(R)
-    C = np.vstack(rows)
-    _, s, vt = np.linalg.svd(C)
-    tol = max(C.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    B = vt[rank:].T
-    if B.shape[1] > FLOW_CHECK_MAX_DIM:
-        raise ValueError(f"subspace dimension {B.shape[1]} exceeds cap "
-                         f"{FLOW_CHECK_MAX_DIM}")
-    return B
-
-
 def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorField:
     """Exact linearization of the right-hand side (the operators are quadratic).
 
@@ -318,69 +304,77 @@ def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorFi
     return -ctx.sp.project(adv + dy.frak_f_alpha(ctx, u, v) * 2.0)
 
 
-# values per batched tangent block, (directions x 2n): the batched march's
-# temporaries scale with it, so it caps peak memory whatever the grid size
-_BLOCK_VALUES = 1 << 15
+def tangent_rhs_transpose(ctx: PoissonContext, u: VectorField,
+                          z: VectorField) -> VectorField:
+    """The transpose of v -> tangent_rhs(ctx, u, v), applied to a batch z: the
+    local parts swept back on a Tape, the solves and P by transpose solves."""
+    m = ctx.metric
+    tape = Tape(ctx.geo.grid)
+    v = tape.unknown()
+    y = -ctx.sp.project_transpose(z)
+    seeds = [(ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
+              dy.transport_transpose(ctx, y))]
+    if ctx.alpha != 0.0:
+        seeds.append((dy.frak_f_alpha_interior(m, u, v),
+                      ctx.op.solve_transpose(y, ctx.bc) * ctx.alpha**2))
+    return tape.transpose(v, seeds)
 
 
-def _direction_blocks(d: int, n2: int) -> list:
-    """Slices cutting d >= 1 directions of length n2 into near-equal blocks
-    of at most max(1, _BLOCK_VALUES // n2) directions each."""
-    nblocks = -(-d // max(1, _BLOCK_VALUES // n2))
-    edges = [k * d // nblocks for k in range(nblocks + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):
+    """(u after nsteps projected steps, each step's stage states in call order)."""
+    stages = []
+
+    def f(y):
+        stages[-1].append(y[0])
+        return (problem.rhs(y[0]),)
+
+    u = u0.copy()
+    for _ in range(nsteps):
+        stages.append([])
+        (u,) = dy.INTEGRATORS[problem.cfg.integrator](f, (u,), problem.cfg.dt)
+        u = problem.project(u)
+    return u, stages
+
+
+def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,
+                   z: VectorField, dt: float) -> VectorField:
+    """The transpose of the projected tangent steps over stages, applied to z."""
+    reverse = dy.REVERSE_STEPS[integrator]
+    for states in reversed(stages):
+        z = reverse(lambda s, x: tangent_rhs_transpose(ctx, states[s], x),
+                    ctx.sp.project_transpose(z), dt)
+    return z
+
+
+def flow_pullback(problem: dy.LaeProblem, ctx: PoissonContext, obs: list,
+                  u0: VectorField, t: float):
+    """(u(t), r, delta, dim) for the time-t flow, one batch member per observable.
+
+    One forward march of u keeps the stage states; one reverse sweep gives
+    r = Phi^T W dobs(u(t)), Phi the tangent map of the projected march and W
+    the H^1 Gram matrix.  delta holds the pullback derivatives
+    d(obs o Flow)(u0), r's representers in the phase space of dimension dim
+    (StokesProjector.riesz_representer).
+    """
+    _require_same_system(problem, ctx)
+    dt = problem.cfg.dt
+    uT, stages = _march_keeping_stages(problem, u0, dy.step_count(0.0, t, dt))
+    W = ctx.gram_matrix()
+    dobs = np.stack([o.diff(uT).flat() for o in obs])
+    z = VectorField.from_flat(ctx.geo.grid, matvec_last(W, dobs))
+    r = _reverse_sweep(ctx, problem.cfg.integrator, stages, z, dt)
+    return (uT, r) + ctx.sp.riesz_representer(r, W, PULLBACK_SADDLE)
 
 
 def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
                        f: Observable, g: Observable, u0: VectorField,
                        t: float) -> dict:
-    """Verify that the time-t flow preserves the bracket.
-
-    Marches the base state and the tangent flow of the basis directions of
-    the constrained subspace as one tuple (u, T) by the problem's
-    integrator, projecting each part after each step.  T is one batched
-    field per block of directions (see _direction_blocks), and u is
-    re-marched with each block, so every direction's tangent carries the
-    bits it would carry marched alone.  Assembles the pullback derivatives
-    d(f o Flow) through the H^1 Gram matrix, and compares
-    {f o Flow, g o Flow}(u0) with {f, g}(Flow(u0)).
-    """
-    _require_same_system(problem, ctx)
-    dt = problem.cfg.dt
-    nsteps = dy.step_count(0.0, t, dt)
-    march = dy.INTEGRATORS[problem.cfg.integrator]
-    grid = ctx.geo.grid
-    m = ctx.metric
-    B = constrained_basis(ctx)
-    d = B.shape[1]
-
-    def f_rhs(y):
-        u, T = y
-        return problem.rhs(u), tangent_rhs(ctx, u, T)
-
-    DF = np.empty(B.shape)                            # (2n, d), C order
-    for block in _direction_blocks(d, B.shape[0]):
-        y = (u0.copy(), VectorField.from_flat(grid, B[:, block].T))
-        for _ in range(nsteps):
-            y = tuple(problem.project(v) for v in march(f_rhs, y, dt))
-        uT, T = y
-        DF[:, block] = T.flat().T
-
-    W = ctx.gram_matrix()
-    M = B.T @ (W @ B)
-
-    def pullback_derivative(obs: Observable) -> VectorField:
-        # <delta, b_k>_1 = <d obs(uT), DF b_k>_1 for all k, delta in span(B)
-        dobs = obs.diff(uT).flat()
-        r = DF.T @ (W @ dobs)
-        mcoef = np.linalg.solve(M, r)
-        return VectorField.from_flat(grid, B @ mcoef)
-
-    dfF = pullback_derivative(f)
-    dgF = pullback_derivative(g)
-    lie = ca.jacobi_lie_bracket(m, dgF, dfF)
-    lhs = ctx.inner1(u0, lie)
+    """Verify that the time-t flow preserves the bracket: compare
+    {f o Flow, g o Flow}(u0), from flow_pullback(), with {f, g}(Flow(u0))."""
+    uT, _, delta, dim = flow_pullback(problem, ctx, [f, g], u0, t)
+    dfF, dgF = (VectorField.from_flat(ctx.geo.grid, d) for d in delta.flat())
+    lhs = ctx.inner1(u0, ca.jacobi_lie_bracket(ctx.metric, dgF, dfF))
     rhs = bracket(ctx, f, g, uT)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs) / scale,
-            "dim": d, "t": t}
+            "dim": dim, "t": t}

@@ -374,6 +374,19 @@ def test_F_of_zero_and_G_polarization_algebra():
         < 1e-12 * max(np.max(np.abs(guu.data)), 1.0)
 
 
+@pytest.mark.parametrize("make", [torus, channel], ids=["curved_torus", "mixed_channel"])
+def test_G_bilinear_form_equals_the_polarization_of_F(make):
+    # oracle: the polarization F(u+v) - F(u) - F(v), which G_scalar replaced
+    # by its closed bilinear form so that a linear tape can record it
+    geo = make(16)
+    m = geo.metric
+    u = random_vector(geo.grid, seed=73)
+    v = random_vector(geo.grid, seed=74)
+    polar = ca.F_scalar(m, u + v) - ca.F_scalar(m, u) - ca.F_scalar(m, v)
+    got = ca.G_scalar(m, u, v)
+    assert np.max(np.abs(got.data - polar.data)) < 1e-12 * np.max(np.abs(polar.data))
+
+
 # ---------------------------------------------------------------------------
 # integration by parts with the boundary term
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import laealab
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import material as mt
 from laealab import poisson as po
-from laealab.elliptic import BcRegime, SolveError
-from laealab.fields import VectorField
+from laealab.elliptic import BcRegime, SolveError, l_alpha, l_alpha_transpose
+from laealab.fields import Tape, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
 from laealab.reference import spectral_coordinate_bracket
@@ -452,18 +459,6 @@ def test_flow_poisson_check_rejects_an_uneven_or_negative_time():
         po.flow_poisson_check(prob, ctx, f, g, u0, -0.01)
 
 
-def test_flow_poisson_check_refuses_a_subspace_above_the_cap(monkeypatch):
-    ctx = ctx_torus(12)
-    prob = dy.LaeProblem(ctx.geo, dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.0,
-                                                  bc=ctx.bc, cfl_factor=5.0))
-    f, g, _ = trio(ctx)
-    u0 = member(ctx, 39, kmax=1, amp=0.4)
-    assert po.constrained_basis(ctx).shape[1] == 148
-    monkeypatch.setattr(po, "FLOW_CHECK_MAX_DIM", 147)
-    with pytest.raises(ValueError, match="dimension 148 exceeds cap 147"):
-        po.flow_poisson_check(prob, ctx, f, g, u0, 0.0)
-
-
 def test_flow_poisson_check_follows_the_midpoint_integrator():
     # the flow check linearizes the trajectory that integrate() produces
     ctx = ctx_torus(12)
@@ -528,24 +523,189 @@ def test_a_non_finite_batch_member_fails_the_solve():
         ctx.sp.project(T)
 
 
-def test_flow_poisson_check_does_not_depend_on_the_direction_blocks(monkeypatch):
-    # one direction per block is the per-direction march
-    ctx = ctx_torus(8)
-    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.01, bc=ctx.bc,
-                          cfl_factor=5.0)
-    prob = dy.LaeProblem(ctx.geo, cfg)
+# ---------------------------------------------------------------------------
+# the adjoint flow check: transposes, and the forward march as its oracle
+# ---------------------------------------------------------------------------
+
+TRANSPOSE_CASES = [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C)]
+
+
+def _context(spec, nx, ny, phi):
+    return po.PoissonContext(build_geometry(spec, nx, ny, phi), ALPHA,
+                             BcRegime.from_domain(spec))
+
+
+def _pairing(a, b):
+    """Per-member dot products of two batches of fields."""
+    return np.sum(a.flat() * b.flat(), axis=-1)
+
+
+def _assert_transpose(apply, apply_t, v, w):
+    """<w, A v> = <A^T w, v> member by member, to 1e-12 relative."""
+    lhs, rhs = _pairing(w, apply(v)), _pairing(apply_t(w), v)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))), \
+        (lhs, rhs)
+
+
+def _random_batch(grid, seed):
+    return _batch(grid, [random_vector(grid, seed=seed + k, kmax=2) for k in range(3)])
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi", TRANSPOSE_CASES)
+def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi):
+    ctx = _context(spec, nx, ny, phi)
+    grid, m, bc = ctx.geo.grid, ctx.metric, ctx.bc
+    v, w = _random_batch(grid, 300), _random_batch(grid, 310)
+    u = member(ctx, 320, kmax=2, amp=0.5)
+    _assert_transpose(lambda x: ctx.op.solve(x, bc),
+                      lambda y: ctx.op.solve_transpose(y, bc), v, w)
+    _assert_transpose(lambda x: l_alpha(ctx.op, x, bc),
+                      lambda y: l_alpha_transpose(ctx.op, y, bc), v, w)
+    _assert_transpose(ctx.sp.project, ctx.sp.project_transpose, v, w)
+    _assert_transpose(lambda x: po.tangent_rhs(ctx, u, x),
+                      lambda y: po.tangent_rhs_transpose(ctx, u, y), v, w)
+
+    # the taped local part: both outputs of one tape, swept back together
+    def local(x):
+        return (ca.nabla_along(m, x, u) + ca.nabla_along(m, u, x),
+                dy.frak_f_alpha_interior(m, u, x))
+
+    tape = Tape(grid)
+    x = tape.unknown()
+    recorded = local(x)
+    w2 = _random_batch(grid, 330)
+    lhs = _pairing(w, local(v)[0]) + _pairing(w2, local(v)[1])
+    rhs = _pairing(tape.transpose(x, list(zip(recorded, (w, w2)))), v)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
+
+
+def test_a_tape_refuses_what_is_not_linear():
+    grid = ctx_torus(8).geo.grid
+    x = Tape(grid).unknown()
+    known = random_vector(grid, seed=1)
+    with pytest.raises(TypeError, match="not linear"):
+        x.c1 + known.c1
+    with pytest.raises(TypeError, match="not linear"):
+        known.c1 - x.c1
+    with pytest.raises(TypeError, match="not linear"):
+        x.c1 * x.c2
+
+
+@pytest.mark.parametrize("integrator", sorted(dy.INTEGRATORS))
+def test_reverse_step_is_the_transpose_of_the_forward_step(integrator):
+    # a linear f whose map differs per stage, so the stage order is tested too
+    rng = np.random.default_rng(7)
+    maps = rng.normal(size=(4, 6, 6))
+    calls = iter(range(4))
+    v, w, dt = rng.normal(size=6), rng.normal(size=6), 0.1
+    (fwd,) = dy.INTEGRATORS[integrator](lambda y: (maps[next(calls)] @ y[0],), (v,), dt)
+    back = dy.REVERSE_STEPS[integrator](lambda s, z: maps[s].T @ z, w, dt)
+    assert abs(w @ fwd - back @ v) <= 1e-14 * abs(w @ fwd)
+
+
+@pytest.mark.parametrize("integrator", sorted(dy.INTEGRATORS))
+@pytest.mark.parametrize("spec,nx,ny,phi", TRANSPOSE_CASES)
+def test_reverse_sweep_is_the_transpose_of_a_projected_tangent_step(
+        spec, nx, ny, phi, integrator):
+    ctx = _context(spec, nx, ny, phi)
+    prob = dy.LaeProblem(ctx.geo, dy.SolverConfig(
+        alpha=ctx.alpha, dt=5e-3, t_end=5e-3, bc=ctx.bc, integrator=integrator,
+        cfl_factor=5.0))
+    u = member(ctx, 340, kmax=1, amp=0.4)
+    _, stages = po._march_keeping_stages(prob, u, 1)
+
+    def step(T):
+        return _tangent_march(prob, ctx, u, T, 1)[1]
+
+    _assert_transpose(step, lambda z: po._reverse_sweep(ctx, integrator, stages, z, 5e-3),
+                      _random_batch(ctx.geo.grid, 350), _random_batch(ctx.geo.grid, 360))
+
+
+def _tangent_march(prob, ctx, u0, T, nsteps):
+    """The forward march of (u, T) that the flow check used to make, T the
+    tangent directions as one batched field."""
+    def f_rhs(y):
+        u, T = y
+        return prob.rhs(u), po.tangent_rhs(ctx, u, T)
+
+    y = (u0.copy(), T)
+    for _ in range(nsteps):
+        y = tuple(prob.project(v) for v in dy.INTEGRATORS[prob.cfg.integrator](
+            f_rhs, y, prob.cfg.dt))
+    return y
+
+
+def _svd_basis(ctx):
+    """Dense orthonormal basis of null([D; R]), the phase space, by SVD."""
+    A, idx = ctx.op.matrix(ctx.bc)
+    C = np.vstack([ctx.sp.D.toarray(), A.tocsr()[idx, :].toarray()])
+    _, s, vt = np.linalg.svd(C)
+    return vt[int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])):].T
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi,integrator,dim", [
+    (TORUS, 12, 12, PHI_T, "rk4", 148),
+    (TORUS, 16, 16, PHI_T, "rk4", 260),
+    (TORUS, 12, 12, PHI_T, "midpoint", 148),
+    (MIXED, 12, 13, PHI_C, "rk4", 112),
+])
+def test_adjoint_flow_check_matches_the_forward_tangent_march(spec, nx, ny, phi,
+                                                              integrator, dim):
+    # oracle: march every direction of an SVD basis B forward, then take the
+    # pullback derivatives through the dense Gram matrix B^T W B
+    ctx = _context(spec, nx, ny, phi)
+    grid, t = ctx.geo.grid, 0.01
+    prob = dy.LaeProblem(ctx.geo, dy.SolverConfig(
+        alpha=ctx.alpha, dt=5e-3, t_end=t, bc=ctx.bc, integrator=integrator,
+        cfl_factor=5.0))
     f, g, _ = trio(ctx)
     u0 = member(ctx, 39, kmax=1, amp=0.4)
-    rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
-    monkeypatch.setattr(po, "_BLOCK_VALUES", 1)
-    single = po.flow_poisson_check(prob, ctx, f, g, u0, 0.01)
-    assert len(po._direction_blocks(rep["dim"], 2 * 64)) == rep["dim"]
-    assert (rep["lhs"], rep["rhs"], rep["deviation"]) == \
-        (single["lhs"], single["rhs"], single["deviation"])
+    B = _svd_basis(ctx)
+    uT, T = _tangent_march(prob, ctx, u0, VectorField.from_flat(grid, B.T.copy()),
+                           dy.step_count(0.0, t, prob.cfg.dt))
+    W = ctx.gram_matrix()
+    r_old = np.stack([T.flat() @ (W @ o.diff(uT).flat()) for o in (f, g)])
+    delta_old = np.linalg.solve(B.T @ (W @ B), r_old.T).T @ B.T
+    dF = [VectorField.from_flat(grid, d) for d in delta_old]
+    lhs_old = ctx.inner1(u0, ca.jacobi_lie_bracket(ctx.metric, dF[1], dF[0]))
+
+    _, r, delta, got_dim = po.flow_pullback(prob, ctx, [f, g], u0, t)
+    rep = po.flow_poisson_check(prob, ctx, f, g, u0, t)
+    assert got_dim == rep["dim"] == B.shape[1] == dim
+    assert np.max(np.abs(r.flat() @ B - r_old)) <= 1e-10 * np.max(np.abs(r_old))
+    assert np.max(np.abs(delta.flat() - delta_old)) <= 1e-10 * np.max(np.abs(delta_old))
+    assert abs(rep["lhs"] - lhs_old) <= 1e-10 * abs(lhs_old)
+    assert rep["rhs"] == po.bracket(ctx, f, g, uT)
 
 
-def test_direction_blocks_cover_every_direction_once():
-    for d, n2 in ((260, 512), (7, 512), (1, 10**6), (300, 1)):
-        blocks = po._direction_blocks(d, n2)
-        assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(d))
-        assert max(b.stop - b.start for b in blocks) <= max(1, po._BLOCK_VALUES // n2)
+_FLOW_CHECK_16 = """
+from laealab import dynamics as dy, poisson as po
+from laealab.elliptic import BcRegime
+from laealab.geometry import DomainSpec, build_geometry
+from laealab.samples import make_phi_sinusoidal, random_vector
+spec = DomainSpec("torus", 1.0, 1.0)
+geo = build_geometry(spec, 16, 16, make_phi_sinusoidal(0.12, 1, 1, 1.0, 1.0))
+ctx = po.PoissonContext(geo, 0.3, BcRegime.from_domain(spec))
+prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=0.05, bc=ctx.bc,
+                                          cfl_factor=5.0))
+f = po.LinearObservable(ctx, random_vector(geo.grid, seed=101, kmax=2))
+g = po.LinearObservable(ctx, random_vector(geo.grid, seed=102, kmax=2))
+u0 = ctx.admissible(random_vector(geo.grid, seed=39, kmax=1, amp=0.4))
+rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
+print(repr((rep["lhs"], rep["rhs"], rep["deviation"], rep["dim"])))
+"""
+
+
+def test_flow_poisson_check_does_not_depend_on_the_blas_thread_count():
+    # the flow check makes no dense LAPACK call, so its report must be the
+    # same with one and with two BLAS threads (the small_time_16 case)
+    src = str(Path(laealab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _FLOW_CHECK_16], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("(")
