@@ -190,32 +190,27 @@ def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
     return s.sp.project(s.op.solve(dwt.apply(z), s.bc))
 
 
-def _potential_interior(m, u: VectorField, v: VectorField) -> VectorField:
-    """grad G(u, v) + grad u^t . Lap_r v + grad v^t . Lap_r u."""
+def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
+    """The field 2 FFop(u, v) solves for: 2 FFop = (1-a^2 Lop)^{-1} a^2 (this).
+
+    It is the fields Dop(u, v) and Dop(v, u) solve for, less
+    grad G(u, v) + grad u^t . Lap_r v + grad v^t . Lap_r u.
+
+    Linear in each argument, so either may be an unknown recorded on a
+    fields.Tape.
+    """
     dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
     dvt = ca.transpose_metric(m, ca.covariant_derivative(m, v))
     trans = dut.apply(ca.ricci_laplacian(m, v)) + dvt.apply(ca.ricci_laplacian(m, u))
-    return ca.gradient(m, ca.G_scalar(m, u, v)) + trans
+    return (_d_alpha_interior(m, u, v) + _d_alpha_interior(m, v, u)
+            - (ca.gradient(m, ca.G_scalar(m, u, v)) + trans))
 
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form."""
     if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
-    inner = _potential_interior(s.metric, u, v)
-    duv = d_alpha(s, u, v) + d_alpha(s, v, u)
-    return (duv - s.op.solve(inner * s.alpha**2, s.bc)) * 0.5
-
-
-def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
-    """The field 2 FFop(u, v) solves for: 2 FFop = (1-a^2 Lop)^{-1} a^2 (this).
-
-    frak_f_alpha takes the same three parts through three solves, so the two
-    agree to round-off, not bit for bit.  Linear in each argument, so either
-    may be an unknown recorded on a fields.Tape.
-    """
-    return (_d_alpha_interior(m, u, v) + _d_alpha_interior(m, v, u)
-            - _potential_interior(m, u, v))
+    return s.op.solve(frak_f_alpha_interior(s.metric, u, v) * s.alpha**2, s.bc) * 0.5
 
 
 # ---------------------------------------------------------------------------

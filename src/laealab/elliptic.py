@@ -493,39 +493,26 @@ class StokesProjector:
         return VectorField.from_flat(self.op.geo.grid,
                                      zf - matvec_last(self.D.T, x[..., 2 * n:3 * n]))
 
-    def riesz_saddle(self, W, kind: str):
-        """(factorization, k) of the saddle [[W, C^T], [C, 0]], bordered by
-        k gauge columns as the Stokes saddle is.
-
-        C = [D; R] is the divergence and the regime's BC rows, so its null
-        space is the phase space.  Factored on the first call and stored
-        under (kind, alpha, regime), so W must be fixed by kind and alpha.
-        """
-        return _stored(self.op.geo, (kind, self.op.alpha, self.bc),
-                       lambda: self._constraint_factor(W))
-
-    def riesz_representer(self, r: VectorField, W, kind: str):
+    def riesz_representer(self, r: VectorField, W):
         """(d, dim): for each member of the batch r, the member d of null(C)
-        with <d, c>_W = <r, c> for every c in null(C), from riesz_saddle();
-        dim is null(C)'s dimension.
+        with <d, c>_W = <r, c> for every c in null(C); dim is null(C)'s
+        dimension.
 
-        The border width k equals C's rank deficiency (exactly on the torus,
-        where the gauge columns span C's left null space), so
-        dim = 2n - (rows of C - k).
+        C = [D; R] is the divergence and the regime's BC rows, so null(C) is
+        the phase space.  d solves the saddle [[W, C^T], [C, 0]], bordered by
+        k gauge columns as the Stokes saddle is and factored on each call, so
+        the factors always belong to the W given.  k equals C's rank
+        deficiency (exactly on the torus, where the gauge columns span C's
+        left null space), so dim = 2n - (rows of C - k).
         """
-        fac, k = self.riesz_saddle(W, kind)
-        n2, size = 2 * self.n, fac.matrix.shape[0]
-        rhs = np.zeros(r.c1.data.shape[:-2] + (size,))
-        rhs[..., :n2] = r.flat()
-        d = fac.solve(rhs, 1e-8, kind)[..., :n2]
-        rows_c = size - n2 - k
-        return VectorField.from_flat(self.op.geo.grid, d), n2 - (rows_c - k)
-
-    def _constraint_factor(self, W):
-        geo, n = self.op.geo, self.n
+        geo, n2 = self.op.geo, 2 * self.n
         A, bc_idx = self.op.matrix(self.bc)
         C = sp.vstack([self.D, A.tocsr()[bc_idx]], format="csr")
         modes = _gradient_kernel_modes(geo.grid)
-        S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, 2 * n)
-        return (_Factorization.of(geo, S, modes.shape[1], "constraint saddle factorization failed"),
-                modes.shape[1])
+        k = modes.shape[1]
+        S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)
+        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed")
+        rhs = np.zeros(r.c1.data.shape[:-2] + S.shape[:1])
+        rhs[..., :n2] = r.flat()
+        d = fac.solve(rhs, 1e-8, "riesz saddle")[..., :n2]
+        return VectorField.from_flat(geo.grid, d), n2 - (C.shape[0] - k)

@@ -28,7 +28,6 @@ from .grid import matvec_last
 from .samples import random_vector
 
 QUADRATIC_KINDS = ("smooth", "cutoff")
-PULLBACK_SADDLE = "pullback saddle"   # geo.factors kind of the saddle W enters
 
 
 class PoissonContext(dy.System):
@@ -37,10 +36,7 @@ class PoissonContext(dy.System):
     _gram = None        # gram_matrix(), built on the first call
 
     def gram_matrix(self):
-        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils).
-
-        Its first build also factors the saddle W enters in flow_pullback, so
-        every flow check does the same work."""
+        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils)."""
         if self._gram is None:
             grid, m = self.geo.grid, self.metric
             n = grid.n_nodes
@@ -55,7 +51,6 @@ class PoissonContext(dy.System):
                         B = D[i, j].mat
                         W = W + 2 * self.alpha**2 * (B.T @ sp_.diags(qbar) @ B)
             self._gram = W.tocsr()
-            self.sp.riesz_saddle(self._gram, PULLBACK_SADDLE)
         return self._gram
 
 
@@ -363,7 +358,7 @@ def flow_pullback(problem: dy.LaeProblem, ctx: PoissonContext, obs: list,
     dobs = np.stack([o.diff(uT).flat() for o in obs])
     z = VectorField.from_flat(ctx.geo.grid, matvec_last(W, dobs))
     r = _reverse_sweep(ctx, problem.cfg.integrator, stages, z, dt)
-    return (uT, r) + ctx.sp.riesz_representer(r, W, PULLBACK_SADDLE)
+    return (uT, r) + ctx.sp.riesz_representer(r, W)
 
 
 def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
