@@ -215,7 +215,7 @@ def curvature_contractions(m: ConformalMetric, u: VectorField,
 
 
 # ---------------------------------------------------------------------------
-# the scalar potentials of the quadratic operator algebra
+# the scalar potential of the quadratic operator's independent route
 # ---------------------------------------------------------------------------
 
 def F_scalar(m: ConformalMetric, u: VectorField):
@@ -226,11 +226,3 @@ def F_scalar(m: ConformalMetric, u: VectorField):
     frob = gbar_pair(m, du, du)
     return sq + ricci_uu + frob * 0.5
 
-
-def G_scalar(m: ConformalMetric, u: VectorField, v: VectorField):
-    """Polarization G(u,v) = F(u+v) - F(u) - F(v) of F, in its bilinear form
-    2 Tr(grad u . grad v) + 2 Ricci(u,v) + gbar(grad u, grad v)."""
-    du = covariant_derivative(m, u)
-    dv = covariant_derivative(m, v)
-    return (du.matmul(dv).trace() * 2.0 + g_pair(m, u, v) * m.K * 2.0
-            + gbar_pair(m, du, dv))

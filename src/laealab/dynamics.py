@@ -23,8 +23,12 @@ transport term Dop and the scalar potential F:
     Fop(u) = Dop(u,u) - (1-a^2 Lop)^{-1} a^2 (grad F(u) + grad u^t . Lap_r u)
 
 and the mutual agreement of the two routes is a grid-convergence test, not an
-assumption.  Alongside sit the bilinear maps Dop, Bop and the polarization
-FFop used by the connector and the bracket machinery.
+assumption.  Fop solves for the diagonal B(u, u) of one bilinear interior B.
+Its polarization FFop(u, v), used by the connector and by the tangent of the
+flow, solves for B(u, v) + B(v, u), so that tangent is the exact
+linearization of the discrete right-hand side; f_alpha_alt stays the
+independent route.  Alongside sit the bilinear maps Dop and Bop of the
+bracket machinery.
 
 transport() picks the transport form by regime, and rhs() is the one
 right-hand side for every regime and alpha: at a = 0, Fop vanishes and La is
@@ -108,44 +112,34 @@ class System:
 # quadratic operator stack
 # ---------------------------------------------------------------------------
 
-def _transport_combination(m, u: VectorField):
-    """grad u . grad u^t + grad u . grad u - grad u^t . grad u."""
+def _quadratic_interior(m, u: VectorField, v: VectorField) -> VectorField:
+    """The bilinear field B(u, v) of the quadratic operator,
+    Fop(u) = (1-a^2 Lop)^{-1} a^2 B(u, u):
+
+        B(u, v) = Div(grad u . grad v^t + grad u . grad v - grad u^t . grad v)
+                  + [Div R(., u)v + Tr R(., u) grad_. v + Tr R(u, grad_. v) .
+                     - (grad_u Ric)v - grad u^t . Ric v]   (curved metrics)
+
+    Linear in each argument, so either may be an unknown recorded on a
+    fields.Tape.
+    """
     du = ca.covariant_derivative(m, u)
+    dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
-    return du.matmul(dut) + du.matmul(du) - dut.matmul(du)
-
-
-def _r_alpha_interior(m, u: VectorField) -> VectorField:
-    cc = ca.curvature_contractions(m, u, u)
-    du = ca.covariant_derivative(m, u)
-    dut = ca.transpose_metric(m, du)
-    return (cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
-
-
-def u_alpha(s: System, u: VectorField) -> VectorField:
-    """Flat-space quadratic term, boundary-respecting by the inverse."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
-    inner = ca.div_11(s.metric, _transport_combination(s.metric, u)) * s.alpha**2
-    return s.op.solve(inner, s.bc)
-
-
-def r_alpha(s: System, u: VectorField) -> VectorField:
-    """Curvature part of the quadratic term (exactly zero on flat metrics)."""
-    if s.alpha == 0.0 or s.metric.is_flat:
-        return VectorField.zeros(u.grid)
-    return s.op.solve(_r_alpha_interior(s.metric, u) * s.alpha**2, s.bc)
+    dvt = ca.transpose_metric(m, dv)
+    inner = ca.div_11(m, du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv))
+    if not m.is_flat:
+        cc = ca.curvature_contractions(m, u, v)
+        inner = inner + ((cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate
+                         - dut.apply(cc.ric_v))
+    return inner
 
 
 def f_alpha(s: System, u: VectorField) -> VectorField:
     """Uop + Rop with a single elliptic solve."""
     if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
-    m = s.metric
-    inner = ca.div_11(m, _transport_combination(m, u))
-    if not m.is_flat:
-        inner = inner + _r_alpha_interior(m, u)
-    return s.op.solve(inner * s.alpha**2, s.bc)
+    return s.op.solve(_quadratic_interior(s.metric, u, u) * s.alpha**2, s.bc)
 
 
 def f_alpha_alt(s: System, u: VectorField) -> VectorField:
@@ -160,8 +154,11 @@ def f_alpha_alt(s: System, u: VectorField) -> VectorField:
     return d_alpha(s, u, u) - s.op.solve(inner * s.alpha**2, s.bc)
 
 
-def _d_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
-    """The field Dop(u, v) solves for: Dop = (1-a^2 Lop)^{-1} a^2 (this)."""
+def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
+    """Bilinear transport correction Dop(u, v)."""
+    if s.alpha == 0.0:
+        return VectorField.zeros(u.grid)
+    m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
@@ -171,14 +168,7 @@ def _d_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
         cc = ca.curvature_contractions(m, u, v)
         inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
         grad_arg = grad_arg + ca.g_pair(m, u, v) * m.K
-    return inner + ca.gradient(m, grad_arg)
-
-
-def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """Bilinear transport correction Dop(u, v)."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
-    return s.op.solve(_d_alpha_interior(s.metric, u, v) * s.alpha**2, s.bc)
+    return s.op.solve((inner + ca.gradient(m, grad_arg)) * s.alpha**2, s.bc)
 
 
 def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
@@ -191,19 +181,13 @@ def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
 
 
 def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
-    """The field 2 FFop(u, v) solves for: 2 FFop = (1-a^2 Lop)^{-1} a^2 (this).
-
-    It is the fields Dop(u, v) and Dop(v, u) solve for, less
-    grad G(u, v) + grad u^t . Lap_r v + grad v^t . Lap_r u.
+    """The field 2 FFop(u, v) solves for, B(u, v) + B(v, u): the polarization
+    of Fop's own bilinear interior, so FFop(u, u) is Fop(u) to the bit.
 
     Linear in each argument, so either may be an unknown recorded on a
     fields.Tape.
     """
-    dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
-    dvt = ca.transpose_metric(m, ca.covariant_derivative(m, v))
-    trans = dut.apply(ca.ricci_laplacian(m, v)) + dvt.apply(ca.ricci_laplacian(m, u))
-    return (_d_alpha_interior(m, u, v) + _d_alpha_interior(m, v, u)
-            - (ca.gradient(m, ca.G_scalar(m, u, v)) + trans))
+    return _quadratic_interior(m, u, v) + _quadratic_interior(m, v, u)
 
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:

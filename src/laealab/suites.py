@@ -691,7 +691,7 @@ def flow_poisson_map(run):
     yield max_result("flow_poisson_map_16",
                      "the time-t flow preserves the bracket",
                      devs[-1], 5e-3,
-                     note="16^2, t = 0.05, tangent dim per grid")
+                     note="16^2, t = 0.05, ten RK4 steps, adjoint sweep")
     yield bool_result("flow_poisson_map_trend",
                       "flow bracket deviation decreases with refinement",
                       devs[-1] < devs[0],

@@ -25,6 +25,8 @@ MIXED = DomainSpec("channel", 1.0, 1.0,
                    wall_roles={"y0": "dirichlet", "yL": "neumann"})
 DIRICH = DomainSpec("channel", 1.0, 1.0,
                     wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
+NEUMANN = DomainSpec("channel", 1.0, 1.0,
+                     wall_roles={"y0": "neumann", "yL": "neumann"})
 PHI_T = make_phi_sinusoidal(0.12, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.12, 1, 1.0, 1.0)
 ALPHA = 0.3
@@ -527,7 +529,21 @@ def test_a_non_finite_batch_member_fails_the_solve():
 # the adjoint flow check: transposes, and the forward march as its oracle
 # ---------------------------------------------------------------------------
 
-TRANSPOSE_CASES = [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C)]
+@pytest.mark.parametrize("spec", [TORUS, DIRICH, NEUMANN, MIXED],
+                         ids=["curved_torus", "dirichlet", "neumann", "mixed"])
+def test_tangent_rhs_is_the_exact_linearization_of_rhs(spec):
+    # rhs is quadratic, so its central difference is exact up to round-off
+    ctx = ctx_torus(16) if spec is TORUS else ctx_channel(16, spec)
+    u = member(ctx, 39, kmax=1, amp=0.4)
+    v = member(ctx, 40, kmax=1, amp=0.4)
+    eps = 1e-3
+    fd = (dy.rhs(ctx, u + v * eps) - dy.rhs(ctx, u - v * eps)) * (0.5 / eps)
+    tangent = po.tangent_rhs(ctx, u, v)
+    assert (tangent - fd).linf() <= 1e-9 * tangent.linf()
+
+
+TRANSPOSE_CASES = [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C),
+                   (DIRICH, 12, 13, PHI_C), (NEUMANN, 12, 13, PHI_C)]
 
 
 def _context(spec, nx, ny, phi):
