@@ -17,8 +17,8 @@ Curvature enters through the 2-D closed forms R(a,b)c = K (g(b,c) a - g(a,c) b),
 Ric = K Id and (grad_u Ric)(v) = dK(u) v.
 
 All linear operators are written against the generic scalar backend, so the
-same code paths evaluate pointwise on ScalarField components and assemble
-sparse matrices on OpScalar components.
+same code paths evaluate pointwise on ScalarField components and record on
+TapeScalar ones, whose fields.Tape assembles or transposes the recorded map.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@
 
 Runs the named verification suite over the grid ladder, writes the manifest
 JSON and the per-test CSV series into the output directory, prints one
-pass/fail line per test, and exits nonzero if any test failed.
+pass/fail line per test and the results digest, and exits 1 if any test
+failed, 2 on a bad config or ladder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_grid_ladder
 from .suites import SUITES, run_suite
 
 
@@ -32,14 +33,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command != "run":
-        return 2
-    cfg = ExperimentConfig.from_file(args.config) if args.config \
-        else ExperimentConfig.defaults()
-    ladder = None
-    if args.grid_ladder:
-        ladder = tuple(int(x) for x in args.grid_ladder.split(","))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = ExperimentConfig.from_file(args.config) if args.config \
+            else ExperimentConfig.defaults()
+        ladder = None if args.grid_ladder is None else parse_grid_ladder(args.grid_ladder)
+    except ConfigError as e:
+        parser.error(str(e))
     manifest = run_suite(cfg, args.suite, ladder)
     outdir = args.out or cfg.get("lab", "output_dir")
     path = manifest.write(outdir)
@@ -47,6 +48,7 @@ def main(argv=None) -> int:
         flag = "PASS" if r.passed else "FAIL"
         print(f"[{flag}] {r.name}: value={r.value:.6g} ({r.tolerance})")
     print(f"manifest: {path}")
+    print(f"results digest: {manifest.results_digest()}")
     print(f"suite {manifest.suite}: "
           f"{'all tests passed' if manifest.all_passed else 'FAILURES present'}")
     return 0 if manifest.all_passed else 1

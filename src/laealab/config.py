@@ -16,7 +16,8 @@ from functools import partial
 from . import poisson as po
 from .dynamics import SolverConfig
 from .elliptic import BcRegime
-from .geometry import DomainSpec, Geometry, build_geometry
+from .geometry import DomainSpec, Geometry
+from .grid import MIN_NODES
 from .samples import (eigenfield, make_phi_cosx, make_phi_cosx_siny,
                       make_phi_sinusoidal, phi_flat, random_vector,
                       taylor_green_like)
@@ -42,21 +43,37 @@ class ConfigError(ValueError):
     pass
 
 
+def parse_grid_ladder(raw: str) -> tuple:
+    """The sizes of a comma-separated ladder, empty items skipped; ConfigError
+    unless there is one or more and each is at least the grid's minimum."""
+    try:
+        ladder = tuple(int(x) for x in raw.split(",") if x.strip())
+    except ValueError:
+        raise ConfigError(f"bad grid ladder {raw!r}") from None
+    if not ladder or min(ladder) < MIN_NODES:
+        raise ConfigError(f"grid ladder {raw!r}: need sizes of at least {MIN_NODES}")
+    return ladder
+
+
 @dataclass
 class ExperimentConfig:
     sections: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        with open(path) as fh:
-            parser.read_string(fh.read())
-        return cls._build(parser)
+        try:
+            with open(path) as fh:
+                return cls.from_text(fh.read())
+        except OSError as e:
+            raise ConfigError(f"cannot read config file: {e}") from None
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.Error as e:
+            raise ConfigError(f"malformed config: {e}") from None
         return cls._build(parser)
 
     @classmethod
@@ -130,14 +147,7 @@ class ExperimentConfig:
         return self.getint("lab", "seed")
 
     def grid_ladder(self):
-        raw = self.get("lab", "grid_ladder")
-        try:
-            ladder = tuple(int(x) for x in raw.split(",") if x.strip())
-        except ValueError:
-            raise ConfigError(f"bad grid ladder {raw!r}")
-        if not ladder:
-            raise ConfigError("empty grid ladder")
-        return ladder
+        return parse_grid_ladder(self.get("lab", "grid_ladder"))
 
     def domain_spec(self) -> DomainSpec:
         kind = self.get("domain", "kind")
@@ -167,12 +177,6 @@ class ExperimentConfig:
             amp, k = spec.split(":", 1)[1].split(",")
             return make_phi_cosx_siny(float(amp), int(k), Lx, Ly)
         raise ConfigError(f"unknown phi preset {spec!r}")
-
-    def build_geometry(self, nx: int | None = None, ny: int | None = None) -> Geometry:
-        spec = self.domain_spec()
-        nx = nx if nx is not None else self.getint("domain", "nx")
-        ny = ny if ny is not None else self.getint("domain", "ny")
-        return build_geometry(spec, nx, ny, self.phi_function())
 
     def bc_regime(self) -> BcRegime:
         return BcRegime.from_domain(self.domain_spec())

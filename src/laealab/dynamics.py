@@ -273,12 +273,6 @@ class LaeProblem(System):
                 f"{self.cfg.cfl_factor / max(speed, 1e-300):.3e} (speed {speed:.3e})")
 
 
-def _require_finite(state: State):
-    u = state.u
-    if not (np.all(np.isfinite(u.c1.data)) and np.all(np.isfinite(u.c2.data))):
-        raise NonFiniteStateError(f"state at t={state.t} is not finite")
-
-
 def _shifted(y: tuple, k: tuple, c: float) -> tuple:
     return tuple(a + b * c for a, b in zip(y, k))
 
@@ -343,16 +337,20 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def step(problem: LaeProblem, state: State) -> State:
-    """One projected step of the configured integrator.
+    """One projected step of the configured integrator."""
+    return guarded_step(problem, state, lambda y: (problem.rhs(y[0]),))
 
-    A non-finite state raises NonFiniteStateError instead of being carried
-    forward; a step that produces one fails the solver residual checks.
-    """
-    _require_finite(state)
-    problem.check_cfl(state.u)
+
+def guarded_step(problem: LaeProblem, state: State, f) -> State:
+    """step() of y' = f(y), f the right-hand side or a recorder around it.
+    A non-finite state raises NonFiniteStateError, a dt past the CFL bound
+    CflError; a step that produces a non-finite state fails a solve's check."""
+    u = state.u
+    if not (np.all(np.isfinite(u.c1.data)) and np.all(np.isfinite(u.c2.data))):
+        raise NonFiniteStateError(f"state at t={state.t} is not finite")
+    problem.check_cfl(u)
     dt = problem.cfg.dt
-    (u,) = INTEGRATORS[problem.cfg.integrator](
-        lambda y: (problem.rhs(y[0]),), (state.u,), dt)
+    (u,) = INTEGRATORS[problem.cfg.integrator](f, (u,), dt)
     return State(problem.project(u), state.t + dt)
 
 

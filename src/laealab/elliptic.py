@@ -1,9 +1,9 @@
 """Boundary-condition-aware elliptic solves.
 
-The operator (1 - a^2 Lop) is assembled once per (geometry, alpha) by feeding
-operator-backed components through the same calculus code that evaluates it
-pointwise, so application and assembly agree to the last bit.  Per regime,
-wall-node equations are replaced by interpolation rows:
+(1 - a^2 Lop), the divergence and the pressure gradient are assembled once
+per geometry (and alpha) from the calculus code that applies them, recorded
+on a fields.Tape, so application and assembly agree to round-off.  Per
+regime, wall-node equations are replaced by interpolation rows:
 
     dirichlet wall : u1 = 0, u2 = 0
     neumann wall   : u2 = 0 (tangency) and the tangential free-slip row
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import calculus as ca
-from .fields import OpScalar, VectorField, op_vector_unknown
+from .fields import Tape, VectorField
 from .geometry import Geometry
 from .grid import matvec_last
 
@@ -290,8 +290,9 @@ def _gauge_bordered(K, Z, row0: int):
 def _assemble_interior(geo: Geometry, alpha: float):
     if alpha == 0.0:
         return sp.identity(2 * geo.grid.n_nodes, format="csr")
-    lop = ca.l_operator(geo.metric, op_vector_unknown(geo.grid))
-    L = sp.vstack([lop.c1.mat, lop.c2.mat], format="csr")
+    tape = Tape(geo.grid)
+    lop = ca.l_operator(geo.metric, tape.unknown())
+    L = sp.vstack(tape.matrices(lop.comps()), format="csr")
     return (sp.identity(2 * geo.grid.n_nodes) - alpha**2 * L).tocsr()
 
 
@@ -428,15 +429,16 @@ def _gradient_kernel_modes(grid) -> np.ndarray:
 
 def _divergence(geo: Geometry):
     """Sparse divergence over the stacked unknowns, (n, 2n)."""
-    return ca.divergence(geo.metric, op_vector_unknown(geo.grid)).mat
+    tape = Tape(geo.grid)
+    return tape.matrices([ca.divergence(geo.metric, tape.unknown())])[0]
 
 
 def _gradient(geo: Geometry, bc_idx: np.ndarray):
     """Sparse gradient of the pressure, (2n, n), zero on the BC rows."""
-    n = geo.grid.n_nodes
-    gradp = ca.gradient(geo.metric, OpScalar(geo.grid, sp.identity(n, format="csr")))
-    G = sp.vstack([gradp.c1.mat, gradp.c2.mat], format="csr")
-    return _replace_rows(G, bc_idx, sp.csr_matrix((bc_idx.size, n)))
+    tape = Tape(geo.grid)
+    gradp = ca.gradient(geo.metric, tape.scalar())
+    G = sp.vstack(tape.matrices(gradp.comps()), format="csr")
+    return _replace_rows(G, bc_idx, sp.csr_matrix((bc_idx.size, G.shape[1])))
 
 
 class StokesProjector:

@@ -1,19 +1,16 @@
-"""Grid-sampled fields and their linear-operator twins.
+"""Grid-sampled fields, and a tape that records linear maps of them.
 
 ``ScalarField`` wraps an (nx, ny) array of binary64 node values, or a batch of
 them, (..., nx, ny): every pointwise operation and derivative acts on each
-member as it would alone, bit for bit, by broadcasting.  ``OpScalar``
-wraps a sparse matrix mapping some fixed vector of unknowns to the node values
-of a scalar, so that any expression built from +, -, scaling by coefficient
-arrays, d/dx and d/dy can be evaluated either pointwise (ScalarField) or
-assembled into a sparse operator (OpScalar) from the same source line.  Both
-use the grid's DX/DY matrices, so the two evaluation paths agree to the last
-bit.
+member as it would alone, bit for bit, by broadcasting.
 
-A third backend, ``TapeScalar``, records the same operations on a ``Tape``
-instead of evaluating them; the tape's reverse sweep applies the transpose of
-the recorded linear map (DX^T, DY^T, the coefficients) to a batch of
-cotangents, without assembling it.
+``TapeScalar`` is the other scalar backend: it records the same operations
+(+, -, scaling by coefficient arrays, d/dx, d/dy) on a ``Tape`` instead of
+evaluating them, so one linear expression is evaluated or recorded from the
+same source line.  The tape reads the recorded map out as sparse matrices
+(matrices(): the elliptic operators and the H^1 Gram matrix) or applies its
+transpose to a batch of cotangents without assembling it (transpose()), both
+through the grid's DX/DY matrices, as pointwise evaluation does.
 
 ``VectorField`` holds contravariant components (u1, u2); ``Tensor11Field``
 holds mixed components T[i][j] = T^i_j.  The containers are generic over the
@@ -62,44 +59,6 @@ class ScalarField:
         return float(np.max(np.abs(self.data)))
 
 
-class OpScalar:
-    """A scalar-valued linear map of the unknown vector, as a sparse matrix."""
-
-    __slots__ = ("grid", "mat")
-
-    def __init__(self, grid: Grid, mat):
-        self.grid = grid
-        self.mat = mat.tocsr() if not sp.issparse(mat) or mat.format != "csr" else mat
-
-    def dx(self) -> "OpScalar":
-        return OpScalar(self.grid, self.grid.DX @ self.mat)
-
-    def dy(self) -> "OpScalar":
-        return OpScalar(self.grid, self.grid.DY @ self.mat)
-
-    def __add__(self, other):
-        return OpScalar(self.grid, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return OpScalar(self.grid, self.mat - other.mat)
-
-    def __neg__(self):
-        return OpScalar(self.grid, -self.mat)
-
-    def __mul__(self, w):
-        if isinstance(w, OpScalar):
-            raise TypeError("product of two operator scalars is not linear")
-        w = _raw(w)
-        if np.isscalar(w) or np.ndim(w) == 0:
-            return OpScalar(self.grid, float(w) * self.mat)
-        if np.ndim(w) > 2:
-            raise ValueError(f"operator assembly takes one coefficient field, "
-                             f"not a batch of shape {np.shape(w)}")
-        return OpScalar(self.grid, sp.diags(np.asarray(w).ravel()) @ self.mat)
-
-    __rmul__ = __mul__
-
-
 def _raw(v):
     if isinstance(v, ScalarField):
         return v.data
@@ -110,11 +69,14 @@ _LEAF, _DX, _DY, _ADD, _SUB, _SCALE = range(6)
 
 
 class Tape:
-    """A record of linear operations on tape scalars, and its transpose.
+    """A record of linear operations on tape scalars, read out forward as
+    sparse matrices or backward as a transpose.
 
-    unknown() gives a vector field of fresh leaves; an expression built from
-    them with +, -, scaling by coefficients, d/dx and d/dy appends one node
-    (kind, argument, second argument or coefficient) per operation.
+    unknown() gives a vector field of two fresh leaves and scalar() one; an
+    expression built from them with +, -, scaling by coefficients, d/dx and
+    d/dy appends one node (kind, argument, second argument or coefficient)
+    per operation.  The unknowns of the recorded map are the leaves' node
+    values, leaf by leaf in the order they were made.
     """
 
     def __init__(self, grid: Grid):
@@ -126,7 +88,50 @@ class Tape:
         return TapeScalar(self, len(self.nodes) - 1)
 
     def unknown(self) -> "VectorField":
-        return VectorField(self.grid, self.push(_LEAF, None), self.push(_LEAF, None))
+        return VectorField(self.grid, self.scalar(), self.scalar())
+
+    def scalar(self) -> "TapeScalar":
+        return self.push(_LEAF, None)
+
+    def _node(self, c) -> int:
+        if not isinstance(c, TapeScalar) or c.tape is not self:
+            raise TypeError("an output is not recorded on this tape")
+        return c.node
+
+    def matrices(self, outputs) -> list:
+        """The recorded map of each output scalar, as a CSR matrix over the
+        unknowns: one forward walk applies each needed node's operation to
+        its arguments' matrices, dropping each matrix after its last use."""
+        nodes, grid = self.nodes, self.grid
+        want = [self._node(c) for c in outputs]
+        reads = [() if k == _LEAF else (a, b) if k in (_ADD, _SUB) else (a,)
+                 for k, a, b in nodes]
+        last = [-1] * len(nodes)        # the last needed node that reads each node
+        for i in want:
+            last[i] = len(nodes)
+        for i in range(len(nodes) - 1, -1, -1):
+            for j in reads[i] if last[i] >= 0 else ():
+                last[j] = max(last[j], i)
+        eye = sp.identity(grid.n_nodes, format="csr")
+        leaves = [i for i, node in enumerate(nodes) if node[0] == _LEAF]
+        mats = [None] * len(nodes)
+        for i, (kind, a, b) in enumerate(nodes):
+            if last[i] < 0:
+                continue
+            if kind == _LEAF:
+                M = sp.hstack([eye if j == i else sp.csr_matrix(eye.shape) for j in leaves],
+                              format="csr")
+            elif kind in (_DX, _DY):
+                M = (grid.DX if kind == _DX else grid.DY) @ mats[a]
+            elif kind in (_ADD, _SUB):
+                M = mats[a] + mats[b] if kind == _ADD else mats[a] - mats[b]
+            else:
+                M = float(b) * mats[a] if np.ndim(b) == 0 else sp.diags(np.ravel(b)) @ mats[a]
+            mats[i] = M.tocsr()
+            for j in reads[i]:
+                if last[j] == i:
+                    mats[j] = None
+        return [mats[i] for i in want]
 
     def transpose(self, unknown: "VectorField", seeds) -> "VectorField":
         """The transpose of the recorded map, applied to cotangent batches.
@@ -142,9 +147,7 @@ class Tape:
 
         for out, bar in seeds:
             for c, b in zip(out.comps(), bar.comps()):
-                if not isinstance(c, TapeScalar) or c.tape is not self:
-                    raise TypeError("a seeded output is not recorded on this tape")
-                acc(c.node, b.data)
+                acc(self._node(c), b.data)
         grid = self.grid
         dxt, dyt = grid.DX.T.tocsr(), grid.DY.T.tocsr()
         for i in range(len(self.nodes) - 1, -1, -1):
@@ -171,7 +174,7 @@ class Tape:
 
 
 class TapeScalar(ScalarField):
-    """A scalar recorded on a Tape, linear in the tape's unknown.
+    """A scalar recorded on a Tape, linear in the tape's unknowns.
 
     It subclasses ScalarField only so that Python tries its reflected
     operators first: ScalarField * TapeScalar records a scaling without any
@@ -326,17 +329,3 @@ class Tensor11Field:
 
     def trace(self):
         return self.t[0][0] + self.t[1][1]
-
-
-def op_vector_unknown(grid: Grid) -> VectorField:
-    """The identity vector field over stacked (u1, u2) unknowns, OpScalar-backed.
-
-    Feeding this through any linear combination of calculus operators yields
-    the assembled sparse matrix of that operator.
-    """
-    n = grid.n_nodes
-    eye = sp.identity(n, format="csr")
-    z = sp.csr_matrix((n, n))
-    e1 = OpScalar(grid, sp.hstack([eye, z], format="csr"))
-    e2 = OpScalar(grid, sp.hstack([z, eye], format="csr"))
-    return VectorField(grid, e1, e2)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+MIN_NODES = 8           # the fewest nodes a grid takes along either axis
+
 
 def _d1_periodic(n: int, h: float) -> sp.csr_matrix:
     i = np.arange(n)
@@ -73,8 +75,8 @@ class Grid:
     """Node coordinates, sparse derivative operators and quadrature weights."""
 
     def __init__(self, nx: int, ny: int, Lx: float, Ly: float, periodic_y: bool):
-        if nx < 8 or ny < 8:
-            raise ValueError(f"need nx, ny >= 8 (got {nx}, {ny})")
+        if nx < MIN_NODES or ny < MIN_NODES:
+            raise ValueError(f"need nx, ny >= {MIN_NODES} (got {nx}, {ny})")
         self.nx, self.ny = nx, ny
         self.shape = (nx, ny)
         self.Lx, self.Ly = float(Lx), float(Ly)

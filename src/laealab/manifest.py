@@ -13,6 +13,7 @@ last bits depend on them (dense LAPACK calls differ between thread counts).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import time
@@ -59,6 +60,11 @@ class RunManifest:
             "results": [asdict(r) for r in self.results],
         }
         return d
+
+    def results_digest(self) -> str:
+        """SHA-256 of the payload's results as sorted-key JSON; not written to the file."""
+        results = json.dumps(self.deterministic_payload()["results"], sort_keys=True)
+        return hashlib.sha256(results.encode()).hexdigest()
 
     def to_json(self) -> str:
         payload = self.deterministic_payload()

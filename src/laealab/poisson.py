@@ -23,7 +23,7 @@ import scipy.sparse as sp_
 from . import calculus as ca
 from . import dynamics as dy
 from . import material as mt
-from .fields import Tape, VectorField, op_vector_unknown
+from .fields import Tape, VectorField
 from .grid import matvec_last
 from .samples import random_vector
 
@@ -38,18 +38,15 @@ class PoissonContext(dy.System):
     def gram_matrix(self):
         """Sparse matrix W with u^T W v = <u, v>_1 (same stencils)."""
         if self._gram is None:
-            grid, m = self.geo.grid, self.metric
-            n = grid.n_nodes
-            uop = op_vector_unknown(grid)
+            m = self.metric
             q0 = (m.quad_mu() * m.e2phi).ravel()
             W = sp_.block_diag([sp_.diags(q0), sp_.diags(q0)]).tocsr()
             if self.alpha != 0.0:
-                D = ca.def_tensor(m, uop)
-                qbar = (m.quad_mu()).ravel()
-                for i in range(2):
-                    for j in range(2):
-                        B = D[i, j].mat
-                        W = W + 2 * self.alpha**2 * (B.T @ sp_.diags(qbar) @ B)
+                tape = Tape(self.geo.grid)
+                D = ca.def_tensor(m, tape.unknown())
+                qbar = sp_.diags(m.quad_mu().ravel())
+                for B in tape.matrices([D[i, j] for i in range(2) for j in range(2)]):
+                    W = W + 2 * self.alpha**2 * (B.T @ qbar @ B)
             self._gram = W.tocsr()
         return self._gram
 
@@ -316,19 +313,18 @@ def tangent_rhs_transpose(ctx: PoissonContext, u: VectorField,
 
 
 def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):
-    """(u after nsteps projected steps, each step's stage states in call order)."""
+    """(u after nsteps steps of dy.guarded_step, each step's stage states in call order)."""
     stages = []
 
     def f(y):
         stages[-1].append(y[0])
         return (problem.rhs(y[0]),)
 
-    u = u0.copy()
+    state = dy.State(u0, 0.0)
     for _ in range(nsteps):
         stages.append([])
-        (u,) = dy.INTEGRATORS[problem.cfg.integrator](f, (u,), problem.cfg.dt)
-        u = problem.project(u)
-    return u, stages
+        state = dy.guarded_step(problem, state, f)
+    return state.u, stages
 
 
 def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,

@@ -3,6 +3,7 @@ import pytest
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
+from laealab import elliptic as el
 from laealab.elliptic import (BcRegime, EllipticOperator, SolveError,
                               StokesProjector, l_alpha)
 from laealab.fields import ScalarField, VectorField
@@ -75,6 +76,18 @@ def test_assembled_matrix_matches_pointwise_apply():
     via_mat = VectorField.from_flat(geo.grid, op.interior @ u.flat())
     via_ops = op.apply(u)
     assert (via_mat - via_ops).linf() < 1e-13 * max(via_ops.linf(), 1.0)
+
+
+@pytest.mark.parametrize("geo", [geo_torus(12), geo_channel(12)], ids=["torus", "mixed"])
+def test_assembled_divergence_and_gradient_match_pointwise(geo):
+    g, m = geo.grid, geo.metric
+    u, p = random_vector(g, seed=5), random_scalar(g, seed=6)
+    div = ca.divergence(m, u).data
+    via_mat = (el._divergence(geo) @ u.flat()).reshape(g.shape)
+    assert np.max(np.abs(via_mat - div)) < 1e-13 * np.max(np.abs(div))
+    grad = ca.gradient(m, ScalarField(g, p))
+    via_mat = VectorField.from_flat(g, el._gradient(geo, np.zeros(0, dtype=int)) @ p.ravel())
+    assert (via_mat - grad).linf() < 1e-13 * grad.linf()
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,9 @@ def test_env_override_rejects_unknown(monkeypatch):
 
 
 def test_initial_presets():
+    from laealab.geometry import build_geometry
     cfg = ExperimentConfig.defaults()
-    geo = cfg.build_geometry(16, 16)
+    geo = build_geometry(cfg.domain_spec(), 16, 16, cfg.phi_function())
     for preset in ("eigenfield", "taylor_green_like", "random_bandlimited:5"):
         cfg.sections["initial"]["preset"] = preset
         u = cfg.initial_field(geo)
@@ -319,6 +320,63 @@ def test_cli_runs_and_exits_clean(tmp_path, capsys):
     assert rc == 0
     assert "all tests passed" in out
     assert (tmp_path / "out" / "manifest_elliptic.json").exists()
+
+
+def _cli_usage_error(argv, capsys):
+    """The stderr of a CLI run that must stop with a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as stop:
+        cli_main(argv)
+    assert stop.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_cli_reports_a_malformed_ladder_as_a_usage_error(tmp_path, capsys):
+    err = _cli_usage_error(["run", "--grid-ladder", "16,x", "--out", str(tmp_path)], capsys)
+    assert "bad grid ladder '16,x'" in err and "Traceback" not in err
+
+
+def test_a_ladder_below_the_grid_minimum_is_refused(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="at least 8"):
+        ExperimentConfig.from_text("[lab]\ngrid_ladder = 16,4\n")
+    err = _cli_usage_error(["run", "--grid-ladder", "0", "--out", str(tmp_path)], capsys)
+    assert "at least 8" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_reports_a_bad_config_as_a_usage_error(tmp_path, capsys):
+    unknown, headless = tmp_path / "unknown.cfg", tmp_path / "headless.cfg"
+    unknown.write_text("[lab]\nbogus = 1\n")
+    headless.write_text("seed = 1\n")
+    for path, what in ((unknown, "unknown key"), (headless, "malformed config"),
+                       (tmp_path / "missing.cfg", "cannot read")):
+        assert what in _cli_usage_error(["run", "--config", str(path)], capsys)
+
+
+def test_cli_parses_a_ladder_as_the_config_does(tmp_path, monkeypatch):
+    from laealab import cli
+    from laealab.manifest import RunManifest
+    seen = []
+
+    def fake_run(cfg, suite, ladder):
+        seen.append(ladder)
+        return RunManifest("identities", {}, "0", 1, list(ladder))
+
+    monkeypatch.setattr(cli, "run_suite", fake_run)
+    assert cli_main(["run", "--grid-ladder", "16,,32", "--out", str(tmp_path)]) == 0
+    assert seen == [(16, 32)]
+    assert ExperimentConfig.from_text("[lab]\ngrid_ladder = 16,,32\n").grid_ladder() == (16, 32)
+
+
+def test_cli_prints_the_results_digest_of_the_written_manifest(tmp_path, capsys):
+    import hashlib
+    cli_main(["run", "--suite", "identities", "--grid-ladder", "8", "--out", str(tmp_path)])
+    printed = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("results digest: ")]
+    data = json.loads((tmp_path / "manifest_identities.json").read_text())
+    results = json.dumps(data["results"], sort_keys=True).encode()
+    assert printed == [hashlib.sha256(results).hexdigest()]
+    assert set(data) == {"suite", "config_echo", "version", "seed", "grid_ladder",
+                         "results", "timestamps", "threads"}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp_
 
 import laealab
 
@@ -15,6 +16,7 @@ from laealab import poisson as po
 from laealab.elliptic import BcRegime, SolveError, l_alpha, l_alpha_transpose
 from laealab.fields import Tape, VectorField
 from laealab.geometry import DomainSpec, build_geometry
+from laealab.grid import matvec_last
 from laealab.orders import fit_order
 from laealab.reference import spectral_coordinate_bracket
 from laealab.samples import (make_phi_cosx_siny, make_phi_sinusoidal, phi_flat,
@@ -461,6 +463,28 @@ def test_flow_poisson_check_rejects_an_uneven_or_negative_time():
         po.flow_poisson_check(prob, ctx, f, g, u0, -0.01)
 
 
+def _guard_case(dt, cfl_factor):
+    ctx = ctx_torus(12)
+    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=dt, t_end=dt, bc=ctx.bc,
+                          cfl_factor=cfl_factor)
+    return dy.LaeProblem(ctx.geo, cfg), ctx, member(ctx, 39, kmax=1, amp=0.4)
+
+
+def test_flow_poisson_check_raises_cfl_error_as_a_step_does():
+    prob, ctx, u0 = _guard_case(0.05, 0.01)
+    f, g, _ = trio(ctx)
+    with pytest.raises(dy.CflError):
+        po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
+
+
+def test_flow_poisson_check_refuses_a_non_finite_state_as_a_step_does():
+    prob, ctx, u0 = _guard_case(5e-3, 5.0)
+    u0.c1.data[3, 4] = np.nan
+    f, g, _ = trio(ctx)
+    with pytest.raises(dy.NonFiniteStateError):
+        po.flow_poisson_check(prob, ctx, f, g, u0, 5e-3)
+
+
 def test_flow_poisson_check_follows_the_midpoint_integrator():
     # the flow check linearizes the trajectory that integrate() produces
     ctx = ctx_torus(12)
@@ -593,6 +617,26 @@ def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi):
     lhs = _pairing(w, local(v)[0]) + _pairing(w2, local(v)[1])
     rhs = _pairing(tape.transpose(x, list(zip(recorded, (w, w2)))), v)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi", TRANSPOSE_CASES[:2], ids=["torus", "mixed"])
+def test_a_tape_reads_out_a_matrix_and_its_transpose(spec, nx, ny, phi):
+    # one recording per operator, read out forward (assembled) and backward
+    ctx = _context(spec, nx, ny, phi)
+    grid, m = ctx.geo.grid, ctx.metric
+    u = member(ctx, 340, kmax=2, amp=0.5)
+    tape = Tape(grid)
+    x = tape.unknown()
+    D = ca.def_tensor(m, x)
+    outputs = [ca.l_operator(m, x), VectorField(grid, D[0, 0], D[0, 1]),
+               VectorField(grid, D[1, 0], D[1, 1]), dy.frak_f_alpha_interior(m, u, x)]
+    w = _random_batch(grid, 350)
+    for out in outputs:
+        M = sp_.vstack(tape.matrices(out.comps()))
+        via_mat = matvec_last(M.T.tocsr(), w.flat())
+        via_sweep = tape.transpose(x, [(out, w)]).flat()
+        scale = np.max(np.abs(via_sweep), axis=-1, keepdims=True)
+        assert np.all(np.abs(via_mat - via_sweep) <= 1e-13 * scale)
 
 
 def test_a_tape_refuses_what_is_not_linear():
