@@ -31,10 +31,11 @@ the phase-space saddle of StokesProjector.riesz_representer, is one record,
 (SuperLU, permutation, matrix), whose solve holds every right-hand
 side's residual against the unpermuted matrix; its transpose solve uses the
 same factors and holds the residual against the transposed matrix, which
-gives the transposes of the solve, of La and of P.  On the torus each is ordered
-by nested dissection of the grid's nodes (the two wrap-around seams first),
-which fills less than COLAMD there; channel factorizations keep SuperLU's
-COLAMD.
+gives the transposes of the solve, of La and of P.  Each is ordered by nested
+dissection of the grid's nodes (on the torus the two wrap-around seams
+first), which fills less than COLAMD on every torus and on channels of at
+least _ND_MIN_NODES nodes; smaller channels keep SuperLU's COLAMD, which
+fills less there.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .grid import matvec_last
 _WALLS = ("y0", "yL")
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
+_ND_MIN_NODES = 1400   # smaller channels fill less under COLAMD (36x37 does, 38x39 not)
 
 
 class SolveError(RuntimeError):
@@ -125,7 +127,8 @@ def _reach(M, grid, n_node_dofs: int):
     """(rx, ry): the largest x and y node distance that M's node unknowns couple.
 
     Unknown r belongs to node r % n (unknowns beyond n_node_dofs are gauge
-    rows and do not count); distances wrap around the periodic directions.
+    or wall rows and do not count); distances wrap around the periodic
+    directions only.
     """
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     C = M.tocoo()
@@ -133,11 +136,14 @@ def _reach(M, grid, n_node_dofs: int):
     r, c = C.row[keep] % n, C.col[keep] % n
     di = np.abs(r // ny - c // ny)
     dj = np.abs(r % ny - c % ny)
-    return int(np.minimum(di, nx - di).max()), int(np.minimum(dj, ny - dj).max())
+    if grid.periodic_y:
+        dj = np.minimum(dj, ny - dj)
+    return int(np.minimum(di, nx - di).max()), int(dj.max())
 
 
-def _dissection(nx: int, ny: int, rx: int, ry: int) -> np.ndarray:
-    """Nested-dissection order of the nodes of an nx x ny torus grid.
+def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> np.ndarray:
+    """Nested-dissection order of the nodes of an nx x ny grid, periodic in x
+    and, on the torus, in y.
 
     Recursive coordinate bisection (George 1973): a box is cut by a band of
     separator nodes, as wide as the stencil's reach across it, and its two
@@ -180,7 +186,7 @@ def _dissection(nx: int, ny: int, rx: int, ry: int) -> np.ndarray:
             for a, b in bands:
                 nodes(i0, i1, a, b)
 
-    box(0, nx, 0, ny, True, True)
+    box(0, nx, 0, ny, True, periodic_y)
     return np.concatenate(out)
 
 
@@ -196,23 +202,26 @@ class _Factorization(NamedTuple):
     def of(cls, geo: Geometry, M, k: int, what: str) -> "_Factorization":
         """The factorization of M, whose last k unknowns are gauge rows.
 
-        On the torus M is factored as M[perm][:, perm] under SuperLU's NATURAL
-        column order, perm the nested-dissection order of the nodes with each
-        node's unknowns kept together and the gauge rows last.  The node order
-        is built once per geometry and reach and stored with the
-        factorizations.  Channel matrices get SuperLU's default COLAMD and perm
-        None.  A singular M raises SolveError, its message prefixed by what.
+        On the torus, and on a channel of at least _ND_MIN_NODES nodes, M is
+        factored as M[perm][:, perm] under SuperLU's NATURAL column order,
+        perm the nested-dissection order of the nodes with each node's
+        unknowns kept together and every unknown past them (the gauge rows,
+        and the phase-space saddle's wall rows) last, in order.  The node
+        order is built once per geometry and reach and stored with the
+        factorizations.  Smaller channels get SuperLU's default COLAMD and
+        perm None.  A singular M raises SolveError, its message prefixed by
+        what.
         """
         grid = geo.grid
         perm, options = None, {}
-        if grid.periodic_y:
+        if grid.periodic_y or grid.n_nodes >= _ND_MIN_NODES:
             n = grid.n_nodes
             d = (M.shape[0] - k) // n
             reach = _reach(M, grid, d * n)
-            order = _stored(geo, ("dissection", None, reach),
-                            lambda: _dissection(grid.nx, grid.ny, *reach))
+            order = _stored(geo, ("dissection", None, reach), lambda: _dissection(
+                grid.nx, grid.ny, *reach, grid.periodic_y))
             perm = np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
-                                   np.arange(d * n, d * n + k)])
+                                   np.arange(d * n, M.shape[0])])
             options = {"permc_spec": "NATURAL", "diag_pivot_thresh": _ND_PIVOT}
         try:
             lu = spla.splu(M.tocsc() if perm is None else M.tocsr()[perm][:, perm].tocsc(),

@@ -7,10 +7,13 @@ field; a reader rejects trailing bytes.
 
 save() and resume() pair a snapshot with a problem: resume() returns the
 stored state only if the header's grid, alpha and domain are the problem's.
+The domain entry carries the SHA-256 of the metric's phi samples, so a
+snapshot of a curved problem does not resume onto a flat one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -75,10 +78,13 @@ def read_snapshot(path: str):
 
 
 def _domain(problem: dy.LaeProblem) -> dict:
-    """The header's domain entry for a problem: kind, extents, wall roles."""
+    """The header's domain entry for a problem: kind, extents, the SHA-256 of
+    phi as little-endian binary64, wall roles."""
     grid = problem.geo.grid
+    phi = np.ascontiguousarray(problem.geo.metric.phi, dtype="<f8")
     domain = {"kind": "torus" if grid.periodic_y else "channel",
-              "Lx": grid.Lx, "Ly": grid.Ly}
+              "Lx": grid.Lx, "Ly": grid.Ly,
+              "phi_sha256": hashlib.sha256(phi.tobytes()).hexdigest()}
     if problem.bc.has_boundary:
         domain["wall_roles"] = dict(problem.bc.wall_conditions)
     return domain

@@ -3,9 +3,10 @@
 Solvers on the same geometry object share one factorization per (alpha,
 regime); a fresh geometry builds its own, with bit-identical results.  A
 suite run factorizes each distinct matrix once, and its factorizations are
-freed when the run ends.  Torus factorizations are ordered by nested
-dissection and agree with a COLAMD factorization of the same matrix to
-round-off; channel factorizations are COLAMD's, bit for bit.
+freed when the run ends.  Factorizations on the torus, and on channels of at
+least elliptic._ND_MIN_NODES nodes, are ordered by nested dissection and
+agree with a COLAMD factorization of the same matrix to round-off; smaller
+channel factorizations are COLAMD's, bit for bit.
 """
 
 import gc
@@ -14,6 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from laealab import dynamics as dy
@@ -33,6 +35,11 @@ MIXED = DomainSpec("channel", 1.0, 1.0,
 PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
 CASES = ((TORUS, 12, PHI_T), (MIXED, 13, PHI_C))
+REGIMES = {"mixed": MIXED,
+           "dirichlet": DomainSpec("channel", 1.0, 1.0,
+                                   wall_roles={"y0": "dirichlet", "yL": "dirichlet"}),
+           "neumann": DomainSpec("channel", 1.0, 1.0,
+                                 wall_roles={"y0": "neumann", "yL": "neumann"})}
 
 
 def _digest(A) -> str:
@@ -171,6 +178,20 @@ def _solutions(op, sp_, bc, f):
     return op.solve(f, bc), sp_.project(f)
 
 
+def _assert_permutation(fac, trailing: int):
+    """fac.perm holds every unknown exactly once, its last trailing unknowns
+    last and in order."""
+    p, size = fac.perm, fac.matrix.shape[0]
+    assert np.array_equal(np.sort(p), np.arange(size))
+    assert np.array_equal(p[size - trailing:], np.arange(size - trailing, size))
+
+
+def _assert_matches_colamd(op, sp_, bc, f):
+    for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
+        err = np.linalg.norm(got.flat() - ref.flat()) / np.linalg.norm(ref.flat())
+        assert err <= 1e-12
+
+
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("phi", [PHI_T, phi_flat], ids=["curved", "flat"])
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
@@ -180,18 +201,58 @@ def test_torus_dissection_order_matches_colamd(n, phi, alpha):
     op = EllipticOperator(geo, alpha)
     sp_ = StokesProjector(op, bc)
     # every unknown exactly once, the gauge rows last
-    for fac, k in ((op.factor(bc), 0), (sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)):
-        p, size = fac.perm, fac.matrix.shape[0]
-        assert np.array_equal(np.sort(p), np.arange(size))
-        assert np.array_equal(p[size - k:], np.arange(size - k, size))
+    _assert_permutation(op.factor(bc), 0)
+    _assert_permutation(sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)
+    _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
-    f = random_vector(geo.grid, seed=7, kmax=2)
-    for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
-        err = np.linalg.norm(got.flat() - ref.flat()) / np.linalg.norm(ref.flat())
-        assert err <= 1e-12
+
+@pytest.fixture(scope="module")
+def mixed40():
+    """The curved mixed 40x41 channel, built once for the tests that share it."""
+    return build_geometry(MIXED, 40, 41, PHI_C)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_channel_dissection_order_matches_colamd(regime):
+    spec = REGIMES[regime]
+    geo, bc = build_geometry(spec, 40, 41, PHI_C), BcRegime.from_domain(spec)
+    assert geo.grid.n_nodes >= el._ND_MIN_NODES
+    op = EllipticOperator(geo, 0.3)
+    sp_ = StokesProjector(op, bc)
+    _assert_permutation(op.factor(bc), 0)
+    _assert_permutation(sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)
+    _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
+
+
+def test_channel_riesz_representer_matches_colamd(mixed40, monkeypatch):
+    """The phase-space saddle has the wall rows of C past its node unknowns;
+    the dissection order keeps them and the gauge rows last, in order."""
+    geo, bc = mixed40, BcRegime.from_domain(MIXED)
+    sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
+    W = po.PoissonContext(geo, 0.3, bc).gram_matrix()
+    r = random_vector(geo.grid, seed=11, kmax=2)
+    saddles = []
+    real = el._Factorization.of
+
+    def recording(*args):
+        saddles.append(real(*args))
+        return saddles[-1]
+
+    monkeypatch.setattr(el._Factorization, "of", recording)
+    d, dim = sp_.riesz_representer(r, W)
+    monkeypatch.setattr(el, "_ND_MIN_NODES", geo.grid.n_nodes + 1)
+    ref, ref_dim = sp_.riesz_representer(r, W)
+
+    nd, colamd = saddles
+    assert colamd.perm is None and colamd.matrix.shape == nd.matrix.shape
+    _assert_permutation(nd, nd.matrix.shape[0] - 3 * sp_.n)
+    assert dim == ref_dim
+    err = np.linalg.norm(d.flat() - ref.flat()) / np.linalg.norm(ref.flat())
+    assert err <= 1e-10
 
 
 def test_channel_factorizations_stay_colamd(monkeypatch):
+    """Below elliptic._ND_MIN_NODES, up to the 32x33 grid of mixed32_rk4."""
     options = []
     real = el.spla.splu
 
@@ -199,23 +260,56 @@ def test_channel_factorizations_stay_colamd(monkeypatch):
         options.append((args, kwargs))
         return real(A, *args, **kwargs)
 
-    monkeypatch.setattr(el.spla, "splu", recording)
-    geo = build_geometry(MIXED, 12, 13, PHI_C)
     bc = BcRegime.from_domain(MIXED)
-    op = EllipticOperator(geo, 0.3)
-    sp_ = StokesProjector(op, bc)
-    assert op.factor(bc).perm is None and sp_.saddle.perm is None
-    assert options == [((), {})] * 2
-    monkeypatch.setattr(el.spla, "splu", real)
+    for nx, ny in ((12, 13), (32, 33)):
+        options.clear()
+        monkeypatch.setattr(el.spla, "splu", recording)
+        geo = build_geometry(MIXED, nx, ny, PHI_C)
+        assert geo.grid.n_nodes < el._ND_MIN_NODES
+        op = EllipticOperator(geo, 0.3)
+        sp_ = StokesProjector(op, bc)
+        assert op.factor(bc).perm is None and sp_.saddle.perm is None
+        assert options == [((), {})] * 2
+        monkeypatch.setattr(el.spla, "splu", real)
 
-    f = random_vector(geo.grid, seed=7, kmax=2)
-    for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
-        assert np.array_equal(got.flat(), ref.flat())
+        f = random_vector(geo.grid, seed=7, kmax=2)
+        for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
+            assert np.array_equal(got.flat(), ref.flat())
+
+
+def _fill(lu) -> int:
+    return lu.L.nnz + lu.U.nnz
 
 
 def test_torus_saddle_fills_less_than_colamd():
     geo = build_geometry(TORUS, 32, 32, PHI_T)
     bc = BcRegime.from_domain(TORUS)
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
-    colamd = spla.splu(sp_.saddle.matrix)
-    assert sp_.lu.L.nnz + sp_.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    assert _fill(sp_.lu) < _fill(spla.splu(sp_.saddle.matrix))
+
+
+def test_channel_saddle_fills_less_than_colamd(mixed40):
+    sp_ = StokesProjector(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
+    assert _fill(sp_.lu) < _fill(spla.splu(sp_.saddle.matrix))
+
+
+@pytest.mark.parametrize("periodic_y", [True, False], ids=["torus", "channel"])
+@pytest.mark.parametrize("ny", [9, 13, 41])
+@pytest.mark.parametrize("reach", [1, 2])
+def test_dissection_orders_every_node_once(periodic_y, ny, reach):
+    for nx in (8, 12, 40):
+        order = el._dissection(nx, ny, reach, reach, periodic_y)
+        assert np.array_equal(np.sort(order), np.arange(nx * ny))
+        if not periodic_y and nx < 2 * ny:
+            # the top box is cut across y by one band of rows in the middle,
+            # not along a seam at the walls
+            mid = (ny - reach) // 2
+            assert set(order[-nx * reach:] % ny) == set(range(mid, mid + reach))
+
+
+def test_reach_folds_y_distances_on_the_torus_only():
+    for spec, folded in ((TORUS, True), (MIXED, False)):
+        grid = build_geometry(spec, 12, 9, phi_flat).grid
+        n = grid.n_nodes
+        M = sp.coo_matrix(([1.0, 1.0], ([0, n + 1], [7, n + 4 * 9])), shape=(2 * n, 2 * n))
+        assert el._reach(M, grid, 2 * n) == (4, 2 if folded else 7)

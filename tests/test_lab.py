@@ -424,6 +424,19 @@ def test_resume_rejects_a_snapshot_of_another_problem(tmp_path, other, what):
         snapshot.resume(_snap_problem(TORUS_SPEC), tmp_path / "s.snap")
 
 
+def test_resume_rejects_a_snapshot_of_another_metric(tmp_path):
+    from laealab import snapshot
+    from laealab.geometry import build_geometry
+    curved = _snap_problem(TORUS_SPEC)
+    snapshot.save(curved, dy.State(VectorField.zeros(curved.geo.grid), 0.0),
+                  tmp_path / "s.snap")
+    flat = dy.LaeProblem(build_geometry(TORUS_SPEC, 12, 12, lambda x, y: 0.0 * x),
+                         curved.cfg)
+    with pytest.raises(SnapshotError, match="snapshot domain "):
+        snapshot.resume(flat, tmp_path / "s.snap")
+    assert snapshot.resume(curved, tmp_path / "s.snap").t == 0.0
+
+
 def test_resume_rejects_mismatched_wall_roles(tmp_path):
     from laealab import snapshot
     mixed = {"y0": "dirichlet", "yL": "neumann"}
