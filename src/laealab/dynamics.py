@@ -30,9 +30,14 @@ linearization of the discrete right-hand side; f_alpha_alt stays the
 independent route.  Alongside sit the bilinear maps Dop and Bop of the
 bracket machinery.
 
-transport() picks the transport form by regime, and rhs() is the one
-right-hand side for every regime and alpha: at a = 0, Fop vanishes and La is
-the identity, so it is the incompressible Euler baseline.  LaeProblem is the
+Every projected right-hand side is one Stokes-saddle solve,
+StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the solves of
+Fop, Dop and Bop enter as the sources they solve for, and La as its own
+source, La t = (1 - a^2 Lop)^{-1} A_int t with A_int the assembled interior
+of (1 - a^2 Lop).  transport() is the one place that splits the transport
+term into that pair by regime, and rhs() is the one right-hand side for every
+regime and alpha: at a = 0, Fop vanishes and La is the identity, so it is the
+incompressible Euler baseline, projected without a source.  LaeProblem is the
 System with a time-stepping configuration.  Each integrator has a reverse
 step beside it (REVERSE_STEPS), the transpose of its stage rule on a linear
 right-hand side, for adjoint sweeps.
@@ -45,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as ca
-from .elliptic import (BcRegime, EllipticOperator, StokesProjector, l_alpha,
-                       l_alpha_transpose)
+from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField
 from .geometry import Geometry
+from .grid import matvec_last
 
 
 class CflError(RuntimeError):
@@ -101,10 +106,11 @@ class System:
         return ca.inner1(self.metric, self.alpha, u, v)
 
     def admissible(self, v: VectorField) -> VectorField:
-        """A divergence-free, boundary-respecting field made from v: La v on a
-        walled regime with a > 0 (so the wall rows hold), then projected."""
+        """A divergence-free, boundary-respecting field made from v: P La v on
+        a walled regime with a > 0 (so the wall rows hold), as the projection
+        of the source (1 - a^2 Lop) v; P v otherwise."""
         if self.bc.has_boundary and self.alpha > 0:
-            v = l_alpha(self.op, v, self.bc)
+            return self.sp.project(None, _interior(self, v))
         return self.sp.project(v)
 
 
@@ -158,6 +164,11 @@ def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Bilinear transport correction Dop(u, v)."""
     if s.alpha == 0.0:
         return VectorField.zeros(u.grid)
+    return s.op.solve(d_alpha_source(s, u, v), s.bc)
+
+
+def d_alpha_source(s: System, u: VectorField, v: VectorField) -> VectorField:
+    """The field Dop(u, v) solves for; zero at a = 0."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
@@ -168,16 +179,21 @@ def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
         cc = ca.curvature_contractions(m, u, v)
         inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
         grad_arg = grad_arg + ca.g_pair(m, u, v) * m.K
-    return s.op.solve((inner + ca.gradient(m, grad_arg)) * s.alpha**2, s.bc)
+    return (inner + ca.gradient(m, grad_arg)) * s.alpha**2
 
 
 def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
     """Duality partner of the H^1 transport pairing,
     Bop(v, w) = P (1-a^2 Lop)^{-1} (grad w^t . (1 - a^2 Lap_r) v)."""
+    return s.sp.project(None, b_alpha_source(s, v, w))
+
+
+def b_alpha_source(s: System, v: VectorField, w: VectorField) -> VectorField:
+    """The source grad w^t . (1 - a^2 Lap_r) v that Bop(v, w) projects."""
     m = s.metric
     dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
     z = v if s.alpha == 0.0 else v - ca.ricci_laplacian(m, v) * s.alpha**2
-    return s.sp.project(s.op.solve(dwt.apply(z), s.bc))
+    return dwt.apply(z)
 
 
 def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
@@ -201,24 +217,48 @@ def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def transport(s: System, v: VectorField) -> VectorField:
-    """The transport term as it enters the constrained dynamics.
+def _interior(s: System, v: VectorField) -> VectorField:
+    """(1 - a^2 Lop) v by the assembled interior matrix; v may be a batch."""
+    return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior, v.flat()))
+
+
+def _la_on_transport(s: System) -> bool:
+    """Whether the transport term is carried back by La (free-slip rows
+    present, a > 0); at a = 0 La is the identity."""
+    return s.bc.uses_l_alpha_transport and s.alpha > 0
+
+
+def transport(s: System, t: VectorField, f: VectorField | None = None):
+    """The transport term t and a source f as the pair (v, g) that
+    StokesProjector.project() takes: P(v + A^{-1} g) = P(T t + A^{-1} f), with
+    A = 1 - a^2 Lop.
 
     Under free-slip and mixed walls grad_u u leaves the subspace and is
-    carried back by La = (1 - a^2 Lop)^{-1}(1 - a^2 Lop); otherwise it is v.
+    carried back by La = A^{-1} A, so with a > 0, T t joins the source as
+    (1 - a^2 Lop) t and v is None; otherwise T is the identity and v is t.
+    f may be None, and t and f batches.
     """
-    return l_alpha(s.op, v, s.bc) if s.bc.uses_l_alpha_transport else v
+    if _la_on_transport(s):
+        at = _interior(s, t)
+        return None, at if f is None else at + f
+    return t, f
 
 
-def transport_transpose(s: System, y: VectorField) -> VectorField:
-    """The transpose of transport(), on a batch of fields."""
-    return l_alpha_transpose(s.op, y, s.bc) if s.bc.uses_l_alpha_transport else y
+def transport_transpose(s: System, y: VectorField, yf: VectorField) -> VectorField:
+    """The cotangent of transport()'s t, given the cotangents (y, yf) of the
+    pair it returns, as StokesProjector.project_transpose() gives them (f's
+    cotangent is yf); on batches."""
+    if _la_on_transport(s):
+        return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior.T, yf.flat()))
+    return y
 
 
 def rhs(s: System, u: VectorField) -> VectorField:
-    """-P(T grad_u u + Fop(u)), T per transport(); Euler at a = 0."""
-    adv = transport(s, ca.nabla_along(s.metric, u, u))
-    return -s.sp.project(adv + f_alpha(s, u))
+    """-P(T grad_u u + Fop(u)), T per transport(), from one saddle solve;
+    Euler at a = 0."""
+    m = s.metric
+    f = _quadratic_interior(m, u, u) * s.alpha**2 if s.alpha else None
+    return -s.sp.project(*transport(s, ca.nabla_along(m, u, u), f))
 
 
 def energy(m, alpha: float, u: VectorField) -> float:

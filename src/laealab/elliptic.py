@@ -15,24 +15,30 @@ the boundary-condition subspace.
 
 The Stokes projector is the composite P v = v - (1 - a^2 Lop)^{-1} grad p,
 where the zero-mean potential p solves div((1 - a^2 Lop)^{-1} grad p) = div v.
-It is solved as one sparse saddle system in (w, p, lam):
+Its saddle's first block is (1 - a^2 Lop) with the BC rows, so a source f
+there gives P(v + (1 - a^2 Lop)^{-1} f) from the same one solve (block
+elimination), as v + w from the sparse saddle system in (w, p, lam):
 
-    A w - G p            = 0      (BC rows of A paired with zeroed rows of G)
-    div w + mu lam       = div v  (mu absorbs the quadrature incompatibility)
-    sum(mu p)            = 0      (gauge)
+    A w - G p            = f        (BC rows of A paired with zeroed rows of G
+                                     and of f, as the elliptic solve zeroes them)
+    div w + mu lam       = -div v   (mu absorbs the quadrature incompatibility)
+    sum(mu p)            = 0        (gauge)
 
-so that w = (1 - a^2 Lop)^{-1} grad p exactly and div(v - w) sits at the
-factorization's residual level, independent of h.  At a = 0 the composite is
-the identity and P is the discrete Leray projector: on the torus P v is v less
-its gradient part, which is how gradient parts are removed elsewhere.
+so that w = (1 - a^2 Lop)^{-1} (f + grad p) exactly and div(v + w) sits at the
+factorization's residual level, independent of h.  Every projected
+right-hand side of the dynamics, the bracket and the connector is one such
+solve, its residual held to 1e-8 as the elliptic solve's is.  At a = 0 the
+composite is the identity and P is the discrete Leray projector: on the torus
+P v is v less its gradient part, which is how gradient parts are removed
+elsewhere.
 
 Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
 the phase-space saddle of StokesProjector.riesz_representer, is one record,
-(SuperLU, permutation, matrix), whose solve holds every right-hand
-side's residual against the unpermuted matrix; its transpose solve uses the
-same factors and holds the residual against the transposed matrix, which
-gives the transposes of the solve, of La and of P.  Each is ordered by nested
-dissection of the grid's nodes (on the torus the two wrap-around seams
+(SuperLU, permutation, matrix), whose solve holds every right-hand side's
+residual against the unpermuted matrix; its transpose solve uses the same
+factors and holds the residual against the transposed matrix, which gives
+the transpose of the projection, in v and in the source.  Each is ordered by
+nested dissection of the grid's nodes (on the torus the two wrap-around seams
 first), which fills less than COLAMD on every torus and on channels of at
 least _ND_MIN_NODES nodes; smaller channels keep SuperLU's COLAMD, which
 fills less there.
@@ -392,29 +398,10 @@ class EllipticOperator:
             rhs[..., idx] = 0.0
         return VectorField.from_flat(self.geo.grid, fac.solve(rhs, 1e-8, "direct solve"))
 
-    def solve_transpose(self, y: VectorField, bc: BcRegime) -> VectorField:
-        """The transpose of solve(): the BC-substituted matrix's transpose
-        solve, then the substituted rows zeroed; y may be a batch."""
-        if self.alpha == 0.0:
-            return y.copy()
-        x = self.factor(bc).solve_transpose(y.flat(), 1e-8, "transposed direct solve")
-        _, idx = self.matrix(bc)
-        if idx.size:
-            x[..., idx] = 0.0
-        return VectorField.from_flat(self.geo.grid, x)
-
 
 def l_alpha(op: EllipticOperator, v: VectorField, bc: BcRegime) -> VectorField:
     """Composite (1 - a^2 Lop)^{-1} (1 - a^2 Lop) v; identity on the subspace."""
     return op.solve(op.apply(v), bc)
-
-
-def l_alpha_transpose(op: EllipticOperator, y: VectorField, bc: BcRegime) -> VectorField:
-    """The transpose of l_alpha(), through the assembled (1 - a^2 Lop)."""
-    x = op.solve_transpose(y, bc)
-    if op.alpha == 0.0:
-        return x
-    return VectorField.from_flat(op.geo.grid, matvec_last(op.interior.T, x.flat()))
 
 
 def _gradient_kernel_modes(grid) -> np.ndarray:
@@ -465,6 +452,7 @@ class StokesProjector:
         self.mu = geo.metric.quad_mu().ravel()
         self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
         self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
+        self.bc_idx = op.matrix(bc)[1]
 
     @property
     def lu(self):
@@ -484,25 +472,45 @@ class StokesProjector:
         S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
         return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed")
 
-    def project(self, v: VectorField) -> VectorField:
-        """P v; v may be a batch (..., nx, ny), projected member by member."""
-        n = self.n
-        div = matvec_last(self.D, v.flat())
-        rhs = np.zeros(div.shape[:-1] + self.saddle.matrix.shape[:1])
-        rhs[..., 2 * n:3 * n] = div
-        x = self.saddle.solve(rhs, 1e-7, "stokes composite")
-        w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
-        return v - w
+    def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
+        """P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve; v None is the
+        zero field, f None no source, and either may be a batch (..., nx, ny),
+        solved member by member.
 
-    def project_transpose(self, z: VectorField) -> VectorField:
-        """P^T z, by the saddle's transpose solve; z may be a batch."""
+        The saddle is solved for [f with its BC rows zeroed; -div v; 0], as
+        EllipticOperator.solve() zeroes them, and the result is v + w.  At
+        a = 0 that solve is the identity, so f joins v.
+        """
+        if f is not None and self.op.alpha == 0.0:
+            v, f = (f if v is None else v + f), None
         n = self.n
+        vf, ff = (None if x is None else x.flat() for x in (v, f))
+        batch = np.broadcast_shapes(*(x.shape[:-1] for x in (vf, ff) if x is not None))
+        rhs = np.zeros(batch + self.saddle.matrix.shape[:1])
+        if vf is not None:
+            rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
+        if ff is not None:
+            rhs[..., :2 * n] = ff
+            rhs[..., self.bc_idx] = 0.0
+        x = self.saddle.solve(rhs, 1e-8, "stokes composite")
+        w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
+        return w if v is None else v + w
+
+    def project_transpose(self, z: VectorField) -> tuple[VectorField, VectorField]:
+        """The transpose of project() applied to z, as the pair of cotangents
+        (P^T z, of f): one transposed saddle solve, whose first block with the
+        BC rows zeroed is f's; z may be a batch."""
+        n, grid = self.n, self.op.geo.grid
         zf = z.flat()
         rhs = np.zeros(zf.shape[:-1] + self.saddle.matrix.shape[:1])
         rhs[..., :2 * n] = zf
-        x = self.saddle.solve_transpose(rhs, 1e-7, "transposed stokes composite")
-        return VectorField.from_flat(self.op.geo.grid,
-                                     zf - matvec_last(self.D.T, x[..., 2 * n:3 * n]))
+        x = self.saddle.solve_transpose(rhs, 1e-8, "transposed stokes composite")
+        y = VectorField.from_flat(grid, zf - matvec_last(self.D.T, x[..., 2 * n:3 * n]))
+        if self.op.alpha == 0.0:
+            return y, y
+        yf = x[..., :2 * n]
+        yf[..., self.bc_idx] = 0.0
+        return y, VectorField.from_flat(grid, yf)
 
     def riesz_representer(self, r: VectorField, W):
         """(d, dim): for each member of the batch r, the member d of null(C)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calculus as ca
 from .dynamics import (INTEGRATORS, LaeProblem, NonFiniteStateError, State,
-                       System, frak_f_alpha, integrate, step_count, transport)
+                       System, frak_f_alpha_interior, integrate, step_count, transport)
 from .fields import VectorField
 from .interp import BicubicField
 
@@ -219,9 +219,10 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
 
 def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
     """K(Tu o v) = P(grad_v u + FF(u,v)), with the La composite on the
-    transport term for free-slip and mixed regimes."""
-    adv = transport(s, ca.nabla_along(s.metric, v, u))
-    return s.sp.project(adv + frak_f_alpha(s, u, v))
+    transport term for free-slip and mixed regimes, from one saddle solve."""
+    m = s.metric
+    f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2) if s.alpha else None
+    return s.sp.project(*transport(s, ca.nabla_along(m, v, u), f))
 
 
 # ---------------------------------------------------------------------------

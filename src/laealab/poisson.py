@@ -112,7 +112,7 @@ class QuadraticObservable(Observable):
         ctx = self.ctx
         if self.kind == "cutoff":
             u = VectorField(u.grid, u.c1 * self.chi, u.c2 * self.chi)
-        return ctx.sp.project(ctx.op.solve(u, ctx.bc))
+        return ctx.sp.project(None, u)
 
     def value(self, u):
         return 0.5 * self.ctx.inner1(self.apply_kernel(u), u)
@@ -173,10 +173,12 @@ def bracket(ctx: PoissonContext, f: Observable, g: Observable,
 
 def _transported_argument(ctx: PoissonContext, df: VectorField,
                           u: VectorField) -> VectorField:
-    """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime."""
-    adv = dy.transport(ctx, ca.nabla_along(ctx.metric, df, u))
-    part = ctx.sp.project(adv + dy.d_alpha(ctx, df, u))
-    return part + dy.b_alpha(ctx, u, df)
+    """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime, from one
+    saddle solve: the sources of Dop and Bop add."""
+    src = dy.b_alpha_source(ctx, u, df)
+    if ctx.alpha != 0.0:
+        src = src + dy.d_alpha_source(ctx, df, u)
+    return ctx.sp.project(*dy.transport(ctx, ca.nabla_along(ctx.metric, df, u), src))
 
 
 def delta_bracket(ctx: PoissonContext, f: Observable, g: Observable,
@@ -260,8 +262,11 @@ def horizontal_fd(ctx: PoissonContext, f: Observable,
     """Horizontal derivative of f o pi_R via the duality operators."""
     u = mt.pi_r(ms)
     df = f.diff(u)
-    hor = (dy.b_alpha(ctx, u, df) - dy.b_alpha(ctx, df, u)
-           + ctx.sp.project(dy.d_alpha(ctx, df, u) - dy.d_alpha(ctx, u, df))) * 0.5
+    src = dy.b_alpha_source(ctx, u, df) - dy.b_alpha_source(ctx, df, u)
+    if ctx.alpha != 0.0:
+        src = src + (dy.d_alpha_source(ctx, df, u) - dy.d_alpha_source(ctx, u, df))
+    # (Bop(u, df) - Bop(df, u) + P(Dop(df, u) - Dop(u, df))) / 2 in one solve
+    hor = ctx.sp.project(None, src) * 0.5
     return mt.compose_with_map(hor, ms.eta)
 
 
@@ -292,23 +297,23 @@ def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorFi
     v may be a batch of tangent directions; u is the one base state.
     """
     m = ctx.metric
-    adv = dy.transport(ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v))
-    return -ctx.sp.project(adv + dy.frak_f_alpha(ctx, u, v) * 2.0)
+    f = dy.frak_f_alpha_interior(m, u, v) * ctx.alpha**2 if ctx.alpha else None
+    return -ctx.sp.project(*dy.transport(
+        ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v), f))
 
 
 def tangent_rhs_transpose(ctx: PoissonContext, u: VectorField,
                           z: VectorField) -> VectorField:
     """The transpose of v -> tangent_rhs(ctx, u, v), applied to a batch z: the
-    local parts swept back on a Tape, the solves and P by transpose solves."""
+    local parts swept back on a Tape, the saddle solve by its transpose."""
     m = ctx.metric
     tape = Tape(ctx.geo.grid)
     v = tape.unknown()
-    y = -ctx.sp.project_transpose(z)
+    y, yf = ctx.sp.project_transpose(-z)
     seeds = [(ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
-              dy.transport_transpose(ctx, y))]
+              dy.transport_transpose(ctx, y, yf))]
     if ctx.alpha != 0.0:
-        seeds.append((dy.frak_f_alpha_interior(m, u, v),
-                      ctx.op.solve_transpose(y, ctx.bc) * ctx.alpha**2))
+        seeds.append((dy.frak_f_alpha_interior(m, u, v), yf * ctx.alpha**2))
     return tape.transpose(v, seeds)
 
 
@@ -333,7 +338,7 @@ def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,
     reverse = dy.REVERSE_STEPS[integrator]
     for states in reversed(stages):
         z = reverse(lambda s, x: tangent_rhs_transpose(ctx, states[s], x),
-                    ctx.sp.project_transpose(z), dt)
+                    ctx.sp.project_transpose(z)[0], dt)
     return z
 
 

@@ -193,8 +193,11 @@ def identity_ladder(run):
 
             mom = vm - ca.ricci_laplacian(m, vm) * alpha**2
             tlhs = s.op.solve(ca.nabla_along(m, um, mom), s.bc)
-            adv = dy.transport(s, ca.nabla_along(m, um, vm))
-            transport = (tlhs - (adv + dy.d_alpha(s, um, vm))).linf()
+            # T(grad_u v) + Dop(u, v) as transport() splits it, not projected
+            adv, src = dy.transport(s, ca.nabla_along(m, um, vm),
+                                    dy.d_alpha_source(s, um, vm))
+            trhs = s.op.solve(src, s.bc)
+            transport = (tlhs - (trhs if adv is None else adv + trhs)).linf()
 
             for name, val in (("weitzenboeck", weitz / scale),
                               ("div_of_transport", divnab / scale),

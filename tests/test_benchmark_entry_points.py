@@ -50,6 +50,7 @@ def test_workload_runs_and_passes_its_checks(workload, name):
 
 
 @pytest.mark.parametrize("name,span", [("mixed32_rk4", "dynamics.LaeProblem.rhs"),
+                                       ("mixed32_rk4", "elliptic.StokesProjector.project"),
                                        ("flowcheck16", "poisson.PoissonContext.gram_matrix")])
 def test_traced_workload_records_the_spans_the_benchmark_reads(workload, name, span):
     tracer = workload.Tracer().install()

@@ -3,6 +3,7 @@ import pytest
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
+from laealab import elliptic as el
 from laealab.elliptic import BcRegime, SolveError, l_alpha
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
@@ -117,8 +118,10 @@ def test_transport_identity_for_d_alpha(case):
         v = divfree_sample(s, seed=9, kmax=1)
         mom = v - ca.ricci_laplacian(m, v) * alpha**2
         lhs = s.op.solve(ca.nabla_along(m, u, mom), bc)
-        adv = dy.transport(s, ca.nabla_along(m, u, v))
-        rhs = adv + dy.d_alpha(s, u, v)
+        adv, src = dy.transport(s, ca.nabla_along(m, u, v), dy.d_alpha_source(s, u, v))
+        rhs = s.op.solve(src, bc)
+        if adv is not None:
+            rhs = rhs + adv
         hs.append(geo.grid.h)
         errs.append((lhs - rhs).linf() / max(lhs.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
@@ -317,6 +320,30 @@ def test_step_keeps_zero_field_fixed():
     s = dy.step(prob, dy.State(VectorField.zeros(geo.grid), 0.0))
     assert s.u.linf() < 1e-14
     assert s.t == 1e-2
+
+
+@pytest.mark.parametrize("case", ["torus", "channel"])
+def test_rk4_step_is_five_saddle_solves(case, monkeypatch):
+    # each stage's right-hand side is one Stokes-saddle solve, with the
+    # solves of Fop and La folded in, and the step ends with one projection
+    geo = torus(16) if case == "torus" else channel(16)
+    cfg = dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3,
+                          bc=BC_T if case == "torus" else BC_M)
+    prob = dy.LaeProblem(geo, cfg)
+    prob.op.factor(cfg.bc)
+    u = prob.admissible(random_vector(geo.grid, seed=29, kmax=1)) * 0.5
+    calls = []
+    real = el._Factorization.solve
+
+    def counting(fac, *args):
+        calls.append(fac)
+        return real(fac, *args)
+
+    monkeypatch.setattr(el._Factorization, "solve", counting)
+    dy.step(prob, dy.State(u, 0.0))
+    assert sum(f is prob.sp.saddle for f in calls) == 5
+    assert sum(f is prob.op.factor(cfg.bc) for f in calls) == 0
+    assert len(calls) == 5
 
 
 def test_cfl_violation_raises():

@@ -265,6 +265,47 @@ def test_projection_idempotent_all_regimes():
     assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("spec", [TORUS, MIXED, DIRICH, NEUM],
+                         ids=["torus", "mixed", "dirichlet", "neumann"])
+def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
+    # project(v, f) = P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve,
+    # against the elliptic solve followed by P
+    geo = geo_torus(16) if spec is TORUS else geo_channel(16, spec)
+    sp_, op, bc = projector(geo, spec, alpha)
+    grid = geo.grid
+    vs = [random_vector(grid, seed=40 + k, kmax=2) for k in range(3)]
+    fs = [random_vector(grid, seed=50 + k, kmax=2) for k in range(3)]
+    singles = [sp_.project(v, f) for v, f in zip(vs, fs)]
+    for got, v, f in zip(singles, vs, fs):
+        oracle = sp_.project(v + op.solve(f, bc))
+        assert (got - oracle).linf() <= 1e-10 * oracle.linf()
+        only = sp_.project(None, f)
+        oracle = sp_.project(op.solve(f, bc))
+        assert (only - oracle).linf() <= 1e-10 * oracle.linf()
+
+    def batch(fields):
+        return VectorField.from_arrays(grid, np.stack([x.c1.data for x in fields]),
+                                       np.stack([x.c2.data for x in fields]))
+
+    batched = sp_.project(batch(vs), batch(fs))
+    for k, single in enumerate(singles):        # each member gets its own bits
+        assert np.array_equal(batched.c1.data[k], single.c1.data)
+        assert np.array_equal(batched.c2.data[k], single.c2.data)
+
+    # the transposed solve, in v and in f, by the dot-product identity
+    v, f, z = batch(vs), batch(fs), batch([random_vector(grid, seed=60 + k, kmax=2)
+                                            for k in range(3)])
+    zv, zf = sp_.project_transpose(z)
+
+    def pair(a, b):
+        return np.sum(a.flat() * b.flat(), axis=-1)
+
+    lhs = pair(z, sp_.project(v, f))
+    rhs = pair(zv, v) + pair(zf, f)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
+
+
 def test_h1_orthogonality_flat_torus_solver_level():
     geo = geo_torus(24, phi_flat)
     alpha = 0.3

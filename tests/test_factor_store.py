@@ -113,9 +113,12 @@ def test_problem_and_poisson_context_share_factorizations(factorized):
 
 
 def test_elliptic_suite_factorizes_each_matrix_once(factorized):
+    # 7 Stokes saddles and 3 elliptic LUs: the Dirichlet and Neumann 8x9
+    # channels need no elliptic LU, their admissible fields being one saddle
+    # solve with a source
     run_suite(ExperimentConfig.defaults(), "elliptic", (8, 12, 16))
     assert factorized
-    assert len(factorized) == len(set(factorized)) == 12
+    assert len(factorized) == len(set(factorized)) == 10
 
 
 def test_consecutive_suite_runs_build_their_own_factorizations(factorized):

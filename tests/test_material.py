@@ -496,9 +496,10 @@ def test_connector_regime_formulas_coincide_on_torus():
 
 def test_connector_against_christoffel_split_oracle():
     # oracle: split grad_v u into the coordinate derivative plus the
-    # pointwise Christoffel map, and build FF by polarization; the two
-    # dense-assembly routes agree under refinement
-    hs, errs = [], []
+    # pointwise Christoffel map, and build FF by polarization; the two routes
+    # are the same discrete operator, so they agree to round-off on every
+    # level (an order fitted to round-off-sized differences measures noise)
+    errs = []
     for n in (16, 24, 32):
         s = dy.System(torus(n), 0.3, BC_T)
         m, g, sp = s.metric, s.geo.grid, s.sp
@@ -509,9 +510,8 @@ def test_connector_against_christoffel_split_oracle():
                                u.c2.dx() * v.c1 + u.c2.dy() * v.c2)
         oracle = sp.project(du_coord + gamma0_pointwise(m, u, v)
                             + polarized_f_alpha(s, u, v))
-        hs.append(g.h)
         errs.append((got - oracle).linf() / max(got.linf(), 1e-300))
-    assert 1.4 < fit_order(hs, errs) < 3.0, errs
+    assert max(errs) < 1e-12, errs
 
 
 # ---------------------------------------------------------------------------

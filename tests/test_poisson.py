@@ -13,7 +13,7 @@ from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import material as mt
 from laealab import poisson as po
-from laealab.elliptic import BcRegime, SolveError, l_alpha, l_alpha_transpose
+from laealab.elliptic import BcRegime, SolveError
 from laealab.fields import Tape, VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.grid import matvec_last
@@ -597,11 +597,13 @@ def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi):
     grid, m, bc = ctx.geo.grid, ctx.metric, ctx.bc
     v, w = _random_batch(grid, 300), _random_batch(grid, 310)
     u = member(ctx, 320, kmax=2, amp=0.5)
-    _assert_transpose(lambda x: ctx.op.solve(x, bc),
-                      lambda y: ctx.op.solve_transpose(y, bc), v, w)
-    _assert_transpose(lambda x: l_alpha(ctx.op, x, bc),
-                      lambda y: l_alpha_transpose(ctx.op, y, bc), v, w)
-    _assert_transpose(ctx.sp.project, ctx.sp.project_transpose, v, w)
+    _assert_transpose(ctx.sp.project, lambda y: ctx.sp.project_transpose(y)[0], v, w)
+    _assert_transpose(lambda x: ctx.sp.project(None, x),
+                      lambda y: ctx.sp.project_transpose(y)[1], v, w)
+    # the projected transport term: La as the (1 - a^2 Lop) source on walls
+    _assert_transpose(lambda x: ctx.sp.project(*dy.transport(ctx, x)),
+                      lambda y: dy.transport_transpose(ctx, *ctx.sp.project_transpose(y)),
+                      v, w)
     _assert_transpose(lambda x: po.tangent_rhs(ctx, u, x),
                       lambda y: po.tangent_rhs_transpose(ctx, u, y), v, w)
 
