@@ -188,8 +188,9 @@ class CurvatureContractions:
     ric_v: VectorField
 
 
-def curvature_contractions(m: ConformalMetric, u: VectorField,
-                           v: VectorField) -> CurvatureContractions:
+def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
+                           dv: Tensor11Field | None = None) -> CurvatureContractions:
+    """The contractions of u and v; dv, when given, is covariant_derivative(m, v)."""
     grid = m.grid
     guv = g_pair(m, u, v)
     # tensor T(w) = R(w,u)v = K (g(u,v) w - g(w,v) u): T^i_j = K (g(u,v) d^i_j - u^i v_j)
@@ -199,7 +200,7 @@ def curvature_contractions(m: ConformalMetric, u: VectorField,
                       (-(u.c2 * v_low[0])) * m.K, (guv - u.c2 * v_low[1]) * m.K)
     div_r = div_11(m, T)
 
-    dv = covariant_derivative(m, v)
+    dv = covariant_derivative(m, v) if dv is None else dv
     divv = divergence(m, v)
     # sharp of the 1-form w -> g(u, grad_w v); conformal factors cancel
     contr = VectorField(grid,

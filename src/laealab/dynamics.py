@@ -38,9 +38,12 @@ of (1 - a^2 Lop).  transport() is the one place that splits the transport
 term into that pair by regime, and rhs() is the one right-hand side for every
 regime and alpha: at a = 0, Fop vanishes and La is the identity, so it is the
 incompressible Euler baseline, projected without a source.  LaeProblem is the
-System with a time-stepping configuration.  Each integrator has a reverse
-step beside it (REVERSE_STEPS), the transpose of its stage rule on a linear
-right-hand side, for adjoint sweeps.
+System with a time-stepping configuration.  A step ends with the
+integrator's result: every stage output of rhs() lies in range(P), so from
+a divergence-free state no projection after the step is needed, and a state
+that is not divergence-free raises InadmissibleStateError.  Each integrator
+has a reverse step beside it (REVERSE_STEPS), the transpose of its stage
+rule on a linear right-hand side, for adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ class CflError(RuntimeError):
 
 class NonFiniteStateError(FloatingPointError):
     """A state holds NaN or infinite values."""
+
+
+class InadmissibleStateError(ValueError):
+    """A state is not divergence-free to DIVERGENCE_WINDOW."""
+
+
+# |div u|_inf / |u|_inf a step accepts (the configured_run_divergence window)
+DIVERGENCE_WINDOW = 1e-8
 
 
 @dataclass
@@ -118,7 +129,7 @@ class System:
 # quadratic operator stack
 # ---------------------------------------------------------------------------
 
-def _quadratic_interior(m, u: VectorField, v: VectorField) -> VectorField:
+def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> VectorField:
     """The bilinear field B(u, v) of the quadratic operator,
     Fop(u) = (1-a^2 Lop)^{-1} a^2 B(u, u):
 
@@ -127,15 +138,17 @@ def _quadratic_interior(m, u: VectorField, v: VectorField) -> VectorField:
                      - (grad_u Ric)v - grad u^t . Ric v]   (curved metrics)
 
     Linear in each argument, so either may be an unknown recorded on a
-    fields.Tape.
+    fields.Tape.  du and dv, when given, are grad u and grad v as
+    calculus.covariant_derivative() computes them; one object passed as both
+    has its metric transpose taken once.
     """
-    du = ca.covariant_derivative(m, u)
-    dv = ca.covariant_derivative(m, v)
+    du = ca.covariant_derivative(m, u) if du is None else du
+    dv = ca.covariant_derivative(m, v) if dv is None else dv
     dut = ca.transpose_metric(m, du)
-    dvt = ca.transpose_metric(m, dv)
+    dvt = dut if dv is du else ca.transpose_metric(m, dv)
     inner = ca.div_11(m, du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv))
     if not m.is_flat:
-        cc = ca.curvature_contractions(m, u, v)
+        cc = ca.curvature_contractions(m, u, v, dv)
         inner = inner + ((cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate
                          - dut.apply(cc.ric_v))
     return inner
@@ -255,10 +268,11 @@ def transport_transpose(s: System, y: VectorField, yf: VectorField) -> VectorFie
 
 def rhs(s: System, u: VectorField) -> VectorField:
     """-P(T grad_u u + Fop(u)), T per transport(), from one saddle solve;
-    Euler at a = 0."""
+    Euler at a = 0.  grad u and its metric transpose are computed once."""
     m = s.metric
-    f = _quadratic_interior(m, u, u) * s.alpha**2 if s.alpha else None
-    return -s.sp.project(*transport(s, ca.nabla_along(m, u, u), f))
+    du = ca.covariant_derivative(m, u)
+    f = _quadratic_interior(m, u, u, du, du) * s.alpha**2 if s.alpha else None
+    return -s.sp.project(*transport(s, du.apply(u), f))
 
 
 def energy(m, alpha: float, u: VectorField) -> float:
@@ -300,9 +314,6 @@ class LaeProblem(System):
     def rhs(self, u: VectorField) -> VectorField:
         return rhs(self, u)
 
-    def project(self, u: VectorField) -> VectorField:
-        return self.sp.project(u)
-
     def check_cfl(self, u: VectorField):
         g = self.geo.grid
         speed = max(np.max(np.abs(u.c1.data)) / g.hx,
@@ -311,6 +322,12 @@ class LaeProblem(System):
             raise CflError(
                 f"dt={self.cfg.dt} exceeds cfl bound "
                 f"{self.cfg.cfl_factor / max(speed, 1e-300):.3e} (speed {speed:.3e})")
+
+    def check_divergence(self, u: VectorField):
+        div, scale = np.max(np.abs(self.sp.D @ u.flat())), u.linf()
+        if div > DIVERGENCE_WINDOW * scale:
+            raise InadmissibleStateError(
+                f"relative divergence {div / scale:.3e} exceeds {DIVERGENCE_WINDOW:.0e}")
 
 
 def _shifted(y: tuple, k: tuple, c: float) -> tuple:
@@ -377,21 +394,29 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def step(problem: LaeProblem, state: State) -> State:
-    """One projected step of the configured integrator."""
+    """One step of the configured integrator."""
     return guarded_step(problem, state, lambda y: (problem.rhs(y[0]),))
 
 
 def guarded_step(problem: LaeProblem, state: State, f) -> State:
     """step() of y' = f(y), f the right-hand side or a recorder around it.
-    A non-finite state raises NonFiniteStateError, a dt past the CFL bound
-    CflError; a step that produces a non-finite state fails a solve's check."""
+
+    The step ends with the integrator's result, not projected again: each
+    stage output of rhs() lies in range(P), so from a divergence-free state
+    the step equals P after the step in exact arithmetic.  A non-finite
+    state raises NonFiniteStateError, a dt past the CFL bound CflError, and
+    then a state whose |div u|_inf / |u|_inf exceeds DIVERGENCE_WINDOW
+    InadmissibleStateError; a step that produces a non-finite state fails a
+    solve's check.
+    """
     u = state.u
     if not (np.all(np.isfinite(u.c1.data)) and np.all(np.isfinite(u.c2.data))):
         raise NonFiniteStateError(f"state at t={state.t} is not finite")
     problem.check_cfl(u)
+    problem.check_divergence(u)
     dt = problem.cfg.dt
     (u,) = INTEGRATORS[problem.cfg.integrator](f, (u,), dt)
-    return State(problem.project(u), state.t + dt)
+    return State(u, state.t + dt)
 
 
 def integrate(problem: LaeProblem, state: State, t_end: float,

@@ -32,8 +32,13 @@ composite is the identity and P is the discrete Leray projector: on the torus
 P v is v less its gradient part, which is how gradient parts are removed
 elsewhere.
 
+The phase space of the flow check is null(C), C = [D; R] the divergence and
+the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
+factored once per (geometry, alpha, regime) and stored with that W as one
+record, PhaseSpace, so StokesProjector.riesz_representer is one solve.
+
 Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
-the phase-space saddle of StokesProjector.riesz_representer, is one record,
+the phase-space saddle, is one record,
 (SuperLU, permutation, matrix), whose solve holds every right-hand side's
 residual against the unpermuted matrix; its transpose solve uses the same
 factors and holds the residual against the transposed matrix, which gives
@@ -311,6 +316,21 @@ def _assemble_interior(geo: Geometry, alpha: float):
     return (sp.identity(2 * geo.grid.n_nodes) - alpha**2 * L).tocsr()
 
 
+def _assemble_gram(geo: Geometry, alpha: float):
+    """Sparse W with u^T W v = <u, v>_1, the symmetric-gradient part recorded
+    on a fields.Tape."""
+    m = geo.metric
+    q0 = (m.quad_mu() * m.e2phi).ravel()
+    W = sp.block_diag([sp.diags(q0), sp.diags(q0)]).tocsr()
+    if alpha != 0.0:
+        tape = Tape(geo.grid)
+        D = ca.def_tensor(m, tape.unknown())
+        qbar = sp.diags(m.quad_mu().ravel())
+        for B in tape.matrices([D[i, j] for i in range(2) for j in range(2)]):
+            W = W + 2 * alpha**2 * (B.T @ qbar @ B)
+    return W.tocsr()
+
+
 class EllipticOperator:
     """(1 - alpha^2 Lop) with per-regime boundary rows and factorizations.
 
@@ -437,6 +457,23 @@ def _gradient(geo: Geometry, bc_idx: np.ndarray):
     return _replace_rows(G, bc_idx, sp.csr_matrix((bc_idx.size, G.shape[1])))
 
 
+class PhaseSpace(NamedTuple):
+    """The phase space null(C) of one (geometry, alpha, regime), C = [D; R]
+    the divergence and the regime's BC rows.
+
+    gram is the H^1 Gram matrix W, with u^T W v = <u, v>_1 (same stencils);
+    saddle the factorization of [[W, C^T], [C, 0]], bordered by k gauge
+    columns as the Stokes saddle is; dim = 2n - (rows of C - k), k equal to
+    C's rank deficiency (exactly on the torus, where the gauge columns span
+    C's left null space).  W and its saddle are built together and stored
+    as one record, so the factors always belong to that W.
+    """
+
+    gram: sp.csr_matrix
+    saddle: _Factorization
+    dim: int
+
+
 class StokesProjector:
     """H^1-orthogonal projection onto divergence-free, BC-satisfying fields.
 
@@ -512,26 +549,32 @@ class StokesProjector:
         yf[..., self.bc_idx] = 0.0
         return y, VectorField.from_flat(grid, yf)
 
-    def riesz_representer(self, r: VectorField, W):
-        """(d, dim): for each member of the batch r, the member d of null(C)
-        with <d, c>_W = <r, c> for every c in null(C); dim is null(C)'s
-        dimension.
+    def phase_space(self) -> PhaseSpace:
+        """The stored PhaseSpace of this (alpha, regime), built on first use."""
+        return _stored(self.op.geo, ("phase_space", self.op.alpha, self.bc),
+                       self._phase_space)
 
-        C = [D; R] is the divergence and the regime's BC rows, so null(C) is
-        the phase space.  d solves the saddle [[W, C^T], [C, 0]], bordered by
-        k gauge columns as the Stokes saddle is and factored on each call, so
-        the factors always belong to the W given.  k equals C's rank
-        deficiency (exactly on the torus, where the gauge columns span C's
-        left null space), so dim = 2n - (rows of C - k).
-        """
+    def _phase_space(self) -> PhaseSpace:
         geo, n2 = self.op.geo, 2 * self.n
+        W = _assemble_gram(geo, self.op.alpha)
         A, bc_idx = self.op.matrix(self.bc)
         C = sp.vstack([self.D, A.tocsr()[bc_idx]], format="csr")
         modes = _gradient_kernel_modes(geo.grid)
         k = modes.shape[1]
         S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)
         fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed")
-        rhs = np.zeros(r.c1.data.shape[:-2] + S.shape[:1])
+        return PhaseSpace(W, fac, n2 - (C.shape[0] - k))
+
+    def riesz_representer(self, r: VectorField):
+        """(d, dim): for each member of the batch r, the member d of null(C)
+        with <d, c>_W = <r, c> for every c in null(C), W the H^1 Gram
+        matrix; dim is null(C)'s dimension.
+
+        One solve with the stored phase-space saddle (phase_space()), which
+        is factored once per (geometry, alpha, regime) together with its W.
+        """
+        ps, n2 = self.phase_space(), 2 * self.n
+        rhs = np.zeros(r.c1.data.shape[:-2] + ps.saddle.matrix.shape[:1])
         rhs[..., :n2] = r.flat()
-        d = fac.solve(rhs, 1e-8, "riesz saddle")[..., :n2]
-        return VectorField.from_flat(geo.grid, d), n2 - (C.shape[0] - k)
+        d = ps.saddle.solve(rhs, 1e-8, "riesz saddle")[..., :n2]
+        return VectorField.from_flat(self.op.geo.grid, d), ps.dim

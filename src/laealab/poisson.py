@@ -18,7 +18,6 @@ Gram matrix.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp_
 
 from . import calculus as ca
 from . import dynamics as dy
@@ -33,22 +32,14 @@ QUADRATIC_KINDS = ("smooth", "cutoff")
 class PoissonContext(dy.System):
     """The System brackets are taken on, with its H^1 Gram matrix."""
 
-    _gram = None        # gram_matrix(), built on the first call
-
     def gram_matrix(self):
-        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils)."""
-        if self._gram is None:
-            m = self.metric
-            q0 = (m.quad_mu() * m.e2phi).ravel()
-            W = sp_.block_diag([sp_.diags(q0), sp_.diags(q0)]).tocsr()
-            if self.alpha != 0.0:
-                tape = Tape(self.geo.grid)
-                D = ca.def_tensor(m, tape.unknown())
-                qbar = sp_.diags(m.quad_mu().ravel())
-                for B in tape.matrices([D[i, j] for i in range(2) for j in range(2)]):
-                    W = W + 2 * self.alpha**2 * (B.T @ qbar @ B)
-            self._gram = W.tocsr()
-        return self._gram
+        """Sparse matrix W with u^T W v = <u, v>_1 (same stencils).
+
+        W is built with the factored phase-space saddle it belongs to and
+        stored with it (StokesProjector.phase_space), so every context on
+        the geometry shares both and a flow check factors nothing.
+        """
+        return self.sp.phase_space().gram
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +60,13 @@ class Observable:
 
 
 class LinearObservable(Observable):
-    """f(u) = <w, u>_1 with w pre-projected into the constrained space."""
+    """f(u) = <w, u>_1 with w = P w0, P the Stokes projector of ctx.
+
+    P w0 is divergence-free, so on the torus, where the phase space null(C)
+    is null(D), w lies in it.  P passes the wall rows through, R(P w0) =
+    R w0, so on a channel w satisfies the BC rows only if w0 does; it is
+    then not in the phase space in general.
+    """
 
     def __init__(self, ctx: PoissonContext, w: VectorField):
         self.ctx = ctx
@@ -334,11 +331,11 @@ def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):
 
 def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,
                    z: VectorField, dt: float) -> VectorField:
-    """The transpose of the projected tangent steps over stages, applied to z."""
+    """The transpose of the tangent steps over stages, applied to z: each
+    step's reverse step, as dy.guarded_step ends with the integrator's result."""
     reverse = dy.REVERSE_STEPS[integrator]
     for states in reversed(stages):
-        z = reverse(lambda s, x: tangent_rhs_transpose(ctx, states[s], x),
-                    ctx.sp.project_transpose(z)[0], dt)
+        z = reverse(lambda s, x: tangent_rhs_transpose(ctx, states[s], x), z, dt)
     return z
 
 
@@ -347,7 +344,7 @@ def flow_pullback(problem: dy.LaeProblem, ctx: PoissonContext, obs: list,
     """(u(t), r, delta, dim) for the time-t flow, one batch member per observable.
 
     One forward march of u keeps the stage states; one reverse sweep gives
-    r = Phi^T W dobs(u(t)), Phi the tangent map of the projected march and W
+    r = Phi^T W dobs(u(t)), Phi the tangent map of the march and W
     the H^1 Gram matrix.  delta holds the pullback derivatives
     d(obs o Flow)(u0), r's representers in the phase space of dimension dim
     (StokesProjector.riesz_representer).
@@ -359,7 +356,7 @@ def flow_pullback(problem: dy.LaeProblem, ctx: PoissonContext, obs: list,
     dobs = np.stack([o.diff(uT).flat() for o in obs])
     z = VectorField.from_flat(ctx.geo.grid, matvec_last(W, dobs))
     r = _reverse_sweep(ctx, problem.cfg.integrator, stages, z, dt)
-    return (uT, r) + ctx.sp.riesz_representer(r, W)
+    return (uT, r) + ctx.sp.riesz_representer(r)
 
 
 def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,

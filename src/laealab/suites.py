@@ -469,7 +469,7 @@ def configured_run(run):
     geo = _geo(run.geos, cfg.domain_spec(), cfg.getint("domain", "nx"),
                cfg.phi_function(), cfg.getint("domain", "ny"))
     prob = dy.LaeProblem(geo, cfg.solver_config())
-    u0 = prob.project(cfg.initial_field(geo))
+    u0 = prob.sp.project(cfg.initial_field(geo))
     e0 = dy.energy(geo.metric, prob.cfg.alpha, u0)
     every = max(cfg.getint("diagnostics", "every_n_steps"), 1)
     divs, count = [], [0]
@@ -488,7 +488,7 @@ def configured_run(run):
                      drift, 5e-2)
     yield max_result("configured_run_divergence",
                      "configured trajectory stays divergence-free",
-                     (max(divs) if divs else 0.0) / scale, 1e-8)
+                     (max(divs) if divs else 0.0) / scale, dy.DIVERGENCE_WINDOW)
 
 
 @block("material")

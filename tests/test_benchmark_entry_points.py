@@ -49,6 +49,22 @@ def test_workload_runs_and_passes_its_checks(workload, name):
     assert all(v > 0 for v in wl.counts(ctx).values())
 
 
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_a_pass_after_set_up_factors_nothing(workload, name, monkeypatch):
+    # every factorization belongs to set-up, so each pass does the same work
+    # (perfbench's traced pass_counts_identical check)
+    cls, _, _, _, channel = workload.WORKLOADS[name]
+    wl = cls(8, cls.smoke_units, channel)
+    ctx = wl.setup(7, name)
+    built = []
+    real = workload.spla.splu
+    monkeypatch.setattr(workload.spla, "splu",
+                        lambda *args, **kw: built.append(args) or real(*args, **kw))
+    for _ in range(2):
+        wl.run_pass(ctx, [])
+    assert built == []
+
+
 @pytest.mark.parametrize("name,span", [("mixed32_rk4", "dynamics.LaeProblem.rhs"),
                                        ("mixed32_rk4", "elliptic.StokesProjector.project"),
                                        ("flowcheck16", "poisson.PoissonContext.gram_matrix")])

@@ -322,12 +322,10 @@ def test_step_keeps_zero_field_fixed():
     assert s.t == 1e-2
 
 
-@pytest.mark.parametrize("case", ["torus", "channel"])
-def test_rk4_step_is_five_saddle_solves(case, monkeypatch):
-    # each stage's right-hand side is one Stokes-saddle solve, with the
-    # solves of Fop and La folded in, and the step ends with one projection
+def _saddle_solves_per_step(case, integrator, monkeypatch):
+    """(saddle solves, solves with other factors) of one step from an admissible u."""
     geo = torus(16) if case == "torus" else channel(16)
-    cfg = dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3,
+    cfg = dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3, integrator=integrator,
                           bc=BC_T if case == "torus" else BC_M)
     prob = dy.LaeProblem(geo, cfg)
     prob.op.factor(cfg.bc)
@@ -341,9 +339,36 @@ def test_rk4_step_is_five_saddle_solves(case, monkeypatch):
 
     monkeypatch.setattr(el._Factorization, "solve", counting)
     dy.step(prob, dy.State(u, 0.0))
-    assert sum(f is prob.sp.saddle for f in calls) == 5
-    assert sum(f is prob.op.factor(cfg.bc) for f in calls) == 0
-    assert len(calls) == 5
+    saddle = sum(f is prob.sp.saddle for f in calls)
+    return saddle, len(calls) - saddle
+
+
+@pytest.mark.parametrize("case", ["torus", "channel"])
+def test_rk4_step_is_four_saddle_solves(case, monkeypatch):
+    # each stage's right-hand side is one Stokes-saddle solve, with the
+    # solves of Fop and La folded in, and the step ends with the
+    # integrator's result, not projected again
+    assert _saddle_solves_per_step(case, "rk4", monkeypatch) == (4, 0)
+
+
+@pytest.mark.parametrize("case", ["torus", "channel"])
+def test_midpoint_step_is_two_saddle_solves(case, monkeypatch):
+    assert _saddle_solves_per_step(case, "midpoint", monkeypatch) == (2, 0)
+
+
+@pytest.mark.parametrize("case", ["torus", "channel"])
+def test_step_refuses_a_divergent_state(case):
+    # the step no longer projects its result, so a state it cannot carry
+    # fails loudly instead of having its divergence removed
+    geo = torus(16) if case == "torus" else channel(16)
+    bc = BC_T if case == "torus" else BC_M
+    prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3, bc=bc))
+    raw = random_vector(geo.grid, seed=29, kmax=1) * 0.5
+    with pytest.raises(dy.InadmissibleStateError, match="relative divergence"):
+        dy.step(prob, dy.State(raw, 0.0))
+    with pytest.raises(dy.InadmissibleStateError):
+        dy.integrate(prob, dy.State(raw, 0.0), 5e-3)
+    dy.step(prob, dy.State(prob.admissible(raw), 0.0))
 
 
 def test_cfl_violation_raises():

@@ -11,6 +11,7 @@ import laealab
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
+from laealab import elliptic as el
 from laealab import material as mt
 from laealab import poisson as po
 from laealab.elliptic import BcRegime, SolveError
@@ -498,6 +499,42 @@ def test_flow_poisson_check_follows_the_midpoint_integrator():
     assert rep["rhs"] == po.bracket(ctx, f, g, uT)
 
 
+def test_flow_checks_factor_nothing_once_the_gram_matrix_is_built(monkeypatch):
+    ctx = ctx_torus(12)
+    cfg = dy.SolverConfig(alpha=ctx.alpha, dt=5e-3, t_end=0.01, bc=ctx.bc,
+                          cfl_factor=5.0)
+    prob = dy.LaeProblem(ctx.geo, cfg)
+    f, g, _ = trio(ctx)
+    u0 = member(ctx, 39, kmax=1, amp=0.4)
+    ctx.gram_matrix()
+    built = []
+    real = el._Factorization.of
+    monkeypatch.setattr(el._Factorization, "of",
+                        lambda *args: built.append(args) or real(*args))
+    reps = [po.flow_poisson_check(prob, ctx, f, g, u0, 0.01) for _ in range(2)]
+    assert built == [] and reps[0] == reps[1]
+    # a second context on the geometry shares the stored phase space
+    other = po.PoissonContext(ctx.geo, ctx.alpha, ctx.bc)
+    assert other.gram_matrix() is ctx.gram_matrix() and built == []
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi", [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C)],
+                         ids=["torus", "mixed"])
+def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
+    ctx = _context(spec, nx, ny, phi)
+    ps = ctx.sp.phase_space()
+    assert ps.gram is ctx.gram_matrix()
+    r = _random_batch(ctx.geo.grid, 370)
+    d, _ = ctx.sp.riesz_representer(r)
+    k = el._gradient_kernel_modes(ctx.geo.grid).shape[1]
+    fresh = el._Factorization.of(ctx.geo, ps.saddle.matrix, k, "fresh riesz saddle")
+    n2 = 2 * ctx.sp.n
+    rhs = np.zeros(r.c1.data.shape[:-2] + ps.saddle.matrix.shape[:1])
+    rhs[..., :n2] = r.flat()
+    ref = fresh.solve(rhs, 1e-8, "fresh riesz saddle")[..., :n2]
+    assert np.array_equal(d.flat(), ref)
+
+
 # ---------------------------------------------------------------------------
 # the batch axis: a batch of fields gives each member its own bits
 # ---------------------------------------------------------------------------
@@ -684,16 +721,15 @@ def test_reverse_sweep_is_the_transpose_of_a_projected_tangent_step(
 
 
 def _tangent_march(prob, ctx, u0, T, nsteps):
-    """The forward march of (u, T) that the flow check used to make, T the
-    tangent directions as one batched field."""
+    """The forward march of (u, T) with the step's map, T the tangent
+    directions as one batched field."""
     def f_rhs(y):
         u, T = y
         return prob.rhs(u), po.tangent_rhs(ctx, u, T)
 
     y = (u0.copy(), T)
     for _ in range(nsteps):
-        y = tuple(prob.project(v) for v in dy.INTEGRATORS[prob.cfg.integrator](
-            f_rhs, y, prob.cfg.dt))
+        y = dy.INTEGRATORS[prob.cfg.integrator](f_rhs, y, prob.cfg.dt)
     return y
 
 
