@@ -117,9 +117,10 @@ class System:
         return ca.inner1(self.metric, self.alpha, u, v)
 
     def admissible(self, v: VectorField) -> VectorField:
-        """A divergence-free, boundary-respecting field made from v: P La v on
-        a walled regime with a > 0 (so the wall rows hold), as the projection
-        of the source (1 - a^2 Lop) v; P v otherwise."""
+        """A divergence-free field made from v: P La v on a walled regime with
+        a > 0, as the projection of the source (1 - a^2 Lop) v, so the wall
+        rows hold too; P v otherwise.  At a = 0 on a walled regime P keeps
+        v's wall rows, so the result respects the walls only where v does."""
         if self.bc.has_boundary and self.alpha > 0:
             return self.sp.project(None, _interior(self, v))
         return self.sp.project(v)

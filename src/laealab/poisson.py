@@ -10,9 +10,9 @@ so that df and its derivative Ddf are available in closed form; that is what
 the derivative-of-bracket formula, the Jacobi residual and the flow checks
 need.  The material-side functional derivatives (vertical and horizontal) and
 the Poisson-map checks for the right translation and for the flows live here
-as well; the flow check is a discrete adjoint (see flow_pullback).  A
-PoissonContext is the dynamics.System the bracket is taken on, with its H^1
-Gram matrix.
+as well; the flow check is a discrete adjoint (see flow_pullback).  The
+bracket's context ctx is any dynamics.System with the problem's geometry,
+alpha and regime; a PoissonContext is one that adds gram_matrix().
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ class LinearObservable(Observable):
     then not in the phase space in general.
     """
 
-    def __init__(self, ctx: PoissonContext, w: VectorField):
+    def __init__(self, ctx: dy.System, w: VectorField):
         self.ctx = ctx
         self.w = ctx.sp.project(w)
 
     @classmethod
-    def seeded(cls, ctx: PoissonContext, seed: int) -> "LinearObservable":
+    def seeded(cls, ctx: dy.System, seed: int) -> "LinearObservable":
         """The observable of random_vector(grid, seed, kmax=1)."""
         return cls(ctx, random_vector(ctx.geo.grid, seed=seed, kmax=1))
 
@@ -95,7 +95,7 @@ class QuadraticObservable(Observable):
     M_chi, which is H^1-self-adjoint because <A u, v>_1 = <chi u, v>_0.
     """
 
-    def __init__(self, ctx: PoissonContext, kind: str = "smooth"):
+    def __init__(self, ctx: dy.System, kind: str = "smooth"):
         self.ctx = ctx
         self.kind = kind
         if kind not in QUADRATIC_KINDS:
@@ -124,7 +124,7 @@ class QuadraticObservable(Observable):
 class HamiltonianObservable(Observable):
     """h(u) = (1/2) <u, u>_1, with dh(u) = u."""
 
-    def __init__(self, ctx: PoissonContext):
+    def __init__(self, ctx: dy.System):
         self.ctx = ctx
 
     def value(self, u):
@@ -138,7 +138,7 @@ class HamiltonianObservable(Observable):
 
 
 class ProductObservable(Observable):
-    def __init__(self, ctx: PoissonContext, f: Observable, g: Observable):
+    def __init__(self, ctx: dy.System, f: Observable, g: Observable):
         self.ctx = ctx
         self.f = f
         self.g = g
@@ -161,14 +161,14 @@ class ProductObservable(Observable):
 # bracket and its functional derivative
 # ---------------------------------------------------------------------------
 
-def bracket(ctx: PoissonContext, f: Observable, g: Observable,
+def bracket(ctx: dy.System, f: Observable, g: Observable,
             u: VectorField) -> float:
     """{f, g}(u) = <u, [dg(u), df(u)]>_1."""
     lie = ca.jacobi_lie_bracket(ctx.metric, g.diff(u), f.diff(u))
     return ctx.inner1(u, lie)
 
 
-def _transported_argument(ctx: PoissonContext, df: VectorField,
+def _transported_argument(ctx: dy.System, df: VectorField,
                           u: VectorField) -> VectorField:
     """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime, from one
     saddle solve: the sources of Dop and Bop add."""
@@ -178,7 +178,7 @@ def _transported_argument(ctx: PoissonContext, df: VectorField,
     return ctx.sp.project(*dy.transport(ctx, ca.nabla_along(ctx.metric, df, u), src))
 
 
-def delta_bracket(ctx: PoissonContext, f: Observable, g: Observable,
+def delta_bracket(ctx: dy.System, f: Observable, g: Observable,
                   u: VectorField) -> VectorField:
     """Functional derivative of {f, g} at u, from the closed-form catalog."""
     m = ctx.metric
@@ -190,7 +190,7 @@ def delta_bracket(ctx: PoissonContext, f: Observable, g: Observable,
     return lead + g.ddiff(u, arg_f) - f.ddiff(u, arg_g)
 
 
-def _double_bracket(ctx: PoissonContext, a: Observable, b: Observable,
+def _double_bracket(ctx: dy.System, a: Observable, b: Observable,
                     c: Observable, u: VectorField) -> float:
     """{a, {b, c}}(u) with the inner derivative taken in closed form."""
     inner_delta = delta_bracket(ctx, b, c, u)
@@ -198,7 +198,7 @@ def _double_bracket(ctx: PoissonContext, a: Observable, b: Observable,
     return ctx.inner1(u, lie)
 
 
-def jacobi_residual(ctx: PoissonContext, f: Observable, g: Observable,
+def jacobi_residual(ctx: dy.System, f: Observable, g: Observable,
                     h: Observable, u: VectorField) -> tuple[float, float]:
     """(|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}|(u), the largest term's magnitude).
 
@@ -215,7 +215,7 @@ def jacobi_residual(ctx: PoissonContext, f: Observable, g: Observable,
 # Hamilton's equations along the flow
 # ---------------------------------------------------------------------------
 
-def _require_same_system(problem: dy.LaeProblem, ctx: PoissonContext):
+def _require_same_system(problem: dy.LaeProblem, ctx: dy.System):
     """Raise ValueError unless problem and ctx share geometry, alpha and regime."""
     if not (problem.geo is ctx.geo and problem.alpha == ctx.alpha
             and problem.bc == ctx.bc):
@@ -223,9 +223,10 @@ def _require_same_system(problem: dy.LaeProblem, ctx: PoissonContext):
                          "boundary regime")
 
 
-def hamilton_check(problem: dy.LaeProblem, ctx: PoissonContext, f: Observable,
+def hamilton_check(problem: dy.LaeProblem, ctx: dy.System, f: Observable,
                    u0: VectorField, t_end: float) -> dict:
-    """Compare d/dt f(u(t)) with {f, h}(u(t)) along the integrated flow."""
+    """Compare d/dt f(u(t)) with {f, h}(u(t)) along the integrated flow; the
+    bracket's ctx is any System with problem's geometry, alpha and regime."""
     _require_same_system(problem, ctx)
     ham = HamiltonianObservable(ctx)
     states = []
@@ -254,7 +255,7 @@ def vertical_fd(f: Observable, ms: mt.MaterialState) -> VectorField:
     return mt.compose_with_map(f.diff(u), ms.eta)
 
 
-def horizontal_fd(ctx: PoissonContext, f: Observable,
+def horizontal_fd(ctx: dy.System, f: Observable,
                   ms: mt.MaterialState) -> VectorField:
     """Horizontal derivative of f o pi_R via the duality operators."""
     u = mt.pi_r(ms)
@@ -267,7 +268,7 @@ def horizontal_fd(ctx: PoissonContext, f: Observable,
     return mt.compose_with_map(hor, ms.eta)
 
 
-def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
+def pi_r_poisson_check(ctx: dy.System, f: Observable, g: Observable,
                        ms: mt.MaterialState) -> dict:
     """Both sides of the right-translation Poisson-map identity."""
     u = mt.pi_r(ms)
@@ -288,7 +289,7 @@ def pi_r_poisson_check(ctx: PoissonContext, f: Observable, g: Observable,
 # the flow as a Poisson map
 # ---------------------------------------------------------------------------
 
-def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorField:
+def tangent_rhs(ctx: dy.System, u: VectorField, v: VectorField) -> VectorField:
     """Exact linearization of the right-hand side (the operators are quadratic).
 
     v may be a batch of tangent directions; u is the one base state.
@@ -299,7 +300,7 @@ def tangent_rhs(ctx: PoissonContext, u: VectorField, v: VectorField) -> VectorFi
         ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v), f))
 
 
-def tangent_rhs_transpose(ctx: PoissonContext, u: VectorField,
+def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
                           z: VectorField) -> VectorField:
     """The transpose of v -> tangent_rhs(ctx, u, v), applied to a batch z: the
     local parts swept back on a Tape, the saddle solve by its transpose."""
@@ -329,7 +330,7 @@ def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):
     return state.u, stages
 
 
-def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,
+def _reverse_sweep(ctx: dy.System, integrator: str, stages: list,
                    z: VectorField, dt: float) -> VectorField:
     """The transpose of the tangent steps over stages, applied to z: each
     step's reverse step, as dy.guarded_step ends with the integrator's result."""
@@ -339,27 +340,29 @@ def _reverse_sweep(ctx: PoissonContext, integrator: str, stages: list,
     return z
 
 
-def flow_pullback(problem: dy.LaeProblem, ctx: PoissonContext, obs: list,
+def flow_pullback(problem: dy.LaeProblem, ctx: dy.System, obs: list,
                   u0: VectorField, t: float):
     """(u(t), r, delta, dim) for the time-t flow, one batch member per observable.
 
     One forward march of u keeps the stage states; one reverse sweep gives
     r = Phi^T W dobs(u(t)), Phi the tangent map of the march and W
-    the H^1 Gram matrix.  delta holds the pullback derivatives
+    the H^1 Gram matrix, read from the phase-space record of ctx's projector
+    (StokesProjector.phase_space), so any System sharing problem's geometry,
+    alpha and regime is a valid ctx.  delta holds the pullback derivatives
     d(obs o Flow)(u0), r's representers in the phase space of dimension dim
     (StokesProjector.riesz_representer).
     """
     _require_same_system(problem, ctx)
     dt = problem.cfg.dt
     uT, stages = _march_keeping_stages(problem, u0, dy.step_count(0.0, t, dt))
-    W = ctx.gram_matrix()
+    W = ctx.sp.phase_space().gram
     dobs = np.stack([o.diff(uT).flat() for o in obs])
     z = VectorField.from_flat(ctx.geo.grid, matvec_last(W, dobs))
     r = _reverse_sweep(ctx, problem.cfg.integrator, stages, z, dt)
     return (uT, r) + ctx.sp.riesz_representer(r)
 
 
-def flow_poisson_check(problem: dy.LaeProblem, ctx: PoissonContext,
+def flow_poisson_check(problem: dy.LaeProblem, ctx: dy.System,
                        f: Observable, g: Observable, u0: VectorField,
                        t: float) -> dict:
     """Verify that the time-t flow preserves the bracket: compare

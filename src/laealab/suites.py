@@ -8,10 +8,11 @@ definition order and guards them in one place, _guarded.  A block runs
 alone as list(leray_limit(Run(cfg, ladder))).
 
 Blocks fit convergence orders across the grid ladder by least squares.
-Test fields are band-limited trig samples from the configured seed, so runs
-with identical configuration are bit-identical.  Within one run, blocks on
-the same domain, grid and metric share one geometry and its factorizations
-(see _geo); nothing is shared between runs.
+Test fields are band-limited trig samples from the configured seed (the
+seeded states made admissible by _member), so runs with identical
+configuration are bit-identical.  Blocks build their systems through the Run (geo, system,
+problem): within one run, blocks on the same domain, grid and metric share
+one geometry and its factorizations; nothing is shared between runs.
 """
 
 from __future__ import annotations
@@ -60,27 +61,44 @@ def block(suite: str):
 
 
 class Run:
-    """One suite run as its blocks see it: config, seed, alpha, ladder, geometry memo."""
+    """One suite run as its blocks see it: config, seed, alpha, ladder, and
+    the constructors of its systems over one geometry memo.
+
+    The regime of every system is its domain's, and alpha defaults to the
+    run's.  run_suite makes one Run per call; dropping it when the call
+    returns frees its geometries and their factorizations.
+    """
 
     def __init__(self, cfg: ExperimentConfig, ladder):
-        self.cfg, self.ladder, self.geos = cfg, tuple(ladder), {}     # geos: see _geo
+        self.cfg, self.ladder, self.geos = cfg, tuple(ladder), {}
         self.seed, self.alpha = cfg.seed, cfg.getfloat("solver", "alpha")
 
+    def geo(self, spec, n, phi, ny=None):
+        """The run's geometry of (spec, n, ny, phi).
 
-def _geo(geos: dict, spec, n, phi, ny=None):
-    """The geometry of (spec, n, ny, phi) in geos, the geometries of one suite run.
+        ny defaults to n on the torus and n + 1 on the channel.  Blocks that
+        ask for the same domain, grid and metric get the same Geometry object
+        and so share its factorizations; phi presets are memoized callables,
+        so equal presets match.
+        """
+        ny = ny if ny is not None else (n if spec.kind == "torus" else n + 1)
+        key = (spec, n, ny, phi)
+        if key not in self.geos:
+            self.geos[key] = build_geometry(spec, n, ny, phi)
+        return self.geos[key]
 
-    ny defaults to n on the torus and n + 1 on the channel.  Blocks that ask
-    for the same domain, grid and metric get the same Geometry object and so
-    share its factorizations; phi presets are memoized callables, so equal
-    presets match.  run_suite makes geos for one call; dropping it when the
-    call returns frees them.
-    """
-    ny = ny if ny is not None else (n if spec.kind == "torus" else n + 1)
-    key = (spec, n, ny, phi)
-    if key not in geos:
-        geos[key] = build_geometry(spec, n, ny, phi)
-    return geos[key]
+    def system(self, spec, n, phi, alpha=None) -> dy.System:
+        """The System of the run's geometry (spec, n, phi) in its domain's regime."""
+        alpha = self.alpha if alpha is None else alpha
+        return dy.System(self.geo(spec, n, phi), alpha, BcRegime.from_domain(spec))
+
+    def problem(self, spec, n, phi, dt, t_end, alpha=None) -> dy.LaeProblem:
+        """As system(), with an RK4 march to t_end in steps of dt and the
+        blocks' one CFL factor, the loose 5.0 (SolverConfig's default is 0.5)."""
+        alpha = self.alpha if alpha is None else alpha
+        c = dy.SolverConfig(alpha=alpha, dt=dt, t_end=t_end,
+                            bc=BcRegime.from_domain(spec), cfl_factor=5.0)
+        return dy.LaeProblem(self.geo(spec, n, phi), c)
 
 
 def _member(s: dy.System, seed, kmax=1, amp=0.5):
@@ -143,9 +161,9 @@ def identity_ladder(run):
     series = {}
     for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
         for n in run.ladder:
-            # no other block uses these geometries: keeping them for the
-            # suite's span would only hold their factorizations
-            s = dy.System(_geo({}, spec, n, phi), alpha, BcRegime.from_domain(spec))
+            # a Run of its own per level: no other block uses these
+            # geometries, so keeping them would only hold their factorizations
+            s = Run(run.cfg, run.ladder).system(spec, n, phi)
             geo, m, grid = s.geo, s.metric, s.geo.grid
             h = grid.h
             u = _member(s, seed + 1)
@@ -218,7 +236,7 @@ def identity_ladder(run):
 @block("identities")
 def flat_curvature_exact_zero(run):
     """flat conformal factor kills every curvature term"""
-    geo = _geo(run.geos, TORUS, run.ladder[0], phi_flat)
+    geo = run.geo(TORUS, run.ladder[0], phi_flat)
     m = geo.metric
     uf = random_vector(geo.grid, seed=run.seed + 9, kmax=2)
     vf = random_vector(geo.grid, seed=run.seed + 10, kmax=2)
@@ -236,9 +254,8 @@ def flat_curvature_exact_zero(run):
 @block("elliptic")
 def helmholtz_round_trip(run):
     """inverse composed with operator is the identity on the subspace"""
-    geo = _geo(run.geos, MIXED, run.ladder[min(1, len(run.ladder) - 1)], PHI_C)
-    s = dy.System(geo, run.alpha, BcRegime.from_domain(MIXED))
-    u = l_alpha(s.op, random_vector(geo.grid, seed=run.seed + 11, kmax=2), s.bc)
+    s = run.system(MIXED, run.ladder[min(1, len(run.ladder) - 1)], PHI_C)
+    u = l_alpha(s.op, random_vector(s.geo.grid, seed=run.seed + 11, kmax=2), s.bc)
     rt = (s.op.solve(s.op.apply(u), s.bc) - u).linf() / max(u.linf(), 1e-300)
     yield max_result("helmholtz_round_trip",
                      "inverse composed with operator is the identity on the subspace",
@@ -250,13 +267,12 @@ def manufactured_solution(run):
     """solve recovers a field with known image"""
     hs, errs = [], []
     for n in run.ladder:
-        geo = _geo(run.geos, MIXED, n, PHI_C)
-        g = geo.grid
+        s = run.system(MIXED, n, PHI_C)
+        g = s.geo.grid
         q = 3 * g.Y**2 - 2 * g.Y**3
         r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
         ustar = VectorField.from_arrays(
             g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)
-        s = dy.System(geo, run.alpha, BcRegime.from_domain(MIXED))
         sol = s.op.solve(s.op.apply(ustar), s.bc)
         hs.append(g.h)
         errs.append((sol - ustar).linf() / ustar.linf())
@@ -268,11 +284,10 @@ def manufactured_solution(run):
 @block("elliptic")
 def projector_contracts(run):
     """projection contracts at the solver level"""
-    seed, alpha = run.seed, run.alpha
-    geo = _geo(run.geos, TORUS, max(run.ladder), phi_flat)
-    s = dy.System(geo, alpha, BcRegime.from_domain(TORUS))
-    v = random_vector(geo.grid, seed=seed + 12, kmax=2)
-    w = random_vector(geo.grid, seed=seed + 13, kmax=2)
+    seed = run.seed
+    s = run.system(TORUS, max(run.ladder), phi_flat)
+    v = random_vector(s.geo.grid, seed=seed + 12, kmax=2)
+    w = random_vector(s.geo.grid, seed=seed + 13, kmax=2)
     pv = s.sp.project(v)
     pw = s.sp.project(w)
     idem = (s.sp.project(pv) - pv).linf() / max(pv.linf(), 1e-300)
@@ -289,8 +304,7 @@ def projector_contracts(run):
 
     worst_idem = idem
     for spec in (MIXED, DIRICH, NEUM):
-        s_c = dy.System(_geo(run.geos, spec, run.ladder[0], PHI_C), alpha,
-                        BcRegime.from_domain(spec))
+        s_c = run.system(spec, run.ladder[0], PHI_C)
         vv = _member(s_c, seed + 14)
         again = s_c.sp.project(vv)
         worst_idem = max(worst_idem,
@@ -303,12 +317,12 @@ def projector_contracts(run):
 @block("elliptic")
 def leray_limit(run):
     """projector reduces to the discrete leray projector"""
-    geo = _geo(run.geos, TORUS, max(run.ladder), phi_flat)
-    v = random_vector(geo.grid, seed=run.seed + 15, kmax=2)
-    oracle = leray_fft(geo.grid, v)
+    grid = run.geo(TORUS, max(run.ladder), phi_flat).grid
+    v = random_vector(grid, seed=run.seed + 15, kmax=2)
+    oracle = leray_fft(grid, v)
     worst = 0.0
     for a in (0.0, run.alpha):
-        s = dy.System(geo, a, BcRegime.from_domain(TORUS))
+        s = run.system(TORUS, max(run.ladder), phi_flat, alpha=a)
         worst = max(worst, (s.sp.project(v) - oracle).linf()
                     / max(oracle.linf(), 1e-300))
     yield max_result("leray_limit",
@@ -322,21 +336,19 @@ def orthogonality_defect_curved(run):
 
     The per-level worst case over two fields steadies the trend.
     """
-    alpha = run.alpha
     hs, errs = [], []
     for n in run.ladder:
-        geo = _geo(run.geos, MIXED, n, PHI_C)
-        s = dy.System(geo, alpha, BcRegime.from_domain(MIXED))
+        s = run.system(MIXED, n, PHI_C)
         worst = 0.0
         for s_off in (0, 1000):
-            vv = l_alpha(s.op, random_vector(geo.grid, seed=run.seed + 16 + s_off,
+            vv = l_alpha(s.op, random_vector(s.geo.grid, seed=run.seed + 16 + s_off,
                                              kmax=1), s.bc)
             pv = s.sp.project(vv)
             num = abs(s.inner1(pv, vv - pv))
             den = (np.sqrt(s.inner1(pv, pv))
                    * np.sqrt(max(s.inner1(vv - pv, vv - pv), 1e-300)) + 1e-300)
             worst = max(worst, num / den)
-        hs.append(geo.grid.h)
+        hs.append(s.geo.grid.h)
         errs.append(worst + 1e-16)
     yield order_result("orthogonality_defect_curved",
                        "h1-orthogonality defect vanishes under refinement",
@@ -349,8 +361,7 @@ def quadratic_term_two_routes(run):
     for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
         hs, errs = [], []
         for n in run.ladder:
-            s = dy.System(_geo(run.geos, spec, n, phi), run.alpha,
-                          BcRegime.from_domain(spec))
+            s = run.system(spec, n, phi)
             u = _member(s, run.seed + 21)
             a = dy.f_alpha(s, u)
             b = dy.f_alpha_alt(s, u)
@@ -366,9 +377,8 @@ def momentum_form_residual(run):
     """projected form solves the transported-momentum equation"""
     hs, errs = [], []
     for n in run.ladder:
-        s = dy.System(_geo(run.geos, TORUS, n, PHI_T), run.alpha,
-                      BcRegime.from_domain(TORUS))
-        u = s.sp.project(random_vector(s.geo.grid, seed=run.seed + 22, kmax=1, amp=0.5))
+        s = run.system(TORUS, n, PHI_T)
+        u = _member(s, run.seed + 22)
         hs.append(s.geo.grid.h)
         errs.append(dy.eq2_residual(s, u, dy.rhs(s, u)) / max(u.linf(), 1e-300))
     yield order_result("momentum_form_residual",
@@ -385,17 +395,14 @@ def energy_drift_dt_branch(run):
     and alpha where the branch is resolvable, recorded in the note.
     """
     study_seed, study_alpha = 50, 0.2
-    geo = _geo(run.geos, TORUS, 24, PHI_T)
-    m = geo.metric
-    bc = BcRegime.from_domain(TORUS)
-    u0 = dy.System(geo, study_alpha, bc).sp.project(
-        random_vector(geo.grid, seed=study_seed, kmax=2, amp=0.7))
+    s = run.system(TORUS, 24, PHI_T, alpha=study_alpha)
+    m = s.metric
+    u0 = _member(s, study_seed, kmax=2, amp=0.7)
     e0 = dy.energy(m, study_alpha, u0)
     T = 0.6
 
     def run_dt(dt):
-        c = dy.SolverConfig(alpha=study_alpha, dt=dt, t_end=T, bc=bc, cfl_factor=5.0)
-        prob = dy.LaeProblem(geo, c)
+        prob = run.problem(TORUS, 24, PHI_T, dt, T, alpha=study_alpha)
         return dy.integrate(prob, dy.State(u0.copy(), 0.0), T)
 
     ref = run_dt(T / 480)
@@ -429,16 +436,16 @@ def energy_floor_vs_h(run):
     """
     hs, floors = [], []
     for n in (16, 24, 32):
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        s = dy.System(geo, run.alpha, BcRegime.from_domain(TORUS))
+        s = run.system(TORUS, n, PHI_T)
+        grid = s.geo.grid
         worst = 0.0
         for s_off in (0, 1, 2, 3):
-            w0 = s.sp.project(taylor_green_like(geo.grid, amp=0.5)
-                              + random_vector(geo.grid, seed=run.seed + 23 + s_off,
+            w0 = s.admissible(taylor_green_like(grid, amp=0.5)
+                              + random_vector(grid, seed=run.seed + 23 + s_off,
                                               kmax=2, amp=0.125))
             rate = abs(s.inner1(w0, dy.rhs(s, w0))) / dy.energy(s.metric, run.alpha, w0)
             worst = max(worst, rate)
-        hs.append(geo.grid.h)
+        hs.append(grid.h)
         floors.append(worst)
     yield order_result("energy_floor_vs_h",
                        "spatial conservation-defect rate decreases at second order",
@@ -449,13 +456,12 @@ def energy_floor_vs_h(run):
 @block("dynamics")
 def alpha_sweep_to_euler(run):
     """right-hand side approaches the euler baseline"""
-    geo = _geo(run.geos, TORUS, 24, PHI_T)
-    bc = BcRegime.from_domain(TORUS)
-    s0 = dy.System(geo, 0.0, bc)
-    u = s0.sp.project(random_vector(geo.grid, seed=run.seed + 24, kmax=1, amp=0.5))
+    s0 = run.system(TORUS, 24, PHI_T, alpha=0.0)
+    u = _member(s0, run.seed + 24)
     base = dy.rhs(s0, u)
     alphas = (0.02, 0.01, 0.005)
-    errs = [(dy.rhs(dy.System(geo, a, bc), u) - base).linf() for a in alphas]
+    errs = [(dy.rhs(run.system(TORUS, 24, PHI_T, alpha=a), u) - base).linf()
+            for a in alphas]
     yield order_result("alpha_sweep_to_euler",
                        "right-hand side approaches the euler baseline quadratically in alpha",
                        alphas, errs, 1.7, 2.3,
@@ -466,10 +472,10 @@ def alpha_sweep_to_euler(run):
 def configured_run(run):
     """configured trajectory runs and conserves"""
     cfg = run.cfg
-    geo = _geo(run.geos, cfg.domain_spec(), cfg.getint("domain", "nx"),
-               cfg.phi_function(), cfg.getint("domain", "ny"))
+    geo = run.geo(cfg.domain_spec(), cfg.getint("domain", "nx"),
+                  cfg.phi_function(), cfg.getint("domain", "ny"))
     prob = dy.LaeProblem(geo, cfg.solver_config())
-    u0 = prob.sp.project(cfg.initial_field(geo))
+    u0 = prob.admissible(cfg.initial_field(geo))
     e0 = dy.energy(geo.metric, prob.cfg.alpha, u0)
     every = max(cfg.getint("diagnostics", "every_n_steps"), 1)
     divs, count = [], [0]
@@ -497,13 +503,9 @@ def flow_map_commutes_with_right_translation(run):
     t = 0.1
     hs, ds = [], []
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        c = dy.SolverConfig(alpha=run.alpha, dt=t / steps, t_end=t,
-                            bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
-        prob = dy.LaeProblem(geo, c)
-        u0 = prob.sp.project(random_vector(geo.grid, seed=run.seed + 31, kmax=1, amp=0.5))
-        rep = mt.commute_check(prob, u0, t)
-        hs.append(geo.grid.h)
+        prob = run.problem(TORUS, n, PHI_T, t / steps, t)
+        rep = mt.commute_check(prob, _member(prob, run.seed + 31), t)
+        hs.append(prob.geo.grid.h)
         ds.append(rep["discrepancy"])
     yield order_result("flow_map_commutes_with_right_translation",
                        "material and spatial evolutions agree through the diagram",
@@ -518,15 +520,12 @@ def flow_map_commutes_with_right_translation(run):
 @block("material")
 def volume_preservation_eigenfield(run):
     """spray preserves the riemannian volume"""
-    geo = _geo(run.geos, TORUS, 32, phi_flat)
-    c = dy.SolverConfig(alpha=0.35, dt=1e-3, t_end=0.2,
-                        bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
-    prob = dy.LaeProblem(geo, c)
-    ms = mt.MaterialState(mt.FlowMap.identity(geo.grid),
-                          eigenfield(geo.grid, amp=0.8))
+    prob = run.problem(TORUS, 32, phi_flat, 1e-3, 0.2, alpha=0.35)
+    grid = prob.geo.grid
+    ms = mt.MaterialState(mt.FlowMap.identity(grid), eigenfield(grid, amp=0.8))
     for _ in range(200):
         ms = mt.spray_advance(prob, ms)
-    vol = mt.volume_distortion(geo.metric, ms)
+    vol = mt.volume_distortion(prob.metric, ms)
     yield max_result("volume_preservation_eigenfield",
                      "spray preserves the riemannian volume",
                      vol, 1e-6, note="32^2, dt = 1e-3, t in [0, 0.2]")
@@ -536,20 +535,18 @@ def volume_preservation_eigenfield(run):
 def volume_distortion_generic(run):
     """interpolated transport keeps volume at the stencil level"""
     alpha = run.alpha
-    geo = _geo(run.geos, TORUS, 24, PHI_T)
-    c = dy.SolverConfig(alpha=alpha, dt=5e-3, t_end=0.1,
-                        bc=BcRegime.from_domain(TORUS), cfl_factor=5.0)
-    prob = dy.LaeProblem(geo, c)
-    u0 = prob.sp.project(random_vector(geo.grid, seed=run.seed + 32, kmax=1, amp=0.4))
-    ms = mt.MaterialState(mt.FlowMap.identity(geo.grid), u0.copy())
+    prob = run.problem(TORUS, 24, PHI_T, 5e-3, 0.1)
+    m = prob.metric
+    u0 = _member(prob, run.seed + 32, amp=0.4)
+    ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), u0.copy())
     for _ in range(20):
         ms = mt.spray_advance(prob, ms)
     yield max_result("volume_distortion_generic",
                      "interpolated transport keeps volume at the stencil level",
-                     mt.volume_distortion(geo.metric, ms), 5e-3)
+                     mt.volume_distortion(m, ms), 5e-3)
 
-    e0 = dy.energy(geo.metric, alpha, u0)
-    e1 = dy.energy(geo.metric, alpha, mt.pi_r(ms))
+    e0 = dy.energy(m, alpha, u0)
+    e1 = dy.energy(m, alpha, mt.pi_r(ms))
     yield max_result("material_energy_conservation",
                      "right-invariant kinetic energy conserved along the spray",
                      abs(e1 - e0) / e0, 5e-3)
@@ -558,8 +555,7 @@ def volume_distortion_generic(run):
 @block("poisson")
 def bracket_axioms(run):
     """bracket antisymmetry and the derivation property"""
-    geo = _geo(run.geos, MIXED, 24, PHI_C)
-    ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(MIXED))
+    ctx = run.system(MIXED, 24, PHI_C)
     f, g, hq = (make(ctx) for make in run.cfg.observables())
     u = _member(ctx, run.seed + 43)
     value = po.bracket(ctx, f, g, u)
@@ -583,12 +579,11 @@ def jacobi_identity(run):
     for label, spec in (("dirichlet", DIRICH), ("mixed", MIXED)):
         hs, errs = [], []
         for n in run.ladder:
-            geo = _geo(run.geos, spec, n, PHI_C)
-            ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(spec))
+            ctx = run.system(spec, n, PHI_C)
             f, g, h = (po.LinearObservable.seeded(ctx, seed + k) for k in (44, 45, 46))
             u = _member(ctx, seed + 47)
             residual, scale = po.jacobi_residual(ctx, f, g, h, u)
-            hs.append(geo.grid.h)
+            hs.append(ctx.geo.grid.h)
             errs.append(residual / scale)
         yield order_result(f"jacobi_identity[{label}]",
                            "double brackets cancel cyclically",
@@ -601,8 +596,7 @@ def bracket_derivative(run):
     seed = run.seed
     hs, errs = [], []
     for n in run.ladder:
-        geo = _geo(run.geos, MIXED, n, PHI_C)
-        ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(MIXED))
+        ctx = run.system(MIXED, n, PHI_C)
         f = po.LinearObservable.seeded(ctx, seed + 48)
         g = po.QuadraticObservable(ctx, "smooth")
         u = _member(ctx, seed + 49)
@@ -611,7 +605,7 @@ def bracket_derivative(run):
         eps = 1e-4
         fd_val = (po.bracket(ctx, f, g, u + v * eps)
                   - po.bracket(ctx, f, g, u - v * eps)) / (2 * eps)
-        hs.append(geo.grid.h)
+        hs.append(ctx.geo.grid.h)
         errs.append(abs(got - fd_val) / max(abs(fd_val), 1e-300))
     yield max_result("bracket_derivative_vs_central_difference",
                      "closed-form derivative of the bracket matches finite differences",
@@ -628,15 +622,12 @@ def hamilton_equations(run):
     t = 0.04
     hs, errs = [], []
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(TORUS))
-        c = dy.SolverConfig(alpha=run.alpha, dt=t / steps, t_end=t,
-                            bc=ctx.bc, cfl_factor=5.0)
-        prob = dy.LaeProblem(geo, c)
+        ctx = run.system(TORUS, n, PHI_T)
+        prob = run.problem(TORUS, n, PHI_T, t / steps, t)
         f = po.LinearObservable.seeded(ctx, run.seed + 51)
         u0 = _member(ctx, run.seed + 52)
         rep = po.hamilton_check(prob, ctx, f, u0, t)
-        hs.append(geo.grid.h)
+        hs.append(ctx.geo.grid.h)
         errs.append(rep["relative"] + 1e-16)
     yield order_result("hamilton_equations",
                        "observables evolve by bracket with the hamiltonian",
@@ -650,21 +641,17 @@ def right_translation_poisson_map(run):
     hs, devs = [], []
     t_map = 0.1
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(TORUS))
-        c = dy.SolverConfig(alpha=run.alpha, dt=t_map / steps, t_end=t_map,
-                            bc=ctx.bc, cfl_factor=5.0)
-        prob = dy.LaeProblem(geo, c)
-        carrier = ctx.sp.project(random_vector(geo.grid, seed=seed + 53,
-                                               kmax=1, amp=0.4))
-        ms = mt.MaterialState(mt.FlowMap.identity(geo.grid), carrier.copy())
+        ctx = run.system(TORUS, n, PHI_T)
+        prob = run.problem(TORUS, n, PHI_T, t_map / steps, t_map)
+        carrier = _member(ctx, seed + 53, amp=0.4)
+        ms = mt.MaterialState(mt.FlowMap.identity(ctx.geo.grid), carrier.copy())
         for _ in range(steps):
             ms = mt.spray_advance(prob, ms)
         V = mt.compose_with_map(_member(ctx, seed + 54), ms.eta)
         state = mt.MaterialState(ms.eta, V)
         f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (55, 56))
         rep = po.pi_r_poisson_check(ctx, f, g, state)
-        hs.append(geo.grid.h)
+        hs.append(ctx.geo.grid.h)
         devs.append(rep["deviation"] + 1e-16)
     yield bool_result("right_translation_poisson_map",
                       "translation to the identity intertwines the brackets",
@@ -681,15 +668,12 @@ def flow_poisson_map(run):
     seed = run.seed
     devs, hs = [], []
     for n in (12, 16):
-        geo = _geo(run.geos, TORUS, n, PHI_T)
-        ctx = po.PoissonContext(geo, run.alpha, BcRegime.from_domain(TORUS))
-        c = dy.SolverConfig(alpha=run.alpha, dt=5e-3, t_end=0.05,
-                            bc=ctx.bc, cfl_factor=5.0)
-        prob = dy.LaeProblem(geo, c)
+        ctx = run.system(TORUS, n, PHI_T)
+        prob = run.problem(TORUS, n, PHI_T, 5e-3, 0.05)
         f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (57, 58))
         u0 = _member(ctx, seed + 59, amp=0.4)
         rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
-        hs.append(geo.grid.h)
+        hs.append(ctx.geo.grid.h)
         devs.append(rep["deviation"])
     yield max_result("flow_poisson_map_16",
                      "the time-t flow preserves the bracket",

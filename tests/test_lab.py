@@ -300,6 +300,53 @@ def test_a_block_run_alone_gives_its_suite_entries():
         assert [r for r in whole if r.name in {a.name for a in alone}] == alone
 
 
+def test_run_builds_its_systems_at_the_run_alpha_with_the_blocks_cfl_factor():
+    cfg = small_cfg()
+    run = Run(cfg, (12,))
+    prob = run.problem(suites.MIXED, 12, suites.PHI_C, 5e-3, 0.05)
+    assert prob.alpha == prob.cfg.alpha == run.alpha == cfg.getfloat("solver", "alpha")
+    assert prob.bc == BcRegime.from_domain(suites.MIXED)
+    assert (prob.cfg.dt, prob.cfg.t_end) == (5e-3, 0.05)
+    assert (prob.cfg.integrator, prob.cfg.cfl_factor) == ("rk4", 5.0)
+    assert run.system(suites.MIXED, 12, suites.PHI_C, alpha=0.0).alpha == 0.0
+
+
+CHANNEL_RUN = """
+[lab]
+suite = dynamics
+
+[domain]
+kind = channel
+nx = 16
+ny = 17
+phi = cosx_siny:0.15,1
+wall_roles = y0:dirichlet,yL:neumann
+
+[run]
+t_end = 0.05
+"""
+
+
+def test_configured_run_starts_a_channel_march_on_the_walls(monkeypatch):
+    # the state handed to the march satisfies the wall rows R of the regime,
+    # not only the divergence that the step's guard checks
+    handed = []
+    real = dy.integrate
+
+    def integrate(prob, state, *args, **kwargs):
+        handed.append((prob, state.u.copy()))
+        return real(prob, state, *args, **kwargs)
+
+    monkeypatch.setattr(dy, "integrate", integrate)
+    cfg = ExperimentConfig.from_text(CHANNEL_RUN)
+    entries = list(suites.configured_run(Run(cfg, (16,))))
+    assert entries and all(r.passed for r in entries)
+    ((prob, u0),) = handed
+    assert prob.bc.variant == "mixed"
+    A, idx = prob.op.matrix(prob.bc)
+    assert np.max(np.abs(A[idx] @ u0.flat())) <= 1e-12 * u0.linf()
+
+
 def test_manifest_written_with_series(tmp_path):
     cfg = small_cfg()
     man = run_suite(cfg, "elliptic", (16, 24))

@@ -518,6 +518,23 @@ def test_flow_checks_factor_nothing_once_the_gram_matrix_is_built(monkeypatch):
     assert other.gram_matrix() is ctx.gram_matrix() and built == []
 
 
+@pytest.mark.parametrize("spec,ny,phi", [(TORUS, 12, PHI_T), (MIXED, 13, PHI_C)],
+                         ids=["torus", "mixed"])
+def test_flow_poisson_check_takes_a_plain_system_as_its_context(spec, ny, phi):
+    # W is read from the projector's stored phase space, so a System that
+    # never calls gram_matrix() gives a PoissonContext's bits
+    reps = []
+    for make in (po.PoissonContext, dy.System):
+        geo = build_geometry(spec, 12, ny, phi)
+        ctx = make(geo, ALPHA, BcRegime.from_domain(spec))
+        prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=ALPHA, dt=5e-3, t_end=0.01,
+                                                  bc=ctx.bc, cfl_factor=5.0))
+        f, g, _ = trio(ctx)
+        u0 = member(ctx, 39, kmax=1, amp=0.4)
+        reps.append(po.flow_poisson_check(prob, ctx, f, g, u0, 0.01))
+    assert reps[0] == reps[1]
+
+
 @pytest.mark.parametrize("spec,nx,ny,phi", [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C)],
                          ids=["torus", "mixed"])
 def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
