@@ -38,15 +38,19 @@ factored once per (geometry, alpha, regime) and stored with that W as one
 record, PhaseSpace, so StokesProjector.riesz_representer is one solve.
 
 Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
-the phase-space saddle, is one record,
-(SuperLU, permutation, matrix), whose solve holds every right-hand side's
-residual against the unpermuted matrix; its transpose solve uses the same
-factors and holds the residual against the transposed matrix, which gives
-the transpose of the projection, in v and in the source.  Each is ordered by
-nested dissection of the grid's nodes (on the torus the two wrap-around seams
-first), which fills less than COLAMD on every torus and on channels of at
-least _ND_MIN_NODES nodes; smaller channels keep SuperLU's COLAMD, which
-fills less there.
+the phase-space saddle, is one record, (SuperLU, permutation, matrix,
+scaling), whose solve holds every right-hand side's residual against the
+unpermuted, unscaled matrix; its transpose solve uses the same factors and
+holds the residual against the transposed matrix, which gives the transpose
+of the projection, in v and in the source.  Each is ordered by nested
+dissection of the grid's nodes (on the torus the two wrap-around seams
+first), one group at a time, a group being a leaf box or a separator band:
+first the group's velocities, then its constraints (p, or the divergence
+and wall rows), and the gauge rows last.  That fills less than COLAMD on
+every torus and on channels of at least _ND_MIN_NODES nodes; smaller
+channels keep SuperLU's COLAMD.  The torus Stokes saddle at a > 0 has its
+constraints scaled by a power of two before it is factored, which keeps its
+pivots large enough that the projection stays divergence-free to ~1e-11.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ from .grid import matvec_last
 _WALLS = ("y0", "yL")
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
-_ND_MIN_NODES = 1400   # smaller channels fill less under COLAMD (36x37 does, 38x39 not)
+_SCALED_PIVOT = 0.1    # ... for a saddle with scaled constraints (_constraint_scale)
+_ND_MIN_NODES = 1400   # below, COLAMD fills about as much (32x33 ties) or less
 
 
 class SolveError(RuntimeError):
@@ -152,17 +157,18 @@ def _reach(M, grid, n_node_dofs: int):
     return int(np.minimum(di, nx - di).max()), int(dj.max())
 
 
-def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> np.ndarray:
-    """Nested-dissection order of the nodes of an nx x ny grid, periodic in x
-    and, on the torus, in y.
+def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> list[np.ndarray]:
+    """Nested-dissection groups of the nodes of an nx x ny grid, periodic in x
+    and, on the torus, in y: the leaf boxes and separator bands, each in its
+    natural order, in elimination order.
 
     Recursive coordinate bisection (George 1973): a box is cut by a band of
     separator nodes, as wide as the stencil's reach across it, and its two
     halves are ordered before the band.  A box that wraps around in a
-    direction is cut along both of its seams at once.  Each box is cut along
-    the axis with the smaller separator (ties cut the y axis, which fills
-    less on the curved torus); boxes of at most _ND_LEAF nodes, or too thin
-    to cut, keep their natural order.
+    direction is cut along both of its seams at once, and each seam's band
+    is one group.  Each box is cut along the axis with the smaller separator
+    (ties cut the y axis, which fills less on the curved torus); boxes of at
+    most _ND_LEAF nodes, or too thin to cut, are leaves.
     """
     out = []
 
@@ -198,48 +204,103 @@ def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> np.ndar
                 nodes(i0, i1, a, b)
 
     box(0, nx, 0, ny, True, periodic_y)
-    return np.concatenate(out)
+    return out
+
+
+def _constraint_scale(M, n2: int, m: int) -> np.ndarray | None:
+    """Symmetric scaling of the constraints of a torus saddle M, or None.
+
+    M's unknowns n2 to m are constraints coupled to its n2 velocities.  Put
+    after its group's velocities, a constraint's pivot is about |G|^2/|A|,
+    |A| the largest entry of the velocity block and |G| that of the
+    coupling, against entries about |G| in later velocity rows of its
+    column.  So where |A| outweighs |G| (the Stokes saddle at alpha > 0) the
+    pivot is small: SuperLU takes it at _ND_PIVOT, and the element growth
+    shows as divergence of the projection (2.5e-10 relative at 96^2, 6e-10
+    at 128^2).  Scaling the constraint rows and columns by s, the power of
+    two nearest |A|/|G|, brings both to about |A| and rounds nothing; such a
+    saddle is pivoted at _SCALED_PIVOT.  None (no scaling) where s would be
+    1 or less, or M has no constraints.  Channels are not scaled: there the
+    scaled divergence rows outweigh the unit pivots of the wall rows, and
+    the projection's error against a refined solution rose from 7e-14 to
+    2.3e-12 (Dirichlet 40x41).
+    """
+    if m == n2:
+        return None
+    rows = abs(M.tocsr()[:n2])
+    e = np.round(np.log2(rows[:, :n2].max() / rows[:, n2:m].max()))
+    if e <= 0:
+        return None
+    scale = np.ones(M.shape[0])
+    scale[n2:m] = 2.0 ** e
+    return scale
 
 
 class _Factorization(NamedTuple):
-    """A factorized matrix: lu is SuperLU of matrix[perm][:, perm], or of
-    matrix itself when perm is None."""
+    """A factorized matrix: lu is SuperLU of (S matrix S)[perm][:, perm], S
+    = diag(scale), or of matrix itself when perm is None; scale None is S = 1."""
 
     lu: spla.SuperLU
     perm: np.ndarray | None
     matrix: sp.spmatrix
+    scale: np.ndarray | None = None
 
     @classmethod
-    def of(cls, geo: Geometry, M, k: int, what: str) -> "_Factorization":
+    def of(cls, geo: Geometry, M, k: int, what: str,
+           wall_nodes: np.ndarray | None = None) -> "_Factorization":
         """The factorization of M, whose last k unknowns are gauge rows.
 
+        M's first 2n unknowns are the nodes' velocities, u1 then u2.  The
+        unknowns after them are constraints: p, or the divergence row, of
+        node r - 2n at unknown r < 3n, then the wall rows of nodes
+        wall_nodes (the phase-space saddle's), then the gauge rows.
+
         On the torus, and on a channel of at least _ND_MIN_NODES nodes, M is
-        factored as M[perm][:, perm] under SuperLU's NATURAL column order,
-        perm the nested-dissection order of the nodes with each node's
-        unknowns kept together and every unknown past them (the gauge rows,
-        and the phase-space saddle's wall rows) last, in order.  The node
-        order is built once per geometry and reach and stored with the
-        factorizations.  Smaller channels get SuperLU's default COLAMD and
-        perm None.  A singular M raises SolveError, its message prefixed by
-        what.
+        factored as M[perm][:, perm] under SuperLU's NATURAL column order.
+        perm takes the nested-dissection groups in elimination order, and
+        within each group first its velocities, u1 and u2 interleaved per
+        node, then its p or divergence rows, then its wall rows; the gauge
+        rows go last, in order.  Centred D and G do not couple a node's p
+        to itself, so a p placed right after its own node's velocities has a
+        structurally zero pivot, and SuperLU's row interchanges to get past
+        it add fill; after the whole group's velocities it has fill to pivot
+        on.  A velocity-only M (the elliptic LU) gets the node-interleaved
+        dissection order.  A torus saddle whose velocity block outweighs its
+        coupling is scaled first (_constraint_scale).  The groups are built
+        once per geometry and reach and stored with the factorizations.
+        Smaller channels get SuperLU's default COLAMD and perm None.  A
+        singular M raises SolveError, its message prefixed by what.
         """
         grid = geo.grid
-        perm, options = None, {}
+        perm, scale, options = None, None, {}
         if grid.periodic_y or grid.n_nodes >= _ND_MIN_NODES:
-            n = grid.n_nodes
-            d = (M.shape[0] - k) // n
-            reach = _reach(M, grid, d * n)
-            order = _stored(geo, ("dissection", None, reach), lambda: _dissection(
+            n, m = grid.n_nodes, M.shape[0] - k
+            walls = np.zeros(0, dtype=int) if wall_nodes is None else wall_nodes
+            reach = _reach(M, grid, m - walls.size)
+            groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
                 grid.nx, grid.ny, *reach, grid.periodic_y))
-            perm = np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
-                                   np.arange(d * n, M.shape[0])])
-            options = {"permc_spec": "NATURAL", "diag_pivot_thresh": _ND_PIVOT}
+            rank = np.empty(n, dtype=int)
+            rank[np.concatenate(groups)] = np.arange(n)
+            group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+            node_rank = rank[np.concatenate([np.tile(np.arange(n), 2),
+                                             np.arange(m - 2 * n - walls.size), walls])]
+            # 0 velocity, 1 p or divergence row, 2 wall row; lexsort is
+            # stable, so a node's u1 stays before its u2
+            kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
+            perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
+                                   np.arange(m, M.shape[0])])
+            scale = _constraint_scale(M, 2 * n, m) if grid.periodic_y else None
+            options = {"permc_spec": "NATURAL",
+                       "diag_pivot_thresh": _ND_PIVOT if scale is None else _SCALED_PIVOT}
         try:
-            lu = spla.splu(M.tocsc() if perm is None else M.tocsr()[perm][:, perm].tocsc(),
-                           **options)
+            if perm is None:
+                lu = spla.splu(M.tocsc(), **options)
+            else:
+                S = M if scale is None else sp.diags(scale) @ M @ sp.diags(scale)
+                lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), **options)
         except RuntimeError as e:
             raise SolveError(f"{what}: {e}")
-        return cls(lu, perm, M)
+        return cls(lu, perm, M, scale)
 
     def solve(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """The solution of matrix x = b for each right-hand side b along rhs's last axis.
@@ -254,14 +315,15 @@ class _Factorization(NamedTuple):
 
     def solve_transpose(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """As solve(), for matrix^T x = b: the same factors under the same
-        permutation, each residual held against matrix^T."""
+        permutation and scaling, each residual held against matrix^T."""
         return self._solve(rhs, tol, what, "T")
 
     def _solve(self, rhs, tol, what, trans):
-        lu, perm, A = self
+        lu, perm, A, scale = self
         if trans == "T":
             A = A.T
-        b = rhs if perm is None else rhs[..., perm]
+        b = rhs if scale is None else rhs * scale
+        b = b if perm is None else b[..., perm]
         if b.ndim == 1:
             x = lu.solve(b, trans)
         else:
@@ -270,16 +332,18 @@ class _Factorization(NamedTuple):
         if perm is not None:
             y, x = x, np.empty_like(x)
             x[..., perm] = y
+        if scale is not None:
+            x *= scale
         if rhs.ndim == 1:
-            res, scale = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
+            res, norm = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
         else:
             res = np.linalg.norm(matvec_last(A, x) - rhs, axis=-1)
-            scale = np.linalg.norm(rhs, axis=-1) + 1e-300
-        ok = res <= tol * scale                          # NaN fails too
+            norm = np.linalg.norm(rhs, axis=-1) + 1e-300
+        ok = res <= tol * norm                          # NaN fails too
         # a lone bool is tested as it is: np.all costs microseconds per solve
         if not (ok.all() if rhs.ndim > 1 else ok):
             j = int(np.argmin(np.ravel(ok)))
-            raise SolveError(f"{what} residual {np.ravel(res / scale)[j]:.3e}"
+            raise SolveError(f"{what} residual {np.ravel(res / norm)[j]:.3e}"
                              + (f" (batch member {j})" if rhs.ndim > 1 else ""))
         return x
 
@@ -562,7 +626,7 @@ class StokesProjector:
         modes = _gradient_kernel_modes(geo.grid)
         k = modes.shape[1]
         S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)
-        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed")
+        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed", bc_idx % self.n)
         return PhaseSpace(W, fac, n2 - (C.shape[0] - k))
 
     def riesz_representer(self, r: VectorField):

@@ -4,9 +4,10 @@ Solvers on the same geometry object share one factorization per (alpha,
 regime); a fresh geometry builds its own, with bit-identical results.  A
 suite run factorizes each distinct matrix once, and its factorizations are
 freed when the run ends.  Factorizations on the torus, and on channels of at
-least elliptic._ND_MIN_NODES nodes, are ordered by nested dissection and
-agree with a COLAMD factorization of the same matrix to round-off; smaller
-channel factorizations are COLAMD's, bit for bit.
+least elliptic._ND_MIN_NODES nodes, are ordered by nested dissection, a
+saddle's velocities before its constraints in each group, and agree with a
+COLAMD factorization of the same matrix to round-off; smaller channel
+factorizations are COLAMD's, bit for bit.
 """
 
 import gc
@@ -202,6 +203,27 @@ def _assert_permutation(fac, trailing: int):
     assert np.array_equal(p[size - trailing:], np.arange(size - trailing, size))
 
 
+def _positions(fac) -> np.ndarray:
+    """pos[r]: where unknown r sits in fac's elimination order."""
+    pos = np.empty_like(fac.perm)
+    pos[fac.perm] = np.arange(fac.perm.size)
+    return pos
+
+
+def _groups(geo, fac, node_dofs: int):
+    """The nested-dissection groups that ordered fac, from its matrix's reach."""
+    grid = geo.grid
+    reach = el._reach(fac.matrix, grid, node_dofs)
+    return el._dissection(grid.nx, grid.ny, *reach, grid.periodic_y)
+
+
+def _interleaved(groups, n: int, d: int, size: int) -> np.ndarray:
+    """The dissection order with each node's d unknowns together, the rest last."""
+    order = np.concatenate(groups)
+    return np.concatenate([(order[:, None] + n * np.arange(d)).ravel(),
+                           np.arange(d * n, size)])
+
+
 def _assert_matches_colamd(op, sp_, bc, f):
     for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
         err = np.linalg.norm(got.flat() - ref.flat()) / np.linalg.norm(ref.flat())
@@ -242,7 +264,8 @@ def test_channel_dissection_order_matches_colamd(regime):
 
 def test_channel_riesz_representer_matches_colamd(mixed40, monkeypatch):
     """The phase-space saddle has the wall rows of C past its node unknowns;
-    the dissection order keeps them and the gauge rows last, in order."""
+    the dissection order puts each in its node's group, after the group's
+    velocities, and keeps the gauge rows last, in order."""
     geo, bc = mixed40, BcRegime.from_domain(MIXED)
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
     r = random_vector(geo.grid, seed=11, kmax=2)
@@ -264,7 +287,12 @@ def test_channel_riesz_representer_matches_colamd(mixed40, monkeypatch):
 
     nd, colamd = saddles
     assert colamd.perm is None and colamd.matrix.shape == nd.matrix.shape
-    _assert_permutation(nd, nd.matrix.shape[0] - 3 * sp_.n)
+    k = el._gradient_kernel_modes(geo.grid).shape[1]
+    _assert_permutation(nd, k)
+    n, walls = sp_.n, sp_.bc_idx % sp_.n
+    pos = _positions(nd)
+    after = pos[3 * n:3 * n + walls.size]
+    assert (after > pos[walls]).all() and (after > pos[n + walls]).all()
     assert dim == ref_dim
     err = np.linalg.norm(d.flat() - ref.flat()) / np.linalg.norm(ref.flat())
     assert err <= 1e-10
@@ -300,11 +328,54 @@ def _fill(lu) -> int:
     return lu.L.nnz + lu.U.nnz
 
 
-def test_torus_saddle_fills_less_than_colamd():
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_torus_saddle_fills_less_than_colamd(alpha):
     geo = build_geometry(TORUS, 32, 32, PHI_T)
     bc = BcRegime.from_domain(TORUS)
-    sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
+    sp_ = StokesProjector(EllipticOperator(geo, alpha), bc)
     assert _fill(sp_.lu) < _fill(spla.splu(sp_.saddle.matrix))
+
+
+@pytest.mark.parametrize("spec,nx,ny,phi", [(TORUS, 12, 12, PHI_T), (MIXED, 40, 41, PHI_C)],
+                         ids=["torus", "mixed"])
+def test_saddle_orders_each_groups_velocities_before_its_constraints(spec, nx, ny, phi):
+    geo, bc = build_geometry(spec, nx, ny, phi), BcRegime.from_domain(spec)
+    op = EllipticOperator(geo, 0.3)
+    sp_ = StokesProjector(op, bc)
+    n, fac = sp_.n, sp_.saddle
+    size = fac.matrix.shape[0]
+    _assert_permutation(fac, size - 3 * n)           # every unknown once, gauge rows last
+    pos = _positions(fac)
+    for g in _groups(geo, fac, 3 * n):
+        assert pos[np.concatenate([g, n + g])].max() < pos[2 * n + g].min()
+    # the elliptic LU keeps the node-interleaved order, so its solves keep their bits
+    lu = op.factor(bc)
+    assert np.array_equal(lu.perm, _interleaved(_groups(geo, lu, 2 * n), n, 2, 2 * n))
+
+
+def test_only_the_torus_stokes_saddle_scales_its_constraints(mixed40):
+    geo = build_geometry(TORUS, 16, 16, PHI_T)
+    bc = BcRegime.from_domain(TORUS)
+    op = EllipticOperator(geo, 0.3)
+    sp_ = StokesProjector(op, bc)
+    n, scale = sp_.n, sp_.saddle.scale
+    # p and the divergence rows by 4, the power of two nearest |A| / |G| = 4.5
+    assert np.array_equal(scale, np.r_[np.ones(2 * n), np.full(n, 4.0),
+                                       np.ones(scale.size - 3 * n)])
+    leray = StokesProjector(EllipticOperator(geo, 0.0), bc)       # |A| = 1 < |G|
+    channel = StokesProjector(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
+    for fac in (op.factor(bc), leray.saddle, sp_.phase_space().saddle, channel.saddle):
+        assert fac.scale is None
+
+
+def test_grouped_torus_saddle_fills_less_than_interleaved():
+    geo = build_geometry(TORUS, 32, 32, PHI_T)
+    sp_ = StokesProjector(EllipticOperator(geo, 0.3), BcRegime.from_domain(TORUS))
+    S, n = sp_.saddle.matrix, sp_.n
+    perm = _interleaved(_groups(geo, sp_.saddle, 3 * n), n, 3, S.shape[0])
+    interleaved = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                            diag_pivot_thresh=el._ND_PIVOT)
+    assert _fill(sp_.lu) <= 0.8 * _fill(interleaved)     # measured 0.71
 
 
 def test_channel_saddle_fills_less_than_colamd(mixed40):
@@ -317,7 +388,9 @@ def test_channel_saddle_fills_less_than_colamd(mixed40):
 @pytest.mark.parametrize("reach", [1, 2])
 def test_dissection_orders_every_node_once(periodic_y, ny, reach):
     for nx in (8, 12, 40):
-        order = el._dissection(nx, ny, reach, reach, periodic_y)
+        groups = el._dissection(nx, ny, reach, reach, periodic_y)
+        # disjoint groups that together hold every node
+        order = np.concatenate(groups)
         assert np.array_equal(np.sort(order), np.arange(nx * ny))
         if not periodic_y and nx < 2 * ny:
             # the top box is cut across y by one band of rows in the middle,
