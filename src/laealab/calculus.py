@@ -155,8 +155,6 @@ def inner0(m: ConformalMetric, u: VectorField, v: VectorField) -> float:
 
 def inner1(m: ConformalMetric, alpha: float, u: VectorField, v: VectorField) -> float:
     base = g_pair(m, u, v)
-    if alpha == 0.0:
-        return _integral(m, base)
     dpair = gbar_pair(m, def_tensor(m, u), def_tensor(m, v))
     return _integral(m, base + dpair * (2.0 * alpha**2))
 

@@ -167,15 +167,19 @@ class ExperimentConfig:
         Ly = self.getfloat("domain", "ly")
         if spec == "flat":
             return phi_flat
-        if spec.startswith("sinusoidal:"):
-            amp, kx, ky = spec.split(":", 1)[1].split(",")
-            return make_phi_sinusoidal(float(amp), int(kx), int(ky), Lx, Ly)
-        if spec.startswith("cosx:"):
-            amp, k = spec.split(":", 1)[1].split(",")
-            return make_phi_cosx(float(amp), int(k), Lx)
-        if spec.startswith("cosx_siny:"):
-            amp, k = spec.split(":", 1)[1].split(",")
-            return make_phi_cosx_siny(float(amp), int(k), Lx, Ly)
+        kind, _, args = spec.partition(":")
+        try:
+            if kind == "sinusoidal":
+                amp, kx, ky = args.split(",")
+                return make_phi_sinusoidal(float(amp), int(kx), int(ky), Lx, Ly)
+            if kind == "cosx":
+                amp, k = args.split(",")
+                return make_phi_cosx(float(amp), int(k), Lx)
+            if kind == "cosx_siny":
+                amp, k = args.split(",")
+                return make_phi_cosx_siny(float(amp), int(k), Lx, Ly)
+        except ValueError:
+            raise ConfigError(f"malformed phi preset {spec!r}") from None
         raise ConfigError(f"unknown phi preset {spec!r}")
 
     def bc_regime(self) -> BcRegime:

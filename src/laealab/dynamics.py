@@ -36,14 +36,13 @@ Fop, Dop and Bop enter as the sources they solve for, and La as its own
 source, La t = (1 - a^2 Lop)^{-1} A_int t with A_int the assembled interior
 of (1 - a^2 Lop).  transport() is the one place that splits the transport
 term into that pair by regime, and rhs() is the one right-hand side for every
-regime and alpha: at a = 0, Fop vanishes and La is the identity, so it is the
-incompressible Euler baseline, projected without a source.  LaeProblem is the
-System with a time-stepping configuration.  A step ends with the
-integrator's result: every stage output of rhs() lies in range(P), so from
-a divergence-free state no projection after the step is needed, and a state
-that is not divergence-free raises InadmissibleStateError.  Each integrator
-has a reverse step beside it (REVERSE_STEPS), the transpose of its stage
-rule on a linear right-hand side, for adjoint sweeps.
+regime and alpha.  LaeProblem is the System with a time-stepping
+configuration.  A step ends with the integrator's result: every stage output
+of rhs() lies in range(P), so from a divergence-free state no projection
+after the step is needed, and a state that is not divergence-free raises
+InadmissibleStateError.  Each integrator has a reverse step beside it
+(REVERSE_STEPS), the transpose of its stage rule on a linear right-hand
+side, for adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -87,6 +86,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
+        if not 0 <= self.alpha < np.inf:                 # NaN fails too
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -117,11 +118,10 @@ class System:
         return ca.inner1(self.metric, self.alpha, u, v)
 
     def admissible(self, v: VectorField) -> VectorField:
-        """A divergence-free field made from v: P La v on a walled regime with
-        a > 0, as the projection of the source (1 - a^2 Lop) v, so the wall
-        rows hold too; P v otherwise.  At a = 0 on a walled regime P keeps
-        v's wall rows, so the result respects the walls only where v does."""
-        if self.bc.has_boundary and self.alpha > 0:
+        """A divergence-free field made from v: P La v on a walled regime,
+        as the projection of the source (1 - a^2 Lop) v, so the wall rows
+        hold too; P v on the torus."""
+        if self.bc.has_boundary:
             return self.sp.project(None, _interior(self, v))
         return self.sp.project(v)
 
@@ -157,15 +157,11 @@ def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> 
 
 def f_alpha(s: System, u: VectorField) -> VectorField:
     """Uop + Rop with a single elliptic solve."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
     return s.op.solve(_quadratic_interior(s.metric, u, u) * s.alpha**2, s.bc)
 
 
 def f_alpha_alt(s: System, u: VectorField) -> VectorField:
     """Independent route via Dop(u,u), grad F(u) and grad u^t . Lap_r u."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
     m = s.metric
     du = ca.covariant_derivative(m, u)
     dut = ca.transpose_metric(m, du)
@@ -176,8 +172,6 @@ def f_alpha_alt(s: System, u: VectorField) -> VectorField:
 
 def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Bilinear transport correction Dop(u, v)."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
     return s.op.solve(d_alpha_source(s, u, v), s.bc)
 
 
@@ -206,8 +200,7 @@ def b_alpha_source(s: System, v: VectorField, w: VectorField) -> VectorField:
     """The source grad w^t . (1 - a^2 Lap_r) v that Bop(v, w) projects."""
     m = s.metric
     dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
-    z = v if s.alpha == 0.0 else v - ca.ricci_laplacian(m, v) * s.alpha**2
-    return dwt.apply(z)
+    return dwt.apply(v - ca.ricci_laplacian(m, v) * s.alpha**2)
 
 
 def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
@@ -222,8 +215,6 @@ def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
     """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form."""
-    if s.alpha == 0.0:
-        return VectorField.zeros(u.grid)
     return s.op.solve(frak_f_alpha_interior(s.metric, u, v) * s.alpha**2, s.bc) * 0.5
 
 
@@ -236,23 +227,17 @@ def _interior(s: System, v: VectorField) -> VectorField:
     return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior, v.flat()))
 
 
-def _la_on_transport(s: System) -> bool:
-    """Whether the transport term is carried back by La (free-slip rows
-    present, a > 0); at a = 0 La is the identity."""
-    return s.bc.uses_l_alpha_transport and s.alpha > 0
-
-
 def transport(s: System, t: VectorField, f: VectorField | None = None):
     """The transport term t and a source f as the pair (v, g) that
     StokesProjector.project() takes: P(v + A^{-1} g) = P(T t + A^{-1} f), with
     A = 1 - a^2 Lop.
 
     Under free-slip and mixed walls grad_u u leaves the subspace and is
-    carried back by La = A^{-1} A, so with a > 0, T t joins the source as
-    (1 - a^2 Lop) t and v is None; otherwise T is the identity and v is t.
+    carried back by La = A^{-1} A, so T t joins the source as (1 - a^2 Lop) t
+    and v is None; otherwise T is the identity and v is t.
     f may be None, and t and f batches.
     """
-    if _la_on_transport(s):
+    if s.bc.uses_l_alpha_transport:
         at = _interior(s, t)
         return None, at if f is None else at + f
     return t, f
@@ -262,17 +247,17 @@ def transport_transpose(s: System, y: VectorField, yf: VectorField) -> VectorFie
     """The cotangent of transport()'s t, given the cotangents (y, yf) of the
     pair it returns, as StokesProjector.project_transpose() gives them (f's
     cotangent is yf); on batches."""
-    if _la_on_transport(s):
+    if s.bc.uses_l_alpha_transport:
         return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior.T, yf.flat()))
     return y
 
 
 def rhs(s: System, u: VectorField) -> VectorField:
-    """-P(T grad_u u + Fop(u)), T per transport(), from one saddle solve;
-    Euler at a = 0.  grad u and its metric transpose are computed once."""
+    """-P(T grad_u u + Fop(u)), T per transport(), from one saddle solve.
+    grad u and its metric transpose are computed once."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
-    f = _quadratic_interior(m, u, u, du, du) * s.alpha**2 if s.alpha else None
+    f = _quadratic_interior(m, u, u, du, du) * s.alpha**2
     return -s.sp.project(*transport(s, du.apply(u), f))
 
 

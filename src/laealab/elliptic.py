@@ -32,6 +32,15 @@ composite is the identity and P is the discrete Leray projector: on the torus
 P v is v less its gradient part, which is how gradient parts are removed
 elsewhere.
 
+alpha = 0 is decided here and only here; every operator elsewhere takes its
+general path at every alpha and hands this module a source of exact zeros (a
+term times a^2).  Four rules give the Euler limit: the assembled interior of
+(1 - a^2 Lop) is the identity, EllipticOperator.solve is the identity,
+StokesProjector.project folds its source f into v, and project_transpose
+returns the same cotangent for v and for f.  So on a walled regime
+P La v is P v, and P keeps v's wall rows (CHANGES.md, the FOUND entry on
+alpha = 0 on a curved channel).
+
 The phase space of the flow check is null(C), C = [D; R] the divergence and
 the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
 factored once per (geometry, alpha, regime) and stored with that W as one
@@ -404,8 +413,8 @@ class EllipticOperator:
     """
 
     def __init__(self, geo: Geometry, alpha: float):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= alpha < np.inf:                      # NaN fails too
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
         self.geo = geo
         self.alpha = float(alpha)
         self.n = geo.grid.n_nodes

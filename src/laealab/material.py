@@ -50,10 +50,6 @@ class FlowMap:
     def identity(cls, grid) -> "FlowMap":
         return cls(grid, grid.X.copy(), grid.Y.copy())
 
-    def copy(self) -> "FlowMap":
-        seed = None if self.inv_seed is None else self.inv_seed.copy()
-        return FlowMap(self.grid, self.e1.copy(), self.e2.copy(), seed)
-
     def displacement(self):
         return self.e1 - self.grid.X, self.e2 - self.grid.Y
 
@@ -221,7 +217,7 @@ def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField
     """K(Tu o v) = P(grad_v u + FF(u,v)), with the La composite on the
     transport term for free-slip and mixed regimes, from one saddle solve."""
     m = s.metric
-    f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2) if s.alpha else None
+    f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2)
     return s.sp.project(*transport(s, ca.nabla_along(m, v, u), f))
 
 

@@ -172,9 +172,7 @@ def _transported_argument(ctx: dy.System, df: VectorField,
                           u: VectorField) -> VectorField:
     """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime, from one
     saddle solve: the sources of Dop and Bop add."""
-    src = dy.b_alpha_source(ctx, u, df)
-    if ctx.alpha != 0.0:
-        src = src + dy.d_alpha_source(ctx, df, u)
+    src = dy.b_alpha_source(ctx, u, df) + dy.d_alpha_source(ctx, df, u)
     return ctx.sp.project(*dy.transport(ctx, ca.nabla_along(ctx.metric, df, u), src))
 
 
@@ -260,9 +258,8 @@ def horizontal_fd(ctx: dy.System, f: Observable,
     """Horizontal derivative of f o pi_R via the duality operators."""
     u = mt.pi_r(ms)
     df = f.diff(u)
-    src = dy.b_alpha_source(ctx, u, df) - dy.b_alpha_source(ctx, df, u)
-    if ctx.alpha != 0.0:
-        src = src + (dy.d_alpha_source(ctx, df, u) - dy.d_alpha_source(ctx, u, df))
+    src = (dy.b_alpha_source(ctx, u, df) - dy.b_alpha_source(ctx, df, u)
+           + (dy.d_alpha_source(ctx, df, u) - dy.d_alpha_source(ctx, u, df)))
     # (Bop(u, df) - Bop(df, u) + P(Dop(df, u) - Dop(u, df))) / 2 in one solve
     hor = ctx.sp.project(None, src) * 0.5
     return mt.compose_with_map(hor, ms.eta)
@@ -295,7 +292,7 @@ def tangent_rhs(ctx: dy.System, u: VectorField, v: VectorField) -> VectorField:
     v may be a batch of tangent directions; u is the one base state.
     """
     m = ctx.metric
-    f = dy.frak_f_alpha_interior(m, u, v) * ctx.alpha**2 if ctx.alpha else None
+    f = dy.frak_f_alpha_interior(m, u, v) * ctx.alpha**2
     return -ctx.sp.project(*dy.transport(
         ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v), f))
 
@@ -308,11 +305,10 @@ def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
     tape = Tape(ctx.geo.grid)
     v = tape.unknown()
     y, yf = ctx.sp.project_transpose(-z)
-    seeds = [(ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
-              dy.transport_transpose(ctx, y, yf))]
-    if ctx.alpha != 0.0:
-        seeds.append((dy.frak_f_alpha_interior(m, u, v), yf * ctx.alpha**2))
-    return tape.transpose(v, seeds)
+    return tape.transpose(v, [
+        (ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
+         dy.transport_transpose(ctx, y, yf)),
+        (dy.frak_f_alpha_interior(m, u, v), yf * ctx.alpha**2)])
 
 
 def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):

@@ -52,6 +52,24 @@ def write_snapshot(path: str, domain: dict, nx: int, ny: int, alpha: float,
             fh.write(arr.tobytes(order="C"))
 
 
+def _header(blob: bytes) -> dict:
+    """The decoded header; SnapshotError unless it is a JSON object with
+    domain, alpha and t, positive integers nx and ny, and a list of field names."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:                   # UnicodeDecodeError, JSONDecodeError
+        raise SnapshotError(f"header is not JSON: {e}") from None
+    if not (isinstance(header, dict) and {"domain", "alpha", "t"} <= header.keys()):
+        raise SnapshotError("header is not a JSON object with domain, alpha and t")
+    for key in ("nx", "ny"):
+        if not (type(header.get(key)) is int and header[key] > 0):   # bool is no size
+            raise SnapshotError(f"header {key} {header.get(key)!r} is not a positive integer")
+    names = header.get("fields")
+    if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+        raise SnapshotError(f"header fields {names!r} is not a list of names")
+    return header
+
+
 def read_snapshot(path: str):
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -64,7 +82,7 @@ def read_snapshot(path: str):
         blob = fh.read(hlen)
         if len(blob) < hlen:
             raise SnapshotError("truncated header")
-        header = json.loads(blob.decode("utf-8"))
+        header = _header(blob)
         nx, ny = header["nx"], header["ny"]
         fields = {}
         for name in header["fields"]:

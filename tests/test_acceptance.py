@@ -1,8 +1,9 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
-Each criterion prints one pass/fail line.  The suites run once per module
-scope on their designated grid ladders with the fixed default seed; the
-asserted windows are the stated tolerances, not recalibrated slack.
+Each criterion prints one pass/fail line, and each suite its results digest
+(pytest -s shows them).  The suites run once per module scope on their
+designated grid ladders with the fixed default seed; the asserted windows
+are the stated tolerances, not recalibrated slack.
 """
 
 import json
@@ -27,6 +28,7 @@ def _run(suite, ladder):
     t0 = time.time()
     man = run_suite(cfg, suite, ladder)
     RUNTIMES[suite] = time.time() - t0
+    print(f"{suite} results digest: {man.results_digest()}")
     return man
 
 

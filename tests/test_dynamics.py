@@ -4,6 +4,8 @@ import pytest
 from laealab import calculus as ca
 from laealab import dynamics as dy
 from laealab import elliptic as el
+from laealab import material as mt
+from laealab import poisson as po
 from laealab.elliptic import BcRegime, SolveError, l_alpha
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
@@ -17,6 +19,10 @@ MIXED = DomainSpec("channel", 1.0, 1.0,
                    wall_roles={"y0": "dirichlet", "yL": "neumann"})
 PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
+DIRICH = DomainSpec("channel", 1.0, 1.0,
+                    wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
+NEUMANN = DomainSpec("channel", 1.0, 1.0,
+                     wall_roles={"y0": "neumann", "yL": "neumann"})
 BC_T = BcRegime.from_domain(TORUS)
 BC_M = BcRegime.from_domain(MIXED)
 
@@ -231,16 +237,24 @@ def test_rhs_variants_coincide_on_torus():
     assert (a - b).linf() < 1e-8 * max(a.linf(), 1e-12)
 
 
-@pytest.mark.parametrize("case", ["torus", "channel"])
+@pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
 def test_rhs_at_alpha_zero_is_euler(case):
-    # at a = 0 the quadratic term vanishes and La is the identity, so the
-    # one right-hand side is the Euler baseline -P0(grad_u u) to the bit
-    geo = torus(24) if case == "torus" else channel(24)
-    bc = BC_T if case == "torus" else BC_M
-    s0 = dy.System(geo, 0.0, bc)
-    u = s0.sp.project(random_vector(geo.grid, seed=28, kmax=1))
-    euler = -s0.sp.project(ca.nabla_along(geo.metric, u, u))
-    assert np.array_equal(dy.rhs(s0, u).flat(), euler.flat())
+    # every operator takes its general path at a = 0, where elliptic.py makes
+    # (1 - a^2 Lop) the identity and folds the zero source into v, so each
+    # reduces to its Euler counterpart to the bit ("channel" is the mixed one)
+    spec = {"torus": TORUS, "channel": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}[case]
+    geo = torus(24) if case == "torus" else build_geometry(spec, 24, 25, PHI_C)
+    s0 = dy.System(geo, 0.0, BcRegime.from_domain(spec))
+    m, P = geo.metric, s0.sp.project
+    u = P(random_vector(geo.grid, seed=28, kmax=1))
+    v = P(random_vector(geo.grid, seed=29, kmax=1))
+    w = random_vector(geo.grid, seed=30, kmax=1)
+    pairs = [(dy.rhs(s0, u), -P(ca.nabla_along(m, u, u))),
+             (po.tangent_rhs(s0, u, v), -P(ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v))),
+             (mt.connector_contract(s0, u, v), P(ca.nabla_along(m, v, u))),
+             (s0.admissible(w), P(w))]
+    for got, euler in pairs:
+        assert np.array_equal(got.flat(), euler.flat())
 
 
 def test_rhs_outputs_live_in_the_constraint_space():

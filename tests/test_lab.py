@@ -8,9 +8,9 @@ import pytest
 from laealab import dynamics as dy
 from laealab.cli import main as cli_main
 from laealab.config import ConfigError, ExperimentConfig
-from laealab.elliptic import BcRegime
+from laealab.elliptic import BcRegime, EllipticOperator
 from laealab.fields import VectorField
-from laealab.geometry import DomainSpec
+from laealab.geometry import DomainSpec, build_geometry
 from laealab.manifest import bool_result
 from laealab.samples import make_phi_sinusoidal
 from laealab.snapshot import SnapshotError, read_snapshot, write_snapshot
@@ -63,6 +63,27 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_text("[domain]\nkind = sphere\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("[domain]\nphi = nonsense\n")
+
+
+@pytest.mark.parametrize("phi", ["sinusoidal:0.1,1", "cosx:abc,1", "cosx_siny:0.1,1.5"])
+def test_a_malformed_phi_preset_is_a_config_error(phi, tmp_path, capsys):
+    text = f"[domain]\nphi = {phi}\n"
+    with pytest.raises(ConfigError, match=f"phi preset '{phi}'"):
+        ExperimentConfig.from_text(text)
+    cfgfile = tmp_path / "lab.cfg"
+    cfgfile.write_text(text)
+    err = _cli_usage_error(["run", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+    assert phi in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["-0.1", "nan", "inf"])
+def test_a_negative_or_non_finite_alpha_is_refused_at_load(alpha):
+    with pytest.raises(ConfigError, match="alpha must be nonnegative and finite"):
+        ExperimentConfig.from_text(f"[solver]\nalpha = {alpha}\n")
+    spec = DomainSpec("torus", 1.0, 1.0)
+    geo = build_geometry(spec, 8, 8, make_phi_sinusoidal(0.1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        EllipticOperator(geo, float(alpha))
 
 
 def test_config_rejects_a_bogus_wall_role():
@@ -178,6 +199,16 @@ def test_snapshot_rejects_trailing_bytes(tmp_path):
     read_snapshot(p)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(SnapshotError, match="trailing"):
+        read_snapshot(p)
+
+
+@pytest.mark.parametrize("blob", [b"{not json", b'{"nx": 8}', json.dumps(
+    {"domain": {}, "nx": -1, "ny": 8, "alpha": 0.1, "t": 0.0, "fields": ["u1"]}).encode()],
+    ids=["not-json", "missing-keys", "negative-nx"])
+def test_snapshot_rejects_a_corrupt_header(tmp_path, blob):
+    p = tmp_path / "h.snap"
+    p.write_bytes(b"LAEALAB1" + len(blob).to_bytes(4, "little") + blob)
+    with pytest.raises(SnapshotError, match="header"):
         read_snapshot(p)
 
 

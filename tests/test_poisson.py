@@ -607,11 +607,18 @@ def test_a_non_finite_batch_member_fails_the_solve():
 # the adjoint flow check: transposes, and the forward march as its oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [TORUS, DIRICH, NEUMANN, MIXED],
-                         ids=["curved_torus", "dirichlet", "neumann", "mixed"])
-def test_tangent_rhs_is_the_exact_linearization_of_rhs(spec):
+def _and_at_alpha_zero(cases, ids):
+    """pytest params: each case at ALPHA under its id, then at alpha 0 under
+    its id with -alpha0, the alpha appended to the case's arguments."""
+    return ([pytest.param(*c, ALPHA, id=i) for c, i in zip(cases, ids)]
+            + [pytest.param(*c, 0.0, id=f"{i}-alpha0") for c, i in zip(cases, ids)])
+
+
+@pytest.mark.parametrize("spec,alpha", _and_at_alpha_zero(
+    [(TORUS,), (DIRICH,), (NEUMANN,), (MIXED,)], ["curved_torus", "dirichlet", "neumann", "mixed"]))
+def test_tangent_rhs_is_the_exact_linearization_of_rhs(spec, alpha):
     # rhs is quadratic, so its central difference is exact up to round-off
-    ctx = ctx_torus(16) if spec is TORUS else ctx_channel(16, spec)
+    ctx = ctx_torus(16, alpha=alpha) if spec is TORUS else ctx_channel(16, spec, alpha=alpha)
     u = member(ctx, 39, kmax=1, amp=0.4)
     v = member(ctx, 40, kmax=1, amp=0.4)
     eps = 1e-3
@@ -624,8 +631,8 @@ TRANSPOSE_CASES = [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C),
                    (DIRICH, 12, 13, PHI_C), (NEUMANN, 12, 13, PHI_C)]
 
 
-def _context(spec, nx, ny, phi):
-    return po.PoissonContext(build_geometry(spec, nx, ny, phi), ALPHA,
+def _context(spec, nx, ny, phi, alpha=ALPHA):
+    return po.PoissonContext(build_geometry(spec, nx, ny, phi), alpha,
                              BcRegime.from_domain(spec))
 
 
@@ -645,9 +652,10 @@ def _random_batch(grid, seed):
     return _batch(grid, [random_vector(grid, seed=seed + k, kmax=2) for k in range(3)])
 
 
-@pytest.mark.parametrize("spec,nx,ny,phi", TRANSPOSE_CASES)
-def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi):
-    ctx = _context(spec, nx, ny, phi)
+@pytest.mark.parametrize("spec,nx,ny,phi,alpha", _and_at_alpha_zero(
+    TRANSPOSE_CASES, [f"spec{k}-{c[1]}-{c[2]}-phi" for k, c in enumerate(TRANSPOSE_CASES)]))
+def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi, alpha):
+    ctx = _context(spec, nx, ny, phi, alpha)
     grid, m, bc = ctx.geo.grid, ctx.metric, ctx.bc
     v, w = _random_batch(grid, 300), _random_batch(grid, 310)
     u = member(ctx, 320, kmax=2, amp=0.5)
