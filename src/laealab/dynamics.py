@@ -84,8 +84,12 @@ class SolverConfig:
     cfl_factor: float = 0.5
 
     def __post_init__(self):
-        if self.dt == 0:
-            raise ValueError("dt must be nonzero")
+        if self.dt == 0 or not np.isfinite(self.dt):
+            raise ValueError(f"dt must be nonzero and finite, got {self.dt!r}")
+        if not np.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
+        if not 0 < self.cfl_factor < np.inf:             # NaN fails too
+            raise ValueError(f"cfl_factor must be positive and finite, got {self.cfl_factor!r}")
         if not 0 <= self.alpha < np.inf:                 # NaN fails too
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         if self.integrator not in INTEGRATORS:

@@ -55,11 +55,10 @@ of the projection, in v and in the source.  Each is ordered by nested
 dissection of the grid's nodes (on the torus the two wrap-around seams
 first), one group at a time, a group being a leaf box or a separator band:
 first the group's velocities, then its constraints (p, or the divergence
-and wall rows), and the gauge rows last.  That fills less than COLAMD on
-every torus and on channels of at least _ND_MIN_NODES nodes; smaller
-channels keep SuperLU's COLAMD.  The torus Stokes saddle at a > 0 has its
-constraints scaled by a power of two before it is factored, which keeps its
-pivots large enough that the projection stays divergence-free to ~1e-11.
+and wall rows), and the gauge rows last; that is the one ordering on every
+grid.  The torus Stokes saddle at a > 0 has its constraints scaled by a
+power of two before it is factored, which keeps its pivots large enough that
+the projection stays divergence-free to ~1e-11.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ _WALLS = ("y0", "yL")
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
 _SCALED_PIVOT = 0.1    # ... for a saddle with scaled constraints (_constraint_scale)
-_ND_MIN_NODES = 1400   # below, COLAMD fills about as much (32x33 ties) or less
 
 
 class SolveError(RuntimeError):
@@ -246,11 +244,11 @@ def _constraint_scale(M, n2: int, m: int) -> np.ndarray | None:
 
 
 class _Factorization(NamedTuple):
-    """A factorized matrix: lu is SuperLU of (S matrix S)[perm][:, perm], S
-    = diag(scale), or of matrix itself when perm is None; scale None is S = 1."""
+    """A factorized matrix: lu is SuperLU of (S matrix S)[perm][:, perm], perm
+    the dissection order of of(), S = diag(scale); scale None is S = 1."""
 
     lu: spla.SuperLU
-    perm: np.ndarray | None
+    perm: np.ndarray
     matrix: sp.spmatrix
     scale: np.ndarray | None = None
 
@@ -264,49 +262,42 @@ class _Factorization(NamedTuple):
         node r - 2n at unknown r < 3n, then the wall rows of nodes
         wall_nodes (the phase-space saddle's), then the gauge rows.
 
-        On the torus, and on a channel of at least _ND_MIN_NODES nodes, M is
-        factored as M[perm][:, perm] under SuperLU's NATURAL column order.
-        perm takes the nested-dissection groups in elimination order, and
-        within each group first its velocities, u1 and u2 interleaved per
-        node, then its p or divergence rows, then its wall rows; the gauge
-        rows go last, in order.  Centred D and G do not couple a node's p
-        to itself, so a p placed right after its own node's velocities has a
-        structurally zero pivot, and SuperLU's row interchanges to get past
-        it add fill; after the whole group's velocities it has fill to pivot
-        on.  A velocity-only M (the elliptic LU) gets the node-interleaved
-        dissection order.  A torus saddle whose velocity block outweighs its
-        coupling is scaled first (_constraint_scale).  The groups are built
-        once per geometry and reach and stored with the factorizations.
-        Smaller channels get SuperLU's default COLAMD and perm None.  A
-        singular M raises SolveError, its message prefixed by what.
+        On every grid M is factored as M[perm][:, perm] under SuperLU's
+        NATURAL column order.  perm takes the nested-dissection groups in
+        elimination order, and within each group first its velocities, u1
+        and u2 interleaved per node, then its p or divergence rows, then its
+        wall rows; the gauge rows go last, in order.  Centred D and G do not
+        couple a node's p to itself, so a p placed right after its own
+        node's velocities has a structurally zero pivot, and SuperLU's row
+        interchanges to get past it add fill; after the whole group's
+        velocities it has fill to pivot on.  A velocity-only M (the elliptic
+        LU) gets the node-interleaved dissection order.  A torus saddle whose
+        velocity block outweighs its coupling is scaled first
+        (_constraint_scale).  The groups are built once per geometry and
+        reach and stored with the factorizations.  A singular M raises
+        SolveError, its message prefixed by what.
         """
         grid = geo.grid
-        perm, scale, options = None, None, {}
-        if grid.periodic_y or grid.n_nodes >= _ND_MIN_NODES:
-            n, m = grid.n_nodes, M.shape[0] - k
-            walls = np.zeros(0, dtype=int) if wall_nodes is None else wall_nodes
-            reach = _reach(M, grid, m - walls.size)
-            groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
-                grid.nx, grid.ny, *reach, grid.periodic_y))
-            rank = np.empty(n, dtype=int)
-            rank[np.concatenate(groups)] = np.arange(n)
-            group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-            node_rank = rank[np.concatenate([np.tile(np.arange(n), 2),
-                                             np.arange(m - 2 * n - walls.size), walls])]
-            # 0 velocity, 1 p or divergence row, 2 wall row; lexsort is
-            # stable, so a node's u1 stays before its u2
-            kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
-            perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
-                                   np.arange(m, M.shape[0])])
-            scale = _constraint_scale(M, 2 * n, m) if grid.periodic_y else None
-            options = {"permc_spec": "NATURAL",
-                       "diag_pivot_thresh": _ND_PIVOT if scale is None else _SCALED_PIVOT}
+        n, m = grid.n_nodes, M.shape[0] - k
+        walls = np.zeros(0, dtype=int) if wall_nodes is None else wall_nodes
+        reach = _reach(M, grid, m - walls.size)
+        groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
+            grid.nx, grid.ny, *reach, grid.periodic_y))
+        rank = np.empty(n, dtype=int)
+        rank[np.concatenate(groups)] = np.arange(n)
+        group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+        node_rank = rank[np.concatenate([np.tile(np.arange(n), 2),
+                                         np.arange(m - 2 * n - walls.size), walls])]
+        # 0 velocity, 1 p or divergence row, 2 wall row; lexsort is
+        # stable, so a node's u1 stays before its u2
+        kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
+        perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
+                               np.arange(m, M.shape[0])])
+        scale = _constraint_scale(M, 2 * n, m) if grid.periodic_y else None
+        S = M if scale is None else sp.diags(scale) @ M @ sp.diags(scale)
         try:
-            if perm is None:
-                lu = spla.splu(M.tocsc(), **options)
-            else:
-                S = M if scale is None else sp.diags(scale) @ M @ sp.diags(scale)
-                lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), **options)
+            lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=_ND_PIVOT if scale is None else _SCALED_PIVOT)
         except RuntimeError as e:
             raise SolveError(f"{what}: {e}")
         return cls(lu, perm, M, scale)
@@ -331,16 +322,14 @@ class _Factorization(NamedTuple):
         lu, perm, A, scale = self
         if trans == "T":
             A = A.T
-        b = rhs if scale is None else rhs * scale
-        b = b if perm is None else b[..., perm]
+        b = (rhs if scale is None else rhs * scale)[..., perm]
         if b.ndim == 1:
             x = lu.solve(b, trans)
         else:
             x = np.stack([lu.solve(c, trans)
                           for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
-        if perm is not None:
-            y, x = x, np.empty_like(x)
-            x[..., perm] = y
+        y, x = x, np.empty_like(x)
+        x[..., perm] = y
         if scale is not None:
             x *= scale
         if rhs.ndim == 1:
@@ -476,7 +465,7 @@ class EllipticOperator:
         return _replace_rows(self.interior, idx, repl).tocsc(), idx
 
     def factor(self, bc: BcRegime) -> _Factorization:
-        """(SuperLU, permutation or None, matrix) of matrix(bc)."""
+        """(SuperLU, permutation, matrix) of matrix(bc)."""
         return _stored(self.geo, ("lu", self.alpha, bc), lambda: _Factorization.of(
             self.geo, self.matrix(bc)[0], 0, f"singular assembly for regime {bc.variant}"))
 

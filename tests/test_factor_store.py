@@ -3,11 +3,10 @@
 Solvers on the same geometry object share one factorization per (alpha,
 regime); a fresh geometry builds its own, with bit-identical results.  A
 suite run factorizes each distinct matrix once, and its factorizations are
-freed when the run ends.  Factorizations on the torus, and on channels of at
-least elliptic._ND_MIN_NODES nodes, are ordered by nested dissection, a
-saddle's velocities before its constraints in each group, and agree with a
-COLAMD factorization of the same matrix to round-off; smaller channel
-factorizations are COLAMD's, bit for bit.
+freed when the run ends.  Every factorization, on the torus and on channels
+of every size, is ordered by nested dissection under SuperLU's NATURAL
+column order, a saddle's velocities before its constraints in each group,
+and agrees with a COLAMD factorization of the same matrix to round-off.
 """
 
 import gc
@@ -251,77 +250,50 @@ def mixed40():
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-def test_channel_dissection_order_matches_colamd(regime):
+@pytest.mark.parametrize("nx", [12, 32, 40])
+def test_channel_dissection_order_matches_colamd(nx, regime, monkeypatch):
+    """Channels of every size, down to 12x13 and the 32x33 of mixed32_rk4."""
+    options = []
+    real = el.spla.splu
+
+    def recording(A, *args, **kwargs):
+        options.append(kwargs.get("permc_spec"))
+        return real(A, *args, **kwargs)
+
     spec = REGIMES[regime]
-    geo, bc = build_geometry(spec, 40, 41, PHI_C), BcRegime.from_domain(spec)
-    assert geo.grid.n_nodes >= el._ND_MIN_NODES
-    op = EllipticOperator(geo, 0.3)
-    sp_ = StokesProjector(op, bc)
+    geo, bc = build_geometry(spec, nx, nx + 1, PHI_C), BcRegime.from_domain(spec)
+    with monkeypatch.context() as m:
+        m.setattr(el.spla, "splu", recording)
+        op = EllipticOperator(geo, 0.3)
+        sp_ = StokesProjector(op, bc)
+        op.factor(bc)
+    assert options == ["NATURAL"] * 2
     _assert_permutation(op.factor(bc), 0)
     _assert_permutation(sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)
     _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
 
-def test_channel_riesz_representer_matches_colamd(mixed40, monkeypatch):
+def test_channel_riesz_representer_matches_colamd(mixed40):
     """The phase-space saddle has the wall rows of C past its node unknowns;
     the dissection order puts each in its node's group, after the group's
     velocities, and keeps the gauge rows last, in order."""
     geo, bc = mixed40, BcRegime.from_domain(MIXED)
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
     r = random_vector(geo.grid, seed=11, kmax=2)
-    saddles = []
-    real = el._Factorization.of
+    d, _ = sp_.riesz_representer(r)
+    nd = sp_.phase_space().saddle
+    rhs = np.zeros(nd.matrix.shape[0])
+    rhs[:2 * sp_.n] = r.flat()
+    ref = spla.splu(nd.matrix.tocsc()).solve(rhs)[:2 * sp_.n]
 
-    def recording(*args):
-        saddles.append(real(*args))
-        return saddles[-1]
-
-    monkeypatch.setattr(el._Factorization, "of", recording)
-    key = ("phase_space", 0.3, bc)
-    if key in geo.factors:                   # built again under each ordering
-        monkeypatch.delitem(geo.factors, key)
-    d, dim = sp_.riesz_representer(r)
-    monkeypatch.delitem(geo.factors, key)
-    monkeypatch.setattr(el, "_ND_MIN_NODES", geo.grid.n_nodes + 1)
-    ref, ref_dim = sp_.riesz_representer(r)
-
-    nd, colamd = saddles
-    assert colamd.perm is None and colamd.matrix.shape == nd.matrix.shape
     k = el._gradient_kernel_modes(geo.grid).shape[1]
     _assert_permutation(nd, k)
     n, walls = sp_.n, sp_.bc_idx % sp_.n
     pos = _positions(nd)
     after = pos[3 * n:3 * n + walls.size]
     assert (after > pos[walls]).all() and (after > pos[n + walls]).all()
-    assert dim == ref_dim
-    err = np.linalg.norm(d.flat() - ref.flat()) / np.linalg.norm(ref.flat())
+    err = np.linalg.norm(d.flat() - ref) / np.linalg.norm(ref)
     assert err <= 1e-10
-
-
-def test_channel_factorizations_stay_colamd(monkeypatch):
-    """Below elliptic._ND_MIN_NODES, up to the 32x33 grid of mixed32_rk4."""
-    options = []
-    real = el.spla.splu
-
-    def recording(A, *args, **kwargs):
-        options.append((args, kwargs))
-        return real(A, *args, **kwargs)
-
-    bc = BcRegime.from_domain(MIXED)
-    for nx, ny in ((12, 13), (32, 33)):
-        options.clear()
-        monkeypatch.setattr(el.spla, "splu", recording)
-        geo = build_geometry(MIXED, nx, ny, PHI_C)
-        assert geo.grid.n_nodes < el._ND_MIN_NODES
-        op = EllipticOperator(geo, 0.3)
-        sp_ = StokesProjector(op, bc)
-        assert op.factor(bc).perm is None and sp_.saddle.perm is None
-        assert options == [((), {})] * 2
-        monkeypatch.setattr(el.spla, "splu", real)
-
-        f = random_vector(geo.grid, seed=7, kmax=2)
-        for got, ref in zip(_solutions(op, sp_, bc, f), _reference_solutions(op, sp_, bc, f)):
-            assert np.array_equal(got.flat(), ref.flat())
 
 
 def _fill(lu) -> int:

@@ -86,6 +86,19 @@ def test_a_negative_or_non_finite_alpha_is_refused_at_load(alpha):
         EllipticOperator(geo, float(alpha))
 
 
+@pytest.mark.parametrize("key,value", [("dt", "nan"), ("dt", "-inf"), ("t_end", "inf"),
+                                       ("cfl_factor", "nan"), ("cfl_factor", "-1")])
+def test_a_non_finite_run_setting_is_refused_at_load(key, value, tmp_path, capsys):
+    # refused before any suite runs, not inside dynamics.step_count or the CFL guard
+    text, match = f"[run]\n{key} = {value}\n", f"{key} must be"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_text(text).validate()
+    cfgfile = tmp_path / "lab.cfg"
+    cfgfile.write_text(text)
+    err = _cli_usage_error(["run", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+    assert match in err and "Traceback" not in err
+
+
 def test_config_rejects_a_bogus_wall_role():
     # the domain is built while validating, not first inside a suite
     with pytest.raises(ConfigError, match="bogus"):

@@ -544,7 +544,8 @@ def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
     r = _random_batch(ctx.geo.grid, 370)
     d, _ = ctx.sp.riesz_representer(r)
     k = el._gradient_kernel_modes(ctx.geo.grid).shape[1]
-    fresh = el._Factorization.of(ctx.geo, ps.saddle.matrix, k, "fresh riesz saddle")
+    fresh = el._Factorization.of(ctx.geo, ps.saddle.matrix, k, "fresh riesz saddle",
+                                 ctx.sp.bc_idx % ctx.sp.n)
     n2 = 2 * ctx.sp.n
     rhs = np.zeros(r.c1.data.shape[:-2] + ps.saddle.matrix.shape[:1])
     rhs[..., :n2] = r.flat()
