@@ -87,25 +87,22 @@ def jacobi_lie_bracket(m: ConformalMetric, u: VectorField, v: VectorField) -> Ve
 # second-order operators
 # ---------------------------------------------------------------------------
 
-def cov_derivative_tensor(m: ConformalMetric, S: Tensor11Field):
-    """Components (grad_j S)^i_k as a nested list indexed [j][i][k]."""
-    g = m.gamma
-    out = [[[None, None], [None, None]] for _ in range(2)]
-    for j in range(2):
-        for i in range(2):
-            for k in range(2):
-                d = S[i, k].dx() if j == 0 else S[i, k].dy()
-                term = d
-                for l in range(2):
-                    term = term + S[l, k] * g[i, j, l] - S[i, l] * g[l, j, k]
-                out[j][i][k] = term
-    return out
-
 def div_11(m: ConformalMetric, S: Tensor11Field) -> VectorField:
-    """Frame-independent divergence Div(S)^i = g^{jk} (grad_j S)^i_k."""
-    dS = cov_derivative_tensor(m, S)
-    c1 = (dS[0][0][0] + dS[1][0][1]) * m.em2phi
-    c2 = (dS[0][1][0] + dS[1][1][1]) * m.em2phi
+    """Frame-independent divergence Div(S)^i = g^{jk} (grad_j S)^i_k.
+
+    The metric is conformal, so only the four components (grad_j S)^i_j
+    are built, (grad_j S)^i_k = d_j S^i_k + Gamma^i_jl S^l_k - Gamma^l_jk S^i_l.
+    """
+    g = m.gamma
+
+    def cov(j, i):
+        term = S[i, j].dx() if j == 0 else S[i, j].dy()
+        for l in range(2):
+            term = term + S[l, j] * g[i, j, l] - S[i, l] * g[l, j, j]
+        return term
+
+    c1 = (cov(0, 0) + cov(1, 0)) * m.em2phi
+    c2 = (cov(0, 1) + cov(1, 1)) * m.em2phi
     return VectorField(m.grid, c1, c2)
 
 

@@ -47,18 +47,21 @@ factored once per (geometry, alpha, regime) and stored with that W as one
 record, PhaseSpace, so StokesProjector.riesz_representer is one solve.
 
 Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
-the phase-space saddle, is one record, (SuperLU, permutation, matrix,
-scaling), whose solve holds every right-hand side's residual against the
-unpermuted, unscaled matrix; its transpose solve uses the same factors and
-holds the residual against the transposed matrix, which gives the transpose
-of the projection, in v and in the source.  Each is ordered by nested
-dissection of the grid's nodes (on the torus the two wrap-around seams
-first), one group at a time, a group being a leaf box or a separator band:
-first the group's velocities, then its constraints (p, or the divergence
-and wall rows), and the gauge rows last; that is the one ordering on every
-grid.  The torus Stokes saddle at a > 0 has its constraints scaled by a
-power of two before it is factored, which keeps its pivots large enough that
-the projection stays divergence-free to ~1e-11.
+the phase-space saddle, is one record, (SuperLU, permutation, matrix, row
+scaling, column scaling), whose solve holds every right-hand side's residual
+against the unpermuted, unscaled matrix; its transpose solve uses the same
+factors and holds the residual against the transposed matrix, which gives
+the transpose of the projection, in v and in the source.  Each is ordered by
+nested dissection of the grid's nodes (on the torus the two wrap-around
+seams first), one group at a time, a group being a leaf box or a separator
+band: first the group's velocities, then its constraints (p, or the
+divergence and wall rows), and the gauge rows last; that is the one ordering
+on every grid.  One balancing rule holds on every grid too (_balance): where the
+velocity block outweighs the coupling of its constraints, or its BC rows,
+those are scaled by powers of two before the matrix is factored.  That keeps
+the pivots large enough that SuperLU swaps no row of a channel's elliptic
+LU, the saddles fill less, and the projection stays divergence-free to
+~1e-11 on the torus and on channels up to 128x129.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from .grid import matvec_last
 _WALLS = ("y0", "yL")
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
-_SCALED_PIVOT = 0.1    # ... for a saddle with scaled constraints (_constraint_scale)
+_SCALED_PIVOT = 0.1    # ... for a balanced matrix (_balance)
 
 
 class SolveError(RuntimeError):
@@ -214,48 +217,67 @@ def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> list[np
     return out
 
 
-def _constraint_scale(M, n2: int, m: int) -> np.ndarray | None:
-    """Symmetric scaling of the constraints of a torus saddle M, or None.
+def _balance(M, n2: int, m: int, bc_rows: np.ndarray):
+    """(rows, cols), the power-of-two row and column scalings that balance M
+    before it is factored, or None.
 
-    M's unknowns n2 to m are constraints coupled to its n2 velocities.  Put
-    after its group's velocities, a constraint's pivot is about |G|^2/|A|,
-    |A| the largest entry of the velocity block and |G| that of the
-    coupling, against entries about |G| in later velocity rows of its
-    column.  So where |A| outweighs |G| (the Stokes saddle at alpha > 0) the
-    pivot is small: SuperLU takes it at _ND_PIVOT, and the element growth
-    shows as divergence of the projection (2.5e-10 relative at 96^2, 6e-10
-    at 128^2).  Scaling the constraint rows and columns by s, the power of
-    two nearest |A|/|G|, brings both to about |A| and rounds nothing; such a
-    saddle is pivoted at _SCALED_PIVOT.  None (no scaling) where s would be
-    1 or less, or M has no constraints.  Channels are not scaled: there the
-    scaled divergence rows outweigh the unit pivots of the wall rows, and
-    the projection's error against a refined solution rose from 7e-14 to
-    2.3e-12 (Dirichlet 40x41).
+    M's unknowns n2 to m are constraints coupled to its n2 velocities, and
+    bc_rows are velocity rows that carry boundary conditions.  |A| is the
+    largest entry of the velocity block outside bc_rows, |G| that of the
+    coupling.  Put after its group's velocities, a constraint's pivot is
+    about |G|^2/|A|, against entries about |G| in later velocity rows of its
+    column, and a BC row's pivot is at most its own largest entry, 1 for a
+    Dirichlet or tangency row and about 2/h for a free-slip row, against |A|
+    in the interior rows (1,676 at alpha 0.3 on the 64x65 channel).  So
+    where |A| outweighs them SuperLU takes small pivots at _ND_PIVOT: it
+    swaps rows past them, which adds fill, and their element growth shows
+    as divergence of the projection.
+
+    Scaling the constraint rows and columns by 2^e, e = round(log2(|A|/|G|)),
+    brings both to about |A|; each BC row is scaled alone by the power of
+    two nearest |A| over its largest entry, never below 1.  Every scale is
+    a power of two, so scaling rounds nothing, and a balanced M is pivoted
+    at _SCALED_PIVOT.  M with constraints is balanced only where e > 0: at
+    alpha 0 and in the phase-space saddle, whose Gram block is small, it is
+    not.  None where every scale would be 1 (the torus elliptic LU).
     """
-    if m == n2:
+    V = abs(M.tocsr()[:n2])
+    interior = np.ones(n2, dtype=bool)
+    interior[bc_rows] = False
+    inner = V[interior]
+    big = inner[:, :n2].max()
+    cols = np.ones(M.shape[0])
+    if m > n2:
+        e = np.round(np.log2(big / inner[:, n2:m].max()))
+        if e <= 0:
+            return None
+        cols[n2:m] = 2.0 ** e
+    rows = cols.copy()
+    if bc_rows.size:
+        e = np.round(np.log2(big / V[bc_rows].max(axis=1).toarray().ravel()))
+        rows[bc_rows] = 2.0 ** np.maximum(e, 0.0)
+    if (rows == 1.0).all():
         return None
-    rows = abs(M.tocsr()[:n2])
-    e = np.round(np.log2(rows[:, :n2].max() / rows[:, n2:m].max()))
-    if e <= 0:
-        return None
-    scale = np.ones(M.shape[0])
-    scale[n2:m] = 2.0 ** e
-    return scale
+    return rows, cols
 
 
 class _Factorization(NamedTuple):
-    """A factorized matrix: lu is SuperLU of (S matrix S)[perm][:, perm], perm
-    the dissection order of of(), S = diag(scale); scale None is S = 1."""
+    """A factorized matrix: lu is SuperLU of (R matrix C)[perm][:, perm], perm
+    the dissection order of of(), R = diag(rows) and C = diag(cols) its
+    balancing (_balance); rows and cols None is R = C = 1."""
 
     lu: spla.SuperLU
     perm: np.ndarray
     matrix: sp.spmatrix
-    scale: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
 
     @classmethod
     def of(cls, geo: Geometry, M, k: int, what: str,
-           wall_nodes: np.ndarray | None = None) -> "_Factorization":
-        """The factorization of M, whose last k unknowns are gauge rows.
+           wall_nodes: np.ndarray | None = None,
+           bc_rows: np.ndarray | None = None) -> "_Factorization":
+        """The factorization of M, whose last k unknowns are gauge rows and
+        whose velocity rows bc_rows carry boundary conditions.
 
         M's first 2n unknowns are the nodes' velocities, u1 then u2.  The
         unknowns after them are constraints: p, or the divergence row, of
@@ -271,15 +293,16 @@ class _Factorization(NamedTuple):
         node's velocities has a structurally zero pivot, and SuperLU's row
         interchanges to get past it add fill; after the whole group's
         velocities it has fill to pivot on.  A velocity-only M (the elliptic
-        LU) gets the node-interleaved dissection order.  A torus saddle whose
-        velocity block outweighs its coupling is scaled first
-        (_constraint_scale).  The groups are built once per geometry and
+        LU) gets the node-interleaved dissection order.  M is balanced
+        first where its velocity block outweighs its coupling or its BC rows
+        (_balance).  The groups are built once per geometry and
         reach and stored with the factorizations.  A singular M raises
         SolveError, its message prefixed by what.
         """
         grid = geo.grid
         n, m = grid.n_nodes, M.shape[0] - k
-        walls = np.zeros(0, dtype=int) if wall_nodes is None else wall_nodes
+        empty = np.zeros(0, dtype=int)
+        walls = empty if wall_nodes is None else wall_nodes
         reach = _reach(M, grid, m - walls.size)
         groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
             grid.nx, grid.ny, *reach, grid.periodic_y))
@@ -293,14 +316,15 @@ class _Factorization(NamedTuple):
         kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
         perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
                                np.arange(m, M.shape[0])])
-        scale = _constraint_scale(M, 2 * n, m) if grid.periodic_y else None
-        S = M if scale is None else sp.diags(scale) @ M @ sp.diags(scale)
+        bc = empty if bc_rows is None else bc_rows
+        rows, cols = _balance(M, 2 * n, m, bc) or (None, None)
+        S = M if rows is None else sp.diags(rows) @ M @ sp.diags(cols)
         try:
             lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                           diag_pivot_thresh=_ND_PIVOT if scale is None else _SCALED_PIVOT)
+                           diag_pivot_thresh=_ND_PIVOT if rows is None else _SCALED_PIVOT)
         except RuntimeError as e:
             raise SolveError(f"{what}: {e}")
-        return cls(lu, perm, M, scale)
+        return cls(lu, perm, M, rows, cols)
 
     def solve(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """The solution of matrix x = b for each right-hand side b along rhs's last axis.
@@ -315,14 +339,15 @@ class _Factorization(NamedTuple):
 
     def solve_transpose(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """As solve(), for matrix^T x = b: the same factors under the same
-        permutation and scaling, each residual held against matrix^T."""
+        permutation, the row and column scalings swapped, each residual held
+        against matrix^T."""
         return self._solve(rhs, tol, what, "T")
 
     def _solve(self, rhs, tol, what, trans):
-        lu, perm, A, scale = self
+        lu, perm, A, rows, cols = self
         if trans == "T":
-            A = A.T
-        b = (rhs if scale is None else rhs * scale)[..., perm]
+            A, rows, cols = A.T, cols, rows
+        b = (rhs if rows is None else rhs * rows)[..., perm]
         if b.ndim == 1:
             x = lu.solve(b, trans)
         else:
@@ -330,8 +355,8 @@ class _Factorization(NamedTuple):
                           for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
         y, x = x, np.empty_like(x)
         x[..., perm] = y
-        if scale is not None:
-            x *= scale
+        if cols is not None:
+            x *= cols
         if rhs.ndim == 1:
             res, norm = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
         else:
@@ -465,9 +490,10 @@ class EllipticOperator:
         return _replace_rows(self.interior, idx, repl).tocsc(), idx
 
     def factor(self, bc: BcRegime) -> _Factorization:
-        """(SuperLU, permutation, matrix) of matrix(bc)."""
+        """The _Factorization of matrix(bc), balanced against its BC rows."""
+        A, bc_idx = self.matrix(bc)
         return _stored(self.geo, ("lu", self.alpha, bc), lambda: _Factorization.of(
-            self.geo, self.matrix(bc)[0], 0, f"singular assembly for regime {bc.variant}"))
+            self.geo, A, 0, f"singular assembly for regime {bc.variant}", bc_rows=bc_idx))
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
         """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace; f may be a batch."""
@@ -569,7 +595,8 @@ class StokesProjector:
         modes = _gradient_kernel_modes(geo.grid)
         K = sp.bmat([[A, -G], [self.D, sp.csr_matrix((n, n))]])
         S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
-        return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed")
+        return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed",
+                                 bc_rows=bc_idx)
 
     def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
         """P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve; v None is the

@@ -191,15 +191,19 @@ def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorFiel
 
 def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
     """One step of (d/dt eta, d/dt V) = (V, spray acceleration) by the
-    configured integrator; every stage map starts inversion from ms's seed."""
+    configured integrator; each stage map starts inversion from the latest
+    inverse (ms's seed at the first stage), and the new state carries it."""
     seed = ms.eta.inv_seed
 
     def flow_map(e1, e2):
         return FlowMap(problem.geo.grid, e1, e2, None if seed is None else seed.copy())
 
     def f(y):
+        nonlocal seed
         e1, e2, V = y
-        acc = _material_acceleration(problem, MaterialState(flow_map(e1, e2), V))
+        eta = flow_map(e1, e2)
+        acc = _material_acceleration(problem, MaterialState(eta, V))
+        seed = eta.inv_seed
         return V.c1.data, V.c2.data, acc
 
     e1, e2, V = INTEGRATORS[problem.cfg.integrator](

@@ -6,7 +6,8 @@ suite run factorizes each distinct matrix once, and its factorizations are
 freed when the run ends.  Every factorization, on the torus and on channels
 of every size, is ordered by nested dissection under SuperLU's NATURAL
 column order, a saddle's velocities before its constraints in each group,
-and agrees with a COLAMD factorization of the same matrix to round-off.
+balanced by one power-of-two scaling rule, and agrees with a COLAMD
+factorization of the same matrix to round-off.
 """
 
 import gc
@@ -325,19 +326,68 @@ def test_saddle_orders_each_groups_velocities_before_its_constraints(spec, nx, n
     assert np.array_equal(lu.perm, _interleaved(_groups(geo, lu, 2 * n), n, 2, 2 * n))
 
 
-def test_only_the_torus_stokes_saddle_scales_its_constraints(mixed40):
+def test_one_balancing_rule_on_every_grid(monkeypatch):
+    thresholds = []
+    real = el.spla.splu
+
+    def recording(A, *args, **kwargs):
+        thresholds.append(kwargs.get("diag_pivot_thresh"))
+        return real(A, *args, **kwargs)
+
+    def factored(build):
+        """build()'s _Factorization and the pivot threshold of its one splu call."""
+        del thresholds[:]
+        fac = build()
+        assert len(thresholds) == 1
+        return fac, thresholds[0]
+
+    monkeypatch.setattr(el.spla, "splu", recording)
     geo = build_geometry(TORUS, 16, 16, PHI_T)
     bc = BcRegime.from_domain(TORUS)
     op = EllipticOperator(geo, 0.3)
-    sp_ = StokesProjector(op, bc)
-    n, scale = sp_.n, sp_.saddle.scale
+    sp_, pivot = factored(lambda: StokesProjector(op, bc))
+    n, fac = sp_.n, sp_.saddle
     # p and the divergence rows by 4, the power of two nearest |A| / |G| = 4.5
-    assert np.array_equal(scale, np.r_[np.ones(2 * n), np.full(n, 4.0),
-                                       np.ones(scale.size - 3 * n)])
-    leray = StokesProjector(EllipticOperator(geo, 0.0), bc)       # |A| = 1 < |G|
-    channel = StokesProjector(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
-    for fac in (op.factor(bc), leray.saddle, sp_.phase_space().saddle, channel.saddle):
-        assert fac.scale is None
+    torus = np.r_[np.ones(2 * n), np.full(n, 4.0), np.ones(fac.matrix.shape[0] - 3 * n)]
+    assert np.array_equal(fac.rows, torus) and np.array_equal(fac.cols, torus)
+    assert pivot == el._SCALED_PIVOT
+
+    # the mixed channel: its constraints by 2^e, each BC row alone by the power
+    # of two nearest |A| over the row's largest entry, never below 1
+    mixed40, mixed = build_geometry(MIXED, 40, 41, PHI_C), BcRegime.from_domain(MIXED)
+    channel, pivot = factored(lambda: StokesProjector(EllipticOperator(mixed40, 0.3), mixed))
+    n, fac, bc_idx = channel.n, channel.saddle, channel.bc_idx
+    V = abs(fac.matrix.tocsr()[:2 * n])
+    interior = np.setdiff1d(np.arange(2 * n), bc_idx)
+    big = V[interior][:, :2 * n].max()
+    e = np.round(np.log2(big / V[interior][:, 2 * n:3 * n].max()))
+    assert e > 0
+    cols = np.ones(fac.matrix.shape[0])
+    cols[2 * n:3 * n] = 2.0 ** e
+    rows = cols.copy()
+    for r in bc_idx:
+        rows[r] = max(1.0, 2.0 ** np.round(np.log2(big / V[r].max())))
+    assert np.array_equal(fac.cols, cols) and np.array_equal(fac.rows, rows)
+    assert (rows[bc_idx] > 1).any()
+    assert pivot == el._SCALED_PIVOT
+
+    # alpha 0 (|A| = 1 < |G|), the torus elliptic LU (nothing to balance) and
+    # the phase-space saddle (|W| < |C|) are factored as they are
+    for build in (lambda: StokesProjector(EllipticOperator(geo, 0.0), bc).saddle,
+                  lambda: StokesProjector(EllipticOperator(mixed40, 0.0), mixed).saddle,
+                  lambda: op.factor(bc), lambda: sp_.phase_space().saddle):
+        fac, pivot = factored(build)
+        assert fac.rows is None and fac.cols is None and pivot == el._ND_PIVOT
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_channel_elliptic_lu_moves_no_rows(regime):
+    """Balanced, the BC rows' pivots are as large as the interior's, so
+    SuperLU keeps the dissection order's diagonal (262-276 rows move unbalanced)."""
+    spec = REGIMES[regime]
+    geo, bc = build_geometry(spec, 32, 33, PHI_C), BcRegime.from_domain(spec)
+    lu = EllipticOperator(geo, 0.3).factor(bc).lu
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
 def test_grouped_torus_saddle_fills_less_than_interleaved():

@@ -151,7 +151,8 @@ def one_field_invert_map(eta):
             qy = np.clip(qy, 0.0, g.Ly)
     else:
         raise mt.InversionError("the one-field oracle did not converge")
-    return np.stack([qx, qy])
+    eta.inv_seed = np.stack([qx, qy])
+    return eta.inv_seed
 
 
 def one_field_material_acceleration(problem, ms):
@@ -413,6 +414,33 @@ def test_spray_equals_the_one_field_path_bit_for_bit(which, monkeypatch):
                      *one_field_material_acceleration(prob, want).arrays())):
         assert same_bits(a, b)
     assert np.max(np.abs(got.eta.e1 - g.X)) > 1e-3      # the map moved
+
+
+def test_spray_advances_the_newton_seed(monkeypatch):
+    """Each stage's inversion starts from the latest inverse: 2.65 Newton
+    iterations per pi_r here, against 3.6 when every stage starts from the
+    step's first map."""
+    geo = torus(32)
+    prob = problem(geo, alpha=0.3, dt=5e-3)
+    u0 = prob.sp.project(random_vector(geo.grid, seed=1, kmax=2, amp=0.4))
+    calls = {"newton": 0, "pi_r": 0}
+    real_grad, real_pi_r = BicubicField.eval_with_grad, mt.pi_r
+
+    def counted_grad(self, *args):
+        calls["newton"] += 1
+        return real_grad(self, *args)
+
+    def counted_pi_r(ms):
+        calls["pi_r"] += 1
+        return real_pi_r(ms)
+
+    monkeypatch.setattr(BicubicField, "eval_with_grad", counted_grad)
+    monkeypatch.setattr(mt, "pi_r", counted_pi_r)
+    ms = mt.MaterialState(mt.FlowMap.identity(geo.grid), u0.copy())
+    for _ in range(10):
+        ms = mt.spray_advance(prob, ms)
+    assert calls["pi_r"] == 40 and calls["newton"] / calls["pi_r"] <= 3.0
+    assert ms.eta.inv_seed is not None
 
 
 def test_material_energy_conserved_along_spray():
