@@ -5,11 +5,12 @@ factorized operator (1 - a^2 Lop) and Stokes projector P; every operator
 below takes it whole.  The evolution of a divergence-free,
 boundary-respecting velocity u is
 
-    d_t u + P(grad_u u + Fop(u)) = 0          (no-slip / torus transport)
-    d_t u + P(La grad_u u + Fop(u)) = 0       (free-slip / mixed transport)
+    d_t u + P(T grad_u u + Fop(u)) = 0
 
-with La the boundary-restoring composite (1 - a^2 Lop)^{-1}(1 - a^2 Lop),
-and Fop = Uop + Rop the quadratic operator
+with T = La, the boundary-restoring composite (1 - a^2 Lop)^{-1}(1 - a^2 Lop),
+on every walled regime (Dirichlet, Neumann and mixed alike: they differ only
+in their BC rows) and T the identity on the torus, and Fop = Uop + Rop the
+quadratic operator
 
     Uop(u) = (1-a^2 Lop)^{-1} a^2 Div(grad u . grad u^t + grad u . grad u
                                       - grad u^t . grad u)
@@ -35,14 +36,14 @@ StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the solves of
 Fop, Dop and Bop enter as the sources they solve for, and La as its own
 source, La t = (1 - a^2 Lop)^{-1} A_int t with A_int the assembled interior
 of (1 - a^2 Lop).  transport() is the one place that splits the transport
-term into that pair by regime, and rhs() is the one right-hand side for every
-regime and alpha.  LaeProblem is the System with a time-stepping
-configuration.  A step ends with the integrator's result: every stage output
-of rhs() lies in range(P), so from a divergence-free state no projection
-after the step is needed, and a state that is not divergence-free raises
-InadmissibleStateError.  Each integrator has a reverse step beside it
-(REVERSE_STEPS), the transpose of its stage rule on a linear right-hand
-side, for adjoint sweeps.
+term into that pair, by whether the regime has BC rows, and rhs() is the one
+right-hand side for every regime and alpha.  LaeProblem is the System with a
+time-stepping configuration.  A step ends with the integrator's result:
+every stage output of rhs() lies in range(P), so from a divergence-free
+state no projection after the step is needed, and a state that is not
+divergence-free raises InadmissibleStateError.  Each integrator has a
+reverse step beside it (REVERSE_STEPS), the transpose of its stage rule on a
+linear right-hand side, for adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -122,12 +123,9 @@ class System:
         return ca.inner1(self.metric, self.alpha, u, v)
 
     def admissible(self, v: VectorField) -> VectorField:
-        """A divergence-free field made from v: P La v on a walled regime,
-        as the projection of the source (1 - a^2 Lop) v, so the wall rows
-        hold too; P v on the torus."""
-        if self.bc.has_boundary:
-            return self.sp.project(None, _interior(self, v))
-        return self.sp.project(v)
+        """A divergence-free field made from v: P T v, T per transport(), so
+        on a walled regime the wall rows hold too."""
+        return self.sp.project(*transport(self, v))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +150,9 @@ def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> 
     dut = ca.transpose_metric(m, du)
     dvt = dut if dv is du else ca.transpose_metric(m, dv)
     inner = ca.div_11(m, du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv))
-    if not m.is_flat:
-        cc = ca.curvature_contractions(m, u, v, dv)
-        inner = inner + ((cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate
-                         - dut.apply(cc.ric_v))
-    return inner
+    cc = ca.curvature_contractions(m, u, v, dv)
+    return inner + ((cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate
+                    - dut.apply(cc.ric_v))
 
 
 def f_alpha(s: System, u: VectorField) -> VectorField:
@@ -186,11 +182,9 @@ def d_alpha_source(s: System, u: VectorField, v: VectorField) -> VectorField:
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
     inner = ca.div_11(m, dv.matmul(dut) + dv.matmul(du))
-    grad_arg = du.matmul(dv).trace()
-    if not m.is_flat:
-        cc = ca.curvature_contractions(m, u, v)
-        inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
-        grad_arg = grad_arg + ca.g_pair(m, u, v) * m.K
+    cc = ca.curvature_contractions(m, u, v)
+    inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
+    grad_arg = du.matmul(dv).trace() + ca.g_pair(m, u, v) * m.K
     return (inner + ca.gradient(m, grad_arg)) * s.alpha**2
 
 
@@ -212,9 +206,10 @@ def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
     of Fop's own bilinear interior, so FFop(u, u) is Fop(u) to the bit.
 
     Linear in each argument, so either may be an unknown recorded on a
-    fields.Tape.
+    fields.Tape.  grad u and grad v are computed once, for both terms.
     """
-    return _quadratic_interior(m, u, v) + _quadratic_interior(m, v, u)
+    du, dv = ca.covariant_derivative(m, u), ca.covariant_derivative(m, v)
+    return _quadratic_interior(m, u, v, du, dv) + _quadratic_interior(m, v, u, dv, du)
 
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
@@ -226,23 +221,18 @@ def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _interior(s: System, v: VectorField) -> VectorField:
-    """(1 - a^2 Lop) v by the assembled interior matrix; v may be a batch."""
-    return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior, v.flat()))
-
-
 def transport(s: System, t: VectorField, f: VectorField | None = None):
     """The transport term t and a source f as the pair (v, g) that
     StokesProjector.project() takes: P(v + A^{-1} g) = P(T t + A^{-1} f), with
     A = 1 - a^2 Lop.
 
-    Under free-slip and mixed walls grad_u u leaves the subspace and is
-    carried back by La = A^{-1} A, so T t joins the source as (1 - a^2 Lop) t
-    and v is None; otherwise T is the identity and v is t.
+    On a regime with BC rows, whatever its walls, T is La = A^{-1} A, which
+    carries grad_u u back onto the BC subspace: T t joins the source as A t
+    and v is None.  On the torus T is the identity and v is t.
     f may be None, and t and f batches.
     """
-    if s.bc.uses_l_alpha_transport:
-        at = _interior(s, t)
+    if s.bc.has_boundary:
+        at = s.op.apply(t)
         return None, at if f is None else at + f
     return t, f
 
@@ -251,7 +241,7 @@ def transport_transpose(s: System, y: VectorField, yf: VectorField) -> VectorFie
     """The cotangent of transport()'s t, given the cotangents (y, yf) of the
     pair it returns, as StokesProjector.project_transpose() gives them (f's
     cotangent is yf); on batches."""
-    if s.bc.uses_l_alpha_transport:
+    if s.bc.has_boundary:
         return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior.T, yf.flat()))
     return y
 

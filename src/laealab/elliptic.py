@@ -35,11 +35,11 @@ elsewhere.
 alpha = 0 is decided here and only here; every operator elsewhere takes its
 general path at every alpha and hands this module a source of exact zeros (a
 term times a^2).  Four rules give the Euler limit: the assembled interior of
-(1 - a^2 Lop) is the identity, EllipticOperator.solve is the identity,
-StokesProjector.project folds its source f into v, and project_transpose
-returns the same cotangent for v and for f.  So on a walled regime
-P La v is P v, and P keeps v's wall rows (CHANGES.md, the FOUND entry on
-alpha = 0 on a curved channel).
+(1 - a^2 Lop) is the identity, so EllipticOperator.apply, which applies it,
+is too; EllipticOperator.solve is the identity; StokesProjector.project
+folds its source f into v; and project_transpose returns the same cotangent
+for v and for f.  So on a walled regime P La v is P v, and P keeps v's wall
+rows (CHANGES.md, the FOUND entry on alpha = 0 on a curved channel).
 
 The phase space of the flow check is null(C), C = [D; R] the divergence and
 the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
@@ -120,11 +120,6 @@ class BcRegime:
     @property
     def has_boundary(self) -> bool:
         return self.variant != "noboundary"
-
-    @property
-    def uses_l_alpha_transport(self) -> bool:
-        """Whether grad_u v leaves the subspace (free-slip rows present)."""
-        return self.variant in ("neumann", "mixed")
 
 
 def _oneside_dy_row(grid, j: int):
@@ -435,12 +430,11 @@ class EllipticOperator:
         self.interior = _stored(geo, ("interior", self.alpha, None),
                                 lambda: _assemble_interior(geo, self.alpha))
 
-    # -- pointwise application (no boundary rows) ----------------------------
+    # -- application (no boundary rows) -------------------------------------
 
     def apply(self, u: VectorField) -> VectorField:
-        if self.alpha == 0.0:
-            return u.copy()
-        return u - ca.l_operator(self.geo.metric, u) * self.alpha**2
+        """(1 - a^2 Lop) u by the assembled interior; u may be a batch."""
+        return VectorField.from_flat(self.geo.grid, matvec_last(self.interior, u.flat()))
 
     # -- boundary rows --------------------------------------------------------
 

@@ -106,10 +106,6 @@ class ConformalMetric:
         self.Kx = grid.ddx(self.K)
         self.Ky = grid.ddy(self.K)
 
-    @property
-    def is_flat(self) -> bool:
-        return not np.any(self.phi)
-
     def metric_tensor(self):
         """g_ij arrays: (g11, g12, g21, g22) = e^{2 phi} (1, 0, 0, 1)."""
         z = np.zeros_like(self.e2phi)

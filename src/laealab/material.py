@@ -178,8 +178,6 @@ def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorFiel
     m = problem.metric
     u = pi_r(ms)
     acc = problem.rhs(u) + ca.nabla_along(m, u, u)
-    if m.is_flat:
-        return compose_with_map(acc, ms.eta)
     # acc^k with Gamma^k_00, Gamma^k_01, Gamma^k_11 at eta, for k = 1, 2
     gam = m.gamma[:, (0, 0, 1), (0, 1, 1)]
     at = _at_map(ms.eta, np.concatenate([np.stack(acc.arrays())[:, None], gam], axis=1))
@@ -192,11 +190,18 @@ def _material_acceleration(problem: LaeProblem, ms: MaterialState) -> VectorFiel
 def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
     """One step of (d/dt eta, d/dt V) = (V, spray acceleration) by the
     configured integrator; each stage map starts inversion from the latest
-    inverse (ms's seed at the first stage), and the new state carries it."""
+    inverse (ms's seed at the first stage), and the new state carries it.
+    On a channel each stage map keeps its walls: its wall rows of eta^2 are
+    set to the walls' node positions, 0 and Ly, off which the stage's V^2
+    there (zero to round-off) would otherwise move them."""
     seed = ms.eta.inv_seed
+    g = problem.geo.grid
 
     def flow_map(e1, e2):
-        return FlowMap(problem.geo.grid, e1, e2, None if seed is None else seed.copy())
+        if not g.periodic_y:
+            e2 = e2.copy()
+            e2[:, 0], e2[:, -1] = g.y[0], g.y[-1]
+        return FlowMap(g, e1, e2, None if seed is None else seed.copy())
 
     def f(y):
         nonlocal seed
@@ -218,8 +223,8 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
 # ---------------------------------------------------------------------------
 
 def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """K(Tu o v) = P(grad_v u + FF(u,v)), with the La composite on the
-    transport term for free-slip and mixed regimes, from one saddle solve."""
+    """K(Tu o v) = P(T grad_v u + FF(u,v)), T per dynamics.transport(), from
+    one saddle solve."""
     m = s.metric
     f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2)
     return s.sp.project(*transport(s, ca.nabla_along(m, v, u), f))

@@ -185,9 +185,8 @@ def identity_ladder(run):
                 vt = random_vector(grid, seed=seed + 5 + s_off, kmax=1)
                 ibp_lhs = -2.0 * ca.inner0_tensor(m, ca.def_tensor(m, ut),
                                                   ca.def_tensor(m, vt))
-                ibp_rhs = ca.inner0(m, ca.l_operator(m, ut), vt)
-                if spec.kind == "channel":
-                    ibp_rhs -= _boundary_integral(geo, ut, vt)
+                ibp_rhs = (ca.inner0(m, ca.l_operator(m, ut), vt)
+                           - _boundary_integral(geo, ut, vt))
                 ibp += abs(ibp_lhs - ibp_rhs)
 
             um = _member(s, seed + 6)
@@ -622,12 +621,11 @@ def hamilton_equations(run):
     t = 0.04
     hs, errs = [], []
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        ctx = run.system(TORUS, n, PHI_T)
         prob = run.problem(TORUS, n, PHI_T, t / steps, t)
-        f = po.LinearObservable.seeded(ctx, run.seed + 51)
-        u0 = _member(ctx, run.seed + 52)
-        rep = po.hamilton_check(prob, ctx, f, u0, t)
-        hs.append(ctx.geo.grid.h)
+        f = po.LinearObservable.seeded(prob, run.seed + 51)
+        u0 = _member(prob, run.seed + 52)
+        rep = po.hamilton_check(prob, prob, f, u0, t)
+        hs.append(prob.geo.grid.h)
         errs.append(rep["relative"] + 1e-16)
     yield order_result("hamilton_equations",
                        "observables evolve by bracket with the hamiltonian",
@@ -641,17 +639,16 @@ def right_translation_poisson_map(run):
     hs, devs = [], []
     t_map = 0.1
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        ctx = run.system(TORUS, n, PHI_T)
         prob = run.problem(TORUS, n, PHI_T, t_map / steps, t_map)
-        carrier = _member(ctx, seed + 53, amp=0.4)
-        ms = mt.MaterialState(mt.FlowMap.identity(ctx.geo.grid), carrier.copy())
+        carrier = _member(prob, seed + 53, amp=0.4)
+        ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), carrier.copy())
         for _ in range(steps):
             ms = mt.spray_advance(prob, ms)
-        V = mt.compose_with_map(_member(ctx, seed + 54), ms.eta)
+        V = mt.compose_with_map(_member(prob, seed + 54), ms.eta)
         state = mt.MaterialState(ms.eta, V)
-        f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (55, 56))
-        rep = po.pi_r_poisson_check(ctx, f, g, state)
-        hs.append(ctx.geo.grid.h)
+        f, g = (po.LinearObservable.seeded(prob, seed + k) for k in (55, 56))
+        rep = po.pi_r_poisson_check(prob, f, g, state)
+        hs.append(prob.geo.grid.h)
         devs.append(rep["deviation"] + 1e-16)
     yield bool_result("right_translation_poisson_map",
                       "translation to the identity intertwines the brackets",
@@ -668,12 +665,11 @@ def flow_poisson_map(run):
     seed = run.seed
     devs, hs = [], []
     for n in (12, 16):
-        ctx = run.system(TORUS, n, PHI_T)
         prob = run.problem(TORUS, n, PHI_T, 5e-3, 0.05)
-        f, g = (po.LinearObservable.seeded(ctx, seed + k) for k in (57, 58))
-        u0 = _member(ctx, seed + 59, amp=0.4)
-        rep = po.flow_poisson_check(prob, ctx, f, g, u0, 0.05)
-        hs.append(ctx.geo.grid.h)
+        f, g = (po.LinearObservable.seeded(prob, seed + k) for k in (57, 58))
+        u0 = _member(prob, seed + 59, amp=0.4)
+        rep = po.flow_poisson_check(prob, prob, f, g, u0, 0.05)
+        hs.append(prob.geo.grid.h)
         devs.append(rep["deviation"])
     yield max_result("flow_poisson_map_16",
                      "the time-t flow preserves the bracket",

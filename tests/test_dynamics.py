@@ -237,6 +237,21 @@ def test_rhs_variants_coincide_on_torus():
     assert (a - b).linf() < 1e-8 * max(a.linf(), 1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_dirichlet_rhs_through_la_matches_the_plain_transport(n):
+    # every walled regime takes La on the transport term; under no-slip
+    # grad_u u already has exact-zero wall rows, so the plain transport
+    # (the identity route) agrees to round-off
+    s = dy.System(build_geometry(DIRICH, n, n + 1, PHI_C), 0.3, BcRegime.from_domain(DIRICH))
+    m = s.metric
+    u = s.admissible(random_vector(s.geo.grid, seed=3))
+    t = ca.nabla_along(m, u, u)
+    assert not np.any(t.c1.data[:, [0, -1]]) and not np.any(t.c2.data[:, [0, -1]])
+    plain = -s.sp.project(t, dy.frak_f_alpha_interior(m, u, u) * (0.5 * s.alpha**2))
+    got = dy.rhs(s, u)
+    assert (got - plain).linf() < 1e-12 * plain.linf()
+
+
 @pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
 def test_rhs_at_alpha_zero_is_euler(case):
     # every operator takes its general path at a = 0, where elliptic.py makes

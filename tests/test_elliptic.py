@@ -70,12 +70,16 @@ def test_apply_linearity():
 
 
 def test_assembled_matrix_matches_pointwise_apply():
+    # apply() is the assembled interior; the pointwise operator is its oracle
     geo = geo_channel(20)
     op = EllipticOperator(geo, 0.27)
     u = random_vector(geo.grid, seed=4)
-    via_mat = VectorField.from_flat(geo.grid, op.interior @ u.flat())
-    via_ops = op.apply(u)
-    assert (via_mat - via_ops).linf() < 1e-13 * max(via_ops.linf(), 1.0)
+    pointwise = u - ca.l_operator(geo.metric, u) * 0.27**2
+    via_mat = op.apply(u)
+    assert (via_mat - pointwise).linf() < 1e-13 * max(pointwise.linf(), 1.0)
+    v = random_vector(geo.grid, seed=5)
+    batch = op.apply(VectorField.from_flat(geo.grid, np.stack([u.flat(), v.flat()])))
+    assert np.array_equal(batch.flat(), np.stack([via_mat.flat(), op.apply(v).flat()]))
 
 
 @pytest.mark.parametrize("geo", [geo_torus(12), geo_channel(12)], ids=["torus", "mixed"])

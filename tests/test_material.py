@@ -10,8 +10,8 @@ from laealab.geometry import DomainSpec, build_geometry
 from laealab.interp import BicubicField, _kernel, _kernel_deriv
 from laealab.orders import fit_order
 from laealab.reference import gamma0_pointwise, polarized_f_alpha
-from laealab.samples import (eigenfield, make_phi_sinusoidal, phi_flat,
-                             random_vector)
+from laealab.samples import (eigenfield, make_phi_cosx_siny, make_phi_sinusoidal,
+                             phi_flat, random_vector)
 
 TORUS = DomainSpec("torus", 1.0, 1.0)
 BC_T = BcRegime.from_domain(TORUS)
@@ -174,12 +174,11 @@ def one_field_material_acceleration(problem, ms):
     w2 = OneField(g, acc.c2.data).eval(px, py)
     v1, v2 = ms.V.arrays()
     chris = np.zeros((2, g.nx, g.ny))
-    if not m.is_flat:
-        for k in range(2):
-            g00 = OneField(g, m.gamma[k, 0, 0]).eval(px, py)
-            g01 = OneField(g, m.gamma[k, 0, 1]).eval(px, py)
-            g11 = OneField(g, m.gamma[k, 1, 1]).eval(px, py)
-            chris[k] = g00 * v1 * v1 + 2.0 * g01 * v1 * v2 + g11 * v2 * v2
+    for k in range(2):
+        g00 = OneField(g, m.gamma[k, 0, 0]).eval(px, py)
+        g01 = OneField(g, m.gamma[k, 0, 1]).eval(px, py)
+        g11 = OneField(g, m.gamma[k, 1, 1]).eval(px, py)
+        chris[k] = g00 * v1 * v1 + 2.0 * g01 * v1 * v2 + g11 * v2 * v2
     return VectorField.from_arrays(g, w1 - chris[0], w2 - chris[1])
 
 
@@ -494,6 +493,24 @@ def test_volume_preserved_along_generic_spray():
     for _ in range(20):
         ms = mt.spray_advance(prob, ms)
     assert mt.volume_distortion(geo.metric, ms) < 5e-3
+
+
+@pytest.mark.parametrize("walls", [("dirichlet", "dirichlet"), ("neumann", "neumann"),
+                                   ("dirichlet", "neumann")], ids=["dirichlet", "neumann", "mixed"])
+def test_channel_spray_keeps_its_walls(walls):
+    # without the stage maps' walls pinned, Newton stalls at a free-slip wall
+    # node in step 0 (residual ~2e-10 against NEWTON_TOL)
+    spec = DomainSpec("channel", 1.0, 1.0, wall_roles=dict(zip(("y0", "yL"), walls)))
+    geo = build_geometry(spec, 16, 17, make_phi_cosx_siny(0.12, 1, 1.0, 1.0))
+    g = geo.grid
+    prob = problem(geo, alpha=0.3, dt=5e-3, bc=BcRegime.from_domain(spec))
+    u0 = prob.admissible(random_vector(g, seed=3, kmax=1, amp=0.4))
+    ms = mt.MaterialState(mt.FlowMap.identity(g), u0.copy())
+    for _ in range(10):
+        ms = mt.spray_advance(prob, ms)
+    assert np.all(ms.eta.e2[:, 0] == g.y[0]) and np.all(ms.eta.e2[:, -1] == g.y[-1])
+    assert 0.0 < mt.volume_distortion(geo.metric, ms) < 1e-3
+    assert np.max(np.abs(ms.eta.e1 - g.X)) > 1e-3      # the map moved
 
 
 # ---------------------------------------------------------------------------
