@@ -167,20 +167,30 @@ def inner0_tensor(m: ConformalMetric, R: Tensor11Field, S: Tensor11Field) -> flo
 
 @dataclass
 class CurvatureContractions:
-    """The curvature-built vector fields entering the quadratic operators.
+    """The curvature-built fields entering the quadratic operators.
 
-    div_r      : Div of the tensor w -> R(w, u) v
+    r_tensor   : the (1,1)-tensor w -> R(w, u) v
     r_grad     : Tr R(., u) grad_. v
     r_swap     : Tr R(u, grad_. v) .
     ric_rate   : (grad_u Ric) v = dK(u) v
     ric_v      : Ric v = K v
+
+    The quadratic operators add r_tensor to their other (1,1)-tensors and
+    take one Div of the sum; div_r, the Div of r_tensor alone, is built on
+    each read.
     """
 
-    div_r: VectorField
+    metric: ConformalMetric
+    r_tensor: Tensor11Field
     r_grad: VectorField
     r_swap: VectorField
     ric_rate: VectorField
     ric_v: VectorField
+
+    @property
+    def div_r(self) -> VectorField:
+        """Div of the tensor w -> R(w, u) v."""
+        return div_11(self.metric, self.r_tensor)
 
 
 def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
@@ -190,10 +200,9 @@ def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
     guv = g_pair(m, u, v)
     # tensor T(w) = R(w,u)v = K (g(u,v) w - g(w,v) u): T^i_j = K (g(u,v) d^i_j - u^i v_j)
     v_low = (v.c1 * m.e2phi, v.c2 * m.e2phi)
-    T = Tensor11Field(grid,
-                      (guv - u.c1 * v_low[0]) * m.K, (-(u.c1 * v_low[1])) * m.K,
-                      (-(u.c2 * v_low[0])) * m.K, (guv - u.c2 * v_low[1]) * m.K)
-    div_r = div_11(m, T)
+    r_tensor = Tensor11Field(grid,
+                             (guv - u.c1 * v_low[0]) * m.K, (-(u.c1 * v_low[1])) * m.K,
+                             (-(u.c2 * v_low[0])) * m.K, (guv - u.c2 * v_low[1]) * m.K)
 
     dv = covariant_derivative(m, v) if dv is None else dv
     divv = divergence(m, v)
@@ -207,7 +216,7 @@ def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
     dKu = u.c1 * m.Kx + u.c2 * m.Ky
     ric_rate = VectorField(grid, v.c1 * dKu, v.c2 * dKu)
     ric_v = v * m.K
-    return CurvatureContractions(div_r, r_grad, r_swap, ric_rate, ric_v)
+    return CurvatureContractions(m, r_tensor, r_grad, r_swap, ric_rate, ric_v)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config) if args.config \
             else ExperimentConfig.defaults()
         ladder = None if args.grid_ladder is None else parse_grid_ladder(args.grid_ladder)
+        manifest = run_suite(cfg, args.suite, ladder)   # checks the suite name first
     except ConfigError as e:
         parser.error(str(e))
-    manifest = run_suite(cfg, args.suite, ladder)
     outdir = args.out or cfg.get("lab", "output_dir")
     path = manifest.write(outdir)
     for r in manifest.results:

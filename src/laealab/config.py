@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import poisson as po
-from .dynamics import SolverConfig
+from .dynamics import SolverConfig, step_count
 from .elliptic import BcRegime
 from .geometry import DomainSpec, Geometry
 from .grid import MIN_NODES
@@ -127,16 +127,25 @@ class ExperimentConfig:
             raise ConfigError(f"[{sec}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
     def validate(self):
-        """Parse every key a run reads and build what the config describes."""
+        """Parse every key a run reads, check the values a run needs and
+        build what the config describes."""
         self.phi_function()
         self.grid_ladder()
         self.initial_maker()
         self.observables()
-        for sec, key in (("lab", "seed"), ("domain", "nx"), ("domain", "ny"),
-                         ("diagnostics", "every_n_steps")):
-            self.getint(sec, key)
+        self.getint("lab", "seed")
+        if not self.get("lab", "output_dir"):
+            raise ConfigError("[lab] output_dir is empty")
+        for key in ("nx", "ny"):
+            if self.getint("domain", key) < MIN_NODES:
+                raise ConfigError(f"[domain] {key} = {self.get('domain', key)}: "
+                                  f"need at least {MIN_NODES}")
+        if self.getint("diagnostics", "every_n_steps") < 1:
+            raise ConfigError("[diagnostics] every_n_steps = "
+                              f"{self.get('diagnostics', 'every_n_steps')}: need at least 1")
         try:
-            self.solver_config()
+            sc = self.solver_config()
+            step_count(0.0, sc.t_end, sc.dt)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 

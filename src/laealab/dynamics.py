@@ -29,7 +29,9 @@ Its polarization FFop(u, v), used by the connector and by the tangent of the
 flow, solves for B(u, v) + B(v, u), so that tangent is the exact
 linearization of the discrete right-hand side; f_alpha_alt stays the
 independent route.  Alongside sit the bilinear maps Dop and Bop of the
-bracket machinery.
+bracket machinery.  Div is linear, so B, its polarization and the source of
+Dop each sum their (1,1)-tensors, curvature's w -> R(w, u)v among them, and
+take one Div of the sum.
 
 Every projected right-hand side is one Stokes-saddle solve,
 StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the solves of
@@ -132,15 +134,29 @@ class System:
 # quadratic operator stack
 # ---------------------------------------------------------------------------
 
+def _bilinear_parts(m, u, v, du, dv, dut, dvt):
+    """(S, r) with B(u, v) = Div S + r: S the (1,1)-tensor
+
+        S = grad u . grad v^t + grad u . grad v - grad u^t . grad v + R(., u)v
+
+    and r the remaining vector terms of B.  du, dv are grad u, grad v and
+    dut, dvt their metric transposes."""
+    cc = ca.curvature_contractions(m, u, v, dv)
+    S = du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv) + cc.r_tensor
+    return S, (cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
+
+
 def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> VectorField:
     """The bilinear field B(u, v) of the quadratic operator,
     Fop(u) = (1-a^2 Lop)^{-1} a^2 B(u, u):
 
-        B(u, v) = Div(grad u . grad v^t + grad u . grad v - grad u^t . grad v)
-                  + [Div R(., u)v + Tr R(., u) grad_. v + Tr R(u, grad_. v) .
-                     - (grad_u Ric)v - grad u^t . Ric v]   (curved metrics)
+        B(u, v) = Div(grad u . grad v^t + grad u . grad v - grad u^t . grad v
+                      + R(., u)v)
+                  + Tr R(., u) grad_. v + Tr R(u, grad_. v) .
+                  - (grad_u Ric)v - grad u^t . Ric v
 
-    Linear in each argument, so either may be an unknown recorded on a
+    Div is linear, so the four (1,1)-tensors are summed first and take one
+    Div.  Linear in each argument, so either may be an unknown recorded on a
     fields.Tape.  du and dv, when given, are grad u and grad v as
     calculus.covariant_derivative() computes them; one object passed as both
     has its metric transpose taken once.
@@ -149,10 +165,8 @@ def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> 
     dv = ca.covariant_derivative(m, v) if dv is None else dv
     dut = ca.transpose_metric(m, du)
     dvt = dut if dv is du else ca.transpose_metric(m, dv)
-    inner = ca.div_11(m, du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv))
-    cc = ca.curvature_contractions(m, u, v, dv)
-    return inner + ((cc.div_r + cc.r_grad + cc.r_swap) - cc.ric_rate
-                    - dut.apply(cc.ric_v))
+    S, r = _bilinear_parts(m, u, v, du, dv, dut, dvt)
+    return ca.div_11(m, S) + r
 
 
 def f_alpha(s: System, u: VectorField) -> VectorField:
@@ -176,14 +190,15 @@ def d_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 
 
 def d_alpha_source(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """The field Dop(u, v) solves for; zero at a = 0."""
+    """The field Dop(u, v) solves for; zero at a = 0.  Its (1,1)-tensors,
+    curvature's among them, take one Div."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
     dut = ca.transpose_metric(m, du)
-    inner = ca.div_11(m, dv.matmul(dut) + dv.matmul(du))
-    cc = ca.curvature_contractions(m, u, v)
-    inner = inner + cc.div_r + cc.r_grad - cc.ric_rate
+    cc = ca.curvature_contractions(m, u, v, dv)
+    inner = ca.div_11(m, dv.matmul(dut) + dv.matmul(du) + cc.r_tensor)
+    inner = inner + cc.r_grad - cc.ric_rate
     grad_arg = du.matmul(dv).trace() + ca.g_pair(m, u, v) * m.K
     return (inner + ca.gradient(m, grad_arg)) * s.alpha**2
 
@@ -201,15 +216,24 @@ def b_alpha_source(s: System, v: VectorField, w: VectorField) -> VectorField:
     return dwt.apply(v - ca.ricci_laplacian(m, v) * s.alpha**2)
 
 
-def frak_f_alpha_interior(m, u: VectorField, v: VectorField) -> VectorField:
+def frak_f_alpha_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> VectorField:
     """The field 2 FFop(u, v) solves for, B(u, v) + B(v, u): the polarization
-    of Fop's own bilinear interior, so FFop(u, u) is Fop(u) to the bit.
+    of Fop's own bilinear interior.  Both slots' (1,1)-tensors are summed
+    before one Div, and both slots' remaining terms beside it, so at u = v
+    every summand doubles exactly and FFop(u, u) is Fop(u) to the bit.
 
     Linear in each argument, so either may be an unknown recorded on a
-    fields.Tape.  grad u and grad v are computed once, for both terms.
+    fields.Tape.  du and dv, when given, are grad u and grad v as
+    calculus.covariant_derivative() computes them; they and their metric
+    transposes are built once, for both slots.
     """
-    du, dv = ca.covariant_derivative(m, u), ca.covariant_derivative(m, v)
-    return _quadratic_interior(m, u, v, du, dv) + _quadratic_interior(m, v, u, dv, du)
+    du = ca.covariant_derivative(m, u) if du is None else du
+    dv = ca.covariant_derivative(m, v) if dv is None else dv
+    dut = ca.transpose_metric(m, du)
+    dvt = dut if dv is du else ca.transpose_metric(m, dv)
+    s_uv, r_uv = _bilinear_parts(m, u, v, du, dv, dut, dvt)
+    s_vu, r_vu = _bilinear_parts(m, v, u, dv, du, dvt, dut)
+    return ca.div_11(m, s_uv + s_vu) + (r_uv + r_vu)
 
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:

@@ -138,35 +138,38 @@ class Tape:
 
         seeds pairs each recorded output field with its cotangent, a batch of
         fields (..., nx, ny); the result is the batch of cotangents of
-        unknown, summed over the seeds.
+        unknown, summed over the seeds.  One backward walk skips each node
+        that no output reaches before unpacking it, adds each reached node's
+        cotangent into its arguments' inline (no call per node) and
+        differentiates through the grid's DX^T and DY^T, built once per grid.
         """
-        adj = [None] * len(self.nodes)
-
-        def acc(i, g):
-            adj[i] = g if adj[i] is None else adj[i] + g
-
+        nodes, adj = self.nodes, [None] * len(self.nodes)
         for out, bar in seeds:
-            for c, b in zip(out.comps(), bar.comps()):
-                acc(self._node(c), b.data)
+            for c, g in zip(out.comps(), bar.comps()):
+                i = self._node(c)
+                adj[i] = g.data if adj[i] is None else adj[i] + g.data
         grid = self.grid
-        dxt, dyt = grid.DX.T.tocsr(), grid.DY.T.tocsr()
-        for i in range(len(self.nodes) - 1, -1, -1):
+        for i in range(len(nodes) - 1, -1, -1):
             g = adj[i]
-            kind, a, b = self.nodes[i]
-            if g is None or kind == _LEAF:
+            if g is None:
+                continue
+            kind, a, b = nodes[i]
+            if kind == _LEAF:
                 continue
             adj[i] = None
-            if kind == _DX or kind == _DY:
+            if kind == _SCALE:
+                g = g * b
+            elif kind == _DX or kind == _DY:
                 flat = g.reshape(g.shape[:-2] + (-1,))
-                acc(a, matvec_last(dxt if kind == _DX else dyt, flat).reshape(g.shape))
-            elif kind == _ADD:
-                acc(a, g)
-                acc(b, g)
+                g = matvec_last(grid.DXT if kind == _DX else grid.DYT, flat).reshape(g.shape)
+            ga = adj[a]
+            adj[a] = g if ga is None else ga + g
+            if kind == _ADD:
+                gb = adj[b]
+                adj[b] = g if gb is None else gb + g
             elif kind == _SUB:
-                acc(a, g)
-                acc(b, -g)
-            else:
-                acc(a, g * b)
+                gb = adj[b]
+                adj[b] = -g if gb is None else gb - g
         shape = next(b.c1.data.shape for _, b in seeds)
         return VectorField.from_arrays(
             grid, *(np.zeros(shape) if adj[c.node] is None else adj[c.node]
@@ -329,3 +332,6 @@ class Tensor11Field:
 
     def trace(self):
         return self.t[0][0] + self.t[1][1]
+
+    def linf(self) -> float:
+        return max(c.linf() for row in self.t for c in row)

@@ -9,7 +9,8 @@ Two domain kinds are supported:
 
 All differentiation goes through two cached sparse matrices DX, DY acting on
 flattened (nx, ny) node arrays (C order); a leading batch axis, (..., nx, ny),
-is differentiated by one sparse matmat.  Interior rows are centered
+is differentiated by one sparse matmat.  Their transposes DXT, DYT, which
+adjoint sweeps apply, are built on first use.  Interior rows are centered
 second-order stencils; wall rows of DY use a one-sided 4-point stencil (third
 order) so that composed second derivatives stay second-order accurate up to
 the walls.  Quadrature is the rectangle rule in periodic directions and the
@@ -17,6 +18,8 @@ trapezoid rule across the channel.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,6 +118,16 @@ class Grid:
 
     def _batched(self, D, a: np.ndarray) -> np.ndarray:
         return matvec_last(D, a.reshape(a.shape[:-2] + (-1,))).reshape(a.shape)
+
+    @cached_property
+    def DXT(self) -> sp.csr_matrix:
+        """DX^T as CSR, built on first use (Tape.transpose reads it)."""
+        return self.DX.T.tocsr()
+
+    @cached_property
+    def DYT(self) -> sp.csr_matrix:
+        """DY^T as CSR, built on first use."""
+        return self.DY.T.tocsr()
 
     # -- helpers -------------------------------------------------------------
 

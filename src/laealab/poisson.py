@@ -286,29 +286,34 @@ def pi_r_poisson_check(ctx: dy.System, f: Observable, g: Observable,
 # the flow as a Poisson map
 # ---------------------------------------------------------------------------
 
+def _tangent_terms(m, u: VectorField, v: VectorField):
+    """The transport term grad_v u + grad_u v and the interior
+    B(u, v) + B(v, u) of the tangent at u, both linear in v, from one grad u,
+    one grad v and one metric transpose of each."""
+    du, dv = ca.covariant_derivative(m, u), ca.covariant_derivative(m, v)
+    return du.apply(v) + dv.apply(u), dy.frak_f_alpha_interior(m, u, v, du, dv)
+
+
 def tangent_rhs(ctx: dy.System, u: VectorField, v: VectorField) -> VectorField:
     """Exact linearization of the right-hand side (the operators are quadratic).
 
     v may be a batch of tangent directions; u is the one base state.
     """
-    m = ctx.metric
-    f = dy.frak_f_alpha_interior(m, u, v) * ctx.alpha**2
-    return -ctx.sp.project(*dy.transport(
-        ctx, ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v), f))
+    t, f = _tangent_terms(ctx.metric, u, v)
+    return -ctx.sp.project(*dy.transport(ctx, t, f * ctx.alpha**2))
 
 
 def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
                           z: VectorField) -> VectorField:
     """The transpose of v -> tangent_rhs(ctx, u, v), applied to a batch z: the
-    local parts swept back on a Tape, the saddle solve by its transpose."""
-    m = ctx.metric
+    local parts, recorded by the code tangent_rhs evaluates, swept back on a
+    Tape, the saddle solve by its transpose."""
     tape = Tape(ctx.geo.grid)
     v = tape.unknown()
+    t, f = _tangent_terms(ctx.metric, u, v)
     y, yf = ctx.sp.project_transpose(-z)
-    return tape.transpose(v, [
-        (ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v),
-         dy.transport_transpose(ctx, y, yf)),
-        (dy.frak_f_alpha_interior(m, u, v), yf * ctx.alpha**2)])
+    return tape.transpose(v, [(t, dy.transport_transpose(ctx, y, yf)),
+                              (f, yf * ctx.alpha**2)])
 
 
 def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):

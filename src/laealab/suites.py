@@ -27,7 +27,7 @@ from . import calculus as ca
 from . import dynamics as dy
 from . import material as mt
 from . import poisson as po
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .elliptic import BcRegime, l_alpha
 from .fields import VectorField
 from .geometry import DomainSpec, build_geometry
@@ -240,7 +240,7 @@ def flat_curvature_exact_zero(run):
     uf = random_vector(geo.grid, seed=run.seed + 9, kmax=2)
     vf = random_vector(geo.grid, seed=run.seed + 10, kmax=2)
     cc = ca.curvature_contractions(m, uf, vf)
-    worst = max(x.linf() for x in (cc.div_r, cc.r_grad, cc.r_swap,
+    worst = max(x.linf() for x in (cc.r_tensor, cc.div_r, cc.r_grad, cc.r_swap,
                                    cc.ric_rate, cc.ric_v))
     worst = max(worst, float(np.max(np.abs(m.K))),
                 float(np.max(np.abs(m.gamma))))
@@ -476,7 +476,7 @@ def configured_run(run):
     prob = dy.LaeProblem(geo, cfg.solver_config())
     u0 = prob.admissible(cfg.initial_field(geo))
     e0 = dy.energy(geo.metric, prob.cfg.alpha, u0)
-    every = max(cfg.getint("diagnostics", "every_n_steps"), 1)
+    every = cfg.getint("diagnostics", "every_n_steps")
     divs, count = [], [0]
 
     def record(state):
@@ -685,7 +685,7 @@ def run_suite(cfg: ExperimentConfig, suite: str | None = None,
               ladder=None) -> RunManifest:
     name = suite or cfg.get("lab", "suite")
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     ladder = tuple(ladder) if ladder else cfg.grid_ladder()
     run = Run(cfg, ladder)                        # a fresh geometry memo per run
     results = [r for fn in SUITES[name] for r in _guarded(fn, run)]

@@ -297,7 +297,7 @@ def test_curvature_contractions_flat_all_zero():
     u = random_vector(geo.grid, seed=61)
     v = random_vector(geo.grid, seed=62)
     cc = ca.curvature_contractions(geo.metric, u, v)
-    for fld in (cc.div_r, cc.r_grad, cc.r_swap, cc.ric_rate, cc.ric_v):
+    for fld in (cc.r_tensor, cc.div_r, cc.r_grad, cc.r_swap, cc.ric_rate, cc.ric_v):
         assert fld.linf() == 0.0
 
 
@@ -307,8 +307,8 @@ def test_curvature_contractions_linear_in_v():
     v = random_vector(geo.grid, seed=64)
     a = ca.curvature_contractions(geo.metric, u, v * 2.0)
     b = ca.curvature_contractions(geo.metric, u, v)
-    for x, y in ((a.div_r, b.div_r), (a.r_grad, b.r_grad), (a.r_swap, b.r_swap),
-                 (a.ric_rate, b.ric_rate), (a.ric_v, b.ric_v)):
+    for x, y in ((a.r_tensor, b.r_tensor), (a.div_r, b.div_r), (a.r_grad, b.r_grad),
+                 (a.r_swap, b.r_swap), (a.ric_rate, b.ric_rate), (a.ric_v, b.ric_v)):
         assert (x - y * 2.0).linf() < 1e-12 * max(x.linf(), 1e-10)
 
 

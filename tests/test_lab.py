@@ -117,6 +117,39 @@ def test_config_rejects_a_non_integer_diagnostics_interval():
         ExperimentConfig.from_text("[diagnostics]\nevery_n_steps = 2.5\n")
 
 
+@pytest.mark.parametrize("text,match", [
+    ("[domain]\nnx = 4\n", "nx = 4: need at least 8"),
+    ("[domain]\nnx = 0\n", "nx = 0: need at least 8"),
+    ("[domain]\nny = -3\n", "ny = -3: need at least 8"),
+    ("[run]\nt_end = -0.1\n", "not reachable"),
+    ("[run]\ndt = 0.003\nt_end = 0.1\n", "does not divide"),
+    ("[diagnostics]\nevery_n_steps = 0\n", "every_n_steps = 0: need at least 1"),
+    ("[diagnostics]\nevery_n_steps = -2\n", "every_n_steps = -2: need at least 1"),
+    ("[lab]\noutput_dir =\n", "output_dir is empty"),
+])
+def test_a_value_a_run_cannot_use_is_refused_at_load(text, match, tmp_path, capsys):
+    # each loaded before, and failed only inside configured_run or after the suite
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_text(text)
+    cfgfile = tmp_path / "lab.cfg"
+    cfgfile.write_text(text)
+    err = _cli_usage_error(["run", "--config", str(cfgfile)], capsys)
+    assert match in err and "Traceback" not in err
+
+
+def test_an_unknown_suite_in_the_config_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any block runs, not as a ValueError traceback from run_suite
+    ran = []
+    monkeypatch.setattr(suites, "_guarded", lambda fn, run: ran.append(fn) or iter(()))
+    cfgfile = tmp_path / "lab.cfg"
+    cfgfile.write_text("[lab]\nsuite = bogus\n")
+    err = _cli_usage_error(["run", "--config", str(cfgfile), "--out", str(tmp_path)], capsys)
+    assert "unknown suite 'bogus'" in err and "Traceback" not in err
+    assert not ran and not any(tmp_path.glob("manifest_*"))
+    with pytest.raises(ConfigError, match="unknown suite"):
+        run_suite(ExperimentConfig.defaults(), "bogus")
+
+
 def test_config_parses_exactly_three_observables():
     for spec, match in (("linear:1,linear:2,bogus", "unknown observable"),
                         ("linear:1,quadratic:sharp,hamiltonian", "unknown observable"),

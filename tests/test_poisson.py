@@ -684,6 +684,24 @@ def test_transposes_pass_the_dot_product_test(spec, nx, ny, phi, alpha):
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
 
 
+def test_the_tangent_tape_at_16_stays_under_320_nodes(monkeypatch):
+    # one Div per bilinear interior and grad u, grad v built once: the curved
+    # 16^2 torus tangent records 309 nodes (451 with a Div per tensor and
+    # grad v recorded twice); a size guard, not a timing
+    sizes = []
+
+    class CountingTape(Tape):
+        def transpose(self, unknown, seeds):
+            sizes.append(len(self.nodes))
+            return super().transpose(unknown, seeds)
+
+    monkeypatch.setattr(po, "Tape", CountingTape)
+    ctx = ctx_torus(16)
+    u = member(ctx, 39, kmax=1, amp=0.4)
+    po.tangent_rhs_transpose(ctx, u, _random_batch(ctx.geo.grid, 360))
+    assert len(sizes) == 1 and sizes[0] <= 320, sizes
+
+
 @pytest.mark.parametrize("spec,nx,ny,phi", TRANSPOSE_CASES[:2], ids=["torus", "mixed"])
 def test_a_tape_reads_out_a_matrix_and_its_transpose(spec, nx, ny, phi):
     # one recording per operator, read out forward (assembled) and backward
