@@ -2,15 +2,13 @@
 
 A System binds one domain, alpha and wall regime to the geometry's
 factorized operator (1 - a^2 Lop) and Stokes projector P; every operator
-below takes it whole.  The evolution of a divergence-free,
-boundary-respecting velocity u is
+below takes it whole.  The evolution of a velocity u in the phase space
+null(C), divergence-free and boundary-respecting, is
 
-    d_t u + P(T grad_u u + Fop(u)) = 0
+    d_t u + P(grad_u u + Fop(u)) = 0
 
-with T = La, the boundary-restoring composite (1 - a^2 Lop)^{-1}(1 - a^2 Lop),
-on every walled regime (Dirichlet, Neumann and mixed alike: they differ only
-in their BC rows) and T the identity on the torus, and Fop = Uop + Rop the
-quadratic operator
+with P the Stokes projector, which lands in null(C) for every input, and
+Fop = Uop + Rop the quadratic operator
 
     Uop(u) = (1-a^2 Lop)^{-1} a^2 Div(grad u . grad u^t + grad u . grad u
                                       - grad u^t . grad u)
@@ -34,16 +32,14 @@ Dop each sum their (1,1)-tensors, curvature's w -> R(w, u)v among them, and
 take one Div of the sum.
 
 Every projected right-hand side is one Stokes-saddle solve,
-StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the solves of
-Fop, Dop and Bop enter as the sources they solve for, and La as its own
-source, La t = (1 - a^2 Lop)^{-1} A_int t with A_int the assembled interior
-of (1 - a^2 Lop).  transport() is the one place that splits the transport
-term into that pair, by whether the regime has BC rows, and rhs() is the one
-right-hand side for every regime and alpha.  LaeProblem is the System with a
-time-stepping configuration.  A step ends with the integrator's result:
-every stage output of rhs() lies in range(P), so from a divergence-free
-state no projection after the step is needed, and a state that is not
-divergence-free raises InadmissibleStateError.  Each integrator has a
+StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the transport
+term is v, and the solves of Fop, Dop and Bop enter as the sources they
+solve for.  rhs() is the one right-hand side for every regime and alpha.
+LaeProblem is the System with a time-stepping configuration.  A step ends
+with the integrator's result: every stage output of rhs() lies in range(P),
+so from a state in range(P) no projection after the step is needed, and a
+state off its constraints (StokesProjector.constraints) raises
+InadmissibleStateError.  Each integrator has a
 reverse step beside it (REVERSE_STEPS), the transpose of its stage rule on a
 linear right-hand side, for adjoint sweeps.
 """
@@ -58,7 +54,6 @@ from . import calculus as ca
 from .elliptic import BcRegime, EllipticOperator, StokesProjector
 from .fields import VectorField
 from .geometry import Geometry
-from .grid import matvec_last
 
 
 class CflError(RuntimeError):
@@ -70,10 +65,11 @@ class NonFiniteStateError(FloatingPointError):
 
 
 class InadmissibleStateError(ValueError):
-    """A state is not divergence-free to DIVERGENCE_WINDOW."""
+    """A state's constraint residual exceeds DIVERGENCE_WINDOW."""
 
 
-# |div u|_inf / |u|_inf a step accepts (the configured_run_divergence window)
+# |C u|_inf / |u|_inf a step accepts, C = StokesProjector.constraints (the
+# configured_run_divergence window)
 DIVERGENCE_WINDOW = 1e-8
 
 
@@ -123,11 +119,6 @@ class System:
 
     def inner1(self, u: VectorField, v: VectorField) -> float:
         return ca.inner1(self.metric, self.alpha, u, v)
-
-    def admissible(self, v: VectorField) -> VectorField:
-        """A divergence-free field made from v: P T v, T per transport(), so
-        on a walled regime the wall rows hold too."""
-        return self.sp.project(*transport(self, v))
 
 
 # ---------------------------------------------------------------------------
@@ -245,38 +236,12 @@ def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def transport(s: System, t: VectorField, f: VectorField | None = None):
-    """The transport term t and a source f as the pair (v, g) that
-    StokesProjector.project() takes: P(v + A^{-1} g) = P(T t + A^{-1} f), with
-    A = 1 - a^2 Lop.
-
-    On a regime with BC rows, whatever its walls, T is La = A^{-1} A, which
-    carries grad_u u back onto the BC subspace: T t joins the source as A t
-    and v is None.  On the torus T is the identity and v is t.
-    f may be None, and t and f batches.
-    """
-    if s.bc.has_boundary:
-        at = s.op.apply(t)
-        return None, at if f is None else at + f
-    return t, f
-
-
-def transport_transpose(s: System, y: VectorField, yf: VectorField) -> VectorField:
-    """The cotangent of transport()'s t, given the cotangents (y, yf) of the
-    pair it returns, as StokesProjector.project_transpose() gives them (f's
-    cotangent is yf); on batches."""
-    if s.bc.has_boundary:
-        return VectorField.from_flat(s.geo.grid, matvec_last(s.op.interior.T, yf.flat()))
-    return y
-
-
 def rhs(s: System, u: VectorField) -> VectorField:
-    """-P(T grad_u u + Fop(u)), T per transport(), from one saddle solve.
-    grad u and its metric transpose are computed once."""
+    """-P(grad_u u + Fop(u)) from one saddle solve.  grad u and its metric
+    transpose are computed once."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
-    f = _quadratic_interior(m, u, u, du, du) * s.alpha**2
-    return -s.sp.project(*transport(s, du.apply(u), f))
+    return -s.sp.project(du.apply(u), _quadratic_interior(m, u, u, du, du) * s.alpha**2)
 
 
 def energy(m, alpha: float, u: VectorField) -> float:
@@ -327,11 +292,12 @@ class LaeProblem(System):
                 f"dt={self.cfg.dt} exceeds cfl bound "
                 f"{self.cfg.cfl_factor / max(speed, 1e-300):.3e} (speed {speed:.3e})")
 
-    def check_divergence(self, u: VectorField):
-        div, scale = np.max(np.abs(self.sp.D @ u.flat())), u.linf()
-        if div > DIVERGENCE_WINDOW * scale:
+    def check_constraints(self, u: VectorField):
+        res, scale = np.max(np.abs(self.sp.constraints @ u.flat())), u.linf()
+        if res > DIVERGENCE_WINDOW * scale:
             raise InadmissibleStateError(
-                f"relative divergence {div / scale:.3e} exceeds {DIVERGENCE_WINDOW:.0e}")
+                f"relative constraint residual {res / scale:.3e} exceeds "
+                f"{DIVERGENCE_WINDOW:.0e}")
 
 
 def _shifted(y: tuple, k: tuple, c: float) -> tuple:
@@ -406,18 +372,18 @@ def guarded_step(problem: LaeProblem, state: State, f) -> State:
     """step() of y' = f(y), f the right-hand side or a recorder around it.
 
     The step ends with the integrator's result, not projected again: each
-    stage output of rhs() lies in range(P), so from a divergence-free state
-    the step equals P after the step in exact arithmetic.  A non-finite
-    state raises NonFiniteStateError, a dt past the CFL bound CflError, and
-    then a state whose |div u|_inf / |u|_inf exceeds DIVERGENCE_WINDOW
-    InadmissibleStateError; a step that produces a non-finite state fails a
-    solve's check.
+    stage output of rhs() lies in range(P), so from a state in range(P) the
+    step equals P after the step in exact arithmetic.  A non-finite state
+    raises NonFiniteStateError, a dt past the CFL bound CflError, and then a
+    state whose |C u|_inf / |u|_inf exceeds DIVERGENCE_WINDOW, C the
+    projector's constraints, InadmissibleStateError; a step that produces a
+    non-finite state fails a solve's check.
     """
     u = state.u
     if not (np.all(np.isfinite(u.c1.data)) and np.all(np.isfinite(u.c2.data))):
         raise NonFiniteStateError(f"state at t={state.t} is not finite")
     problem.check_cfl(u)
-    problem.check_divergence(u)
+    problem.check_constraints(u)
     dt = problem.cfg.dt
     (u,) = INTEGRATORS[problem.cfg.integrator](f, (u,), dt)
     return State(u, state.t + dt)

@@ -13,33 +13,41 @@ regime, wall-node equations are replaced by interpolation rows:
 and the factorized system realizes the inverse mapping arbitrary fields onto
 the boundary-condition subspace.
 
-The Stokes projector is the composite P v = v - (1 - a^2 Lop)^{-1} grad p,
-where the zero-mean potential p solves div((1 - a^2 Lop)^{-1} grad p) = div v.
-Its saddle's first block is (1 - a^2 Lop) with the BC rows, so a source f
-there gives P(v + (1 - a^2 Lop)^{-1} f) from the same one solve (block
-elimination), as v + w from the sparse saddle system in (w, p, lam):
+The Stokes projector P maps every field into the phase space null(C),
+C = [D; R] the divergence and the regime's BC rows R, the rows bc_idx of the
+BC-substituted (1 - a^2 Lop), A below.  On a field with R v = 0 it is the
+composite P v = v - A^{-1} grad p, where the zero-mean potential p solves
+div(A^{-1} grad p) = div v.  Any other v it first carries onto the BC
+subspace by La = A^{-1} (1 - a^2 Lop), which keeps the interior rows of
+(1 - a^2 Lop) v: P v = P La v for every v, an oblique projection.  The
+saddle's first block is A, so a source f there gives P(v + A^{-1} f) from
+the same one solve (block elimination), as v + w from the sparse saddle
+system in (w, p, lam):
 
-    A w - G p            = f        (BC rows of A paired with zeroed rows of G
-                                     and of f, as the elliptic solve zeroes them)
+    A w - G p            = f        (on the BC rows, where G is zero, -R v
+                                     in place of f)
     div w + mu lam       = -div v   (mu absorbs the quadrature incompatibility)
     sum(mu p)            = 0        (gauge)
 
-so that w = (1 - a^2 Lop)^{-1} (f + grad p) exactly and div(v + w) sits at the
+so that v + w = La v + A^{-1} (f + grad p), f's BC rows read as zero, since
+La v - v = A^{-1} [0; -R v]; R(v + w) = 0 and div(v + w) sit at the
 factorization's residual level, independent of h.  Every projected
 right-hand side of the dynamics, the bracket and the connector is one such
-solve, its residual held to 1e-8 as the elliptic solve's is.  At a = 0 the
-composite is the identity and P is the discrete Leray projector: on the torus
-P v is v less its gradient part, which is how gradient parts are removed
-elsewhere.
+solve, its transport term passed as v, its residual held to 1e-8 as the
+elliptic solve's is.  At a = 0 the composite is the identity and P is the
+discrete Leray projector: on the torus P v is v less its gradient part,
+which is how gradient parts are removed elsewhere.
 
 alpha = 0 is decided here and only here; every operator elsewhere takes its
 general path at every alpha and hands this module a source of exact zeros (a
-term times a^2).  Four rules give the Euler limit: the assembled interior of
+term times a^2).  Five rules give the Euler limit: the assembled interior of
 (1 - a^2 Lop) is the identity, so EllipticOperator.apply, which applies it,
 is too; EllipticOperator.solve is the identity; StokesProjector.project
-folds its source f into v; and project_transpose returns the same cotangent
-for v and for f.  So on a walled regime P La v is P v, and P keeps v's wall
-rows (CHANGES.md, the FOUND entry on alpha = 0 on a curved channel).
+folds its source f into v; it writes -R v into the BC rows only at a > 0,
+so at a = 0 they stay zero, P keeps v's wall rows and lands in null(D)
+alone (StokesProjector.constraints); and project_transpose returns the same
+cotangent for v and for f (CHANGES.md, the FOUND entry on alpha = 0 on a
+curved channel).
 
 The phase space of the flow check is null(C), C = [D; R] the divergence and
 the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
@@ -557,10 +565,14 @@ class PhaseSpace(NamedTuple):
 
 
 class StokesProjector:
-    """H^1-orthogonal projection onto divergence-free, BC-satisfying fields.
+    """Projection onto the phase space null(C), C = [D; R] the divergence and
+    the regime's BC rows R (at a > 0; see constraints).
 
-    A thin view over the geometry's store: projectors for the same (alpha,
-    regime) on the same geometry object share one saddle factorization.
+    H^1-orthogonal on fields that satisfy the BC rows; any other field v it
+    projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
+    docstring), so P P = P and R P v = 0 for every v.  A thin view over the
+    geometry's store: projectors for the same (alpha, regime) on the same
+    geometry object share one saddle factorization.
     """
 
     def __init__(self, op: EllipticOperator, bc: BcRegime):
@@ -571,12 +583,24 @@ class StokesProjector:
         self.mu = geo.metric.quad_mu().ravel()
         self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
         self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
-        self.bc_idx = op.matrix(bc)[1]
+        A, self.bc_idx = op.matrix(bc)
+        self.R = _stored(geo, ("bc_rows", op.alpha, bc), lambda: A.tocsr()[self.bc_idx])
+        # at a = 0 P keeps the wall rows (the fifth alpha-0 rule); the torus has none
+        self._sets_walls = op.alpha > 0.0 and self.bc_idx.size > 0
 
     @property
     def lu(self):
         """SuperLU of the saddle system."""
         return self.saddle.lu
+
+    @property
+    def constraints(self):
+        """The rows every project() output satisfies: C = [D; R] at a > 0 on a
+        walled regime; D alone at a = 0, where P keeps the wall rows, and on
+        the torus."""
+        return _stored(self.op.geo, ("constraints", self.op.alpha, self.bc),
+                       lambda: sp.vstack([self.D, self.R], format="csr")
+                       if self._sets_walls else self.D)
 
     def _factorize(self) -> _Factorization:
         op, bc, n, mu = self.op, self.bc, self.n, self.mu
@@ -597,9 +621,10 @@ class StokesProjector:
         zero field, f None no source, and either may be a batch (..., nx, ny),
         solved member by member.
 
-        The saddle is solved for [f with its BC rows zeroed; -div v; 0], as
-        EllipticOperator.solve() zeroes them, and the result is v + w.  At
-        a = 0 that solve is the identity, so f joins v.
+        The saddle is solved for [f with -R v in its BC rows; -div v; 0] and
+        the result is v + w, in null(C) whether or not v satisfies the BC
+        rows.  At a = 0 that solve is the identity, so f joins v, and the BC
+        rows stay zero.
         """
         if f is not None and self.op.alpha == 0.0:
             v, f = (f if v is None else v + f), None
@@ -607,25 +632,31 @@ class StokesProjector:
         vf, ff = (None if x is None else x.flat() for x in (v, f))
         batch = np.broadcast_shapes(*(x.shape[:-1] for x in (vf, ff) if x is not None))
         rhs = np.zeros(batch + self.saddle.matrix.shape[:1])
-        if vf is not None:
-            rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
         if ff is not None:
             rhs[..., :2 * n] = ff
             rhs[..., self.bc_idx] = 0.0
+        if vf is not None:
+            rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
+            if self._sets_walls:
+                rhs[..., self.bc_idx] = -matvec_last(self.R, vf)
         x = self.saddle.solve(rhs, 1e-8, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return w if v is None else v + w
 
     def project_transpose(self, z: VectorField) -> tuple[VectorField, VectorField]:
         """The transpose of project() applied to z, as the pair of cotangents
-        (P^T z, of f): one transposed saddle solve, whose first block with the
-        BC rows zeroed is f's; z may be a batch."""
+        (P^T z, of f): one transposed saddle solve, whose divergence rows and
+        (at a > 0) BC rows of the first block give v's, and whose first block
+        with the BC rows zeroed is f's; z may be a batch."""
         n, grid = self.n, self.op.geo.grid
         zf = z.flat()
         rhs = np.zeros(zf.shape[:-1] + self.saddle.matrix.shape[:1])
         rhs[..., :2 * n] = zf
         x = self.saddle.solve_transpose(rhs, 1e-8, "transposed stokes composite")
-        y = VectorField.from_flat(grid, zf - matvec_last(self.D.T, x[..., 2 * n:3 * n]))
+        yv = zf - matvec_last(self.D.T, x[..., 2 * n:3 * n])
+        if self._sets_walls:
+            yv -= matvec_last(self.R.T, x[..., self.bc_idx])
+        y = VectorField.from_flat(grid, yv)
         if self.op.alpha == 0.0:
             return y, y
         yf = x[..., :2 * n]
@@ -640,12 +671,12 @@ class StokesProjector:
     def _phase_space(self) -> PhaseSpace:
         geo, n2 = self.op.geo, 2 * self.n
         W = _assemble_gram(geo, self.op.alpha)
-        A, bc_idx = self.op.matrix(self.bc)
-        C = sp.vstack([self.D, A.tocsr()[bc_idx]], format="csr")
+        C = sp.vstack([self.D, self.R], format="csr")
         modes = _gradient_kernel_modes(geo.grid)
         k = modes.shape[1]
         S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)
-        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed", bc_idx % self.n)
+        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed",
+                                 self.bc_idx % self.n)
         return PhaseSpace(W, fac, n2 - (C.shape[0] - k))
 
     def riesz_representer(self, r: VectorField):

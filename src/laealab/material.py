@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calculus as ca
 from .dynamics import (INTEGRATORS, LaeProblem, NonFiniteStateError, State,
-                       System, frak_f_alpha_interior, integrate, step_count, transport)
+                       System, frak_f_alpha_interior, integrate, step_count)
 from .fields import VectorField
 from .interp import BicubicField
 
@@ -223,11 +223,10 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
 # ---------------------------------------------------------------------------
 
 def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """K(Tu o v) = P(T grad_v u + FF(u,v)), T per dynamics.transport(), from
-    one saddle solve."""
+    """K(Tu o v) = P(grad_v u + FF(u,v)) from one saddle solve."""
     m = s.metric
     f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2)
-    return s.sp.project(*transport(s, ca.nabla_along(m, v, u), f))
+    return s.sp.project(ca.nabla_along(m, v, u), f)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,9 @@ class Observable:
 class LinearObservable(Observable):
     """f(u) = <w, u>_1 with w = P w0, P the Stokes projector of ctx.
 
-    P w0 is divergence-free, so on the torus, where the phase space null(C)
-    is null(D), w lies in it.  P passes the wall rows through, R(P w0) =
-    R w0, so on a channel w satisfies the BC rows only if w0 does; it is
-    then not in the phase space in general.
+    P lands in the phase space null(C) for every w0, so w lies in it on every
+    regime at a > 0.  At a = 0 P keeps w0's wall rows (elliptic's alpha-0
+    rules), so on a channel w is divergence-free but off the BC rows.
     """
 
     def __init__(self, ctx: dy.System, w: VectorField):
@@ -170,10 +169,10 @@ def bracket(ctx: dy.System, f: Observable, g: Observable,
 
 def _transported_argument(ctx: dy.System, df: VectorField,
                           u: VectorField) -> VectorField:
-    """P(T grad_{df} u + Dop(df, u)) + Bop(u, df), T per regime, from one
-    saddle solve: the sources of Dop and Bop add."""
+    """P(grad_{df} u + Dop(df, u)) + Bop(u, df) from one saddle solve: the
+    sources of Dop and Bop add."""
     src = dy.b_alpha_source(ctx, u, df) + dy.d_alpha_source(ctx, df, u)
-    return ctx.sp.project(*dy.transport(ctx, ca.nabla_along(ctx.metric, df, u), src))
+    return ctx.sp.project(ca.nabla_along(ctx.metric, df, u), src)
 
 
 def delta_bracket(ctx: dy.System, f: Observable, g: Observable,
@@ -300,7 +299,7 @@ def tangent_rhs(ctx: dy.System, u: VectorField, v: VectorField) -> VectorField:
     v may be a batch of tangent directions; u is the one base state.
     """
     t, f = _tangent_terms(ctx.metric, u, v)
-    return -ctx.sp.project(*dy.transport(ctx, t, f * ctx.alpha**2))
+    return -ctx.sp.project(t, f * ctx.alpha**2)
 
 
 def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
@@ -312,8 +311,7 @@ def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
     v = tape.unknown()
     t, f = _tangent_terms(ctx.metric, u, v)
     y, yf = ctx.sp.project_transpose(-z)
-    return tape.transpose(v, [(t, dy.transport_transpose(ctx, y, yf)),
-                              (f, yf * ctx.alpha**2)])
+    return tape.transpose(v, [(t, y), (f, yf * ctx.alpha**2)])
 
 
 def _march_keeping_stages(problem: dy.LaeProblem, u0: VectorField, nsteps: int):

@@ -103,7 +103,7 @@ class Run:
 
 def _member(s: dy.System, seed, kmax=1, amp=0.5):
     """The admissible field of a seeded band-limited sample."""
-    return s.admissible(random_vector(s.geo.grid, seed=seed, kmax=kmax, amp=amp))
+    return s.sp.project(random_vector(s.geo.grid, seed=seed, kmax=kmax, amp=amp))
 
 
 def _traceback_tail(e: BaseException) -> str:
@@ -210,11 +210,10 @@ def identity_ladder(run):
 
             mom = vm - ca.ricci_laplacian(m, vm) * alpha**2
             tlhs = s.op.solve(ca.nabla_along(m, um, mom), s.bc)
-            # T(grad_u v) + Dop(u, v) as transport() splits it, not projected
-            adv, src = dy.transport(s, ca.nabla_along(m, um, vm),
-                                    dy.d_alpha_source(s, um, vm))
-            trhs = s.op.solve(src, s.bc)
-            transport = (tlhs - (trhs if adv is None else adv + trhs)).linf()
+            # La(grad_u v) + Dop(u, v) as one solve, not projected
+            trhs = s.op.solve(s.op.apply(ca.nabla_along(m, um, vm))
+                              + dy.d_alpha_source(s, um, vm), s.bc)
+            transport = (tlhs - trhs).linf()
 
             for name, val in (("weitzenboeck", weitz / scale),
                               ("div_of_transport", divnab / scale),
@@ -439,7 +438,7 @@ def energy_floor_vs_h(run):
         grid = s.geo.grid
         worst = 0.0
         for s_off in (0, 1, 2, 3):
-            w0 = s.admissible(taylor_green_like(grid, amp=0.5)
+            w0 = s.sp.project(taylor_green_like(grid, amp=0.5)
                               + random_vector(grid, seed=run.seed + 23 + s_off,
                                               kmax=2, amp=0.125))
             rate = abs(s.inner1(w0, dy.rhs(s, w0))) / dy.energy(s.metric, run.alpha, w0)
@@ -474,7 +473,7 @@ def configured_run(run):
     geo = run.geo(cfg.domain_spec(), cfg.getint("domain", "nx"),
                   cfg.phi_function(), cfg.getint("domain", "ny"))
     prob = dy.LaeProblem(geo, cfg.solver_config())
-    u0 = prob.admissible(cfg.initial_field(geo))
+    u0 = prob.sp.project(cfg.initial_field(geo))
     e0 = dy.energy(geo.metric, prob.cfg.alpha, u0)
     every = cfg.getint("diagnostics", "every_n_steps")
     divs, count = [], [0]

@@ -54,7 +54,7 @@ def material():
 
 @pytest.fixture(scope="module")
 def poisson():
-    return _run("poisson", (16, 24, 32))
+    return _run("poisson", (16, 24, 32, 48))
 
 
 def _entry(man, name):

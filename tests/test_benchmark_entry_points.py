@@ -81,10 +81,10 @@ def test_traced_workload_records_the_spans_the_benchmark_reads(workload, name, s
 @pytest.mark.parametrize("channel", [False, True], ids=["torus", "mixed"])
 def test_the_benchmark_u0_is_the_admissible_field(workload, channel):
     # the benchmark builds u0 by its own route, P l_alpha(raw); it must stay
-    # the System's admissible field, whatever EllipticOperator.apply becomes
+    # the projected field P raw, whatever EllipticOperator.apply becomes
     spec, phi = (workload.MIXED, workload.PHI_C) if channel else (workload.TORUS, workload.PHI_T)
     prob = workload.problem(spec, 8, phi)
     raw = workload.band_limited(prob.geo.grid, np.random.default_rng(7), amp=0.5)
     got = workload.admissible(prob.op, prob.sp, prob.bc, raw)
-    want = prob.admissible(raw)
+    want = prob.sp.project(raw)
     assert (got - want).linf() < 1e-12 * want.linf()

@@ -36,7 +36,7 @@ def channel(n, phi=PHI_C):
 
 
 def divfree_sample(s, seed, kmax=2):
-    return s.admissible(random_vector(s.geo.grid, seed=seed, kmax=kmax))
+    return s.sp.project(random_vector(s.geo.grid, seed=seed, kmax=kmax))
 
 
 def sigma(k, h):
@@ -111,8 +111,9 @@ def test_d_alpha_bilinear_scaling_exact():
 
 @pytest.mark.parametrize("case", ["torus", "channel"])
 def test_transport_identity_for_d_alpha(case):
-    # (1-a^2 Lop)^{-1} grad_u[(1-a^2 Lap_r)v] = T(grad_u v) + Dop(u,v)
-    # with T = identity (no-slip/torus) or the La composite (free-slip/mixed)
+    # (1-a^2 Lop)^{-1} grad_u[(1-a^2 Lap_r)v] = La(grad_u v) + Dop(u,v),
+    # La = (1-a^2 Lop)^{-1}(1-a^2 Lop) the identity on the torus, the right
+    # side taken as one solve
     alpha = 0.3
     hs, errs = [], []
     for n in (16, 32, 64):
@@ -124,10 +125,7 @@ def test_transport_identity_for_d_alpha(case):
         v = divfree_sample(s, seed=9, kmax=1)
         mom = v - ca.ricci_laplacian(m, v) * alpha**2
         lhs = s.op.solve(ca.nabla_along(m, u, mom), bc)
-        adv, src = dy.transport(s, ca.nabla_along(m, u, v), dy.d_alpha_source(s, u, v))
-        rhs = s.op.solve(src, bc)
-        if adv is not None:
-            rhs = rhs + adv
+        rhs = s.op.solve(s.op.apply(ca.nabla_along(m, u, v)) + dy.d_alpha_source(s, u, v), bc)
         hs.append(geo.grid.h)
         errs.append((lhs - rhs).linf() / max(lhs.linf(), 1e-300))
     assert 1.4 < fit_order(hs, errs) < 2.8, errs
@@ -238,18 +236,28 @@ def test_rhs_variants_coincide_on_torus():
 
 
 @pytest.mark.parametrize("n", [16, 32])
-def test_dirichlet_rhs_through_la_matches_the_plain_transport(n):
-    # every walled regime takes La on the transport term; under no-slip
-    # grad_u u already has exact-zero wall rows, so the plain transport
-    # (the identity route) agrees to round-off
-    s = dy.System(build_geometry(DIRICH, n, n + 1, PHI_C), 0.3, BcRegime.from_domain(DIRICH))
-    m = s.metric
-    u = s.admissible(random_vector(s.geo.grid, seed=3))
-    t = ca.nabla_along(m, u, u)
-    assert not np.any(t.c1.data[:, [0, -1]]) and not np.any(t.c2.data[:, [0, -1]])
-    plain = -s.sp.project(t, dy.frak_f_alpha_interior(m, u, u) * (0.5 * s.alpha**2))
-    got = dy.rhs(s, u)
-    assert (got - plain).linf() < 1e-12 * plain.linf()
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
+def test_projected_right_hand_sides_match_the_la_route(spec, n):
+    # P lands in null(C) for every input, so each right-hand side hands P its
+    # transport term t as it is; the route it replaced carried t onto the BC
+    # rows first, La t = (1 - a^2 Lop)^{-1} A t, A the assembled interior,
+    # as the source of P(None, A t + f)
+    s = dy.System(build_geometry(spec, n, n + 1, PHI_C), 0.3, BcRegime.from_domain(spec))
+    m, a2 = s.metric, s.alpha**2
+    u = s.sp.project(random_vector(s.geo.grid, seed=3))
+    v = s.sp.project(random_vector(s.geo.grid, seed=4))
+
+    def la_route(t, f):
+        return s.sp.project(None, s.op.apply(t) + f)
+
+    tangent = ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v)
+    pairs = [(dy.rhs(s, u), -la_route(ca.nabla_along(m, u, u),
+                                      dy.frak_f_alpha_interior(m, u, u) * (0.5 * a2))),
+             (po.tangent_rhs(s, u, v), -la_route(tangent, dy.frak_f_alpha_interior(m, u, v) * a2)),
+             (mt.connector_contract(s, u, v),
+              la_route(ca.nabla_along(m, v, u), dy.frak_f_alpha_interior(m, u, v) * (0.5 * a2)))]
+    for got, old in pairs:
+        assert (got - old).linf() < 1e-12 * old.linf()
 
 
 @pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
@@ -263,11 +271,9 @@ def test_rhs_at_alpha_zero_is_euler(case):
     m, P = geo.metric, s0.sp.project
     u = P(random_vector(geo.grid, seed=28, kmax=1))
     v = P(random_vector(geo.grid, seed=29, kmax=1))
-    w = random_vector(geo.grid, seed=30, kmax=1)
     pairs = [(dy.rhs(s0, u), -P(ca.nabla_along(m, u, u))),
              (po.tangent_rhs(s0, u, v), -P(ca.nabla_along(m, v, u) + ca.nabla_along(m, u, v))),
-             (mt.connector_contract(s0, u, v), P(ca.nabla_along(m, v, u))),
-             (s0.admissible(w), P(w))]
+             (mt.connector_contract(s0, u, v), P(ca.nabla_along(m, v, u)))]
     for got, euler in pairs:
         assert np.array_equal(got.flat(), euler.flat())
 
@@ -358,7 +364,7 @@ def _saddle_solves_per_step(case, integrator, monkeypatch):
                           bc=BC_T if case == "torus" else BC_M)
     prob = dy.LaeProblem(geo, cfg)
     prob.op.factor(cfg.bc)
-    u = prob.admissible(random_vector(geo.grid, seed=29, kmax=1)) * 0.5
+    u = prob.sp.project(random_vector(geo.grid, seed=29, kmax=1)) * 0.5
     calls = []
     real = el._Factorization.solve
 
@@ -393,11 +399,24 @@ def test_step_refuses_a_divergent_state(case):
     bc = BC_T if case == "torus" else BC_M
     prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3, bc=bc))
     raw = random_vector(geo.grid, seed=29, kmax=1) * 0.5
-    with pytest.raises(dy.InadmissibleStateError, match="relative divergence"):
+    with pytest.raises(dy.InadmissibleStateError, match="relative constraint residual"):
         dy.step(prob, dy.State(raw, 0.0))
     with pytest.raises(dy.InadmissibleStateError):
         dy.integrate(prob, dy.State(raw, 0.0), 5e-3)
-    dy.step(prob, dy.State(prob.admissible(raw), 0.0))
+    dy.step(prob, dy.State(prob.sp.project(raw), 0.0))
+
+
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
+def test_step_refuses_a_divergence_free_state_off_the_wall_rows(spec):
+    # at a = 0 P keeps its input's wall rows, so P(raw) is divergence-free
+    # but off the BC rows; at a > 0 the guard checks all of C = [D; R]
+    geo = build_geometry(spec, 16, 17, phi_flat)
+    bc = BcRegime.from_domain(spec)
+    u0 = dy.System(geo, 0.0, bc).sp.project(random_vector(geo.grid, seed=29, kmax=1) * 0.5)
+    prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=1.5e-2, bc=bc))
+    assert np.linalg.norm(prob.sp.D @ u0.flat()) < 1e-12 * np.linalg.norm(u0.flat())
+    with pytest.raises(dy.InadmissibleStateError, match="relative constraint residual"):
+        dy.integrate(prob, dy.State(u0, 0.0), 1.5e-2)
 
 
 def test_cfl_violation_raises():

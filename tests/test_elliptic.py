@@ -269,6 +269,21 @@ def test_projection_idempotent_all_regimes():
     assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
 
 
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUM], ids=["mixed", "dirichlet", "neumann"])
+def test_projection_lands_in_the_phase_space_for_every_input(spec):
+    # a raw w violates the BC rows R; P w satisfies them and the divergence,
+    # C = [D; R], and P P = P
+    for n in (16, 32):
+        geo = geo_channel(n, spec)
+        sp_, _, _ = projector(geo, spec, 0.3)
+        assert sp_.constraints.shape[0] == geo.grid.n_nodes + sp_.bc_idx.size
+        w = random_vector(geo.grid, seed=16, kmax=2)
+        pw = sp_.project(w)
+        assert np.linalg.norm(sp_.R @ w.flat()) > 1e-3 * np.linalg.norm(w.flat())
+        assert np.linalg.norm(sp_.constraints @ pw.flat()) <= 1e-12 * np.linalg.norm(pw.flat())
+        assert (sp_.project(pw) - pw).linf() <= 1e-12 * pw.linf()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("spec", [TORUS, MIXED, DIRICH, NEUM],
                          ids=["torus", "mixed", "dirichlet", "neumann"])
@@ -297,7 +312,8 @@ def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
         assert np.array_equal(batched.c1.data[k], single.c1.data)
         assert np.array_equal(batched.c2.data[k], single.c2.data)
 
-    # the transposed solve, in v and in f, by the dot-product identity
+    # the transposed solve, in v and in f, by the dot-product identity, each
+    # cotangent against its own pairing: the two halves can cancel in the sum
     v, f, z = batch(vs), batch(fs), batch([random_vector(grid, seed=60 + k, kmax=2)
                                             for k in range(3)])
     zv, zf = sp_.project_transpose(z)
@@ -305,9 +321,15 @@ def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
     def pair(a, b):
         return np.sum(a.flat() * b.flat(), axis=-1)
 
-    lhs = pair(z, sp_.project(v, f))
-    rhs = pair(zv, v) + pair(zf, f)
-    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
+    for lhs, rhs in ((pair(z, sp_.project(v)), pair(zv, v)),
+                     (pair(z, sp_.project(None, f)), pair(zf, f))):
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs)), (lhs, rhs)
+
+    # and component by component against the dense transpose of project()
+    unit = VectorField.from_flat(grid, np.eye(2 * grid.n_nodes))
+    for got, dense in ((zv, sp_.project(unit)), (zf, sp_.project(None, unit))):
+        want = z.flat() @ dense.flat().T
+        assert np.abs(got.flat() - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_h1_orthogonality_flat_torus_solver_level():

@@ -504,7 +504,7 @@ def test_channel_spray_keeps_its_walls(walls):
     geo = build_geometry(spec, 16, 17, make_phi_cosx_siny(0.12, 1, 1.0, 1.0))
     g = geo.grid
     prob = problem(geo, alpha=0.3, dt=5e-3, bc=BcRegime.from_domain(spec))
-    u0 = prob.admissible(random_vector(g, seed=3, kmax=1, amp=0.4))
+    u0 = prob.sp.project(random_vector(g, seed=3, kmax=1, amp=0.4))
     ms = mt.MaterialState(mt.FlowMap.identity(g), u0.copy())
     for _ in range(10):
         ms = mt.spray_advance(prob, ms)
