@@ -133,7 +133,8 @@ class ExperimentConfig:
         self.grid_ladder()
         self.initial_maker()
         self.observables()
-        self.getint("lab", "seed")
+        if self.seed < 0:
+            raise ConfigError(f"[lab] seed = {self.seed}: need a nonnegative seed")
         if not self.get("lab", "output_dir"):
             raise ConfigError("[lab] output_dir is empty")
         for key in ("nx", "ny"):
@@ -159,14 +160,19 @@ class ExperimentConfig:
         return parse_grid_ladder(self.get("lab", "grid_ladder"))
 
     def domain_spec(self) -> DomainSpec:
-        kind = self.get("domain", "kind")
+        kind, raw = self.get("domain", "kind"), self.get("domain", "wall_roles")
         roles = None
         if kind == "channel":
-            raw = self.get("domain", "wall_roles") or "y0:dirichlet,yL:neumann"
             roles = {}
-            for item in raw.split(","):
-                w, r = item.split(":")
-                roles[w.strip()] = r.strip()
+            for item in (raw or "y0:dirichlet,yL:neumann").split(","):
+                w, sep, r = (x.strip() for x in item.partition(":"))
+                if not sep:
+                    raise ConfigError(f"[domain] wall_roles item {item.strip()!r}: need wall:role")
+                if w in roles:
+                    raise ConfigError(f"[domain] wall_roles names wall {w!r} twice")
+                roles[w] = r
+        elif raw:
+            raise ConfigError(f"[domain] wall_roles = {raw!r}: a torus has no walls")
         return DomainSpec(kind, self.getfloat("domain", "lx"),
                           self.getfloat("domain", "ly"), roles)
 
@@ -218,7 +224,7 @@ class ExperimentConfig:
         return self.initial_maker()(geo.grid)
 
     def observables(self):
-        """Three makers PoissonContext -> Observable that poisson.observables names.
+        """Three makers System -> Observable that poisson.observables names.
 
         Items: linear:<seed>, quadratic:<kind> (poisson.QUADRATIC_KINDS) and
         hamiltonian, comma-separated.

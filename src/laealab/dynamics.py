@@ -196,7 +196,9 @@ def d_alpha_source(s: System, u: VectorField, v: VectorField) -> VectorField:
 
 def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
     """Duality partner of the H^1 transport pairing,
-    Bop(v, w) = P (1-a^2 Lop)^{-1} (grad w^t . (1 - a^2 Lap_r) v)."""
+    Bop(v, w) = P (1-a^2 Lop)^{-1} (grad w^t . (1 - a^2 Lap_r) v).
+
+    The paper's operator, with no caller outside the tests that check it."""
     return s.sp.project(None, b_alpha_source(s, v, w))
 
 
@@ -228,7 +230,9 @@ def frak_f_alpha_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -
 
 
 def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form."""
+    """Symmetric polarization FFop(u, v) of the quadratic operator, in closed form.
+
+    The paper's operator, with no caller outside the tests that check it."""
     return s.op.solve(frak_f_alpha_interior(s.metric, u, v) * s.alpha**2, s.bc) * 0.5
 
 

@@ -44,8 +44,9 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("torus", "channel"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.Lx <= 0 or self.Ly <= 0:
-            raise ValueError("domain lengths must be positive")
+        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
+            raise ValueError(f"domain lengths must be positive and finite, got "
+                             f"Lx = {self.Lx}, Ly = {self.Ly}")
         if self.kind == "channel":
             roles = self.wall_roles or {}
             if set(roles) != {"y0", "yL"}:

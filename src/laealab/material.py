@@ -223,7 +223,9 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
 # ---------------------------------------------------------------------------
 
 def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """K(Tu o v) = P(grad_v u + FF(u,v)) from one saddle solve."""
+    """K(Tu o v) = P(grad_v u + FF(u,v)) from one saddle solve.
+
+    The paper's connector, with no caller outside the tests that check it."""
     m = s.metric
     f = frak_f_alpha_interior(m, u, v) * (0.5 * s.alpha**2)
     return s.sp.project(ca.nabla_along(m, v, u), f)

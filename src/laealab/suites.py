@@ -10,9 +10,9 @@ alone as list(leray_limit(Run(cfg, ladder))).
 Blocks fit convergence orders across the grid ladder by least squares.
 Test fields are band-limited trig samples from the configured seed (the
 seeded states made admissible by _member), so runs with identical
-configuration are bit-identical.  Blocks build their systems through the Run (geo, system,
-problem): within one run, blocks on the same domain, grid and metric share
-one geometry and its factorizations; nothing is shared between runs.
+configuration are bit-identical.  Blocks build their systems through the Run,
+naming a domain of DOMAINS by label; within one run, blocks on one domain,
+grid and metric share its geometry and factorizations, and no two runs share.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import calculus as ca
 from . import dynamics as dy
 from . import material as mt
 from . import poisson as po
+from . import samples as sa
 from .config import ConfigError, ExperimentConfig
 from .elliptic import BcRegime, l_alpha
 from .fields import VectorField
@@ -34,20 +35,22 @@ from .geometry import DomainSpec, build_geometry
 from .manifest import (RunManifest, bool_result, max_result, order_result,
                        stamp)
 from .reference import hodge_exterior, leray_fft
-from .samples import (eigenfield, make_phi_cosx_siny, make_phi_sinusoidal,
-                      phi_flat, random_vector, taylor_green_like)
+from .samples import eigenfield, random_vector, taylor_green_like
 
 ORDER_LO, ORDER_HI = 1.5, 2.5
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-DIRICH = DomainSpec("channel", 1.0, 1.0,
-                    wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
-NEUM = DomainSpec("channel", 1.0, 1.0,
-                  wall_roles={"y0": "neumann", "yL": "neumann"})
-PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
-PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
+# label -> (domain, metric); a channel's label is its BcRegime variant.  The
+# metrics are memoized presets, the torus's the default config's phi.
+DOMAINS = {
+    "torus": (DomainSpec("torus", 1.0, 1.0), sa.make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)),
+    "flat": (DomainSpec("torus", 1.0, 1.0), sa.phi_flat),
+    **{label: (DomainSpec("channel", 1.0, 1.0, {"y0": y0, "yL": yl}),
+               sa.make_phi_cosx_siny(0.15, 1, 1.0, 1.0))
+       for label, y0, yl in (("mixed", "dirichlet", "neumann"),
+                             ("dirichlet", "dirichlet", "dirichlet"),
+                             ("neumann", "neumann", "neumann"))},
+}
+TORUS_AND_CHANNEL = {"torus": "torus", "mixed": "channel"}    # label -> entry tag
 
 SUITES: dict = {}        # suite name -> its blocks, in definition order
 
@@ -64,41 +67,50 @@ class Run:
     """One suite run as its blocks see it: config, seed, alpha, ladder, and
     the constructors of its systems over one geometry memo.
 
-    The regime of every system is its domain's, and alpha defaults to the
-    run's.  run_suite makes one Run per call; dropping it when the call
-    returns frees its geometries and their factorizations.
+    A domain is a label of DOMAINS or "config", the config's own.  Systems
+    take their domain's regime and, by default, the run's alpha.  run_suite
+    makes one Run per call; dropping it frees its geometries and factorizations.
     """
 
     def __init__(self, cfg: ExperimentConfig, ladder):
         self.cfg, self.ladder, self.geos = cfg, tuple(ladder), {}
         self.seed, self.alpha = cfg.seed, cfg.getfloat("solver", "alpha")
+        self.domains = {**DOMAINS, "config": (cfg.domain_spec(), cfg.phi_function())}
 
-    def geo(self, spec, n, phi, ny=None):
-        """The run's geometry of (spec, n, ny, phi).
-
-        ny defaults to n on the torus and n + 1 on the channel.  Blocks that
-        ask for the same domain, grid and metric get the same Geometry object
-        and so share its factorizations; phi presets are memoized callables,
-        so equal presets match.
-        """
+    def geo(self, label, n, ny=None):
+        """The run's geometry of domain label at n by ny nodes, ny being n on
+        the torus and n + 1 on the channel by default.  Equal domains, grids
+        and metrics (phi presets are memoized callables) give one Geometry,
+        under any label, and so share its factorizations."""
+        spec, phi = self.domains[label]
         ny = ny if ny is not None else (n if spec.kind == "torus" else n + 1)
         key = (spec, n, ny, phi)
         if key not in self.geos:
             self.geos[key] = build_geometry(spec, n, ny, phi)
         return self.geos[key]
 
-    def system(self, spec, n, phi, alpha=None) -> dy.System:
-        """The System of the run's geometry (spec, n, phi) in its domain's regime."""
+    def system(self, label, n, alpha=None) -> dy.System:
+        """The System of the run's geometry (label, n) in its domain's regime."""
         alpha = self.alpha if alpha is None else alpha
-        return dy.System(self.geo(spec, n, phi), alpha, BcRegime.from_domain(spec))
+        return dy.System(self.geo(label, n), alpha, BcRegime.from_domain(self.domains[label][0]))
 
-    def problem(self, spec, n, phi, dt, t_end, alpha=None) -> dy.LaeProblem:
+    def problem(self, label, n, dt, t_end, alpha=None) -> dy.LaeProblem:
         """As system(), with an RK4 march to t_end in steps of dt and the
         blocks' one CFL factor, the loose 5.0 (SolverConfig's default is 0.5)."""
         alpha = self.alpha if alpha is None else alpha
-        c = dy.SolverConfig(alpha=alpha, dt=dt, t_end=t_end,
-                            bc=BcRegime.from_domain(spec), cfl_factor=5.0)
-        return dy.LaeProblem(self.geo(spec, n, phi), c)
+        c = dy.SolverConfig(alpha=alpha, dt=dt, t_end=t_end, cfl_factor=5.0,
+                            bc=BcRegime.from_domain(self.domains[label][0]))
+        return dy.LaeProblem(self.geo(label, n), c)
+
+    def series(self, label, value, ns=None):
+        """(hs, values): h and value(system) on each level of ns (the ladder by
+        default), built and evaluated one level at a time, in order."""
+        hs, values = [], []
+        for n in ns or self.ladder:
+            s = self.system(label, n)
+            hs.append(s.geo.grid.h)
+            values.append(value(s))
+        return hs, values
 
 
 def _member(s: dy.System, seed, kmax=1, amp=0.5):
@@ -159,13 +171,12 @@ def identity_ladder(run):
     """identity residual ladder"""
     seed, alpha = run.seed, run.alpha
     series = {}
-    for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
+    for label, tag in TORUS_AND_CHANNEL.items():
         for n in run.ladder:
             # a Run of its own per level: no other block uses these
             # geometries, so keeping them would only hold their factorizations
-            s = Run(run.cfg, run.ladder).system(spec, n, phi)
+            s = Run(run.cfg, run.ladder).system(label, n)
             geo, m, grid = s.geo, s.metric, s.geo.grid
-            h = grid.h
             u = _member(s, seed + 1)
             v = _member(s, seed + 2)
             w_free = random_vector(grid, seed=seed + 3, kmax=1)
@@ -215,26 +226,21 @@ def identity_ladder(run):
                               + dy.d_alpha_source(s, um, vm), s.bc)
             transport = (tlhs - trhs).linf()
 
-            for name, val in (("weitzenboeck", weitz / scale),
-                              ("div_of_transport", divnab / scale),
-                              ("def_integration_by_parts", ibp),
-                              ("h1_vs_helmholtz_pairing", useful),
-                              ("l2_transport_antisymmetry", anti),
-                              ("transported_laplacian_split", falpha1 / scale),
-                              ("transport_correction_identity", transport / scale)):
-                series.setdefault((label, name), ([], []))
-                series[(label, name)][0].append(h)
-                series[(label, name)][1].append(val)
+            for name, val in zip(_LADDER_TAGS, (weitz / scale, divnab / scale, ibp, useful,
+                                                anti, falpha1 / scale, transport / scale)):
+                hs, vals = series.setdefault((tag, name), ([], []))
+                hs.append(grid.h)
+                vals.append(val)
 
-    for (label, name), (hs, vals) in sorted(series.items()):
-        yield order_result(f"{name}[{label}]", _LADDER_TAGS[name], hs, vals,
+    for (tag, name), (hs, vals) in sorted(series.items()):
+        yield order_result(f"{name}[{tag}]", _LADDER_TAGS[name], hs, vals,
                            ORDER_LO, ORDER_HI)
 
 
 @block("identities")
 def flat_curvature_exact_zero(run):
     """flat conformal factor kills every curvature term"""
-    geo = run.geo(TORUS, run.ladder[0], phi_flat)
+    geo = run.geo("flat", run.ladder[0])
     m = geo.metric
     uf = random_vector(geo.grid, seed=run.seed + 9, kmax=2)
     vf = random_vector(geo.grid, seed=run.seed + 10, kmax=2)
@@ -252,7 +258,7 @@ def flat_curvature_exact_zero(run):
 @block("elliptic")
 def helmholtz_round_trip(run):
     """inverse composed with operator is the identity on the subspace"""
-    s = run.system(MIXED, run.ladder[min(1, len(run.ladder) - 1)], PHI_C)
+    s = run.system("mixed", run.ladder[min(1, len(run.ladder) - 1)])
     u = l_alpha(s.op, random_vector(s.geo.grid, seed=run.seed + 11, kmax=2), s.bc)
     rt = (s.op.solve(s.op.apply(u), s.bc) - u).linf() / max(u.linf(), 1e-300)
     yield max_result("helmholtz_round_trip",
@@ -263,17 +269,14 @@ def helmholtz_round_trip(run):
 @block("elliptic")
 def manufactured_solution(run):
     """solve recovers a field with known image"""
-    hs, errs = [], []
-    for n in run.ladder:
-        s = run.system(MIXED, n, PHI_C)
+    def error(s):
         g = s.geo.grid
         q = 3 * g.Y**2 - 2 * g.Y**3
         r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
         ustar = VectorField.from_arrays(
             g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)
-        sol = s.op.solve(s.op.apply(ustar), s.bc)
-        hs.append(g.h)
-        errs.append((sol - ustar).linf() / ustar.linf())
+        return (s.op.solve(s.op.apply(ustar), s.bc) - ustar).linf() / ustar.linf()
+    hs, errs = run.series("mixed", error)
     yield order_result("manufactured_solution",
                        "solve recovers a field with known image",
                        hs, errs, ORDER_LO, ORDER_HI)
@@ -283,7 +286,7 @@ def manufactured_solution(run):
 def projector_contracts(run):
     """projection contracts at the solver level"""
     seed = run.seed
-    s = run.system(TORUS, max(run.ladder), phi_flat)
+    s = run.system("flat", max(run.ladder))
     v = random_vector(s.geo.grid, seed=seed + 12, kmax=2)
     w = random_vector(s.geo.grid, seed=seed + 13, kmax=2)
     pv = s.sp.project(v)
@@ -301,8 +304,8 @@ def projector_contracts(run):
                      "h1 self-adjointness of the projection", sa, 1e-8)
 
     worst_idem = idem
-    for spec in (MIXED, DIRICH, NEUM):
-        s_c = run.system(spec, run.ladder[0], PHI_C)
+    for label in ("mixed", "dirichlet", "neumann"):
+        s_c = run.system(label, run.ladder[0])
         vv = _member(s_c, seed + 14)
         again = s_c.sp.project(vv)
         worst_idem = max(worst_idem,
@@ -315,12 +318,12 @@ def projector_contracts(run):
 @block("elliptic")
 def leray_limit(run):
     """projector reduces to the discrete leray projector"""
-    grid = run.geo(TORUS, max(run.ladder), phi_flat).grid
+    grid = run.geo("flat", max(run.ladder)).grid
     v = random_vector(grid, seed=run.seed + 15, kmax=2)
     oracle = leray_fft(grid, v)
     worst = 0.0
     for a in (0.0, run.alpha):
-        s = run.system(TORUS, max(run.ladder), phi_flat, alpha=a)
+        s = run.system("flat", max(run.ladder), alpha=a)
         worst = max(worst, (s.sp.project(v) - oracle).linf()
                     / max(oracle.linf(), 1e-300))
     yield max_result("leray_limit",
@@ -334,9 +337,7 @@ def orthogonality_defect_curved(run):
 
     The per-level worst case over two fields steadies the trend.
     """
-    hs, errs = [], []
-    for n in run.ladder:
-        s = run.system(MIXED, n, PHI_C)
+    def defect(s):
         worst = 0.0
         for s_off in (0, 1000):
             vv = l_alpha(s.op, random_vector(s.geo.grid, seed=run.seed + 16 + s_off,
@@ -346,8 +347,8 @@ def orthogonality_defect_curved(run):
             den = (np.sqrt(s.inner1(pv, pv))
                    * np.sqrt(max(s.inner1(vv - pv, vv - pv), 1e-300)) + 1e-300)
             worst = max(worst, num / den)
-        hs.append(s.geo.grid.h)
-        errs.append(worst + 1e-16)
+        return worst + 1e-16
+    hs, errs = run.series("mixed", defect)
     yield order_result("orthogonality_defect_curved",
                        "h1-orthogonality defect vanishes under refinement",
                        hs, errs, 0.8, 3.5)
@@ -356,16 +357,13 @@ def orthogonality_defect_curved(run):
 @block("dynamics")
 def quadratic_term_two_routes(run):
     """direct and transport-split evaluations agree"""
-    for label, spec, phi in (("torus", TORUS, PHI_T), ("channel", MIXED, PHI_C)):
-        hs, errs = [], []
-        for n in run.ladder:
-            s = run.system(spec, n, phi)
-            u = _member(s, run.seed + 21)
-            a = dy.f_alpha(s, u)
-            b = dy.f_alpha_alt(s, u)
-            hs.append(s.geo.grid.h)
-            errs.append((a - b).linf() / max(a.linf(), 1e-300))
-        yield order_result(f"quadratic_term_two_routes[{label}]",
+    def gap(s):
+        u = _member(s, run.seed + 21)
+        a = dy.f_alpha(s, u)
+        return (a - dy.f_alpha_alt(s, u)).linf() / max(a.linf(), 1e-300)
+    for label, tag in TORUS_AND_CHANNEL.items():
+        hs, errs = run.series(label, gap)
+        yield order_result(f"quadratic_term_two_routes[{tag}]",
                            "direct and transport-split evaluations agree",
                            hs, errs, 1.4, 2.6)
 
@@ -373,12 +371,10 @@ def quadratic_term_two_routes(run):
 @block("dynamics")
 def momentum_form_residual(run):
     """projected form solves the transported-momentum equation"""
-    hs, errs = [], []
-    for n in run.ladder:
-        s = run.system(TORUS, n, PHI_T)
+    def residual(s):
         u = _member(s, run.seed + 22)
-        hs.append(s.geo.grid.h)
-        errs.append(dy.eq2_residual(s, u, dy.rhs(s, u)) / max(u.linf(), 1e-300))
+        return dy.eq2_residual(s, u, dy.rhs(s, u)) / max(u.linf(), 1e-300)
+    hs, errs = run.series("torus", residual)
     yield order_result("momentum_form_residual",
                        "projected form solves the transported-momentum equation",
                        hs, errs, 1.4, 2.6)
@@ -393,14 +389,14 @@ def energy_drift_dt_branch(run):
     and alpha where the branch is resolvable, recorded in the note.
     """
     study_seed, study_alpha = 50, 0.2
-    s = run.system(TORUS, 24, PHI_T, alpha=study_alpha)
+    s = run.system("torus", 24, alpha=study_alpha)
     m = s.metric
     u0 = _member(s, study_seed, kmax=2, amp=0.7)
     e0 = dy.energy(m, study_alpha, u0)
     T = 0.6
 
     def run_dt(dt):
-        prob = run.problem(TORUS, 24, PHI_T, dt, T, alpha=study_alpha)
+        prob = run.problem("torus", 24, dt, T, alpha=study_alpha)
         return dy.integrate(prob, dy.State(u0.copy(), 0.0), T)
 
     ref = run_dt(T / 480)
@@ -432,9 +428,7 @@ def energy_floor_vs_h(run):
     The worst instantaneous defect over several fields is immune to
     cancellation along trajectories.
     """
-    hs, floors = [], []
-    for n in (16, 24, 32):
-        s = run.system(TORUS, n, PHI_T)
+    def worst_rate(s):
         grid = s.geo.grid
         worst = 0.0
         for s_off in (0, 1, 2, 3):
@@ -443,8 +437,8 @@ def energy_floor_vs_h(run):
                                               kmax=2, amp=0.125))
             rate = abs(s.inner1(w0, dy.rhs(s, w0))) / dy.energy(s.metric, run.alpha, w0)
             worst = max(worst, rate)
-        hs.append(grid.h)
-        floors.append(worst)
+        return worst
+    hs, floors = run.series("torus", worst_rate, ns=(16, 24, 32))
     yield order_result("energy_floor_vs_h",
                        "spatial conservation-defect rate decreases at second order",
                        hs, floors, ORDER_LO, ORDER_HI,
@@ -454,11 +448,11 @@ def energy_floor_vs_h(run):
 @block("dynamics")
 def alpha_sweep_to_euler(run):
     """right-hand side approaches the euler baseline"""
-    s0 = run.system(TORUS, 24, PHI_T, alpha=0.0)
+    s0 = run.system("torus", 24, alpha=0.0)
     u = _member(s0, run.seed + 24)
     base = dy.rhs(s0, u)
     alphas = (0.02, 0.01, 0.005)
-    errs = [(dy.rhs(run.system(TORUS, 24, PHI_T, alpha=a), u) - base).linf()
+    errs = [(dy.rhs(run.system("torus", 24, alpha=a), u) - base).linf()
             for a in alphas]
     yield order_result("alpha_sweep_to_euler",
                        "right-hand side approaches the euler baseline quadratically in alpha",
@@ -470,8 +464,7 @@ def alpha_sweep_to_euler(run):
 def configured_run(run):
     """configured trajectory runs and conserves"""
     cfg = run.cfg
-    geo = run.geo(cfg.domain_spec(), cfg.getint("domain", "nx"),
-                  cfg.phi_function(), cfg.getint("domain", "ny"))
+    geo = run.geo("config", cfg.getint("domain", "nx"), cfg.getint("domain", "ny"))
     prob = dy.LaeProblem(geo, cfg.solver_config())
     u0 = prob.sp.project(cfg.initial_field(geo))
     e0 = dy.energy(geo.metric, prob.cfg.alpha, u0)
@@ -501,7 +494,7 @@ def flow_map_commutes_with_right_translation(run):
     t = 0.1
     hs, ds = [], []
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        prob = run.problem(TORUS, n, PHI_T, t / steps, t)
+        prob = run.problem("torus", n, t / steps, t)
         rep = mt.commute_check(prob, _member(prob, run.seed + 31), t)
         hs.append(prob.geo.grid.h)
         ds.append(rep["discrepancy"])
@@ -518,7 +511,7 @@ def flow_map_commutes_with_right_translation(run):
 @block("material")
 def volume_preservation_eigenfield(run):
     """spray preserves the riemannian volume"""
-    prob = run.problem(TORUS, 32, phi_flat, 1e-3, 0.2, alpha=0.35)
+    prob = run.problem("flat", 32, 1e-3, 0.2, alpha=0.35)
     grid = prob.geo.grid
     ms = mt.MaterialState(mt.FlowMap.identity(grid), eigenfield(grid, amp=0.8))
     for _ in range(200):
@@ -533,7 +526,7 @@ def volume_preservation_eigenfield(run):
 def volume_distortion_generic(run):
     """interpolated transport keeps volume at the stencil level"""
     alpha = run.alpha
-    prob = run.problem(TORUS, 24, PHI_T, 5e-3, 0.1)
+    prob = run.problem("torus", 24, 5e-3, 0.1)
     m = prob.metric
     u0 = _member(prob, run.seed + 32, amp=0.4)
     ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), u0.copy())
@@ -553,7 +546,7 @@ def volume_distortion_generic(run):
 @block("poisson")
 def bracket_axioms(run):
     """bracket antisymmetry and the derivation property"""
-    ctx = run.system(MIXED, 24, PHI_C)
+    ctx = run.system("mixed", 24)
     f, g, hq = (make(ctx) for make in run.cfg.observables())
     u = _member(ctx, run.seed + 43)
     value = po.bracket(ctx, f, g, u)
@@ -573,16 +566,12 @@ def bracket_axioms(run):
 @block("poisson")
 def jacobi_identity(run):
     """double brackets cancel cyclically"""
-    seed = run.seed
-    for label, spec in (("dirichlet", DIRICH), ("mixed", MIXED)):
-        hs, errs = [], []
-        for n in run.ladder:
-            ctx = run.system(spec, n, PHI_C)
-            f, g, h = (po.LinearObservable.seeded(ctx, seed + k) for k in (44, 45, 46))
-            u = _member(ctx, seed + 47)
-            residual, scale = po.jacobi_residual(ctx, f, g, h, u)
-            hs.append(ctx.geo.grid.h)
-            errs.append(residual / scale)
+    def relative_residual(ctx):
+        f, g, h = (po.LinearObservable.seeded(ctx, run.seed + k) for k in (44, 45, 46))
+        residual, scale = po.jacobi_residual(ctx, f, g, h, _member(ctx, run.seed + 47))
+        return residual / scale
+    for label in ("dirichlet", "mixed"):
+        hs, errs = run.series(label, relative_residual)
         yield order_result(f"jacobi_identity[{label}]",
                            "double brackets cancel cyclically",
                            hs, errs, ORDER_LO, ORDER_HI)
@@ -591,20 +580,17 @@ def jacobi_identity(run):
 @block("poisson")
 def bracket_derivative(run):
     """closed-form derivative of the bracket matches finite differences"""
-    seed = run.seed
-    hs, errs = [], []
-    for n in run.ladder:
-        ctx = run.system(MIXED, n, PHI_C)
-        f = po.LinearObservable.seeded(ctx, seed + 48)
+    def relative_gap(ctx):
+        f = po.LinearObservable.seeded(ctx, run.seed + 48)
         g = po.QuadraticObservable(ctx, "smooth")
-        u = _member(ctx, seed + 49)
-        v = _member(ctx, seed + 50)
+        u = _member(ctx, run.seed + 49)
+        v = _member(ctx, run.seed + 50)
         got = ctx.inner1(po.delta_bracket(ctx, f, g, u), v)
         eps = 1e-4
         fd_val = (po.bracket(ctx, f, g, u + v * eps)
                   - po.bracket(ctx, f, g, u - v * eps)) / (2 * eps)
-        hs.append(ctx.geo.grid.h)
-        errs.append(abs(got - fd_val) / max(abs(fd_val), 1e-300))
+        return abs(got - fd_val) / max(abs(fd_val), 1e-300)
+    hs, errs = run.series("mixed", relative_gap)
     yield max_result("bracket_derivative_vs_central_difference",
                      "closed-form derivative of the bracket matches finite differences",
                      errs[-1], 2e-2, series_h=hs, series_res=errs,
@@ -620,7 +606,7 @@ def hamilton_equations(run):
     t = 0.04
     hs, errs = [], []
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        prob = run.problem(TORUS, n, PHI_T, t / steps, t)
+        prob = run.problem("torus", n, t / steps, t)
         f = po.LinearObservable.seeded(prob, run.seed + 51)
         u0 = _member(prob, run.seed + 52)
         rep = po.hamilton_check(prob, prob, f, u0, t)
@@ -638,7 +624,7 @@ def right_translation_poisson_map(run):
     hs, devs = [], []
     t_map = 0.1
     for n, steps in ((16, 8), (24, 12), (32, 16)):
-        prob = run.problem(TORUS, n, PHI_T, t_map / steps, t_map)
+        prob = run.problem("torus", n, t_map / steps, t_map)
         carrier = _member(prob, seed + 53, amp=0.4)
         ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), carrier.copy())
         for _ in range(steps):
@@ -661,15 +647,12 @@ def right_translation_poisson_map(run):
 @block("poisson")
 def flow_poisson_map(run):
     """the time-t flow preserves the bracket"""
-    seed = run.seed
-    devs, hs = [], []
+    devs = []
     for n in (12, 16):
-        prob = run.problem(TORUS, n, PHI_T, 5e-3, 0.05)
-        f, g = (po.LinearObservable.seeded(prob, seed + k) for k in (57, 58))
-        u0 = _member(prob, seed + 59, amp=0.4)
-        rep = po.flow_poisson_check(prob, prob, f, g, u0, 0.05)
-        hs.append(prob.geo.grid.h)
-        devs.append(rep["deviation"])
+        prob = run.problem("torus", n, 5e-3, 0.05)
+        f, g = (po.LinearObservable.seeded(prob, run.seed + k) for k in (57, 58))
+        u0 = _member(prob, run.seed + 59, amp=0.4)
+        devs.append(po.flow_poisson_check(prob, prob, f, g, u0, 0.05)["deviation"])
     yield max_result("flow_poisson_map_16",
                      "the time-t flow preserves the bracket",
                      devs[-1], 5e-3,

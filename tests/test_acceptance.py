@@ -213,3 +213,39 @@ def test_criterion_6_determinism(tmp_path):
     ok &= _line("determinism/snapshot_resume", bits,
                 "resumed trajectory equals the single run bit for bit")
     assert ok
+
+
+# -- entry names: each suite's entries, in order ------------------------------------
+
+_IDENTITIES = ("def_integration_by_parts", "div_of_transport", "h1_vs_helmholtz_pairing",
+               "l2_transport_antisymmetry", "transport_correction_identity",
+               "transported_laplacian_split", "weitzenboeck")
+ENTRY_NAMES = {
+    "identities": [f"{name}[{tag}]" for tag in ("channel", "torus") for name in _IDENTITIES]
+    + ["flat_curvature_exact_zero"],
+    "elliptic": ["helmholtz_round_trip", "manufactured_solution", "projector_idempotent",
+                 "projector_h1_orthogonality", "projector_self_adjoint",
+                 "projector_idempotent_all_regimes", "leray_limit",
+                 "orthogonality_defect_curved"],
+    "dynamics": ["quadratic_term_two_routes[torus]", "quadratic_term_two_routes[channel]",
+                 "momentum_form_residual", "energy_drift_dt_branch", "integrator_state_order",
+                 "energy_drift_floor_24", "energy_floor_vs_h", "alpha_sweep_to_euler",
+                 "configured_run_energy_drift", "configured_run_divergence"],
+    "material": ["flow_map_commutes_with_right_translation", "commute_discrepancy_monotone",
+                 "volume_preservation_eigenfield", "volume_distortion_generic",
+                 "material_energy_conservation"],
+    "poisson": ["bracket_antisymmetry", "bracket_leibniz", "jacobi_identity[dirichlet]",
+                "jacobi_identity[mixed]", "bracket_derivative_vs_central_difference",
+                "bracket_derivative_refines", "hamilton_equations",
+                "right_translation_poisson_map", "right_translation_poisson_refinement",
+                "flow_poisson_map_16", "flow_poisson_map_trend"],
+}
+
+
+def test_each_suite_gives_its_pinned_entries_in_order(identities, elliptic, dynamics,
+                                                       material, poisson):
+    runs = {"identities": identities, "elliptic": elliptic, "dynamics": dynamics,
+            "material": material, "poisson": poisson}
+    for suite, man in runs.items():
+        assert [r.name for r in man.results] == ENTRY_NAMES[suite], suite
+    assert [len(names) for names in ENTRY_NAMES.values()] == [15, 8, 10, 5, 11]

@@ -116,12 +116,12 @@ def test_problem_and_poisson_context_share_factorizations(factorized):
 def test_run_system_and_problem_share_one_geometry_and_saddle(factorized):
     cfg = ExperimentConfig.defaults()
     run = suites.Run(cfg, (12,))
-    s = run.system(MIXED, 12, PHI_C)
-    prob = run.problem(MIXED, 12, PHI_C, 5e-3, 0.05)
+    s = run.system("mixed", 12)
+    prob = run.problem("mixed", 12, 5e-3, 0.05)
     assert prob.geo is s.geo and prob.sp.lu is s.sp.lu
     assert len(factorized) == 1                   # the one Stokes saddle
     # a second Run builds its own geometry and factors the same matrix again
-    other = suites.Run(cfg, (12,)).system(MIXED, 12, PHI_C)
+    other = suites.Run(cfg, (12,)).system("mixed", 12)
     assert other.geo is not s.geo and other.sp.lu is not s.sp.lu
     assert len(factorized) == 2 and factorized[1] == factorized[0]
 

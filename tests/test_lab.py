@@ -126,6 +126,18 @@ def test_config_rejects_a_non_integer_diagnostics_interval():
     ("[diagnostics]\nevery_n_steps = 0\n", "every_n_steps = 0: need at least 1"),
     ("[diagnostics]\nevery_n_steps = -2\n", "every_n_steps = -2: need at least 1"),
     ("[lab]\noutput_dir =\n", "output_dir is empty"),
+    # each loaded before: a seeded block then failed inside numpy, a NaN or
+    # infinite length in a singular saddle, and each wall_roles value below
+    # ran as pure Neumann, was dropped, or failed to unpack
+    ("[lab]\nseed = -100\n", "seed = -100: need a nonnegative seed"),
+    ("[domain]\nlx = nan\n", "lengths must be positive and finite, got Lx = nan"),
+    ("[domain]\nlx = inf\n", "lengths must be positive and finite, got Lx = inf"),
+    ("[domain]\nly = nan\n", "lengths must be positive and finite, got Lx = 1.0, Ly = nan"),
+    ("[domain]\nkind = channel\nwall_roles = y0:dirichlet,yL:neumann,y0:neumann\n",
+     "wall_roles names wall 'y0' twice"),
+    ("[domain]\nwall_roles = y0:dirichlet,yL:neumann\n", "a torus has no walls"),
+    ("[domain]\nkind = channel\nwall_roles = y0dirichlet,yL:neumann\n",
+     "wall_roles item 'y0dirichlet': need wall:role"),
 ])
 def test_a_value_a_run_cannot_use_is_refused_at_load(text, match, tmp_path, capsys):
     # each loaded before, and failed only inside configured_run or after the suite
@@ -175,10 +187,10 @@ def test_config_rejects_the_removed_keys():
 
 
 def test_phi_presets_are_shared_callables():
-    from laealab.suites import PHI_T
     cfg = ExperimentConfig.defaults()
     assert cfg.get("domain", "phi") == "sinusoidal:0.15,1,1"
-    assert cfg.phi_function() is PHI_T
+    assert cfg.phi_function() is suites.DOMAINS["torus"][1]
+    assert Run(cfg, (12,)).domains["config"] == suites.DOMAINS["torus"]
     assert cfg.phi_function() is ExperimentConfig.defaults().phi_function()
 
 
@@ -371,7 +383,7 @@ def test_cli_suite_choices_are_the_registry():
 def test_a_block_run_alone_gives_its_suite_entries():
     cfg = small_cfg()
     whole = run_suite(cfg, "elliptic", (16, 24)).results
-    for fn in (suites.leray_limit, suites.projector_contracts):
+    for fn in suites.SUITES["elliptic"]:
         alone = list(fn(Run(cfg, (16, 24))))
         assert alone and all(r.passed for r in alone)
         assert [r for r in whole if r.name in {a.name for a in alone}] == alone
@@ -380,12 +392,27 @@ def test_a_block_run_alone_gives_its_suite_entries():
 def test_run_builds_its_systems_at_the_run_alpha_with_the_blocks_cfl_factor():
     cfg = small_cfg()
     run = Run(cfg, (12,))
-    prob = run.problem(suites.MIXED, 12, suites.PHI_C, 5e-3, 0.05)
+    prob = run.problem("mixed", 12, 5e-3, 0.05)
     assert prob.alpha == prob.cfg.alpha == run.alpha == cfg.getfloat("solver", "alpha")
-    assert prob.bc == BcRegime.from_domain(suites.MIXED)
+    assert prob.bc.variant == "mixed"
     assert (prob.cfg.dt, prob.cfg.t_end) == (5e-3, 0.05)
     assert (prob.cfg.integrator, prob.cfg.cfl_factor) == ("rk4", 5.0)
-    assert run.system(suites.MIXED, 12, suites.PHI_C, alpha=0.0).alpha == 0.0
+    assert run.system("mixed", 12, alpha=0.0).alpha == 0.0
+
+
+def test_each_domain_label_names_its_regime():
+    for label, (spec, _) in suites.DOMAINS.items():
+        variant = BcRegime.from_domain(spec).variant
+        assert variant == ("noboundary" if label in ("torus", "flat") else label)
+    assert set(suites.DOMAINS) == {"torus", "flat", "mixed", "dirichlet", "neumann"}
+
+
+def test_run_series_evaluates_each_level_in_ladder_order():
+    run, seen = Run(small_cfg(), (8, 12)), []
+    hs, values = run.series("dirichlet", lambda s: seen.append(s.geo) or s.geo.grid.ny)
+    assert values == [9, 13] and hs == [g.grid.h for g in seen]
+    assert seen[0] is run.geo("dirichlet", 8) and seen[1] is run.geo("dirichlet", 12)
+    assert run.series("flat", lambda s: s.bc.variant, ns=(8,)) == ([1 / 8], ["noboundary"])
 
 
 CHANNEL_RUN = """
