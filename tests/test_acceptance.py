@@ -248,4 +248,3 @@ def test_each_suite_gives_its_pinned_entries_in_order(identities, elliptic, dyna
             "material": material, "poisson": poisson}
     for suite, man in runs.items():
         assert [r.name for r in man.results] == ENTRY_NAMES[suite], suite
-    assert [len(names) for names in ENTRY_NAMES.values()] == [15, 8, 10, 5, 11]

@@ -394,7 +394,7 @@ def test_run_builds_its_systems_at_the_run_alpha_with_the_blocks_cfl_factor():
     run = Run(cfg, (12,))
     prob = run.problem("mixed", 12, 5e-3, 0.05)
     assert prob.alpha == prob.cfg.alpha == run.alpha == cfg.getfloat("solver", "alpha")
-    assert prob.bc.variant == "mixed"
+    assert prob.bc == BcRegime.from_domain(suites.DOMAINS["mixed"][0])
     assert (prob.cfg.dt, prob.cfg.t_end) == (5e-3, 0.05)
     assert (prob.cfg.integrator, prob.cfg.cfl_factor) == ("rk4", 5.0)
     assert run.system("mixed", 12, alpha=0.0).alpha == 0.0
@@ -405,6 +405,7 @@ def test_each_domain_label_names_its_regime():
         variant = BcRegime.from_domain(spec).variant
         assert variant == ("noboundary" if label in ("torus", "flat") else label)
     assert set(suites.DOMAINS) == {"torus", "flat", "mixed", "dirichlet", "neumann"}
+    assert suites.DOMAINS["mixed"][0].wall_roles == {"y0": "dirichlet", "yL": "neumann"}
 
 
 def test_run_series_evaluates_each_level_in_ladder_order():
@@ -446,7 +447,7 @@ def test_configured_run_starts_a_channel_march_on_the_walls(monkeypatch):
     entries = list(suites.configured_run(Run(cfg, (16,))))
     assert entries and all(r.passed for r in entries)
     ((prob, u0),) = handed
-    assert prob.bc.variant == "mixed"
+    assert prob.bc == BcRegime.from_domain(suites.DOMAINS["mixed"][0])
     A, idx = prob.op.matrix(prob.bc)
     assert np.max(np.abs(A[idx] @ u0.flat())) <= 1e-12 * u0.linf()
 
