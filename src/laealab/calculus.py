@@ -161,6 +161,21 @@ def inner0_tensor(m: ConformalMetric, R: Tensor11Field, S: Tensor11Field) -> flo
     return _integral(m, gbar_pair(m, R, S))
 
 
+def wall_integral(m: ConformalMetric, walls, u: VectorField, v: VectorField) -> float:
+    """Integral over the walls of g((grad_n u)^tan + S_n(u), v) d(mu_boundary),
+    the wall term of the deformation pairing's integration by parts."""
+    du = covariant_derivative(m, u)
+    total = 0.0
+    for w in walls:
+        j = w.j
+        # grad_n u with n = sign e^{-phi} d_y: the tangent component n^y (grad u)^1_y
+        gnu1 = w.normal_sign * np.exp(-m.phi[:, j]) * du[0, 1].data[:, j]
+        s_term = w.s_weingarten * u.c1.data[:, j]
+        total += float(np.sum(w.mu_weights * m.e2phi[:, j]
+                              * (gnu1 + s_term) * v.c1.data[:, j]))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # curvature contractions (2-D closed forms)
 # ---------------------------------------------------------------------------

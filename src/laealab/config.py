@@ -9,6 +9,7 @@ insensitive), e.g. LAEALAB_SOLVER__ALPHA=0.1.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,13 +46,16 @@ class ConfigError(ValueError):
 
 def parse_grid_ladder(raw: str) -> tuple:
     """The sizes of a comma-separated ladder, empty items skipped; ConfigError
-    unless there is one or more and each is at least the grid's minimum."""
+    unless there is one or more, each is at least the grid's minimum and none
+    repeats."""
     try:
         ladder = tuple(int(x) for x in raw.split(",") if x.strip())
     except ValueError:
         raise ConfigError(f"bad grid ladder {raw!r}") from None
     if not ladder or min(ladder) < MIN_NODES:
         raise ConfigError(f"grid ladder {raw!r}: need sizes of at least {MIN_NODES}")
+    if len(set(ladder)) != len(ladder):
+        raise ConfigError(f"grid ladder {raw!r} repeats a size")
     return ladder
 
 
@@ -183,18 +187,24 @@ class ExperimentConfig:
         if spec == "flat":
             return phi_flat
         kind, _, args = spec.partition(":")
+
+        def amplitude(raw):
+            amp = float(raw)
+            if not math.isfinite(amp):
+                raise ValueError(f"amplitude {amp} is not finite")
+            return amp
         try:
             if kind == "sinusoidal":
                 amp, kx, ky = args.split(",")
-                return make_phi_sinusoidal(float(amp), int(kx), int(ky), Lx, Ly)
+                return make_phi_sinusoidal(amplitude(amp), int(kx), int(ky), Lx, Ly)
             if kind == "cosx":
                 amp, k = args.split(",")
-                return make_phi_cosx(float(amp), int(k), Lx)
+                return make_phi_cosx(amplitude(amp), int(k), Lx)
             if kind == "cosx_siny":
                 amp, k = args.split(",")
-                return make_phi_cosx_siny(float(amp), int(k), Lx, Ly)
-        except ValueError:
-            raise ConfigError(f"malformed phi preset {spec!r}") from None
+                return make_phi_cosx_siny(amplitude(amp), int(k), Lx, Ly)
+        except ValueError as e:
+            raise ConfigError(f"malformed phi preset {spec!r}: {e}") from None
         raise ConfigError(f"unknown phi preset {spec!r}")
 
     def bc_regime(self) -> BcRegime:

@@ -137,9 +137,9 @@ def _bilinear_parts(m, u, v, du, dv, dut, dvt):
     return S, (cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
 
 
-def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> VectorField:
-    """The bilinear field B(u, v) of the quadratic operator,
-    Fop(u) = (1-a^2 Lop)^{-1} a^2 B(u, u):
+def _quadratic_interior(m, u: VectorField, du=None) -> VectorField:
+    """The field B(u, u) of the quadratic operator,
+    Fop(u) = (1-a^2 Lop)^{-1} a^2 B(u, u), where
 
         B(u, v) = Div(grad u . grad v^t + grad u . grad v - grad u^t . grad v
                       + R(., u)v)
@@ -147,22 +147,18 @@ def _quadratic_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -> 
                   - (grad_u Ric)v - grad u^t . Ric v
 
     Div is linear, so the four (1,1)-tensors are summed first and take one
-    Div.  Linear in each argument, so either may be an unknown recorded on a
-    fields.Tape.  du and dv, when given, are grad u and grad v as
-    calculus.covariant_derivative() computes them; one object passed as both
-    has its metric transpose taken once.
+    Div.  du, when given, is grad u as calculus.covariant_derivative()
+    computes it; grad u and its metric transpose are built once.
     """
     du = ca.covariant_derivative(m, u) if du is None else du
-    dv = ca.covariant_derivative(m, v) if dv is None else dv
     dut = ca.transpose_metric(m, du)
-    dvt = dut if dv is du else ca.transpose_metric(m, dv)
-    S, r = _bilinear_parts(m, u, v, du, dv, dut, dvt)
+    S, r = _bilinear_parts(m, u, u, du, du, dut, dut)
     return ca.div_11(m, S) + r
 
 
 def f_alpha(s: System, u: VectorField) -> VectorField:
     """Uop + Rop with a single elliptic solve."""
-    return s.op.solve(_quadratic_interior(s.metric, u, u) * s.alpha**2, s.bc)
+    return s.op.solve(_quadratic_interior(s.metric, u) * s.alpha**2, s.bc)
 
 
 def f_alpha_alt(s: System, u: VectorField) -> VectorField:
@@ -245,7 +241,7 @@ def rhs(s: System, u: VectorField) -> VectorField:
     transpose are computed once."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
-    return -s.sp.project(du.apply(u), _quadratic_interior(m, u, u, du, du) * s.alpha**2)
+    return -s.sp.project(du.apply(u), _quadratic_interior(m, u, du) * s.alpha**2)
 
 
 def energy(m, alpha: float, u: VectorField) -> float:
@@ -263,7 +259,7 @@ def eq2_residual(s: System, u: VectorField, dudt: VectorField) -> float:
     projector the removal of gradients: on a channel its wall rows also
     constrain the remainder, so a channel geometry raises ValueError.
     """
-    if s.geo.boundary.walls:
+    if s.geo.walls:
         raise ValueError("eq2_residual is a torus measure; the geometry has walls")
     m, a2 = s.metric, s.alpha**2
     mom = u - ca.ricci_laplacian(m, u) * a2

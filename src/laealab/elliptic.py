@@ -86,7 +86,6 @@ from .fields import Tape, VectorField
 from .geometry import Geometry
 from .grid import matvec_last
 
-_WALLS = ("y0", "yL")
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
 _SCALED_PIVOT = 0.1    # ... for a balanced matrix (_balance)
@@ -459,7 +458,7 @@ class EllipticOperator:
             c, v = np.stack(cols, axis=1).ravel(), np.stack(vals, axis=1).ravel()
             blocks.append(sp.csr_matrix((v, (r, c)), shape=(at.size, 2 * n)))
 
-        for w in geo.boundary.walls:
+        for w in geo.walls:
             flat = grid.wall_flat_indices(w.name)
             if bc.condition(w.name) == "dirichlet":       # u1 = 0, u2 = 0
                 unit = np.concatenate([flat, n + flat])
@@ -482,7 +481,7 @@ class EllipticOperator:
                        lambda: self._substituted(bc))
 
     def _substituted(self, bc: BcRegime):
-        walls = tuple(w.name for w in self.geo.boundary.walls)
+        walls = tuple(w.name for w in self.geo.walls)
         if tuple(w for w, _ in bc.wall_conditions) != walls:
             raise ValueError(f"regime {bc.variant} {bc.wall_conditions} does not fit "
                              f"a geometry with walls {walls}")

@@ -8,10 +8,12 @@ the log-factor phi:
     Ricci      = K g,   Ric operator = K Id
     sqrt(det g) = e^{2 phi}
 
-The channel walls sit at y = 0 and y = Ly.  With straight walls the outward
+The channel walls sit at y = 0 and y = Ly; a Geometry keeps them as
+geo.walls, one Wall each (none on the torus).  With straight walls the outward
 unit normal is -+ e^{-phi} d_y and the shape operator of the wall acts on the
-unit tangent as multiplication by s = -+ e^{-phi} d_y(phi), which vanishes
-identically for phi == 0.
+unit tangent as multiplication by Wall.s_weingarten = -+ e^{-phi} d_y(phi),
+which vanishes identically for phi == 0.  Positions off the grid's nodes are
+put into the chart by Grid.fold.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import VectorField
 from .grid import Grid
 
 SEAM_TOL = 1e-12
@@ -82,6 +83,8 @@ class ConformalMetric:
         self.phi = np.asarray(phi_values, dtype=np.float64)
         if self.phi.shape != (grid.nx, grid.ny):
             raise ValueError("phi samples do not match the grid")
+        if not np.all(np.isfinite(self.phi)):
+            raise ValueError("phi samples are not finite")
         self.e2phi = np.exp(2.0 * self.phi)
         self.em2phi = np.exp(-2.0 * self.phi)
         self.phix = grid.ddx(self.phi)
@@ -107,11 +110,6 @@ class ConformalMetric:
         self.Kx = grid.ddx(self.K)
         self.Ky = grid.ddy(self.K)
 
-    def metric_tensor(self):
-        """g_ij arrays: (g11, g12, g21, g22) = e^{2 phi} (1, 0, 0, 1)."""
-        z = np.zeros_like(self.e2phi)
-        return (self.e2phi, z, z.copy(), self.e2phi.copy())
-
     def quad_mu(self) -> np.ndarray:
         """Quadrature weights against the Riemannian area element."""
         return self.grid.weights * self.e2phi
@@ -122,14 +120,8 @@ class Wall:
     name: str            # 'y0' or 'yL'
     j: int               # node row index
     normal_sign: float   # n = normal_sign * e^{-phi} d_y (outward)
-    ephi: np.ndarray     # e^{phi} restricted to the wall, shape (nx,)
     s_weingarten: np.ndarray  # S_n(tau) = s * tau on the unit tangent
     mu_weights: np.ndarray    # boundary quadrature weights (arc length)
-
-
-@dataclass
-class BoundaryData:
-    walls: list = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -146,7 +138,7 @@ class Geometry:
 
     grid: Grid
     metric: ConformalMetric
-    boundary: BoundaryData
+    walls: tuple         # one Wall per channel wall, y0 then yL; () on the torus
     factors: dict = field(default_factory=dict, repr=False)
 
 
@@ -166,7 +158,7 @@ def _check_periodic(phi_fn, grid: Grid, spec: DomainSpec):
 
 def build_geometry(spec: DomainSpec, nx: int, ny: int,
                    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Geometry:
-    """Construct grid, conformal metric and boundary data for a domain."""
+    """Construct grid, conformal metric and walls for a domain."""
     grid = Grid(nx, ny, spec.Lx, spec.Ly, periodic_y=spec.periodic_y)
     _check_periodic(phi, grid, spec)
     phi_values = np.asarray(phi(grid.X, grid.Y), dtype=np.float64)
@@ -174,35 +166,12 @@ def build_geometry(spec: DomainSpec, nx: int, ny: int,
         phi_values = np.broadcast_to(phi_values, (nx, ny)).copy()
     metric = ConformalMetric(grid, phi_values)
 
-    bd = BoundaryData()
+    walls = ()
     if spec.kind == "channel":
-        for name, j, sign in (("y0", 0, -1.0), ("yL", ny - 1, +1.0)):
-            ephi = np.exp(metric.phi[:, j])
-            # S_n(u) = -grad_u n; on a straight wall of a conformal metric
-            # this reduces to multiplication by -sign * e^{-phi} d_y(phi).
-            s = -sign * np.exp(-metric.phi[:, j]) * metric.phiy[:, j]
-            mu_w = grid.wx * ephi
-            bd.walls.append(Wall(name, j, sign, ephi, s, mu_w))
-    return Geometry(grid, metric, bd)
-
-
-def weingarten_apply(bd: BoundaryData, u: VectorField, tol: float = 1e-8) -> dict:
-    """Shape-operator action S_n(u) on wall-tangent fields, per wall.
-
-    Returns {wall name: (2, nx) array}.  Rejects fields whose normal
-    component at wall nodes exceeds tol relative to the field scale.
-    """
-    out = {}
-    scale = max(u.linf(), 1e-300)
-    for w in bd.walls:
-        u1 = u.c1.data[:, w.j]
-        u2 = u.c2.data[:, w.j]
-        # normal component in g: g(u, n) = normal_sign * e^{phi} u2
-        normal_part = np.max(np.abs(w.ephi * u2))
-        if normal_part > tol * scale:
-            raise ValueError(
-                f"field has normal component {normal_part:.3e} at wall {w.name}")
-        vals = np.zeros((2, u.grid.nx))
-        vals[0] = w.s_weingarten * u1
-        out[w.name] = vals
-    return out
+        # S_n(u) = -grad_u n; on a straight wall of a conformal metric this
+        # reduces to multiplication by -sign * e^{-phi} d_y(phi).
+        walls = tuple(Wall(name, j, sign,
+                           -sign * np.exp(-metric.phi[:, j]) * metric.phiy[:, j],
+                           grid.wx * np.exp(metric.phi[:, j]))
+                      for name, j, sign in (("y0", 0, -1.0), ("yL", ny - 1, +1.0)))
+    return Geometry(grid, metric, walls)

@@ -146,10 +146,11 @@ class Grid:
         j = 0 if wall == "y0" else self.ny - 1
         return np.arange(self.nx) * self.ny + j
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Quadrature of a nodal scalar against the coordinate area element."""
-        require_unbatched(f)
-        return float(np.sum(self.weights * f))
+    def fold(self, qx: np.ndarray, qy: np.ndarray):
+        """Positions (qx, qy) put into the chart: x modulo Lx, and y modulo Ly
+        on the torus or clipped to [0, Ly] on a channel."""
+        qy = np.mod(qy, self.Ly) if self.periodic_y else np.clip(qy, 0.0, self.Ly)
+        return np.mod(qx, self.Lx), qy
 
     def __repr__(self) -> str:
         kind = "torus" if self.periodic_y else "channel"

@@ -67,7 +67,10 @@ def test_a_pass_after_set_up_factors_nothing(workload, name, monkeypatch):
 
 @pytest.mark.parametrize("name,span", [("mixed32_rk4", "dynamics.LaeProblem.rhs"),
                                        ("mixed32_rk4", "elliptic.StokesProjector.project"),
-                                       ("flowcheck16", "poisson.PoissonContext.gram_matrix")])
+                                       ("flowcheck16", "poisson.PoissonContext.gram_matrix"),
+                                       ("spray32", "material.pi_r"),
+                                       ("spray32", "interp.BicubicField.eval_with_grad"),
+                                       ("torus64_rk4", "geometry.build_geometry")])
 def test_traced_workload_records_the_spans_the_benchmark_reads(workload, name, span):
     tracer = workload.Tracer().install()
     try:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from laealab.geometry import DomainSpec, build_geometry, weingarten_apply
-from laealab.fields import VectorField
+from laealab.geometry import DomainSpec, build_geometry
+from laealab.grid import Grid
 from laealab.orders import fit_order
 from laealab.reference import christoffels_from_metric, gaussian_curvature_o4
-from laealab.samples import (make_phi_cosx_siny, make_phi_sinusoidal, phi_flat)
+from laealab.samples import make_phi_sinusoidal, phi_flat
 
 TORUS = DomainSpec("torus", 1.0, 1.0)
 CHANNEL = DomainSpec("channel", 1.0, 1.0,
@@ -16,18 +16,15 @@ def test_flat_torus_curvature_and_christoffels_exactly_zero():
     geo = build_geometry(TORUS, 16, 16, phi_flat)
     assert not geo.metric.gamma.any()
     assert not geo.metric.K.any()
-    g11, g12, g21, g22 = geo.metric.metric_tensor()
-    assert np.array_equal(g11, np.ones((16, 16)))
-    assert not g12.any() and not g21.any()
+    assert np.array_equal(geo.metric.e2phi, np.ones((16, 16)))   # g = e^{2 phi} flat
+    assert geo.walls == ()
 
 
 def test_flat_channel_straight_walls_have_zero_shape_operator():
     geo = build_geometry(CHANNEL, 16, 17, phi_flat)
-    for w in geo.boundary.walls:
+    assert [(w.name, w.j) for w in geo.walls] == [("y0", 0), ("yL", 16)]
+    for w in geo.walls:
         assert not w.s_weingarten.any()
-    u = VectorField.from_arrays(geo.grid, np.ones((16, 17)), np.zeros((16, 17)))
-    vals = weingarten_apply(geo.boundary, u)
-    assert not vals["y0"].any() and not vals["yL"].any()
 
 
 def test_curvature_matches_high_order_oracle_at_second_order():
@@ -65,19 +62,18 @@ def test_weingarten_matches_covariant_derivative_of_normal():
         ny = n + 1
         geo = build_geometry(CHANNEL, n, ny, phi)
         g, m = geo.grid, geo.metric
-        u = VectorField.from_arrays(g, np.cos(2 * np.pi * g.X), np.zeros((n, ny)))
-        got = weingarten_apply(geo.boundary, u)
+        u1 = np.cos(2 * np.pi * g.X)
         worst = 0.0
-        for w in geo.boundary.walls:
+        for w in geo.walls:
             emphi = np.exp(-m.phi[:, w.j])
             n2 = w.normal_sign * emphi
             # -grad_u n, tangential component, via nodal Christoffels
             dn2 = (g.DX @ np.broadcast_to(
                 (w.normal_sign * np.exp(-m.phi))[:, :], m.phi.shape).ravel()
             ).reshape(m.phi.shape)[:, w.j]
-            oracle1 = -(u.c1.data[:, w.j] * (m.gamma[0, 0, 1][:, w.j] * n2))
-            oracle2 = -(u.c1.data[:, w.j] * (dn2 + m.gamma[1, 0, 1][:, w.j] * n2))
-            worst = max(worst, np.max(np.abs(got[w.name][0] - oracle1)))
+            oracle1 = -(u1[:, w.j] * (m.gamma[0, 0, 1][:, w.j] * n2))
+            oracle2 = -(u1[:, w.j] * (dn2 + m.gamma[1, 0, 1][:, w.j] * n2))
+            worst = max(worst, np.max(np.abs(w.s_weingarten * u1[:, w.j] - oracle1)))
             worst = max(worst, np.max(np.abs(oracle2)))  # shape operator is tangent
         hs.append(g.h)
         errs.append(max(worst, 1e-16))
@@ -86,18 +82,17 @@ def test_weingarten_matches_covariant_derivative_of_normal():
     assert fit_order(hs, errs) > 1.5
 
 
-def test_weingarten_rejects_non_tangent_fields():
-    geo = build_geometry(CHANNEL, 16, 17, phi_flat)
-    u = VectorField.from_arrays(geo.grid, np.zeros((16, 17)), np.ones((16, 17)))
-    with pytest.raises(ValueError):
-        weingarten_apply(geo.boundary, u)
-
-
-def test_zero_field_maps_to_zero():
-    geo = build_geometry(CHANNEL, 16, 17, make_phi_cosx_siny(0.2, 1, 1.0, 1.0))
-    u = VectorField.zeros(geo.grid)
-    vals = weingarten_apply(geo.boundary, u)
-    assert not vals["y0"].any() and not vals["yL"].any()
+def test_fold_wraps_periodic_axes_and_clips_channel_walls():
+    torus = Grid(8, 8, 2.0, 1.0, periodic_y=True)
+    channel = Grid(8, 9, 2.0, 1.0, periodic_y=False)
+    qx, qy = np.array([-0.5, 2.5, 1.0]), np.array([-0.25, 1.5, 0.5])
+    fx, fy = torus.fold(qx, qy)
+    assert np.array_equal(fx, [1.5, 0.5, 1.0]) and np.array_equal(fy, [0.75, 0.5, 0.5])
+    fx, fy = channel.fold(qx, qy)
+    assert np.array_equal(fx, [1.5, 0.5, 1.0]) and np.array_equal(fy, [0.0, 1.0, 0.5])
+    for g in (torus, channel):         # positions in the chart come back bit for bit
+        fx, fy = g.fold(g.X + 0.3 * g.hx, g.Y)
+        assert np.array_equal(fx, g.X + 0.3 * g.hx) and np.array_equal(fy, g.Y)
 
 
 def test_torus_rejects_nonperiodic_phi():

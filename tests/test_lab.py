@@ -12,7 +12,8 @@ from laealab.elliptic import BcRegime, EllipticOperator
 from laealab.fields import VectorField
 from laealab.geometry import DomainSpec, build_geometry
 from laealab.manifest import bool_result
-from laealab.samples import make_phi_sinusoidal
+from laealab.orders import fit_order
+from laealab.samples import make_phi_cosx, make_phi_sinusoidal
 from laealab.snapshot import SnapshotError, read_snapshot, write_snapshot
 from laealab import suites
 from laealab.suites import Run, run_suite
@@ -480,6 +481,31 @@ def _cli_usage_error(argv, capsys):
         cli_main(argv)
     assert stop.value.code == 2
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phi, make", [
+    ("sinusoidal:nan,1,1", lambda: make_phi_sinusoidal(np.nan, 1, 1, 1.0, 1.0)),
+    ("sinusoidal:inf,1,1", lambda: make_phi_sinusoidal(np.inf, 1, 1, 1.0, 1.0)),
+    ("cosx:1e400,1", lambda: make_phi_cosx(float("1e400"), 1, 1.0))],
+    ids=["sinusoidal-nan", "sinusoidal-inf", "cosx-1e400"])
+def test_a_non_finite_metric_is_refused_where_it_enters(phi, make):
+    # refused at load, not late in the saddle factorization
+    with pytest.raises(ConfigError, match=f"phi preset '{phi}'.*not finite"):
+        ExperimentConfig.from_text(f"[domain]\nphi = {phi}\n")
+    with pytest.raises(ValueError, match="phi samples are not finite"), \
+            np.errstate(invalid="ignore"):
+        build_geometry(DomainSpec("torus", 1.0, 1.0), 16, 16, make())
+
+
+def test_a_repeated_ladder_size_is_refused(tmp_path, capsys):
+    # one grid twice would fit an order from a rank-deficient lstsq
+    with pytest.raises(ConfigError, match="repeats a size"):
+        ExperimentConfig.from_text("[lab]\ngrid_ladder = 16,32,16\n")
+    err = _cli_usage_error(["run", "--grid-ladder", "16,16", "--out", str(tmp_path)], capsys)
+    assert "repeats a size" in err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="distinct h"):
+        fit_order([0.1, 0.1], [1e-3, 2e-3])
 
 
 def test_cli_reports_a_malformed_ladder_as_a_usage_error(tmp_path, capsys):
