@@ -191,21 +191,14 @@ class CurvatureContractions:
     ric_v      : Ric v = K v
 
     The quadratic operators add r_tensor to their other (1,1)-tensors and
-    take one Div of the sum; div_r, the Div of r_tensor alone, is built on
-    each read.
+    take one Div of the sum.
     """
 
-    metric: ConformalMetric
     r_tensor: Tensor11Field
     r_grad: VectorField
     r_swap: VectorField
     ric_rate: VectorField
     ric_v: VectorField
-
-    @property
-    def div_r(self) -> VectorField:
-        """Div of the tensor w -> R(w, u) v."""
-        return div_11(self.metric, self.r_tensor)
 
 
 def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
@@ -231,7 +224,7 @@ def curvature_contractions(m: ConformalMetric, u: VectorField, v: VectorField,
     dKu = u.c1 * m.Kx + u.c2 * m.Ky
     ric_rate = VectorField(grid, v.c1 * dKu, v.c2 * dKu)
     ric_v = v * m.K
-    return CurvatureContractions(m, r_tensor, r_grad, r_swap, ric_rate, ric_v)
+    return CurvatureContractions(r_tensor, r_grad, r_swap, ric_rate, ric_v)
 
 
 # ---------------------------------------------------------------------------

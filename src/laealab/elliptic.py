@@ -34,19 +34,21 @@ La v - v = A^{-1} [0; -R v]; R(v + w) = 0 and div(v + w) sit at the
 factorization's residual level, independent of h.  Every projected
 right-hand side of the dynamics, the bracket and the connector is one such
 solve, its transport term passed as v, its residual held to 1e-8 as the
-elliptic solve's is.  At a = 0 the composite is the identity and P is the
-discrete Leray projector: on the torus P v is v less its gradient part,
-which is how gradient parts are removed elsewhere.
+elliptic solve's is.  At a = 0 on the torus the composite is the identity
+and P is the discrete Leray projector: P v is v less its gradient part,
+which is how gradient parts are removed elsewhere.  On a channel at a = 0
+the composite is the identity only on the BC subspace.
 
 alpha = 0 is decided here and only here; every operator elsewhere takes its
 general path at every alpha and hands this module a source of exact zeros (a
-term times a^2).  Five rules give the Euler limit: the assembled interior of
-(1 - a^2 Lop) is the identity, so EllipticOperator.apply, which applies it,
-is too; EllipticOperator.solve is the identity; StokesProjector.project
-folds its source f into v; it writes -R v into the BC rows only at a > 0,
-so at a = 0 they stay zero, P keeps v's wall rows and lands in null(D)
-alone (StokesProjector.constraints); and project_transpose returns the same
-cotangent for v and for f (CHANGES.md, the FOUND entry on alpha = 0 on a
+term times a^2).  solve, project and project_transpose take their general
+path at a = 0 too.  Three checks are left: _assemble_interior and
+_assemble_gram skip assembling a term that the general formula multiplies by
+zero, so the assembled interior of (1 - a^2 Lop) is the identity and
+EllipticOperator.apply, which applies it, is too; and StokesProjector writes
+-R v into the BC rows only at a > 0 (_sets_walls), so at a = 0 they stay
+zero, P keeps v's wall rows and lands in null(D) alone
+(StokesProjector.constraints; CHANGES.md, the FOUND entry on alpha = 0 on a
 curved channel).
 
 The phase space of the flow check is null(C), C = [D; R] the divergence and
@@ -497,9 +499,8 @@ class EllipticOperator:
             self.geo, A, 0, f"singular assembly for regime {bc.variant}", bc_rows=bc_idx))
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
-        """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace; f may be a batch."""
-        if self.alpha == 0.0:
-            return f.copy()
+        """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace, at every alpha;
+        f may be a batch."""
         fac = self.factor(bc)
         _, idx = self.matrix(bc)
         rhs = f.flat()
@@ -584,7 +585,7 @@ class StokesProjector:
         self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
         A, self.bc_idx = op.matrix(bc)
         self.R = _stored(geo, ("bc_rows", op.alpha, bc), lambda: A.tocsr()[self.bc_idx])
-        # at a = 0 P keeps the wall rows (the fifth alpha-0 rule); the torus has none
+        # at a = 0 P keeps the wall rows (module docstring); the torus has none
         self._sets_walls = op.alpha > 0.0 and self.bc_idx.size > 0
 
     @property
@@ -622,11 +623,9 @@ class StokesProjector:
 
         The saddle is solved for [f with -R v in its BC rows; -div v; 0] and
         the result is v + w, in null(C) whether or not v satisfies the BC
-        rows.  At a = 0 that solve is the identity, so f joins v, and the BC
-        rows stay zero.
+        rows.  At a = 0 the BC rows read zero instead of -R v (_sets_walls),
+        so P keeps v's wall rows.
         """
-        if f is not None and self.op.alpha == 0.0:
-            v, f = (f if v is None else v + f), None
         n = self.n
         vf, ff = (None if x is None else x.flat() for x in (v, f))
         batch = np.broadcast_shapes(*(x.shape[:-1] for x in (vf, ff) if x is not None))
@@ -655,12 +654,9 @@ class StokesProjector:
         yv = zf - matvec_last(self.D.T, x[..., 2 * n:3 * n])
         if self._sets_walls:
             yv -= matvec_last(self.R.T, x[..., self.bc_idx])
-        y = VectorField.from_flat(grid, yv)
-        if self.op.alpha == 0.0:
-            return y, y
         yf = x[..., :2 * n]
         yf[..., self.bc_idx] = 0.0
-        return y, VectorField.from_flat(grid, yf)
+        return VectorField.from_flat(grid, yv), VectorField.from_flat(grid, yf)
 
     def phase_space(self) -> PhaseSpace:
         """The stored PhaseSpace of this (alpha, regime), built on first use."""

@@ -53,19 +53,12 @@ class FlowMap:
     def displacement(self):
         return self.e1 - self.grid.X, self.e2 - self.grid.Y
 
-    def jacobian(self):
-        """Nodal D eta by stencils; the lift keeps displacements periodic."""
+    def jacobian_determinant(self) -> np.ndarray:
+        """det D eta at the nodes, D eta by stencils; the lift keeps
+        displacements periodic."""
         g = self.grid
         d1, d2 = self.displacement()
-        j11 = 1.0 + g.ddx(d1)
-        j12 = g.ddy(d1)
-        j21 = g.ddx(d2)
-        j22 = 1.0 + g.ddy(d2)
-        return j11, j12, j21, j22
-
-    def jacobian_determinant(self) -> np.ndarray:
-        j11, j12, j21, j22 = self.jacobian()
-        return j11 * j22 - j12 * j21
+        return (1.0 + g.ddx(d1)) * (1.0 + g.ddy(d2)) - g.ddy(d1) * g.ddx(d2)
 
     def check_invertible(self):
         bad = ~(np.isfinite(self.e1) & np.isfinite(self.e2))

@@ -248,3 +248,20 @@ def test_each_suite_gives_its_pinned_entries_in_order(identities, elliptic, dyna
             "material": material, "poisson": poisson}
     for suite, man in runs.items():
         assert [r.name for r in man.results] == ENTRY_NAMES[suite], suite
+
+
+# SHA-256 of each suite's results on its acceptance ladder, as CHANGES.md
+# records them; a change that moves one explains why there
+RESULTS_DIGESTS = {
+    "identities": "fc8aeecc96cfe40839060d0a3f650bbd73186d6f7717e4c8308379b682a23794",
+    "elliptic": "f9b67df341ab6f75a268dd1eb34104e2682c56ea915766a2df9544d07f6aad09",
+    "dynamics": "91441dce450e24c37b43045afd3be06b90ddd95e91fdb3a7107a9da57114d7ef",
+    "material": "e702c5473239335af3a765bb6baccc3f42b9038ad84131e38a85e742594d86ad",
+    "poisson": "a0fe23a51fd425cd4e07d92745df470e831b0e5aa24e41d54150d70dc904cdc0",
+}
+
+
+def test_each_suite_keeps_its_pinned_results_digest(identities, elliptic, dynamics,
+                                                    material, poisson):
+    runs = (identities, elliptic, dynamics, material, poisson)
+    assert {man.suite: man.results_digest() for man in runs} == RESULTS_DIGESTS

@@ -8,31 +8,14 @@ from laealab import material as mt
 from laealab import poisson as po
 from laealab.elliptic import BcRegime, SolveError, l_alpha
 from laealab.fields import VectorField
-from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
 from laealab.reference import leray_fft, polarized_f_alpha
-from laealab.samples import (eigenfield, make_phi_cosx_siny, make_phi_sinusoidal,
-                             phi_flat, random_vector, taylor_green_like)
+from laealab.samples import eigenfield, phi_flat, random_vector, taylor_green_like
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
-PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
-DIRICH = DomainSpec("channel", 1.0, 1.0,
-                    wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
-NEUMANN = DomainSpec("channel", 1.0, 1.0,
-                     wall_roles={"y0": "neumann", "yL": "neumann"})
+from domains import DIRICH, MIXED, NEUMANN, TORUS, channel, torus
+
 BC_T = BcRegime.from_domain(TORUS)
 BC_M = BcRegime.from_domain(MIXED)
-
-
-def torus(n, phi=PHI_T):
-    return build_geometry(TORUS, n, n, phi)
-
-
-def channel(n, phi=PHI_C):
-    return build_geometry(MIXED, n, n + 1, phi)
 
 
 def divfree_sample(s, seed, kmax=2):
@@ -242,7 +225,7 @@ def test_projected_right_hand_sides_match_the_la_route(spec, n):
     # transport term t as it is; the route it replaced carried t onto the BC
     # rows first, La t = (1 - a^2 Lop)^{-1} A t, A the assembled interior,
     # as the source of P(None, A t + f)
-    s = dy.System(build_geometry(spec, n, n + 1, PHI_C), 0.3, BcRegime.from_domain(spec))
+    s = dy.System(channel(n, spec), 0.3, BcRegime.from_domain(spec))
     m, a2 = s.metric, s.alpha**2
     u = s.sp.project(random_vector(s.geo.grid, seed=3))
     v = s.sp.project(random_vector(s.geo.grid, seed=4))
@@ -262,11 +245,12 @@ def test_projected_right_hand_sides_match_the_la_route(spec, n):
 
 @pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
 def test_rhs_at_alpha_zero_is_euler(case):
-    # every operator takes its general path at a = 0, where elliptic.py makes
-    # (1 - a^2 Lop) the identity and folds the zero source into v, so each
-    # reduces to its Euler counterpart to the bit ("channel" is the mixed one)
+    # every operator takes its general path at a = 0, where the assembled
+    # (1 - a^2 Lop) is the identity and each source is exact zeros, the same
+    # saddle right-hand side as no source, so each reduces to its Euler
+    # counterpart to the bit ("channel" is the mixed one)
     spec = {"torus": TORUS, "channel": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}[case]
-    geo = torus(24) if case == "torus" else build_geometry(spec, 24, 25, PHI_C)
+    geo = torus(24) if case == "torus" else channel(24, spec)
     s0 = dy.System(geo, 0.0, BcRegime.from_domain(spec))
     m, P = geo.metric, s0.sp.project
     u = P(random_vector(geo.grid, seed=28, kmax=1))
@@ -331,7 +315,7 @@ def test_eq2_residual_negative_control():
 def test_eq2_residual_refuses_a_channel():
     # on a channel the alpha = 0 projector keeps its wall rows, so it does
     # more than remove the gradient part
-    s = dy.System(build_geometry(MIXED, 12, 13, PHI_C), 0.3, BC_M)
+    s = dy.System(channel(12), 0.3, BC_M)
     z = VectorField.zeros(s.geo.grid)
     with pytest.raises(ValueError, match="torus"):
         dy.eq2_residual(s, z, z)
@@ -410,7 +394,7 @@ def test_step_refuses_a_divergent_state(case):
 def test_step_refuses_a_divergence_free_state_off_the_wall_rows(spec):
     # at a = 0 P keeps its input's wall rows, so P(raw) is divergence-free
     # but off the BC rows; at a > 0 the guard checks all of C = [D; R]
-    geo = build_geometry(spec, 16, 17, phi_flat)
+    geo = channel(16, spec, phi_flat)
     bc = BcRegime.from_domain(spec)
     u0 = dy.System(geo, 0.0, bc).sp.project(random_vector(geo.grid, seed=29, kmax=1) * 0.5)
     prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=1.5e-2, bc=bc))

@@ -7,33 +7,11 @@ from laealab import elliptic as el
 from laealab.elliptic import (BcRegime, EllipticOperator, SolveError,
                               StokesProjector, l_alpha)
 from laealab.fields import ScalarField, VectorField
-from laealab.geometry import DomainSpec, build_geometry
 from laealab.orders import fit_order
 from laealab.reference import leray_fft
-from laealab.samples import (make_phi_cosx_siny, make_phi_sinusoidal, phi_flat,
-                             random_scalar, random_vector)
+from laealab.samples import eigenfield, phi_flat, random_scalar, random_vector
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-DIRICH = DomainSpec("channel", 1.0, 1.0,
-                    wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
-NEUM = DomainSpec("channel", 1.0, 1.0,
-                  wall_roles={"y0": "neumann", "yL": "neumann"})
-PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
-PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
-
-
-def geo_torus(n, phi=PHI_T):
-    return build_geometry(TORUS, n, n, phi)
-
-
-def geo_channel(n, spec=MIXED, phi=PHI_C):
-    return build_geometry(spec, n, n + 1, phi)
-
-
-def eigen_u(g):
-    return VectorField.from_arrays(g, np.sin(2 * np.pi * g.Y), np.zeros((g.nx, g.ny)))
+from domains import DIRICH, MIXED, NEUMANN, PHI_T, TORUS, channel, torus
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +19,17 @@ def eigen_u(g):
 # ---------------------------------------------------------------------------
 
 def test_apply_alpha_zero_is_identity():
-    geo = geo_torus(16)
+    geo = torus(16)
     op = EllipticOperator(geo, 0.0)
     u = random_vector(geo.grid, seed=1)
     assert (op.apply(u) - u).linf() == 0.0
 
 
 def test_apply_flat_eigenfield_symbol():
-    geo = geo_torus(32, phi_flat)
+    geo = torus(32, phi_flat)
     g = geo.grid
     op = EllipticOperator(geo, 0.4)
-    u = eigen_u(g)
+    u = eigenfield(g)
     s = np.sin(2 * np.pi * g.hy) / g.hy
     got = op.apply(u)
     want = (1 + 0.4**2 * s * s)
@@ -60,7 +38,7 @@ def test_apply_flat_eigenfield_symbol():
 
 
 def test_apply_linearity():
-    geo = geo_channel(16)
+    geo = channel(16)
     op = EllipticOperator(geo, 0.3)
     u = random_vector(geo.grid, seed=2)
     v = random_vector(geo.grid, seed=3)
@@ -71,7 +49,7 @@ def test_apply_linearity():
 
 def test_assembled_matrix_matches_pointwise_apply():
     # apply() is the assembled interior; the pointwise operator is its oracle
-    geo = geo_channel(20)
+    geo = channel(20)
     op = EllipticOperator(geo, 0.27)
     u = random_vector(geo.grid, seed=4)
     pointwise = u - ca.l_operator(geo.metric, u) * 0.27**2
@@ -82,7 +60,7 @@ def test_assembled_matrix_matches_pointwise_apply():
     assert np.array_equal(batch.flat(), np.stack([via_mat.flat(), op.apply(v).flat()]))
 
 
-@pytest.mark.parametrize("geo", [geo_torus(12), geo_channel(12)], ids=["torus", "mixed"])
+@pytest.mark.parametrize("geo", [torus(12), channel(12)], ids=["torus", "mixed"])
 def test_assembled_divergence_and_gradient_match_pointwise(geo):
     g, m = geo.grid, geo.metric
     u, p = random_vector(g, seed=5), random_scalar(g, seed=6)
@@ -99,7 +77,7 @@ def test_assembled_divergence_and_gradient_match_pointwise(geo):
 # ---------------------------------------------------------------------------
 
 def test_solve_zero_gives_zero():
-    geo = geo_channel(16)
+    geo = channel(16)
     op = EllipticOperator(geo, 0.3)
     bc = BcRegime.from_domain(MIXED)
     u = op.solve(VectorField.zeros(geo.grid), bc)
@@ -107,14 +85,14 @@ def test_solve_zero_gives_zero():
 
 
 def test_solve_flat_torus_eigenfield():
-    geo = geo_torus(32, phi_flat)
+    geo = torus(32, phi_flat)
     g = geo.grid
     op = EllipticOperator(geo, 0.4)
     bc = BcRegime.from_domain(TORUS)
     s = np.sin(2 * np.pi * g.hy) / g.hy
-    f = eigen_u(g) * (1 + 0.4**2 * s * s)
+    f = eigenfield(g) * (1 + 0.4**2 * s * s)
     u = op.solve(f, bc)
-    assert (u - eigen_u(g)).linf() < 1e-10
+    assert (u - eigenfield(g)).linf() < 1e-10
 
 
 def wall_profile(cond0: str, condL: str, y: np.ndarray) -> np.ndarray:
@@ -130,12 +108,12 @@ def wall_profile(cond0: str, condL: str, y: np.ndarray) -> np.ndarray:
     return y**2 * (1 - y) ** 2
 
 
-@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUM])
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN])
 def test_manufactured_solution_second_order(spec):
     bc = BcRegime.from_domain(spec)
     hs, errs = [], []
     for n in (16, 32, 64):
-        geo = geo_channel(n, spec)
+        geo = channel(n, spec)
         g = geo.grid
         q = wall_profile(bc.condition("y0"), bc.condition("yL"), g.Y)
         r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
@@ -155,7 +133,7 @@ def test_manufactured_solution_second_order(spec):
 
 
 def test_roundtrip_solve_after_apply_on_subspace_fields():
-    geo = geo_channel(24)
+    geo = channel(24)
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.35)
     w = random_vector(geo.grid, seed=5)
@@ -165,7 +143,7 @@ def test_roundtrip_solve_after_apply_on_subspace_fields():
 
 
 def test_roundtrip_apply_after_solve_interior():
-    geo = geo_channel(24)
+    geo = channel(24)
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.35)
     f = random_vector(geo.grid, seed=6)
@@ -179,7 +157,7 @@ def test_roundtrip_apply_after_solve_interior():
 
 
 def test_solve_output_satisfies_bc_rows_exactly():
-    geo = geo_channel(16)
+    geo = channel(16)
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.3)
     u = op.solve(random_vector(geo.grid, seed=7), bc)
@@ -195,7 +173,7 @@ def test_solve_output_satisfies_bc_rows_exactly():
 # ---------------------------------------------------------------------------
 
 def test_l_alpha_identity_on_torus():
-    geo = geo_torus(20)
+    geo = torus(20)
     bc = BcRegime.from_domain(TORUS)
     op = EllipticOperator(geo, 0.3)
     v = random_vector(geo.grid, seed=8)
@@ -203,7 +181,7 @@ def test_l_alpha_identity_on_torus():
 
 
 def test_l_alpha_fixed_point_and_idempotence():
-    geo = geo_channel(20)
+    geo = channel(20)
     bc = BcRegime.from_domain(MIXED)
     op = EllipticOperator(geo, 0.3)
     v = random_vector(geo.grid, seed=9)
@@ -225,7 +203,7 @@ def projector(geo, spec, alpha):
 
 
 def test_projection_fixes_divergence_free_subspace_fields():
-    geo = geo_channel(20)
+    geo = channel(20)
     sp_, op, bc = projector(geo, MIXED, 0.3)
     v = sp_.project(l_alpha(op, random_vector(geo.grid, seed=11), bc))
     again = sp_.project(v)
@@ -233,7 +211,7 @@ def test_projection_fixes_divergence_free_subspace_fields():
 
 
 def test_projection_annihilates_gradient_summand():
-    geo = geo_channel(20)
+    geo = channel(20)
     sp_, op, bc = projector(geo, MIXED, 0.3)
     q = random_scalar(geo.grid, seed=12)
     q = q - np.sum(geo.metric.quad_mu() * q) / np.sum(geo.metric.quad_mu())
@@ -245,7 +223,7 @@ def test_projection_annihilates_gradient_summand():
 
 def test_projection_divergence_small_independent_of_h():
     for n in (16, 32):
-        geo = geo_channel(n)
+        geo = channel(n)
         sp_, op, bc = projector(geo, MIXED, 0.3)
         v = l_alpha(op, random_vector(geo.grid, seed=13), bc)
         pv = sp_.project(v)
@@ -254,14 +232,14 @@ def test_projection_divergence_small_independent_of_h():
 
 
 def test_projection_idempotent_all_regimes():
-    for spec in (MIXED, DIRICH, NEUM):
-        geo = geo_channel(16, spec)
+    for spec in (MIXED, DIRICH, NEUMANN):
+        geo = channel(16, spec)
         sp_, op, bc = projector(geo, spec, 0.3)
         v = l_alpha(op, random_vector(geo.grid, seed=14), bc)
         p1 = sp_.project(v)
         p2 = sp_.project(p1)
         assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
-    geo = geo_torus(16)
+    geo = torus(16)
     sp_, op, bc = projector(geo, TORUS, 0.3)
     v = random_vector(geo.grid, seed=15)
     p1 = sp_.project(v)
@@ -269,12 +247,12 @@ def test_projection_idempotent_all_regimes():
     assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
 
 
-@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUM], ids=["mixed", "dirichlet", "neumann"])
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
 def test_projection_lands_in_the_phase_space_for_every_input(spec):
     # a raw w violates the BC rows R; P w satisfies them and the divergence,
     # C = [D; R], and P P = P
     for n in (16, 32):
-        geo = geo_channel(n, spec)
+        geo = channel(n, spec)
         sp_, _, _ = projector(geo, spec, 0.3)
         assert sp_.constraints.shape[0] == geo.grid.n_nodes + sp_.bc_idx.size
         w = random_vector(geo.grid, seed=16, kmax=2)
@@ -285,12 +263,12 @@ def test_projection_lands_in_the_phase_space_for_every_input(spec):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
-@pytest.mark.parametrize("spec", [TORUS, MIXED, DIRICH, NEUM],
+@pytest.mark.parametrize("spec", [TORUS, MIXED, DIRICH, NEUMANN],
                          ids=["torus", "mixed", "dirichlet", "neumann"])
 def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
     # project(v, f) = P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve,
     # against the elliptic solve followed by P
-    geo = geo_torus(16) if spec is TORUS else geo_channel(16, spec)
+    geo = torus(16) if spec is TORUS else channel(16, spec)
     sp_, op, bc = projector(geo, spec, alpha)
     grid = geo.grid
     vs = [random_vector(grid, seed=40 + k, kmax=2) for k in range(3)]
@@ -333,7 +311,7 @@ def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
 
 
 def test_h1_orthogonality_flat_torus_solver_level():
-    geo = geo_torus(24, phi_flat)
+    geo = torus(24, phi_flat)
     alpha = 0.3
     sp_, op, bc = projector(geo, TORUS, alpha)
     v = random_vector(geo.grid, seed=16)
@@ -346,7 +324,7 @@ def test_h1_orthogonality_flat_torus_solver_level():
 
 
 def test_h1_self_adjointness_flat_torus_solver_level():
-    geo = geo_torus(24, phi_flat)
+    geo = torus(24, phi_flat)
     alpha = 0.3
     sp_, op, bc = projector(geo, TORUS, alpha)
     m = geo.metric
@@ -363,7 +341,7 @@ def test_h1_orthogonality_defect_converges_on_curved_channel():
     alpha = 0.3
     hs, errs = [], []
     for n in (16, 32, 64):
-        geo = geo_channel(n)
+        geo = channel(n)
         sp_, op, bc = projector(geo, MIXED, alpha)
         v = l_alpha(op, random_vector(geo.grid, seed=19, kmax=1), bc)
         pv = sp_.project(v)
@@ -381,7 +359,7 @@ def test_alpha_zero_limit_matches_fft_leray_oracle():
     # On the flat torus, Lop commutes with grad, so the projector is
     # alpha-independent and must match the FFT Leray oracle at solver level
     # for every alpha, the alpha = 0 construction included.
-    geo = geo_torus(32, phi_flat)
+    geo = torus(32, phi_flat)
     v = random_vector(geo.grid, seed=20)
     oracle = leray_fft(geo.grid, v)
     for a in (0.0, 0.05, 0.3):
@@ -391,7 +369,7 @@ def test_alpha_zero_limit_matches_fft_leray_oracle():
 
 
 def test_alpha_to_zero_quadratic_on_curved_torus():
-    geo = geo_torus(24)
+    geo = torus(24)
     v = random_vector(geo.grid, seed=23)
     sp0, _, _ = projector(geo, TORUS, 0.0)
     base = sp0.project(v)
@@ -404,11 +382,34 @@ def test_alpha_to_zero_quadratic_on_curved_torus():
     assert 1.6 < order < 2.4, (errs, order)
 
 
+@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
+def test_solve_at_alpha_zero_lands_on_the_bc_subspace(spec):
+    # solve takes its general path at alpha = 0 too, so x satisfies the
+    # regime's BC rows R as at alpha > 0
+    geo = channel(8, spec)
+    sp_, op, bc = projector(geo, spec, 0.0)
+    x = op.solve(random_vector(geo.grid, seed=24, kmax=2), bc)
+    assert np.abs(sp_.R @ x.flat()).max() <= 1e-12 * x.linf()
+
+
+@pytest.mark.parametrize("phi", [PHI_T, phi_flat], ids=["curved", "flat"])
+def test_solve_and_project_at_alpha_zero_on_the_torus(phi):
+    # on the torus (1 - a^2 Lop) is the identity at alpha = 0: solve returns
+    # f bit for bit, and a source joins v
+    geo = torus(8, phi)
+    sp_, op, bc = projector(geo, TORUS, 0.0)
+    v, f = (random_vector(geo.grid, seed=s, kmax=2) for s in (25, 26))
+    assert np.array_equal(op.solve(f, bc).flat(), f.flat())
+    for got, want in ((sp_.project(v, f), sp_.project(v + f)),
+                      (sp_.project(None, f), sp_.project(f))):
+        assert (got - want).linf() <= 1e-14 * want.linf()
+
+
 # ---------------------------------------------------------------------------
 # gradient removal: the alpha = 0 projector on the torus
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make_geo", (geo_torus,), ids=("torus",))
+@pytest.mark.parametrize("make_geo", (torus,), ids=("torus",))
 def test_gradient_remover_kills_pure_gradients(make_geo):
     geo = make_geo(24)
     leray, _, _ = projector(geo, TORUS, 0.0)
@@ -419,7 +420,7 @@ def test_gradient_remover_kills_pure_gradients(make_geo):
 
 
 def test_gradient_remover_preserves_divergence_free_part():
-    geo = geo_torus(24, phi_flat)
+    geo = torus(24, phi_flat)
     u = leray_fft(geo.grid, random_vector(geo.grid, seed=22))
     leray, _, _ = projector(geo, TORUS, 0.0)
     r = leray.project(u)
@@ -427,7 +428,7 @@ def test_gradient_remover_preserves_divergence_free_part():
 
 
 def test_gradient_remover_fails_loudly_on_a_non_finite_input():
-    geo = geo_torus(12, phi_flat)
+    geo = torus(12, phi_flat)
     w = random_vector(geo.grid, seed=22)
     w.c1.data[3, 5] = np.nan
     leray, _, _ = projector(geo, TORUS, 0.0)
@@ -439,7 +440,7 @@ def test_gradient_remover_fails_loudly_on_a_non_finite_input():
 # regime and geometry must agree on the walls
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make_geo,bc_spec", ((geo_channel, TORUS), (geo_torus, MIXED)),
+@pytest.mark.parametrize("make_geo,bc_spec", ((channel, TORUS), (torus, MIXED)),
                          ids=("torus_regime_on_channel", "mixed_regime_on_torus"))
 def test_regime_must_name_the_geometry_walls(make_geo, bc_spec):
     geo = make_geo(12)

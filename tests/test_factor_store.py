@@ -26,21 +26,14 @@ from laealab import suites
 from laealab.config import ExperimentConfig
 from laealab.elliptic import BcRegime, EllipticOperator, StokesProjector, l_alpha
 from laealab.fields import VectorField
-from laealab.geometry import DomainSpec, build_geometry
-from laealab.samples import make_phi_cosx_siny, make_phi_sinusoidal, phi_flat, random_vector
+from laealab.geometry import build_geometry
+from laealab.samples import phi_flat, random_vector
 from laealab.suites import run_suite
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
-PHI_C = make_phi_cosx_siny(0.15, 1, 1.0, 1.0)
+from domains import DIRICH, MIXED, NEUMANN, PHI_C, PHI_T, TORUS
+
 CASES = ((TORUS, 12, PHI_T), (MIXED, 13, PHI_C))
-REGIMES = {"mixed": MIXED,
-           "dirichlet": DomainSpec("channel", 1.0, 1.0,
-                                   wall_roles={"y0": "dirichlet", "yL": "dirichlet"}),
-           "neumann": DomainSpec("channel", 1.0, 1.0,
-                                 wall_roles={"y0": "neumann", "yL": "neumann"})}
+REGIMES = {"mixed": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}
 
 
 def _digest(A) -> str:

@@ -7,9 +7,7 @@ from laealab.orders import fit_order
 from laealab.reference import christoffels_from_metric, gaussian_curvature_o4
 from laealab.samples import make_phi_sinusoidal, phi_flat
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-CHANNEL = DomainSpec("channel", 1.0, 1.0,
-                     wall_roles={"y0": "dirichlet", "yL": "neumann"})
+from domains import MIXED, TORUS
 
 
 def test_flat_torus_curvature_and_christoffels_exactly_zero():
@@ -21,7 +19,7 @@ def test_flat_torus_curvature_and_christoffels_exactly_zero():
 
 
 def test_flat_channel_straight_walls_have_zero_shape_operator():
-    geo = build_geometry(CHANNEL, 16, 17, phi_flat)
+    geo = build_geometry(MIXED, 16, 17, phi_flat)
     assert [(w.name, w.j) for w in geo.walls] == [("y0", 0), ("yL", 16)]
     for w in geo.walls:
         assert not w.s_weingarten.any()
@@ -60,7 +58,7 @@ def test_weingarten_matches_covariant_derivative_of_normal():
     hs, errs = [], []
     for n in (16, 32, 64):
         ny = n + 1
-        geo = build_geometry(CHANNEL, n, ny, phi)
+        geo = build_geometry(MIXED, n, ny, phi)
         g, m = geo.grid, geo.metric
         u1 = np.cos(2 * np.pi * g.X)
         worst = 0.0
@@ -126,4 +124,4 @@ def test_domain_spec_is_hashable_and_keeps_its_roles():
     roles["yL"] = "dirichlet"          # the spec holds its own copy
     assert a == b and hash(a) == hash(b)
     assert a.wall_roles == {"y0": "dirichlet", "yL": "neumann"}
-    assert len({a, b, CHANNEL, TORUS, DomainSpec("torus", 1.0, 1.0)}) == 2
+    assert len({a, b, MIXED, TORUS, DomainSpec("torus", 1.0, 1.0)}) == 2

@@ -10,18 +10,11 @@ from laealab.geometry import DomainSpec, build_geometry
 from laealab.interp import BicubicField, _kernel, _kernel_deriv
 from laealab.orders import fit_order
 from laealab.reference import gamma0_pointwise, polarized_f_alpha
-from laealab.samples import (eigenfield, make_phi_cosx_siny, make_phi_sinusoidal,
-                             phi_flat, random_vector)
+from laealab.samples import eigenfield, make_phi_cosx_siny, phi_flat, random_vector
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
+from domains import MIXED, TORUS, channel, torus
+
 BC_T = BcRegime.from_domain(TORUS)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-PHI_T = make_phi_sinusoidal(0.15, 1, 1, 1.0, 1.0)
-
-
-def torus(n, phi=PHI_T):
-    return build_geometry(TORUS, n, n, phi)
 
 
 def problem(geo, alpha=0.25, dt=1e-2, t_end=1.0, cfl=5.0, bc=BC_T):
@@ -211,15 +204,13 @@ def test_interpolation_third_order_torus():
 
 
 def test_interpolation_third_order_channel_to_the_wall():
-    spec = DomainSpec("channel", 1.0, 1.0,
-                      wall_roles={"y0": "dirichlet", "yL": "neumann"})
     rng = np.random.default_rng(1)
     qx = rng.uniform(0, 1, 400)
     qy = rng.uniform(0, 1, 400) ** 2        # cluster near the wall
     f = lambda x, y: np.sin(2 * np.pi * x) * np.exp(y) + y**3
     hs, errs = [], []
     for n in (16, 32, 64):
-        geo = build_geometry(spec, n, n + 1, phi_flat)
+        geo = channel(n, phi=phi_flat)
         g = geo.grid
         itp = BicubicField(g, f(g.X, g.Y))
         errs.append(np.max(np.abs(itp.eval(qx, qy) - f(qx, qy))))
@@ -269,7 +260,7 @@ def query_points(g, rng):
 @pytest.mark.parametrize("batch", [(2,), (2, 3)])
 @pytest.mark.parametrize("which", ["torus", "mixed"])
 def test_a_stacked_interpolant_equals_per_field_evaluation_bit_for_bit(which, batch):
-    geo = torus(16) if which == "torus" else build_geometry(MIXED, 16, 17, phi_flat)
+    geo = torus(16) if which == "torus" else channel(16, phi=phi_flat)
     g = geo.grid
     rng = np.random.default_rng(16)
     qx, qy = query_points(g, rng)
@@ -392,7 +383,7 @@ def test_spray_equals_the_one_field_path_bit_for_bit(which, monkeypatch):
         geo = torus(16)
         prob = problem(geo, dt=5e-3)
     else:
-        geo = build_geometry(MIXED, 16, 17, phi_flat)
+        geo = channel(16, phi=phi_flat)
         prob = problem(geo, dt=5e-3, bc=BcRegime.from_domain(MIXED))
     g = geo.grid
     u0 = prob.sp.project(random_vector(g, seed=17, kmax=2, amp=0.4))

@@ -16,33 +16,26 @@ from laealab import material as mt
 from laealab import poisson as po
 from laealab.elliptic import BcRegime, SolveError
 from laealab.fields import Tape, VectorField
-from laealab.geometry import DomainSpec, build_geometry
+from laealab.geometry import build_geometry
 from laealab.grid import matvec_last
 from laealab.orders import fit_order
 from laealab.reference import spectral_coordinate_bracket
 from laealab.samples import (make_phi_cosx_siny, make_phi_sinusoidal, phi_flat,
                              random_vector)
 
-TORUS = DomainSpec("torus", 1.0, 1.0)
-MIXED = DomainSpec("channel", 1.0, 1.0,
-                   wall_roles={"y0": "dirichlet", "yL": "neumann"})
-DIRICH = DomainSpec("channel", 1.0, 1.0,
-                    wall_roles={"y0": "dirichlet", "yL": "dirichlet"})
-NEUMANN = DomainSpec("channel", 1.0, 1.0,
-                     wall_roles={"y0": "neumann", "yL": "neumann"})
+from domains import DIRICH, MIXED, NEUMANN, TORUS, channel, torus
+
 PHI_T = make_phi_sinusoidal(0.12, 1, 1, 1.0, 1.0)
 PHI_C = make_phi_cosx_siny(0.12, 1, 1.0, 1.0)
 ALPHA = 0.3
 
 
 def ctx_torus(n, phi=PHI_T, alpha=ALPHA):
-    geo = build_geometry(TORUS, n, n, phi)
-    return po.PoissonContext(geo, alpha, BcRegime.from_domain(TORUS))
+    return po.PoissonContext(torus(n, phi), alpha, BcRegime.from_domain(TORUS))
 
 
 def ctx_channel(n, spec=MIXED, phi=PHI_C, alpha=ALPHA):
-    geo = build_geometry(spec, n, n + 1, phi)
-    return po.PoissonContext(geo, alpha, BcRegime.from_domain(spec))
+    return po.PoissonContext(channel(n, spec, phi), alpha, BcRegime.from_domain(spec))
 
 
 def member(ctx, seed, kmax=2, amp=0.5):
