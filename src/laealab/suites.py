@@ -361,7 +361,7 @@ def quadratic_term_two_routes(run):
         hs, errs = run.series(label, gap)
         yield order_result(f"quadratic_term_two_routes[{tag}]",
                            "direct and transport-split evaluations agree",
-                           hs, errs, 1.4, 2.6)
+                           hs, errs, ORDER_LO, ORDER_HI)
 
 
 @block("dynamics")
@@ -373,7 +373,7 @@ def momentum_form_residual(run):
     hs, errs = run.series("torus", residual)
     yield order_result("momentum_form_residual",
                        "projected form solves the transported-momentum equation",
-                       hs, errs, 1.4, 2.6)
+                       hs, errs, ORDER_LO, ORDER_HI)
 
 
 @block("dynamics")
@@ -405,7 +405,7 @@ def energy_drift_dt_branch(run):
         serrs.append((fin.u - ref.u).linf() / max(u0.linf(), 1e-300))
     yield order_result("energy_drift_dt_branch",
                        "integrator part of the energy drift decays at fourth order",
-                       dts, errs, 3.5, 5.0,
+                       dts, errs, 3.5, 4.5,
                        note="floor-subtracted; designed study at seed 50, alpha 0.2")
     yield order_result("integrator_state_order",
                        "trajectory self-convergence of the integrator",
@@ -489,7 +489,7 @@ def flow_map_commutes_with_right_translation(run):
     """material and spatial evolutions agree"""
     t = 0.1
     hs, ds = run.series("torus", lambda prob: mt.commute_check(
-        prob, _member(prob, run.seed + 31), t), ns=(16, 24, 32), t=t)
+        prob, _member(prob, run.seed + 31), t), t=t)
     yield order_result("flow_map_commutes_with_right_translation",
                        "material and spatial evolutions agree through the diagram",
                        hs, ds, 1.5, 3.5)
@@ -506,7 +506,7 @@ def volume_preservation_eigenfield(run):
     prob = run.problem("flat", 32, 1e-3, 0.2, alpha=0.35)
     grid = prob.geo.grid
     ms = mt.MaterialState(mt.FlowMap.identity(grid), sa.eigenfield(grid, amp=0.8))
-    for _ in range(200):
+    for _ in range(dy.step_count(0.0, prob.cfg.t_end, prob.cfg.dt)):
         ms = mt.spray_advance(prob, ms)
     vol = mt.volume_distortion(prob.metric, ms)
     yield max_result("volume_preservation_eigenfield",
@@ -522,7 +522,7 @@ def volume_distortion_generic(run):
     m = prob.metric
     u0 = _member(prob, run.seed + 32, amp=0.4)
     ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), u0.copy())
-    for _ in range(20):
+    for _ in range(dy.step_count(0.0, prob.cfg.t_end, prob.cfg.dt)):
         ms = mt.spray_advance(prob, ms)
     yield max_result("volume_distortion_generic",
                      "interpolated transport keeps volume at the stencil level",
@@ -604,7 +604,7 @@ def hamilton_equations(run):
     hs, errs = run.series("torus", relative, ns=(16, 24, 32), t=t)
     yield order_result("hamilton_equations",
                        "observables evolve by bracket with the hamiltonian",
-                       hs, errs, 1.5, 4.0)
+                       hs, errs, 2.0, 4.0)
 
 
 @block("poisson")

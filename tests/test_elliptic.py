@@ -406,12 +406,11 @@ def test_solve_and_project_at_alpha_zero_on_the_torus(phi):
 
 
 # ---------------------------------------------------------------------------
-# gradient removal: the alpha = 0 projector on the torus
+# the alpha = 0 projector on the torus
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make_geo", (torus,), ids=("torus",))
-def test_gradient_remover_kills_pure_gradients(make_geo):
-    geo = make_geo(24)
+def test_alpha_zero_torus_projector_kills_pure_gradients():
+    geo = torus(24)
     leray, _, _ = projector(geo, TORUS, 0.0)
     q = random_scalar(geo.grid, seed=21)
     gq = ca.gradient(geo.metric, ScalarField(geo.grid, q))
@@ -419,7 +418,7 @@ def test_gradient_remover_kills_pure_gradients(make_geo):
     assert r.linf() < 1e-9 * max(gq.linf(), 1.0)
 
 
-def test_gradient_remover_preserves_divergence_free_part():
+def test_alpha_zero_torus_projector_preserves_divergence_free_part():
     geo = torus(24, phi_flat)
     u = leray_fft(geo.grid, random_vector(geo.grid, seed=22))
     leray, _, _ = projector(geo, TORUS, 0.0)
@@ -427,7 +426,7 @@ def test_gradient_remover_preserves_divergence_free_part():
     assert (r - u).linf() < 1e-8 * max(u.linf(), 1.0)
 
 
-def test_gradient_remover_fails_loudly_on_a_non_finite_input():
+def test_alpha_zero_torus_projector_fails_loudly_on_a_non_finite_input():
     geo = torus(12, phi_flat)
     w = random_vector(geo.grid, seed=22)
     w.c1.data[3, 5] = np.nan

@@ -417,6 +417,12 @@ def test_run_series_evaluates_each_level_in_ladder_order():
     assert run.series("flat", lambda s: s.bc.variant, ns=(8,)) == ([1 / 8], ["noboundary"])
 
 
+def test_the_commute_block_follows_the_run_ladder():
+    run = Run(small_cfg(), (16, 24))
+    first = next(suites.flow_map_commutes_with_right_translation(run))
+    assert first.series_h == [run.geo("torus", n).grid.h for n in (16, 24)]
+
+
 CHANNEL_RUN = """
 [lab]
 suite = dynamics
@@ -473,6 +479,13 @@ def test_cli_runs_and_exits_clean(tmp_path, capsys):
     assert rc == 0
     assert "all tests passed" in out
     assert (tmp_path / "out" / "manifest_elliptic.json").exists()
+
+
+def test_cli_exits_1_when_an_entry_fails(tmp_path, capsys):
+    # one ladder level fails every order fit
+    rc = cli_main(["run", "--suite", "identities", "--grid-ladder", "8", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "FAILURES present" in capsys.readouterr().out
 
 
 def _cli_usage_error(argv, capsys):
