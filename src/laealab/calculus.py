@@ -3,7 +3,8 @@
 Conventions:
 
     (grad u)^i_j   = d_j u^i + Gamma^i_jk u^k          (lower slot = direction)
-    transpose      g(grad_v u, w) = g(v, (grad u)^t w)  (taken with the metric)
+    transpose      g(grad_v u, w) = g(v, (grad u)^t w)  (taken with the metric;
+                   for a conformal metric, the component transpose)
     Def(u)         = (grad u + (grad u)^t) / 2
     div u          = e^{-2 phi} d_i (e^{2 phi} u^i)
     grad f         = e^{-2 phi} (d_x f, d_y f)          (contravariant)
@@ -48,17 +49,9 @@ def covariant_derivative(m: ConformalMetric, u: VectorField) -> Tensor11Field:
     return Tensor11Field(u.grid, t[0][0], t[0][1], t[1][0], t[1][1])
 
 
-def transpose_metric(m: ConformalMetric, T: Tensor11Field) -> Tensor11Field:
-    """Metric transpose, (T^t)^i_j = g^{ik} g_{jl} T^l_k, by explicit e^{+-2 phi}."""
-    lowered = [[(T[l, k] * m.e2phi) for k in range(2)] for l in range(2)]
-    return Tensor11Field(T.grid,
-                         lowered[0][0] * m.em2phi, lowered[1][0] * m.em2phi,
-                         lowered[0][1] * m.em2phi, lowered[1][1] * m.em2phi)
-
-
 def def_tensor(m: ConformalMetric, u: VectorField) -> Tensor11Field:
     du = covariant_derivative(m, u)
-    return (du + transpose_metric(m, du)) * 0.5
+    return (du + du.transpose()) * 0.5
 
 
 def divergence(m: ConformalMetric, u: VectorField):
@@ -136,8 +129,9 @@ def g_pair(m: ConformalMetric, u: VectorField, v: VectorField):
 
 
 def gbar_pair(m: ConformalMetric, R: Tensor11Field, S: Tensor11Field):
-    """Pointwise gbar(R, S) = Tr(R^t . S), transpose taken with the metric."""
-    return transpose_metric(m, R).matmul(S).trace()
+    """Pointwise gbar(R, S) = Tr(R^t . S), the sum of the products of matching
+    components, in the order of the trace of the transpose product."""
+    return (R[0, 0] * S[0, 0] + R[1, 0] * S[1, 0]) + (R[0, 1] * S[0, 1] + R[1, 1] * S[1, 1])
 
 
 def _integral(m: ConformalMetric, density) -> float:
@@ -168,8 +162,8 @@ def wall_integral(m: ConformalMetric, walls, u: VectorField, v: VectorField) -> 
     total = 0.0
     for w in walls:
         j = w.j
-        # grad_n u with n = sign e^{-phi} d_y: the tangent component n^y (grad u)^1_y
-        gnu1 = w.normal_sign * np.exp(-m.phi[:, j]) * du[0, 1].data[:, j]
+        # grad_n u with n = n^y d_y: the tangent component n^y (grad u)^1_y
+        gnu1 = w.normal * du[0, 1].data[:, j]
         s_term = w.s_weingarten * u.c1.data[:, j]
         total += float(np.sum(w.mu_weights * m.e2phi[:, j]
                               * (gnu1 + s_term) * v.c1.data[:, j]))

@@ -125,15 +125,15 @@ class System:
 # quadratic operator stack
 # ---------------------------------------------------------------------------
 
-def _bilinear_parts(m, u, v, du, dv, dut, dvt):
+def _bilinear_parts(m, u, v, du, dv):
     """(S, r) with B(u, v) = Div S + r: S the (1,1)-tensor
 
         S = grad u . grad v^t + grad u . grad v - grad u^t . grad v + R(., u)v
 
-    and r the remaining vector terms of B.  du, dv are grad u, grad v and
-    dut, dvt their metric transposes."""
+    and r the remaining vector terms of B.  du, dv are grad u, grad v."""
     cc = ca.curvature_contractions(m, u, v, dv)
-    S = du.matmul(dvt) + du.matmul(dv) - dut.matmul(dv) + cc.r_tensor
+    dut = du.transpose()
+    S = du.matmul(dv.transpose()) + du.matmul(dv) - dut.matmul(dv) + cc.r_tensor
     return S, (cc.r_grad + cc.r_swap) - cc.ric_rate - dut.apply(cc.ric_v)
 
 
@@ -148,11 +148,10 @@ def _quadratic_interior(m, u: VectorField, du=None) -> VectorField:
 
     Div is linear, so the four (1,1)-tensors are summed first and take one
     Div.  du, when given, is grad u as calculus.covariant_derivative()
-    computes it; grad u and its metric transpose are built once.
+    computes it; grad u is built once.
     """
     du = ca.covariant_derivative(m, u) if du is None else du
-    dut = ca.transpose_metric(m, du)
-    S, r = _bilinear_parts(m, u, u, du, du, dut, dut)
+    S, r = _bilinear_parts(m, u, u, du, du)
     return ca.div_11(m, S) + r
 
 
@@ -165,7 +164,7 @@ def f_alpha_alt(s: System, u: VectorField) -> VectorField:
     """Independent route via Dop(u,u), grad F(u) and grad u^t . Lap_r u."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
-    dut = ca.transpose_metric(m, du)
+    dut = du.transpose()
     trans = dut.apply(ca.ricci_laplacian(m, u))
     inner = ca.gradient(m, ca.F_scalar(m, u)) + trans
     return d_alpha(s, u, u) - s.op.solve(inner * s.alpha**2, s.bc)
@@ -182,7 +181,7 @@ def d_alpha_source(s: System, u: VectorField, v: VectorField) -> VectorField:
     m = s.metric
     du = ca.covariant_derivative(m, u)
     dv = ca.covariant_derivative(m, v)
-    dut = ca.transpose_metric(m, du)
+    dut = du.transpose()
     cc = ca.curvature_contractions(m, u, v, dv)
     inner = ca.div_11(m, dv.matmul(dut) + dv.matmul(du) + cc.r_tensor)
     inner = inner + cc.r_grad - cc.ric_rate
@@ -201,7 +200,7 @@ def b_alpha(s: System, v: VectorField, w: VectorField) -> VectorField:
 def b_alpha_source(s: System, v: VectorField, w: VectorField) -> VectorField:
     """The source grad w^t . (1 - a^2 Lap_r) v that Bop(v, w) projects."""
     m = s.metric
-    dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
+    dwt = ca.covariant_derivative(m, w).transpose()
     return dwt.apply(v - ca.ricci_laplacian(m, v) * s.alpha**2)
 
 
@@ -213,15 +212,13 @@ def frak_f_alpha_interior(m, u: VectorField, v: VectorField, du=None, dv=None) -
 
     Linear in each argument, so either may be an unknown recorded on a
     fields.Tape.  du and dv, when given, are grad u and grad v as
-    calculus.covariant_derivative() computes them; they and their metric
-    transposes are built once, for both slots.
+    calculus.covariant_derivative() computes them; they are built once, for
+    both slots.
     """
     du = ca.covariant_derivative(m, u) if du is None else du
     dv = ca.covariant_derivative(m, v) if dv is None else dv
-    dut = ca.transpose_metric(m, du)
-    dvt = dut if dv is du else ca.transpose_metric(m, dv)
-    s_uv, r_uv = _bilinear_parts(m, u, v, du, dv, dut, dvt)
-    s_vu, r_vu = _bilinear_parts(m, v, u, dv, du, dvt, dut)
+    s_uv, r_uv = _bilinear_parts(m, u, v, du, dv)
+    s_vu, r_vu = _bilinear_parts(m, v, u, dv, du)
     return ca.div_11(m, s_uv + s_vu) + (r_uv + r_vu)
 
 
@@ -237,8 +234,7 @@ def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def rhs(s: System, u: VectorField) -> VectorField:
-    """-P(grad_u u + Fop(u)) from one saddle solve.  grad u and its metric
-    transpose are computed once."""
+    """-P(grad_u u + Fop(u)) from one saddle solve.  grad u is computed once."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
     return -s.sp.project(du.apply(u), _quadratic_interior(m, u, du) * s.alpha**2)
@@ -264,7 +260,7 @@ def eq2_residual(s: System, u: VectorField, dudt: VectorField) -> float:
     m, a2 = s.metric, s.alpha**2
     mom = u - ca.ricci_laplacian(m, u) * a2
     lhs = (dudt - ca.ricci_laplacian(m, dudt) * a2) + ca.nabla_along(m, u, mom)
-    dut = ca.transpose_metric(m, ca.covariant_derivative(m, u))
+    dut = ca.covariant_derivative(m, u).transpose()
     lhs = lhs - dut.apply(ca.ricci_laplacian(m, u)) * a2
     return System(s.geo, 0.0, BcRegime("noboundary")).sp.project(lhs).linf()
 

@@ -297,6 +297,12 @@ class Tensor11Field:
         i, j = ij
         return self.t[i][j]
 
+    def transpose(self) -> "Tensor11Field":
+        """T with its off-diagonal components swapped: for a conformal metric
+        the metric transpose g^{ik} g_{jl} T^l_k is T^j_i."""
+        a = self.t
+        return Tensor11Field(self.grid, a[0][0], a[1][0], a[0][1], a[1][1])
+
     def apply(self, v: VectorField) -> VectorField:
         """T(v), components T^i_j v^j."""
         return VectorField(self.grid,

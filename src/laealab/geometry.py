@@ -10,10 +10,10 @@ the log-factor phi:
 
 The channel walls sit at y = 0 and y = Ly; a Geometry keeps them as
 geo.walls, one Wall each (none on the torus).  With straight walls the outward
-unit normal is -+ e^{-phi} d_y and the shape operator of the wall acts on the
-unit tangent as multiplication by Wall.s_weingarten = -+ e^{-phi} d_y(phi),
-which vanishes identically for phi == 0.  Positions off the grid's nodes are
-put into the chart by Grid.fold.
+unit normal is Wall.normal d_y, Wall.normal = -+ e^{-phi} along the wall row,
+and the shape operator of the wall acts on the unit tangent as multiplication
+by Wall.s_weingarten = -Wall.normal d_y(phi), which vanishes identically for
+phi == 0.  Positions off the grid's nodes are put into the chart by Grid.fold.
 """
 
 from __future__ import annotations
@@ -90,20 +90,9 @@ class ConformalMetric:
         self.phix = grid.ddx(self.phi)
         self.phiy = grid.ddy(self.phi)
 
-        g = np.zeros((2, 2, 2, grid.nx, grid.ny))
-        d = (self.phix, self.phiy)
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    val = np.zeros_like(self.phi)
-                    if k == i:
-                        val = val + d[j]
-                    if k == j:
-                        val = val + d[i]
-                    if i == j:
-                        val = val - d[k]
-                    g[k, i, j] = val
-        self.gamma = g
+        px, py = self.phix, self.phiy          # gamma[k, i, j], the closed form above
+        self.gamma = np.array([[[px, py], [py, -px]],
+                               [[-py, px], [px, py]]])
 
         lap0_phi = grid.ddx(self.phix) + grid.ddy(self.phiy)
         self.K = -self.em2phi * lap0_phi
@@ -119,7 +108,7 @@ class ConformalMetric:
 class Wall:
     name: str            # 'y0' or 'yL'
     j: int               # node row index
-    normal_sign: float   # n = normal_sign * e^{-phi} d_y (outward)
+    normal: np.ndarray   # n^y = -+ e^{-phi} on the row: the outward unit normal n^y d_y
     s_weingarten: np.ndarray  # S_n(tau) = s * tau on the unit tangent
     mu_weights: np.ndarray    # boundary quadrature weights (arc length)
 
@@ -166,12 +155,12 @@ def build_geometry(spec: DomainSpec, nx: int, ny: int,
         phi_values = np.broadcast_to(phi_values, (nx, ny)).copy()
     metric = ConformalMetric(grid, phi_values)
 
-    walls = ()
+    walls = []
     if spec.kind == "channel":
-        # S_n(u) = -grad_u n; on a straight wall of a conformal metric this
-        # reduces to multiplication by -sign * e^{-phi} d_y(phi).
-        walls = tuple(Wall(name, j, sign,
-                           -sign * np.exp(-metric.phi[:, j]) * metric.phiy[:, j],
-                           grid.wx * np.exp(metric.phi[:, j]))
-                      for name, j, sign in (("y0", 0, -1.0), ("yL", ny - 1, +1.0)))
-    return Geometry(grid, metric, walls)
+        for name, j, sign in (("y0", 0, -1.0), ("yL", ny - 1, +1.0)):
+            # S_n(u) = -grad_u n; on a straight wall of a conformal metric this
+            # reduces to multiplication by -n^y d_y(phi).
+            normal = sign * np.exp(-metric.phi[:, j])
+            walls.append(Wall(name, j, normal, -normal * metric.phiy[:, j],
+                              grid.wx * np.exp(metric.phi[:, j])))
+    return Geometry(grid, metric, tuple(walls))

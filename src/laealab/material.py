@@ -205,6 +205,14 @@ def spray_advance(problem: LaeProblem, ms: MaterialState) -> MaterialState:
     return MaterialState(fm, V, ms.t + problem.cfg.dt)
 
 
+def spray_to(problem: LaeProblem, ms: MaterialState, t: float) -> MaterialState:
+    """spray_advance() from ms.t to t on the step_count() schedule, as
+    dynamics.integrate() marches the spatial state."""
+    for _ in range(step_count(ms.t, t, problem.cfg.dt)):
+        ms = spray_advance(problem, ms)
+    return ms
+
+
 # ---------------------------------------------------------------------------
 # connector contraction
 # ---------------------------------------------------------------------------
@@ -226,7 +234,5 @@ def commute_check(problem: LaeProblem, u0: VectorField, t: float) -> float:
     """Evolve spatially and materially from u0 to time t; the max-norm of
     their difference relative to that of u0."""
     spatial = integrate(problem, State(u0.copy(), 0.0), t)
-    ms = MaterialState(FlowMap.identity(problem.geo.grid), u0.copy(), 0.0)
-    for _ in range(step_count(0.0, t, problem.cfg.dt)):
-        ms = spray_advance(problem, ms)
+    ms = spray_to(problem, MaterialState(FlowMap.identity(problem.geo.grid), u0.copy()), t)
     return (spatial.u - pi_r(ms)).linf() / max(u0.linf(), 1e-300)

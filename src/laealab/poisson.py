@@ -287,8 +287,8 @@ def pi_r_poisson_check(ctx: dy.System, f: Observable, g: Observable,
 
 def _tangent_terms(m, u: VectorField, v: VectorField):
     """The transport term grad_v u + grad_u v and the interior
-    B(u, v) + B(v, u) of the tangent at u, both linear in v, from one grad u,
-    one grad v and one metric transpose of each."""
+    B(u, v) + B(v, u) of the tangent at u, both linear in v, from one grad u
+    and one grad v."""
     du, dv = ca.covariant_derivative(m, u), ca.covariant_derivative(m, v)
     return du.apply(v) + dv.apply(u), dy.frak_f_alpha_interior(m, u, v, du, dv)
 

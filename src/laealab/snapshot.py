@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 
 import numpy as np
 
@@ -54,7 +55,8 @@ def write_snapshot(path: str, domain: dict, nx: int, ny: int, alpha: float,
 
 def _header(blob: bytes) -> dict:
     """The decoded header; SnapshotError unless it is a JSON object with
-    domain, alpha and t, positive integers nx and ny, and a list of field names."""
+    domain, alpha, a finite number t, positive integers nx and ny, and a list
+    of field names."""
     try:
         header = json.loads(blob.decode("utf-8"))
     except ValueError as e:                   # UnicodeDecodeError, JSONDecodeError
@@ -64,6 +66,9 @@ def _header(blob: bytes) -> dict:
     for key in ("nx", "ny"):
         if not (type(header.get(key)) is int and header[key] > 0):   # bool is no size
             raise SnapshotError(f"header {key} {header.get(key)!r} is not a positive integer")
+    t = header["t"]
+    if not (type(t) in (int, float) and abs(t) <= sys.float_info.max):   # nor NaN, nor bool
+        raise SnapshotError(f"header t {t!r} is not a finite number")
     names = header.get("fields")
     if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
         raise SnapshotError(f"header fields {names!r} is not a list of names")

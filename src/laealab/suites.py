@@ -202,7 +202,7 @@ def identity_ladder(run):
 
             uf1 = sa.random_vector(grid, seed=seed + 20, kmax=1)
             du = ca.covariant_derivative(m, uf1)
-            dut = ca.transpose_metric(m, du)
+            dut = du.transpose()
             cc = ca.curvature_contractions(m, uf1, uf1)
             frob = ca.gbar_pair(m, du, du)
             falpha1 = (dut.apply(ca.ricci_laplacian(m, uf1))
@@ -505,9 +505,8 @@ def volume_preservation_eigenfield(run):
     """spray preserves the riemannian volume"""
     prob = run.problem("flat", 32, 1e-3, 0.2, alpha=0.35)
     grid = prob.geo.grid
-    ms = mt.MaterialState(mt.FlowMap.identity(grid), sa.eigenfield(grid, amp=0.8))
-    for _ in range(dy.step_count(0.0, prob.cfg.t_end, prob.cfg.dt)):
-        ms = mt.spray_advance(prob, ms)
+    ms = mt.spray_to(prob, mt.MaterialState(mt.FlowMap.identity(grid),
+                                            sa.eigenfield(grid, amp=0.8)), prob.cfg.t_end)
     vol = mt.volume_distortion(prob.metric, ms)
     yield max_result("volume_preservation_eigenfield",
                      "spray preserves the riemannian volume",
@@ -521,9 +520,8 @@ def volume_distortion_generic(run):
     prob = run.problem("torus", 24, 5e-3, 0.1)
     m = prob.metric
     u0 = _member(prob, run.seed + 32, amp=0.4)
-    ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), u0.copy())
-    for _ in range(dy.step_count(0.0, prob.cfg.t_end, prob.cfg.dt)):
-        ms = mt.spray_advance(prob, ms)
+    ms = mt.spray_to(prob, mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), u0.copy()),
+                     prob.cfg.t_end)
     yield max_result("volume_distortion_generic",
                      "interpolated transport keeps volume at the stencil level",
                      mt.volume_distortion(m, ms), 5e-3)
@@ -614,9 +612,8 @@ def right_translation_poisson_map(run):
 
     def deviation(prob):
         carrier = _member(prob, seed + 53, amp=0.4)
-        ms = mt.MaterialState(mt.FlowMap.identity(prob.geo.grid), carrier.copy())
-        for _ in range(dy.step_count(0.0, t, prob.cfg.dt)):
-            ms = mt.spray_advance(prob, ms)
+        ms = mt.spray_to(prob, mt.MaterialState(mt.FlowMap.identity(prob.geo.grid),
+                                                carrier.copy()), t)
         V = mt.compose_with_map(_member(prob, seed + 54), ms.eta)
         f, g = (po.LinearObservable.seeded(prob, seed + k) for k in (55, 56))
         return po.pi_r_poisson_check(prob, f, g, mt.MaterialState(ms.eta, V))["deviation"] + 1e-16

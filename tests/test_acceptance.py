@@ -148,11 +148,11 @@ def test_each_suite_gives_its_pinned_entries_in_order(identities, elliptic, dyna
 # SHA-256 of each suite's results on its acceptance ladder, as CHANGES.md
 # records them; a change that moves one explains why there
 RESULTS_DIGESTS = {
-    "identities": "fc8aeecc96cfe40839060d0a3f650bbd73186d6f7717e4c8308379b682a23794",
-    "elliptic": "f9b67df341ab6f75a268dd1eb34104e2682c56ea915766a2df9544d07f6aad09",
-    "dynamics": "c1f8ad26f2d2bae57cceb39dcb25c86ade66c3605f57c8f2aedfb0f1eb3ed8a4",
-    "material": "e702c5473239335af3a765bb6baccc3f42b9038ad84131e38a85e742594d86ad",
-    "poisson": "8e703d326e0a1b0ed001111b98e447d477e8aa52dc1f004b4cac9b759862a467",
+    "identities": "6dd312111435d65adb6d028b4ae8e1410c71ec69c43d02d6d54410902dd3ecee",
+    "elliptic": "7534a0823f662f819ac6842f9d79f2ff49c460d5896206d7109bcba9d3e3d9c7",
+    "dynamics": "fd6a3fa1c6ee446d0794945643ec8a1ab7df56ee3a69ed1f3ad7f58395cec038",
+    "material": "53679af5949a4ec3a1378ec7c35a033e4e9fcb711ad2fbd2faac98383b412c9f",
+    "poisson": "11a3b2e44f55193b85bf4385a9a1648ca0d8db5637c5c70d3d072111489eae2a",
 }
 
 

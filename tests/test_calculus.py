@@ -91,6 +91,28 @@ def test_def_tensor_is_g_symmetric_pointwise():
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("make_geo", [torus, channel], ids=["torus", "channel"])
+def test_def_tensor_is_component_symmetric_bit_for_bit(make_geo):
+    # g = e^{2 phi} delta: the metric transpose is the component transpose
+    geo = make_geo(24)
+    d = ca.def_tensor(geo.metric, random_vector(geo.grid, seed=6, kmax=2))
+    assert d[0, 1].data.tobytes() == d[1, 0].data.tobytes()
+    assert d[0, 1].data.any()
+
+
+@pytest.mark.parametrize("make_geo", [torus, channel], ids=["torus", "channel"])
+def test_component_transpose_is_the_metric_transpose(make_geo):
+    geo = make_geo(24)
+    m = geo.metric
+    T = ca.covariant_derivative(m, random_vector(geo.grid, seed=7, kmax=2))
+    got = T.transpose()
+    g_low, g_up = (m.e2phi, m.e2phi), (m.em2phi, m.em2phi)     # diagonal g_ij, g^ij
+    for i in range(2):
+        for j in range(2):
+            want = g_up[i] * g_low[j] * T[j, i].data          # g^{ik} g_{jl} T^l_k
+            assert np.max(np.abs(got[i, j].data - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # Laplacians
 # ---------------------------------------------------------------------------
@@ -318,7 +340,7 @@ def test_grad_square_decomposition_of_transported_laplacian():
         m = geo.metric
         u = random_vector(geo.grid, seed=67, kmax=2)
         du = ca.covariant_derivative(m, u)
-        dut = ca.transpose_metric(m, du)
+        dut = du.transpose()
         lhs = dut.apply(ca.ricci_laplacian(m, u))
         cc = ca.curvature_contractions(m, u, u)
         frob = ca.gbar_pair(m, du, du)

@@ -146,7 +146,7 @@ def test_b_alpha_alpha_zero_is_leray_of_transposed_transport():
     v = random_vector(geo.grid, seed=14)
     w = random_vector(geo.grid, seed=15)
     got = dy.b_alpha(dy.System(geo, 0.0, BC_T), v, w)
-    dwt = ca.transpose_metric(m, ca.covariant_derivative(m, w))
+    dwt = ca.covariant_derivative(m, w).transpose()
     want = leray_fft(geo.grid, dwt.apply(v))
     assert (got - want).linf() < 1e-8 * max(want.linf(), 1.0)
 

@@ -45,6 +45,18 @@ def test_christoffel_closed_form_vs_metric_differences():
     assert 1.6 < fit_order(hs, errs) < 2.4
 
 
+@pytest.mark.parametrize("spec,ny", [(TORUS, 24), (MIXED, 25)], ids=["torus", "channel"])
+def test_christoffels_equal_their_closed_form_exactly(spec, ny):
+    # Gamma^k_ij = phi_i delta^k_j + phi_j delta^k_i - delta_ij phi^k
+    m = build_geometry(spec, 24, ny, make_phi_sinusoidal(0.2, 1, 1, 1.0, 1.0)).metric
+    d = (m.phix, m.phiy)
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                want = (k == j) * d[i] + (k == i) * d[j] - (i == j) * d[k]
+                assert np.array_equal(m.gamma[k, i, j], want)
+
+
 def test_gauss_bonnet_torus_flux_vanishes():
     geo = build_geometry(TORUS, 24, 24, make_phi_sinusoidal(0.15, 2, 1, 1.0, 1.0))
     total = np.sum(geo.grid.weights * geo.metric.K * geo.metric.e2phi)
@@ -63,12 +75,11 @@ def test_weingarten_matches_covariant_derivative_of_normal():
         u1 = np.cos(2 * np.pi * g.X)
         worst = 0.0
         for w in geo.walls:
-            emphi = np.exp(-m.phi[:, w.j])
-            n2 = w.normal_sign * emphi
+            # the outward unit normal n^y d_y from the wall's side and e^{-phi}
+            ny_field = (-1.0 if w.name == "y0" else 1.0) * np.exp(-m.phi)
+            n2 = ny_field[:, w.j]
             # -grad_u n, tangential component, via nodal Christoffels
-            dn2 = (g.DX @ np.broadcast_to(
-                (w.normal_sign * np.exp(-m.phi))[:, :], m.phi.shape).ravel()
-            ).reshape(m.phi.shape)[:, w.j]
+            dn2 = (g.DX @ ny_field.ravel()).reshape(m.phi.shape)[:, w.j]
             oracle1 = -(u1[:, w.j] * (m.gamma[0, 0, 1][:, w.j] * n2))
             oracle2 = -(u1[:, w.j] * (dn2 + m.gamma[1, 0, 1][:, w.j] * n2))
             worst = max(worst, np.max(np.abs(w.s_weingarten * u1[:, w.j] - oracle1)))

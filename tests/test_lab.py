@@ -261,9 +261,16 @@ def test_snapshot_rejects_trailing_bytes(tmp_path):
         read_snapshot(p)
 
 
-@pytest.mark.parametrize("blob", [b"{not json", b'{"nx": 8}', json.dumps(
-    {"domain": {}, "nx": -1, "ny": 8, "alpha": 0.1, "t": 0.0, "fields": ["u1"]}).encode()],
-    ids=["not-json", "missing-keys", "negative-nx"])
+def _header_blob(**kw):
+    return json.dumps({"domain": {}, "nx": 8, "ny": 8, "alpha": 0.1, "t": 0.0,
+                       "fields": ["u1"], **kw}).encode()
+
+
+@pytest.mark.parametrize(
+    "blob", [b"{not json", b'{"nx": 8}', _header_blob(nx=-1)]
+    + [_header_blob(t=t) for t in ("abc", float("nan"), True, None, [1])],
+    ids=["not-json", "missing-keys", "negative-nx",
+         "t-string", "t-nan", "t-bool", "t-null", "t-list"])
 def test_snapshot_rejects_a_corrupt_header(tmp_path, blob):
     p = tmp_path / "h.snap"
     p.write_bytes(b"LAEALAB1" + len(blob).to_bytes(4, "little") + blob)

@@ -360,6 +360,25 @@ def test_zero_velocity_freezes_the_map():
     assert out.V.linf() < 1e-12
 
 
+def test_spray_to_marches_from_the_state_time_on_the_step_schedule():
+    geo = torus(16)
+    prob = problem(geo, dt=5e-3)
+    u0 = prob.sp.project(random_vector(geo.grid, seed=18, kmax=1, amp=0.4))
+    ms = mt.MaterialState(mt.FlowMap.identity(geo.grid), u0.copy())
+    stepped = ms
+    for _ in range(3):
+        stepped = mt.spray_advance(prob, stepped)
+    resumed = mt.spray_to(prob, mt.spray_to(prob, ms, 5e-3), 1.5e-2)
+    assert mt.spray_to(prob, ms, 0.0) is ms
+    for got in (mt.spray_to(prob, ms, 1.5e-2), resumed):
+        assert got.t == stepped.t
+        for a, b in zip((got.eta.e1, got.eta.e2, *got.V.arrays()),
+                        (stepped.eta.e1, stepped.eta.e2, *stepped.V.arrays())):
+            assert same_bits(a, b)
+    with pytest.raises(ValueError, match="does not divide"):
+        mt.spray_to(prob, ms, 7e-3)
+
+
 def test_eigenfield_spray_is_steady_shear():
     geo = torus(32, phi_flat)
     prob = problem(geo, alpha=0.35, dt=5e-3)
