@@ -39,17 +39,10 @@ and P is the discrete Leray projector: P v is v less its gradient part,
 which is how gradient parts are removed elsewhere.  On a channel at a = 0
 the composite is the identity only on the BC subspace.
 
-alpha = 0 is decided here and only here; every operator elsewhere takes its
-general path at every alpha and hands this module a source of exact zeros (a
-term times a^2).  solve, project and project_transpose take their general
-path at a = 0 too.  Three checks are left: _assemble_interior and
-_assemble_gram skip assembling a term that the general formula multiplies by
-zero, so the assembled interior of (1 - a^2 Lop) is the identity and
-EllipticOperator.apply, which applies it, is too; and StokesProjector writes
--R v into the BC rows only at a > 0 (_sets_walls), so at a = 0 they stay
-zero, P keeps v's wall rows and lands in null(D) alone
-(StokesProjector.constraints; CHANGES.md, the FOUND entry on alpha = 0 on a
-curved channel).
+alpha is a coefficient and nothing else: it enters only as a^2, in
+(1 - a^2 Lop) and the H^1 Gram matrix, and P lands in null(C) at every
+alpha, a = 0 included.  At a = 0 on a channel that is null([D; R]), the
+a -> 0 limit of the family on a fixed grid.
 
 The phase space of the flow check is null(C), C = [D; R] the divergence and
 the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
@@ -402,8 +395,6 @@ def _gauge_bordered(K, Z, row0: int):
 
 
 def _assemble_interior(geo: Geometry, alpha: float):
-    if alpha == 0.0:
-        return sp.identity(2 * geo.grid.n_nodes, format="csr")
     tape = Tape(geo.grid)
     lop = ca.l_operator(geo.metric, tape.unknown())
     L = sp.vstack(tape.matrices(lop.comps()), format="csr")
@@ -416,12 +407,11 @@ def _assemble_gram(geo: Geometry, alpha: float):
     m = geo.metric
     q0 = (m.quad_mu() * m.e2phi).ravel()
     W = sp.block_diag([sp.diags(q0), sp.diags(q0)]).tocsr()
-    if alpha != 0.0:
-        tape = Tape(geo.grid)
-        D = ca.def_tensor(m, tape.unknown())
-        qbar = sp.diags(m.quad_mu().ravel())
-        for B in tape.matrices([D[i, j] for i in range(2) for j in range(2)]):
-            W = W + 2 * alpha**2 * (B.T @ qbar @ B)
+    tape = Tape(geo.grid)
+    D = ca.def_tensor(m, tape.unknown())
+    qbar = sp.diags(m.quad_mu().ravel())
+    for B in tape.matrices([D[i, j] for i in range(2) for j in range(2)]):
+        W = W + 2 * alpha**2 * (B.T @ qbar @ B)
     return W.tocsr()
 
 
@@ -569,7 +559,7 @@ class PhaseSpace(NamedTuple):
 
 class StokesProjector:
     """Projection onto the phase space null(C), C = [D; R] the divergence and
-    the regime's BC rows R (at a > 0; see constraints).
+    the regime's BC rows R, at every alpha.
 
     H^1-orthogonal on fields that satisfy the BC rows; any other field v it
     projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
@@ -587,9 +577,7 @@ class StokesProjector:
         self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
         self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
         A, self.bc_idx = op.matrix(bc)
-        self.R = _stored(geo, ("bc_rows", op.alpha, bc), lambda: A.tocsr()[self.bc_idx])
-        # at a = 0 P keeps the wall rows (module docstring); the torus has none
-        self._sets_walls = op.alpha > 0.0 and self.bc_idx.size > 0
+        self.R = _stored(geo, ("bc_rows", None, bc), lambda: A.tocsr()[self.bc_idx])
 
     @property
     def lu(self):
@@ -598,12 +586,10 @@ class StokesProjector:
 
     @property
     def constraints(self):
-        """The rows every project() output satisfies: C = [D; R] at a > 0 on a
-        walled regime; D alone at a = 0, where P keeps the wall rows, and on
-        the torus."""
-        return _stored(self.op.geo, ("constraints", self.op.alpha, self.bc),
-                       lambda: sp.vstack([self.D, self.R], format="csr")
-                       if self._sets_walls else self.D)
+        """The rows every project() output satisfies: C = [D; R], which is D
+        alone on the torus, whose R is empty."""
+        return _stored(self.op.geo, ("constraints", None, self.bc),
+                       lambda: sp.vstack([self.D, self.R], format="csr"))
 
     def _factorize(self) -> _Factorization:
         op, bc, n, mu = self.op, self.bc, self.n, self.mu
@@ -626,8 +612,7 @@ class StokesProjector:
 
         The saddle is solved for [f with -R v in its BC rows; -div v; 0] and
         the result is v + w, in null(C) whether or not v satisfies the BC
-        rows.  At a = 0 the BC rows read zero instead of -R v (_sets_walls),
-        so P keeps v's wall rows.
+        rows, at every alpha.
         """
         n = self.n
         vf, ff = (None if x is None else x.flat() for x in (v, f))
@@ -638,7 +623,7 @@ class StokesProjector:
             rhs[..., self.bc_idx] = 0.0
         if vf is not None:
             rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
-            if self._sets_walls:
+            if self.bc_idx.size:
                 rhs[..., self.bc_idx] = -matvec_last(self.R, vf)
         x = self.saddle.solve(rhs, 1e-8, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
@@ -647,15 +632,15 @@ class StokesProjector:
     def project_transpose(self, z: VectorField) -> tuple[VectorField, VectorField]:
         """The transpose of project() applied to z, as the pair of cotangents
         (P^T z, of f): one transposed saddle solve, whose divergence rows and
-        (at a > 0) BC rows of the first block give v's, and whose first block
-        with the BC rows zeroed is f's; z may be a batch."""
+        BC rows of the first block give v's, and whose first block with the
+        BC rows zeroed is f's; z may be a batch."""
         n, grid = self.n, self.op.geo.grid
         zf = z.flat()
         rhs = np.zeros(zf.shape[:-1] + self.saddle.matrix.shape[:1])
         rhs[..., :2 * n] = zf
         x = self.saddle.solve_transpose(rhs, 1e-8, "transposed stokes composite")
         yv = zf - matvec_last(self.D.T, x[..., 2 * n:3 * n])
-        if self._sets_walls:
+        if self.bc_idx.size:
             yv -= matvec_last(self.R.T, x[..., self.bc_idx])
         yf = x[..., :2 * n]
         yf[..., self.bc_idx] = 0.0

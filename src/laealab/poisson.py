@@ -63,8 +63,7 @@ class LinearObservable(Observable):
     """f(u) = <w, u>_1 with w = P w0, P the Stokes projector of ctx.
 
     P lands in the phase space null(C) for every w0, so w lies in it on every
-    regime at a > 0.  At a = 0 P keeps w0's wall rows (elliptic's _sets_walls
-    check), so on a channel w is divergence-free but off the BC rows.
+    regime at every alpha.
     """
 
     def __init__(self, ctx: dy.System, w: VectorField):

@@ -64,7 +64,7 @@ def _line(tag, ok, detail):
     return ok
 
 
-# -- criteria 1-5: every entry of every suite within its own window --------------
+# -- verdicts: every entry of every suite within its own window -----------------
 
 RUNTIME_BOUNDS = {"identities": 120, "elliptic": 180, "dynamics": 300, "material": 300,
                   "poisson": 900}
@@ -80,9 +80,9 @@ def test_every_entry_passes_within_the_runtime_bound(suite, request):
     assert ok
 
 
-# -- criterion 6: determinism -----------------------------------------------------
+# -- determinism -------------------------------------------------------------------
 
-def test_criterion_6_determinism(tmp_path):
+def test_suites_are_deterministic(tmp_path):
     cfg = ExperimentConfig.from_text(
         "[lab]\nsuite = elliptic\nseed = 42\ngrid_ladder = 16,24\n")
     m1 = run_suite(cfg, "elliptic", (16, 24))

@@ -245,10 +245,11 @@ def test_projected_right_hand_sides_match_the_la_route(spec, n):
 
 @pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
 def test_rhs_at_alpha_zero_is_euler(case):
-    # every operator takes its general path at a = 0, where the assembled
-    # (1 - a^2 Lop) is the identity and each source is exact zeros, the same
-    # saddle right-hand side as no source, so each reduces to its Euler
-    # counterpart to the bit ("channel" is the mixed one)
+    # alpha is only a coefficient: at a = 0 the assembled (1 - a^2 Lop) is
+    # the identity and each source is exact zeros, the same saddle
+    # right-hand side as no source, so each operator reduces to P of its
+    # Euler counterpart to the bit, P landing in null([D; R]) on a channel
+    # ("channel" is the mixed one)
     spec = {"torus": TORUS, "channel": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}[case]
     geo = torus(24) if case == "torus" else channel(24, spec)
     s0 = dy.System(geo, 0.0, BcRegime.from_domain(spec))
@@ -313,8 +314,8 @@ def test_eq2_residual_negative_control():
 
 
 def test_eq2_residual_refuses_a_channel():
-    # on a channel the alpha = 0 projector keeps its wall rows, so it does
-    # more than remove the gradient part
+    # on a channel the alpha = 0 projector also carries its input onto the
+    # wall rows, so it does more than remove the gradient part
     s = dy.System(channel(12), 0.3, BC_M)
     z = VectorField.zeros(s.geo.grid)
     with pytest.raises(ValueError, match="torus"):
@@ -392,11 +393,13 @@ def test_step_refuses_a_divergent_state(case):
 
 @pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
 def test_step_refuses_a_divergence_free_state_off_the_wall_rows(spec):
-    # at a = 0 P keeps its input's wall rows, so P(raw) is divergence-free
-    # but off the BC rows; at a > 0 the guard checks all of C = [D; R]
+    # the x-independent shear u = (0.5 (1 + y), 0) is divergence-free on the
+    # flat channel but breaks every regime's BC rows, and the guard checks
+    # all of C = [D; R]
     geo = channel(16, spec, phi_flat)
     bc = BcRegime.from_domain(spec)
-    u0 = dy.System(geo, 0.0, bc).sp.project(random_vector(geo.grid, seed=29, kmax=1) * 0.5)
+    grid = geo.grid
+    u0 = VectorField.from_arrays(grid, 0.5 * (1.0 + grid.Y), np.zeros_like(grid.Y))
     prob = dy.LaeProblem(geo, dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=1.5e-2, bc=bc))
     assert np.linalg.norm(prob.sp.D @ u0.flat()) < 1e-12 * np.linalg.norm(u0.flat())
     with pytest.raises(dy.InadmissibleStateError, match="relative constraint residual"):

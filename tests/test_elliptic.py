@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from laealab import calculus as ca
 from laealab import dynamics as dy
@@ -23,6 +24,22 @@ def test_apply_alpha_zero_is_identity():
     op = EllipticOperator(geo, 0.0)
     u = random_vector(geo.grid, seed=1)
     assert (op.apply(u) - u).linf() == 0.0
+
+
+@pytest.mark.parametrize("make_geo", [torus, channel], ids=["torus", "mixed"])
+def test_alpha_zero_assembles_the_identity_and_the_mass_matrix(make_geo):
+    # alpha is only a coefficient: at a = 0 the general assembly is the
+    # identity and the mass matrix in structure and data, since sparse
+    # addition drops the zeros of 0 * L
+    geo = make_geo(24)
+    m = geo.metric
+    q0 = (m.quad_mu() * m.e2phi).ravel()
+    identity = sp.identity(2 * geo.grid.n_nodes, format="csr")
+    mass = sp.block_diag([sp.diags(q0), sp.diags(q0)]).tocsr()
+    pairs = ((EllipticOperator(geo, 0.0).interior, identity), (el._assemble_gram(geo, 0.0), mass))
+    for got, want in pairs:
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def test_apply_flat_eigenfield_symbol():
@@ -247,13 +264,17 @@ def test_projection_idempotent_all_regimes():
     assert (p2 - p1).linf() < 1e-8 * max(p1.linf(), 1.0)
 
 
-@pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])
-def test_projection_lands_in_the_phase_space_for_every_input(spec):
+WALLED = [(MIXED, "mixed"), (DIRICH, "dirichlet"), (NEUMANN, "neumann")]
+
+
+@pytest.mark.parametrize("spec,alpha", [pytest.param(s, 0.3, id=i) for s, i in WALLED]
+                         + [pytest.param(s, 0.0, id=f"{i}-alpha0") for s, i in WALLED])
+def test_projection_lands_in_the_phase_space_for_every_input(spec, alpha):
     # a raw w violates the BC rows R; P w satisfies them and the divergence,
-    # C = [D; R], and P P = P
+    # C = [D; R], and P P = P, at every alpha
     for n in (16, 32):
         geo = channel(n, spec)
-        sp_, _, _ = projector(geo, spec, 0.3)
+        sp_, _, _ = projector(geo, spec, alpha)
         assert sp_.constraints.shape[0] == geo.grid.n_nodes + sp_.bc_idx.size
         w = random_vector(geo.grid, seed=16, kmax=2)
         pw = sp_.project(w)
@@ -380,6 +401,20 @@ def test_alpha_to_zero_quadratic_on_curved_torus():
         errs.append((spa.project(v) - base).linf())
     order = fit_order(alphas, errs)
     assert 1.6 < order < 2.4, (errs, order)
+
+
+def test_projection_is_continuous_at_alpha_zero_on_a_no_slip_channel():
+    # P lands in null([D; R]) at a = 0 as at a > 0, so P_a v -> P_0 v,
+    # quadratically in a
+    geo = channel(16, DIRICH)
+    v = random_vector(geo.grid, seed=3, kmax=1) * 0.5
+    base = projector(geo, DIRICH, 0.0)[0].project(v)
+    alphas = (0.02, 0.01, 0.005)
+    errs = [(projector(geo, DIRICH, a)[0].project(v) - base).linf() / base.linf()
+            for a in alphas]
+    assert errs[0] > errs[1] > errs[2], errs
+    order = fit_order(alphas, errs)
+    assert 1.5 <= order <= 2.5, (errs, order)
 
 
 @pytest.mark.parametrize("spec", [MIXED, DIRICH, NEUMANN], ids=["mixed", "dirichlet", "neumann"])

@@ -180,8 +180,7 @@ def _reference_solutions(op, sp_, bc, f):
     S = sp_.saddle.matrix
     rhs = np.zeros(S.shape[0])
     rhs[2 * n:3 * n] = sp_.D @ f.flat()
-    if op.alpha > 0:                     # P lands on the BC rows too
-        rhs[idx] = A[idx] @ f.flat()
+    rhs[idx] = A[idx] @ f.flat()
     projected = f - VectorField.from_flat(grid, spla.splu(S).solve(rhs)[:2 * n])
     return solved, projected
 

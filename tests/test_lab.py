@@ -466,6 +466,17 @@ def test_configured_run_starts_a_channel_march_on_the_walls(monkeypatch):
     assert np.max(np.abs(A[idx] @ u0.flat())) <= 1e-12 * u0.linf()
 
 
+def test_configured_run_passes_at_alpha_zero_on_a_channel():
+    # alpha = 0 is only a coefficient: the projected state and every rhs
+    # land in null([D; R]), so the march keeps the step's guard
+    cfg = ExperimentConfig.from_text(CHANNEL_RUN + "\n[solver]\nalpha = 0\n")
+    assert cfg.solver_config().alpha == 0.0
+    entries = list(suites.configured_run(Run(cfg, (16,))))
+    assert [r.name for r in entries] == ["configured_run_energy_drift",
+                                         "configured_run_divergence"]
+    assert all(r.passed for r in entries), entries
+
+
 def test_manifest_written_with_series(tmp_path):
     cfg = small_cfg()
     man = run_suite(cfg, "elliptic", (16, 24))
