@@ -3,7 +3,8 @@
 The format is INI-like (section headers, key = value), diffable and free of
 schema machinery.  Unknown sections or keys are rejected.  Any key can be
 overridden from the environment as LAEALAB_<SECTION>__<KEY> (case
-insensitive), e.g. LAEALAB_SOLVER__ALPHA=0.1.
+insensitive), e.g. LAEALAB_SOLVER__ALPHA=0.1; any other LAEALAB_ variable
+is a ConfigError.
 """
 
 from __future__ import annotations
@@ -104,10 +105,7 @@ class ExperimentConfig:
         for name, value in os.environ.items():
             if not name.startswith(ENV_PREFIX):
                 continue
-            rest = name[len(ENV_PREFIX):].lower()
-            if "__" not in rest:
-                continue
-            sec, key = rest.split("__", 1)
+            sec, _, key = name[len(ENV_PREFIX):].lower().partition("__")
             if sec not in _DEFAULTS or key not in _DEFAULTS[sec]:
                 raise ConfigError(f"unknown env override {name}")
             self.sections[sec][key] = value
@@ -207,15 +205,12 @@ class ExperimentConfig:
             raise ConfigError(f"malformed phi preset {spec!r}: {e}") from None
         raise ConfigError(f"unknown phi preset {spec!r}")
 
-    def bc_regime(self) -> BcRegime:
-        return BcRegime.from_domain(self.domain_spec())
-
     def solver_config(self) -> SolverConfig:
         return SolverConfig(alpha=self.getfloat("solver", "alpha"),
                             dt=self.getfloat("run", "dt"),
                             t_end=self.getfloat("run", "t_end"),
                             integrator=self.get("run", "integrator"),
-                            bc=self.bc_regime(),
+                            bc=BcRegime.from_domain(self.domain_spec()),
                             cfl_factor=self.getfloat("run", "cfl_factor"))
 
     def initial_maker(self):

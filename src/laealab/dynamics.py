@@ -262,7 +262,7 @@ def eq2_residual(s: System, u: VectorField, dudt: VectorField) -> float:
     lhs = (dudt - ca.ricci_laplacian(m, dudt) * a2) + ca.nabla_along(m, u, mom)
     dut = ca.covariant_derivative(m, u).transpose()
     lhs = lhs - dut.apply(ca.ricci_laplacian(m, u)) * a2
-    return System(s.geo, 0.0, BcRegime("noboundary")).sp.project(lhs).linf()
+    return System(s.geo, 0.0, BcRegime()).sp.project(lhs).linf()
 
 
 # ---------------------------------------------------------------------------

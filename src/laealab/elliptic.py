@@ -1,9 +1,9 @@
 """Boundary-condition-aware elliptic solves.
 
-(1 - a^2 Lop), the divergence and the pressure gradient are assembled once
-per geometry (and alpha) from the calculus code that applies them, recorded
-on a fields.Tape, so application and assembly agree to round-off.  Per
-regime, wall-node equations are replaced by interpolation rows:
+(1 - a^2 Lop), the divergence and the pressure gradient are assembled from
+the calculus code that applies them, recorded on a fields.Tape, so
+application and assembly agree to round-off.  A regime is its wall rows,
+which replace the wall nodes' equations:
 
     dirichlet wall : u1 = 0, u2 = 0
     neumann wall   : u2 = 0 (tangency) and the tangential free-slip row
@@ -11,18 +11,21 @@ regime, wall-node equations are replaced by interpolation rows:
                      second-order normal derivative and the shape-operator term
 
 and the factorized system realizes the inverse mapping arbitrary fields onto
-the boundary-condition subspace.
+the boundary-condition subspace.  The regime's wall rows R, the rows idx
+they replace, the divergence D, the pressure gradient G (zero on the rows
+idx) and C = [D; R] are one record, Constraints, stored once per (geometry,
+regime) and shared by every alpha.  The torus is the regime with no walls:
+its idx and R are empty, and every path runs on it unchanged.
 
-The Stokes projector P maps every field into the phase space null(C),
-C = [D; R] the divergence and the regime's BC rows R, the rows bc_idx of the
-BC-substituted (1 - a^2 Lop), A below.  On a field with R v = 0 it is the
-composite P v = v - A^{-1} grad p, where the zero-mean potential p solves
-div(A^{-1} grad p) = div v.  Any other v it first carries onto the BC
-subspace by La = A^{-1} (1 - a^2 Lop), which keeps the interior rows of
-(1 - a^2 Lop) v: P v = P La v for every v, an oblique projection.  The
-saddle's first block is A, so a source f there gives P(v + A^{-1} f) from
-the same one solve (block elimination), as v + w from the sparse saddle
-system in (w, p, lam):
+The Stokes projector P maps every field into the phase space null(C), A
+below being (1 - a^2 Lop) with its rows idx replaced by R.  On a field with
+R v = 0 it is the composite P v = v - A^{-1} grad p, where the zero-mean
+potential p solves div(A^{-1} grad p) = div v.  Any other v it first
+carries onto the BC subspace by La = A^{-1} (1 - a^2 Lop), which keeps the
+interior rows of (1 - a^2 Lop) v: P v = P La v for every v, an oblique
+projection.  The saddle's first block is A, so a source f there gives
+P(v + A^{-1} f) from the same one solve (block elimination), as v + w from
+the sparse saddle system in (w, p, lam):
 
     A w - G p            = f        (on the BC rows, where G is zero, -R v
                                      in place of f)
@@ -44,10 +47,10 @@ alpha is a coefficient and nothing else: it enters only as a^2, in
 alpha, a = 0 included.  At a = 0 on a channel that is null([D; R]), the
 a -> 0 limit of the family on a fixed grid.
 
-The phase space of the flow check is null(C), C = [D; R] the divergence and
-the BC rows.  Its saddle [[W, C^T], [C, 0]], W the H^1 Gram matrix, is
-factored once per (geometry, alpha, regime) and stored with that W as one
-record, PhaseSpace, so StokesProjector.riesz_representer is one solve.
+The phase space of the flow check is null(C), the record's C.  Its saddle
+[[W, C^T], [C, 0]], W the H^1 Gram matrix, is factored once per (geometry,
+alpha, regime) and stored with that W as one record, PhaseSpace, so
+StokesProjector.riesz_representer is one solve.
 
 Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
 the phase-space saddle, is one record, (SuperLU, permutation, matrix, row
@@ -84,6 +87,7 @@ from .grid import matvec_last
 _ND_LEAF = 64          # boxes of at most this many nodes keep their natural order
 _ND_PIVOT = 0.01       # SuperLU's diag_pivot_thresh under the dissection order
 _SCALED_PIVOT = 0.1    # ... for a balanced matrix (_balance)
+_EMPTY = np.zeros(0, dtype=int)
 
 
 class SolveError(RuntimeError):
@@ -92,36 +96,30 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BcRegime:
-    """Boundary regime: which condition each wall carries.
+    """Boundary regime: the condition, 'dirichlet' or 'neumann', that each
+    wall carries, as sorted (wall, condition) pairs.  The torus is
+    BcRegime(), the regime with no walls.
 
-    variant is one of 'noboundary', 'dirichlet', 'neumann', 'mixed'; for the
-    wall-bearing variants wall_conditions maps 'y0'/'yL' to the condition.
+    variant names the regime: 'noboundary', 'dirichlet' or 'neumann' where
+    every wall carries that condition, else 'mixed'.
     """
 
-    variant: str
     wall_conditions: tuple = ()
 
     @classmethod
     def from_domain(cls, spec) -> "BcRegime":
-        if spec.kind == "torus":
-            return cls("noboundary")
-        roles = tuple(sorted(spec.wall_roles.items()))
-        kinds = set(spec.wall_roles.values())
-        if kinds == {"dirichlet"}:
-            return cls("dirichlet", roles)
-        if kinds == {"neumann"}:
-            return cls("neumann", roles)
-        return cls("mixed", roles)
+        return cls(tuple(sorted((spec.wall_roles or {}).items())))
 
-    def condition(self, wall: str) -> str:
-        for w, c in self.wall_conditions:
-            if w == wall:
-                return c
-        raise KeyError(wall)
+    @property
+    def variant(self) -> str:
+        kinds = {c for _, c in self.wall_conditions}
+        if len(kinds) == 1:
+            return kinds.pop()
+        return "mixed" if kinds else "noboundary"
 
     @property
     def has_boundary(self) -> bool:
-        return self.variant != "noboundary"
+        return bool(self.wall_conditions)
 
 
 def _oneside_dy_row(grid, j: int):
@@ -136,9 +134,10 @@ def _stored(geo: Geometry, key, build):
     """geo.factors[key], built by build() on first use.
 
     Keys are (kind, alpha, BcRegime), with None where the artifact does not
-    depend on alpha or on the regime; the nodes' dissection order is keyed by
-    the stencil reach in the regime's place.  Values must not refer back to
-    the geometry (see Geometry).
+    depend on alpha or on the regime: a regime's Constraints are keyed by
+    the regime alone, at every alpha.  The nodes' dissection order is keyed
+    by the stencil reach in the regime's place.  Values must not refer back
+    to the geometry (see Geometry).
     """
     store = geo.factors
     if key not in store:
@@ -270,16 +269,15 @@ class _Factorization(NamedTuple):
     cols: np.ndarray | None = None
 
     @classmethod
-    def of(cls, geo: Geometry, M, k: int, what: str,
-           wall_nodes: np.ndarray | None = None,
-           bc_rows: np.ndarray | None = None) -> "_Factorization":
+    def of(cls, geo: Geometry, M, k: int, what: str, walls: np.ndarray = _EMPTY,
+           bc_rows: np.ndarray = _EMPTY) -> "_Factorization":
         """The factorization of M, whose last k unknowns are gauge rows and
         whose velocity rows bc_rows carry boundary conditions.
 
         M's first 2n unknowns are the nodes' velocities, u1 then u2.  The
         unknowns after them are constraints: p, or the divergence row, of
         node r - 2n at unknown r < 3n, then the wall rows of nodes
-        wall_nodes (the phase-space saddle's), then the gauge rows.
+        walls (the phase-space saddle's), then the gauge rows.
 
         On every grid M is factored as M[perm][:, perm] under SuperLU's
         NATURAL column order.  perm takes the nested-dissection groups in
@@ -298,8 +296,6 @@ class _Factorization(NamedTuple):
         """
         grid = geo.grid
         n, m = grid.n_nodes, M.shape[0] - k
-        empty = np.zeros(0, dtype=int)
-        walls = empty if wall_nodes is None else wall_nodes
         reach = _reach(M, grid, m - walls.size)
         groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
             grid.nx, grid.ny, *reach, grid.periodic_y))
@@ -313,8 +309,7 @@ class _Factorization(NamedTuple):
         kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
         perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
                                np.arange(m, M.shape[0])])
-        bc = empty if bc_rows is None else bc_rows
-        rows, cols = _balance(M, 2 * n, m, bc) or (None, None)
+        rows, cols = _balance(M, 2 * n, m, bc_rows) or (None, None)
         S = M if rows is None else sp.diags(rows) @ M @ sp.diags(cols)
         try:
             lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
@@ -415,6 +410,68 @@ def _assemble_gram(geo: Geometry, alpha: float):
     return W.tocsr()
 
 
+class Constraints(NamedTuple):
+    """The constraints of one (geometry, regime), shared by every alpha.
+
+    R holds the regime's wall rows, which replace the velocity rows idx of
+    (1 - a^2 Lop); D is the divergence, (n, 2n); G the pressure gradient,
+    (2n, n), zero on the rows idx; and C = [D; R].  The torus's regime has
+    no walls, so its idx and R are empty and C is D.
+    """
+
+    idx: np.ndarray
+    R: sp.csr_matrix
+    D: sp.csr_matrix
+    G: sp.csr_matrix
+    C: sp.csr_matrix
+
+
+def _constraints(geo: Geometry, bc: BcRegime) -> Constraints:
+    """The stored Constraints of (geo, bc), built on first use."""
+    return _stored(geo, ("constraints", None, bc), lambda: _build_constraints(geo, bc))
+
+
+def _build_constraints(geo: Geometry, bc: BcRegime) -> Constraints:
+    walls = tuple(w.name for w in geo.walls)
+    if tuple(w for w, _ in bc.wall_conditions) != walls:
+        raise ValueError(f"regime {bc.variant} {bc.wall_conditions} does not fit "
+                         f"a geometry with walls {walls}")
+    grid, metric, n = geo.grid, geo.metric, geo.grid.n_nodes
+    conditions = dict(bc.wall_conditions)
+    idx, blocks = [_EMPTY], [sp.csr_matrix((0, 2 * n))]
+
+    def rows(at, cols, vals):
+        """Wall rows for the velocity rows at, with entries vals[c][k] at columns cols[c][k]."""
+        idx.append(at)
+        r = np.repeat(np.arange(at.size), len(cols))
+        c, v = np.stack(cols, axis=1).ravel(), np.stack(vals, axis=1).ravel()
+        blocks.append(sp.csr_matrix((v, (r, c)), shape=(at.size, 2 * n)))
+
+    for w in geo.walls:
+        flat = grid.wall_flat_indices(w.name)
+        if conditions[w.name] == "dirichlet":             # u1 = 0, u2 = 0
+            unit = np.concatenate([flat, n + flat])
+            rows(unit, [unit], [np.ones(unit.size)])
+            continue
+        rows(n + flat, [n + flat], [np.ones(flat.size)])   # tangency u2 = 0
+        # free-slip rows on the u1 equations:
+        # n^y [dy u1 + G^1_21 u1 + G^1_22 u2] + s u1 = 0
+        offs, coefs = _oneside_dy_row(grid, w.j)
+        g121 = metric.gamma[0, 1, 0][:, w.j]   # Gamma^1_{y x}
+        g122 = metric.gamma[0, 1, 1][:, w.j]   # Gamma^1_{y y}
+        rows(flat, [flat - w.j + off for off in offs] + [flat, n + flat],
+             [w.normal * cf for cf in coefs]
+             + [w.normal * g121 + w.s_weingarten, w.normal * g122])
+    idx, R = np.concatenate(idx), sp.vstack(blocks, format="csr")
+    R.eliminate_zeros()
+    tape = Tape(grid)
+    D = tape.matrices([ca.divergence(metric, tape.unknown())])[0]
+    tape = Tape(grid)
+    G = sp.vstack(tape.matrices(ca.gradient(metric, tape.scalar()).comps()), format="csr")
+    G = _replace_rows(G, idx, sp.csr_matrix((idx.size, n)))
+    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"))
+
+
 class EllipticOperator:
     """(1 - alpha^2 Lop) with per-regime boundary rows and factorizations.
 
@@ -440,50 +497,11 @@ class EllipticOperator:
 
     # -- boundary rows --------------------------------------------------------
 
-    def _bc_rows(self, bc: BcRegime):
-        """(row indices, replacement rows as sparse matrix over 2N unknowns)."""
-        geo = self.geo
-        grid, metric, n = geo.grid, geo.metric, self.n
-        idx, blocks = [], []
-
-        def rows(at, cols, vals):
-            """Replace rows at by rows with entries vals[c][k] at columns cols[c][k]."""
-            idx.append(at)
-            r = np.repeat(np.arange(at.size), len(cols))
-            c, v = np.stack(cols, axis=1).ravel(), np.stack(vals, axis=1).ravel()
-            blocks.append(sp.csr_matrix((v, (r, c)), shape=(at.size, 2 * n)))
-
-        for w in geo.walls:
-            flat = grid.wall_flat_indices(w.name)
-            if bc.condition(w.name) == "dirichlet":       # u1 = 0, u2 = 0
-                unit = np.concatenate([flat, n + flat])
-                rows(unit, [unit], [np.ones(unit.size)])
-                continue
-            rows(n + flat, [n + flat], [np.ones(flat.size)])   # tangency u2 = 0
-            # free-slip rows on the u1 equations:
-            # n^y [dy u1 + G^1_21 u1 + G^1_22 u2] + s u1 = 0
-            offs, coefs = _oneside_dy_row(grid, w.j)
-            g121 = metric.gamma[0, 1, 0][:, w.j]   # Gamma^1_{y x}
-            g122 = metric.gamma[0, 1, 1][:, w.j]   # Gamma^1_{y y}
-            rows(flat, [flat - w.j + off for off in offs] + [flat, n + flat],
-                 [w.normal * cf for cf in coefs]
-                 + [w.normal * g121 + w.s_weingarten, w.normal * g122])
-        return np.concatenate(idx), sp.vstack(blocks, format="csr")
-
     def matrix(self, bc: BcRegime):
         """(BC-row-substituted system matrix, substituted row indices)."""
+        con = _constraints(self.geo, bc)
         return _stored(self.geo, ("matrix", self.alpha, bc),
-                       lambda: self._substituted(bc))
-
-    def _substituted(self, bc: BcRegime):
-        walls = tuple(w.name for w in self.geo.walls)
-        if tuple(w for w, _ in bc.wall_conditions) != walls:
-            raise ValueError(f"regime {bc.variant} {bc.wall_conditions} does not fit "
-                             f"a geometry with walls {walls}")
-        if not bc.has_boundary:
-            return self.interior, np.zeros(0, dtype=int)
-        idx, repl = self._bc_rows(bc)
-        return _replace_rows(self.interior, idx, repl).tocsc(), idx
+                       lambda: _replace_rows(self.interior, con.idx, con.R)), con.idx
 
     def factor(self, bc: BcRegime) -> _Factorization:
         """The _Factorization of matrix(bc), balanced against its BC rows."""
@@ -495,10 +513,8 @@ class EllipticOperator:
         """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace, at every alpha;
         f may be a batch."""
         fac = self.factor(bc)
-        _, idx = self.matrix(bc)
         rhs = f.flat()
-        if idx.size:
-            rhs[..., idx] = 0.0
+        rhs[..., _constraints(self.geo, bc).idx] = 0.0
         return VectorField.from_flat(self.geo.grid, fac.solve(rhs, 1e-8, "direct solve"))
 
 
@@ -526,20 +542,6 @@ def _gradient_kernel_modes(grid) -> np.ndarray:
     return np.stack([m.ravel() for m in modes], axis=1)
 
 
-def _divergence(geo: Geometry):
-    """Sparse divergence over the stacked unknowns, (n, 2n)."""
-    tape = Tape(geo.grid)
-    return tape.matrices([ca.divergence(geo.metric, tape.unknown())])[0]
-
-
-def _gradient(geo: Geometry, bc_idx: np.ndarray):
-    """Sparse gradient of the pressure, (2n, n), zero on the BC rows."""
-    tape = Tape(geo.grid)
-    gradp = ca.gradient(geo.metric, tape.scalar())
-    G = sp.vstack(tape.matrices(gradp.comps()), format="csr")
-    return _replace_rows(G, bc_idx, sp.csr_matrix((bc_idx.size, G.shape[1])))
-
-
 class PhaseSpace(NamedTuple):
     """The phase space null(C) of one (geometry, alpha, regime), C = [D; R]
     the divergence and the regime's BC rows.
@@ -559,13 +561,14 @@ class PhaseSpace(NamedTuple):
 
 class StokesProjector:
     """Projection onto the phase space null(C), C = [D; R] the divergence and
-    the regime's BC rows R, at every alpha.
+    the regime's wall rows R, at every alpha.
 
-    H^1-orthogonal on fields that satisfy the BC rows; any other field v it
-    projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
+    H^1-orthogonal on fields that satisfy the wall rows; any other field v
+    it projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
     docstring), so P P = P and R P v = 0 for every v.  A thin view over the
-    geometry's store: projectors for the same (alpha, regime) on the same
-    geometry object share one saddle factorization.
+    geometry's store: bc_idx, R, D, G and constraints (C) are the fields of
+    the regime's one Constraints record, and projectors for the same (alpha,
+    regime) on the same geometry object share one saddle factorization.
     """
 
     def __init__(self, op: EllipticOperator, bc: BcRegime):
@@ -574,36 +577,25 @@ class StokesProjector:
         geo = op.geo
         self.n = geo.grid.n_nodes
         self.mu = geo.metric.quad_mu().ravel()
-        self.D = _stored(geo, ("divergence", None, None), lambda: _divergence(geo))
+        self.bc_idx, self.R, self.D, self.G, self.constraints = _constraints(geo, bc)
         self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
-        A, self.bc_idx = op.matrix(bc)
-        self.R = _stored(geo, ("bc_rows", None, bc), lambda: A.tocsr()[self.bc_idx])
 
     @property
     def lu(self):
         """SuperLU of the saddle system."""
         return self.saddle.lu
 
-    @property
-    def constraints(self):
-        """The rows every project() output satisfies: C = [D; R], which is D
-        alone on the torus, whose R is empty."""
-        return _stored(self.op.geo, ("constraints", None, self.bc),
-                       lambda: sp.vstack([self.D, self.R], format="csr"))
-
     def _factorize(self) -> _Factorization:
-        op, bc, n, mu = self.op, self.bc, self.n, self.mu
-        geo = op.geo
-        A, bc_idx = op.matrix(bc)
-        G = _stored(geo, ("gradient", None, bc), lambda: _gradient(geo, bc_idx))
+        n, geo = self.n, self.op.geo
+        A, _ = self.op.matrix(self.bc)
 
         # gauge away the whole discrete-gradient kernel (constants and the
         # sawtooth modes), with matching slack columns in the divergence rows
         modes = _gradient_kernel_modes(geo.grid)
-        K = sp.bmat([[A, -G], [self.D, sp.csr_matrix((n, n))]])
-        S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
+        K = sp.bmat([[A, -self.G], [self.D, sp.csr_matrix((n, n))]])
+        S = _gauge_bordered(K, self.mu[:, None] * modes, 2 * n)
         return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed",
-                                 bc_rows=bc_idx)
+                                 bc_rows=self.bc_idx)
 
     def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
         """P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve; v None is the
@@ -623,8 +615,7 @@ class StokesProjector:
             rhs[..., self.bc_idx] = 0.0
         if vf is not None:
             rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
-            if self.bc_idx.size:
-                rhs[..., self.bc_idx] = -matvec_last(self.R, vf)
+            rhs[..., self.bc_idx] = -matvec_last(self.R, vf)
         x = self.saddle.solve(rhs, 1e-8, "stokes composite")
         w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
         return w if v is None else v + w
@@ -640,8 +631,7 @@ class StokesProjector:
         rhs[..., :2 * n] = zf
         x = self.saddle.solve_transpose(rhs, 1e-8, "transposed stokes composite")
         yv = zf - matvec_last(self.D.T, x[..., 2 * n:3 * n])
-        if self.bc_idx.size:
-            yv -= matvec_last(self.R.T, x[..., self.bc_idx])
+        yv -= matvec_last(self.R.T, x[..., self.bc_idx])
         yf = x[..., :2 * n]
         yf[..., self.bc_idx] = 0.0
         return VectorField.from_flat(grid, yv), VectorField.from_flat(grid, yf)
@@ -653,8 +643,7 @@ class StokesProjector:
 
     def _phase_space(self) -> PhaseSpace:
         geo, n2 = self.op.geo, 2 * self.n
-        W = _assemble_gram(geo, self.op.alpha)
-        C = sp.vstack([self.D, self.R], format="csr")
+        W, C = _assemble_gram(geo, self.op.alpha), self.constraints
         modes = _gradient_kernel_modes(geo.grid)
         k = modes.shape[1]
         S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)

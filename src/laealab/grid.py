@@ -19,6 +19,7 @@ trapezoid rule across the channel.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +71,7 @@ def matvec_last(M, a: np.ndarray) -> np.ndarray:
     """
     if a.ndim == 1:
         return M @ a
-    cols = M @ a.reshape(-1, a.shape[-1]).T
+    cols = M @ a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).T
     return np.ascontiguousarray(cols.T).reshape(a.shape[:-1] + (M.shape[0],))
 
 

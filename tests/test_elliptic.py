@@ -77,16 +77,22 @@ def test_assembled_matrix_matches_pointwise_apply():
     assert np.array_equal(batch.flat(), np.stack([via_mat.flat(), op.apply(v).flat()]))
 
 
-@pytest.mark.parametrize("geo", [torus(12), channel(12)], ids=["torus", "mixed"])
-def test_assembled_divergence_and_gradient_match_pointwise(geo):
+@pytest.mark.parametrize("geo,spec", [(torus(12), TORUS), (channel(12), MIXED)],
+                         ids=["torus", "mixed"])
+def test_assembled_divergence_and_gradient_match_pointwise(geo, spec):
+    # the regime's record: D is the divergence, G the gradient off the wall
+    # rows idx and zero on them
     g, m = geo.grid, geo.metric
+    con = el._constraints(geo, BcRegime.from_domain(spec))
     u, p = random_vector(g, seed=5), random_scalar(g, seed=6)
     div = ca.divergence(m, u).data
-    via_mat = (el._divergence(geo) @ u.flat()).reshape(g.shape)
+    via_mat = (con.D @ u.flat()).reshape(g.shape)
     assert np.max(np.abs(via_mat - div)) < 1e-13 * np.max(np.abs(div))
-    grad = ca.gradient(m, ScalarField(g, p))
-    via_mat = VectorField.from_flat(g, el._gradient(geo, np.zeros(0, dtype=int)) @ p.ravel())
-    assert (via_mat - grad).linf() < 1e-13 * grad.linf()
+    grad = ca.gradient(m, ScalarField(g, p)).flat()
+    via_mat = con.G @ p.ravel()
+    rest = np.setdiff1d(np.arange(2 * g.n_nodes), con.idx)
+    assert not via_mat[con.idx].any()
+    assert np.max(np.abs(via_mat[rest] - grad[rest])) < 1e-13 * np.max(np.abs(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +138,7 @@ def test_manufactured_solution_second_order(spec):
     for n in (16, 32, 64):
         geo = channel(n, spec)
         g = geo.grid
-        q = wall_profile(bc.condition("y0"), bc.condition("yL"), g.Y)
+        q = wall_profile(spec.wall_roles["y0"], spec.wall_roles["yL"], g.Y)
         r = g.Y * (1 - g.Y) * (g.Y + 2) / 2
         ustar = VectorField.from_arrays(
             g, np.sin(2 * np.pi * g.X) * q, 0.7 * np.cos(2 * np.pi * g.X) * r)

@@ -89,11 +89,24 @@ def test_shared_solvers_match_a_fresh_geometry_bit_for_bit(spec, ny, phi):
 def test_store_keys_on_alpha_and_regime():
     geo = build_geometry(MIXED, 12, 13, PHI_C)
     bc = BcRegime.from_domain(MIXED)
-    dirich = BcRegime("dirichlet", (("y0", "dirichlet"), ("yL", "dirichlet")))
+    dirich = BcRegime.from_domain(DIRICH)
     base = StokesProjector(EllipticOperator(geo, 0.3), bc)
     assert StokesProjector(EllipticOperator(geo, 0.2), bc).lu is not base.lu
     assert StokesProjector(EllipticOperator(geo, 0.3), dirich).lu is not base.lu
     assert StokesProjector(EllipticOperator(geo, 0.3), bc).lu is base.lu
+
+
+def test_a_regime_stores_one_constraints_record_for_every_alpha():
+    geo = build_geometry(MIXED, 12, 13, PHI_C)
+    bc = BcRegime.from_domain(MIXED)
+    at0, at3 = (StokesProjector(EllipticOperator(geo, a), bc) for a in (0.0, 0.3))
+    for sp_ in (at0, at3):
+        sp_.phase_space()
+    kinds = [kind for kind, _, _ in geo.factors]
+    assert kinds.count("constraints") == 1
+    assert not {"divergence", "bc_rows", "gradient"} & set(kinds)
+    assert at0.R is at3.R and at0.D is at3.D and at0.constraints is at3.constraints
+    assert at0.constraints is geo.factors["constraints", None, bc].C
 
 
 def test_problem_and_poisson_context_share_factorizations(factorized):

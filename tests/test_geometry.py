@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from laealab.geometry import DomainSpec, build_geometry
-from laealab.grid import Grid
+from laealab.grid import Grid, matvec_last
 from laealab.orders import fit_order
 from laealab.reference import christoffels_from_metric, gaussian_curvature_o4
 from laealab.samples import make_phi_sinusoidal, phi_flat
@@ -115,6 +116,14 @@ def test_geometry_is_deterministic():
     b = build_geometry(TORUS, 16, 16, phi)
     assert np.array_equal(a.metric.gamma, b.metric.gamma)
     assert np.array_equal(a.metric.K, b.metric.K)
+
+
+def test_matvec_last_takes_an_empty_last_axis():
+    # a regime with no wall rows applies its empty R and R^T to batches
+    R = sp.csr_matrix((0, 10))
+    assert matvec_last(R, np.ones((3, 10))).shape == (3, 0)
+    out = matvec_last(R.T.tocsr(), np.ones((3, 0)))
+    assert out.shape == (3, 10) and not out.any()
 
 
 def test_small_grids_rejected():

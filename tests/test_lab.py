@@ -47,8 +47,8 @@ def test_config_parses_sections_and_types():
     spec = cfg.domain_spec()
     assert spec.kind == "channel"
     assert spec.wall_roles == {"y0": "dirichlet", "yL": "neumann"}
-    assert cfg.bc_regime().variant == "mixed"
     sc = cfg.solver_config()
+    assert sc.bc.variant == "mixed"
     assert sc.alpha == 0.25 and sc.dt == 0.01
 
 
@@ -204,6 +204,13 @@ def test_env_override(monkeypatch):
 def test_env_override_rejects_unknown(monkeypatch):
     monkeypatch.setenv("LAEALAB_SOLVER__BOGUS", "1")
     with pytest.raises(ConfigError):
+        ExperimentConfig.defaults()
+
+
+def test_env_override_rejects_a_name_without_section_and_key(monkeypatch):
+    # one underscore is not <SECTION>__<KEY>: refused, not skipped
+    monkeypatch.setenv("LAEALAB_SOLVER_ALPHA", "0.1")
+    with pytest.raises(ConfigError, match="LAEALAB_SOLVER_ALPHA"):
         ExperimentConfig.defaults()
 
 
@@ -412,6 +419,10 @@ def test_each_domain_label_names_its_regime():
     for label, (spec, _) in suites.DOMAINS.items():
         variant = BcRegime.from_domain(spec).variant
         assert variant == ("noboundary" if label in ("torus", "flat") else label)
+    # the torus is the regime with no walls
+    assert BcRegime() == BcRegime.from_domain(suites.DOMAINS["torus"][0])
+    assert not BcRegime().has_boundary
+    assert BcRegime.from_domain(suites.DOMAINS["dirichlet"][0]).has_boundary
     assert set(suites.DOMAINS) == {"torus", "flat", "mixed", "dirichlet", "neumann"}
     assert suites.DOMAINS["mixed"][0].wall_roles == {"y0": "dirichlet", "yL": "neumann"}
 
