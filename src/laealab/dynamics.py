@@ -31,7 +31,7 @@ bracket machinery.  Div is linear, so B, its polarization and the source of
 Dop each sum their (1,1)-tensors, curvature's w -> R(w, u)v among them, and
 take one Div of the sum.
 
-Every projected right-hand side is one Stokes-saddle solve,
+Every projected right-hand side is one projection solve,
 StokesProjector.project(v, f) = P(v + (1 - a^2 Lop)^{-1} f): the transport
 term is v, and the solves of Fop, Dop and Bop enter as the sources they
 solve for.  rhs() is the one right-hand side for every regime and alpha.
@@ -234,7 +234,7 @@ def frak_f_alpha(s: System, u: VectorField, v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def rhs(s: System, u: VectorField) -> VectorField:
-    """-P(grad_u u + Fop(u)) from one saddle solve.  grad u is computed once."""
+    """-P(grad_u u + Fop(u)) from one projection solve.  grad u is computed once."""
     m = s.metric
     du = ca.covariant_derivative(m, u)
     return -s.sp.project(du.apply(u), _quadratic_interior(m, u, du) * s.alpha**2)

@@ -52,22 +52,47 @@ The phase space of the flow check is null(C), the record's C.  Its saddle
 alpha, regime) and stored with that W as one record, PhaseSpace, so
 StokesProjector.riesz_representer is one solve.
 
-Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle and
-the phase-space saddle, is one record, (SuperLU, permutation, matrix, row
-scaling, column scaling), whose solve holds every right-hand side's residual
-against the unpermuted, unscaled matrix; its transpose solve uses the same
-factors and holds the residual against the transposed matrix, which gives
-the transpose of the projection, in v and in the source.  Each is ordered by
+On the torus, the regime with no wall rows, both saddles are replaced by
+their null-space reduction (Benzi, Golub & Liesen, Acta Numerica 14 (2005),
+sec. 6), a system on the discrete stream function.  B = [curl | H]
+(Constraints.B, (2n, n + 2k)) is a basis of null(D): curl psi = e^{-2 phi}
+(DY psi, -DX psi), which D annihilates because DX and DY commute, and the 2k
+fields e^{-2 phi} s e_i of the k gradient-kernel modes s.  Let M =
+diag(quad_mu e^{2 phi}) per component.  Summation by parts, with no wall
+terms, gives G^T M = -diag(quad_mu) D: G is the M-adjoint of -D, so null(G^T)
+= M null(D), and the saddle's u = v + w is exactly B a with
+
+    K a = B^T M (A v + f),    K = B^T M A B,
+
+K's n + 2k unknowns (the stream function in the nodes' dissection order, then
+the 2k mode unknowns) bordered by k gauge rows on the stream function's
+kernel, the modes s.  The projection is then divergence-free by
+construction, to round-off in B alone.  Its transpose is (A^T y, y), y = M B
+K^{-T} B^T z, and the phase space's solve is B (B^T W B)^{-1} B^T r, the same
+reduction of [[W, C^T], [C, 0]].  The reduced system fills 2.28M L+U at 64^2
+on the curved torus, against the saddle's 7.58M.  On a channel the wall rows
+break the adjointness (on the 8x9 mixed channel rank D = n - 2 but rank G =
+n - 4), so channels keep the saddles; whether a regime has wall rows is
+decided once, by whether its Constraints carry B.
+
+Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle,
+the phase-space saddle and the stream-function systems, is one record,
+(SuperLU, permutation, matrix, row scaling, column scaling), whose solve
+holds every right-hand side's residual against the unpermuted, unscaled
+matrix; its transpose solve uses the same factors and holds the residual
+against the transposed matrix, which gives the transpose of the
+projection, in v and in the source.  Each is ordered by
 nested dissection of the grid's nodes (on the torus the two wrap-around
 seams first), one group at a time, a group being a leaf box or a separator
-band: first the group's velocities, then its constraints (p, or the
-divergence and wall rows), and the gauge rows last; that is the one ordering
-on every grid.  One balancing rule holds on every grid too (_balance): where the
+band: first the group's velocities (or stream function), then its
+constraints (p, or the divergence and wall rows), and the gauge rows (and
+the stream function's mode unknowns) last; that is the one ordering on every
+grid.  One balancing rule holds on every grid too (_balance): where the
 velocity block outweighs the coupling of its constraints, or its BC rows,
 those are scaled by powers of two before the matrix is factored.  That keeps
 the pivots large enough that SuperLU swaps no row of a channel's elliptic
 LU, the saddles fill less, and the projection stays divergence-free to
-~1e-11 on the torus and on channels up to 128x129.
+~1e-11 on channels up to 128x129.
 """
 
 from __future__ import annotations
@@ -270,28 +295,30 @@ class _Factorization(NamedTuple):
 
     @classmethod
     def of(cls, geo: Geometry, M, k: int, what: str, walls: np.ndarray = _EMPTY,
-           bc_rows: np.ndarray = _EMPTY) -> "_Factorization":
+           bc_rows: np.ndarray = _EMPTY, dofs: int = 2) -> "_Factorization":
         """The factorization of M, whose last k unknowns are gauge rows and
         whose velocity rows bc_rows carry boundary conditions.
 
-        M's first 2n unknowns are the nodes' velocities, u1 then u2.  The
-        unknowns after them are constraints: p, or the divergence row, of
-        node r - 2n at unknown r < 3n, then the wall rows of nodes
-        walls (the phase-space saddle's), then the gauge rows.
+        M's first dofs * n unknowns are the nodes' own: their velocities, u1
+        then u2 (dofs 2), or their stream function (dofs 1).  The unknowns
+        after them are constraints: p, or the divergence row, of node r - 2n
+        at unknown r < 3n, then the wall rows of nodes walls (the
+        phase-space saddle's), then the gauge rows.
 
         On every grid M is factored as M[perm][:, perm] under SuperLU's
         NATURAL column order.  perm takes the nested-dissection groups in
-        elimination order, and within each group first its velocities, u1
-        and u2 interleaved per node, then its p or divergence rows, then its
-        wall rows; the gauge rows go last, in order.  Centred D and G do not
-        couple a node's p to itself, so a p placed right after its own
-        node's velocities has a structurally zero pivot, and SuperLU's row
-        interchanges to get past it add fill; after the whole group's
-        velocities it has fill to pivot on.  A velocity-only M (the elliptic
-        LU) gets the node-interleaved dissection order.  M is balanced
-        first where its velocity block outweighs its coupling or its BC rows
-        (_balance).  The groups are built once per geometry and
-        reach and stored with the factorizations.  A singular M raises
+        elimination order, and within each group first its nodes' own
+        unknowns, u1 and u2 interleaved per node, then its p or divergence
+        rows, then its wall rows; the gauge rows go last, in order.  Centred
+        D and G do not couple a node's p to itself, so a p placed right
+        after its own node's velocities has a structurally zero pivot, and
+        SuperLU's row interchanges to get past it add fill; after the whole
+        group's velocities it has fill to pivot on.  A velocity-only M (the
+        elliptic LU) gets the node-interleaved dissection order, and a
+        stream-function M the plain dissection order.  M is balanced first
+        where its velocity block outweighs its coupling or its BC rows
+        (_balance).  The groups are built once per geometry and reach and
+        stored with the factorizations.  A singular M raises
         SolveError, its message prefixed by what.
         """
         grid = geo.grid
@@ -302,14 +329,14 @@ class _Factorization(NamedTuple):
         rank = np.empty(n, dtype=int)
         rank[np.concatenate(groups)] = np.arange(n)
         group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-        node_rank = rank[np.concatenate([np.tile(np.arange(n), 2),
-                                         np.arange(m - 2 * n - walls.size), walls])]
-        # 0 velocity, 1 p or divergence row, 2 wall row; lexsort is
+        node_rank = rank[np.concatenate([np.tile(np.arange(n), dofs),
+                                         np.arange(m - dofs * n - walls.size), walls])]
+        # 0 the node's own, 1 p or divergence row, 2 wall row; lexsort is
         # stable, so a node's u1 stays before its u2
-        kind = np.searchsorted([2 * n, m - walls.size], np.arange(m), side="right")
+        kind = np.searchsorted([dofs * n, m - walls.size], np.arange(m), side="right")
         perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
                                np.arange(m, M.shape[0])])
-        rows, cols = _balance(M, 2 * n, m, bc_rows) or (None, None)
+        rows, cols = _balance(M, dofs * n, m, bc_rows) or (None, None)
         S = M if rows is None else sp.diags(rows) @ M @ sp.diags(cols)
         try:
             lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
@@ -416,7 +443,9 @@ class Constraints(NamedTuple):
     R holds the regime's wall rows, which replace the velocity rows idx of
     (1 - a^2 Lop); D is the divergence, (n, 2n); G the pressure gradient,
     (2n, n), zero on the rows idx; and C = [D; R].  The torus's regime has
-    no walls, so its idx and R are empty and C is D.
+    no walls, so its idx and R are empty, C is D, and B is the basis of
+    null(D) its projections are solved on (module docstring); B is None on
+    a channel.
     """
 
     idx: np.ndarray
@@ -424,6 +453,7 @@ class Constraints(NamedTuple):
     D: sp.csr_matrix
     G: sp.csr_matrix
     C: sp.csr_matrix
+    B: sp.csr_matrix | None
 
 
 def _constraints(geo: Geometry, bc: BcRegime) -> Constraints:
@@ -469,7 +499,23 @@ def _build_constraints(geo: Geometry, bc: BcRegime) -> Constraints:
     tape = Tape(grid)
     G = sp.vstack(tape.matrices(ca.gradient(metric, tape.scalar()).comps()), format="csr")
     G = _replace_rows(G, idx, sp.csr_matrix((idx.size, n)))
-    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"))
+    B = None if idx.size else _stream_basis(geo)
+    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"), B)
+
+
+def _stream_basis(geo: Geometry) -> sp.csr_matrix:
+    """B = [curl | H], (2n, n + 2k): a basis of the torus's null(D).
+
+    curl psi = e^{-2 phi} (DY psi, -DX psi), which D annihilates because DX
+    and DY commute; its kernel is the k gradient-kernel modes s.  H holds
+    the 2k fields e^{-2 phi} s e_i, which D annihilates because DX s = DY s
+    = 0.  So B spans the (n - k) + 2k = n + k dimensions of null(D).
+    """
+    grid, em = geo.grid, sp.diags(geo.metric.em2phi.ravel())
+    modes = em @ _gradient_kernel_modes(grid)
+    zero = np.zeros_like(modes)
+    return sp.bmat([[em @ grid.DY, modes, zero], [-(em @ grid.DX), zero, modes]],
+                   format="csr")
 
 
 class EllipticOperator:
@@ -542,20 +588,146 @@ def _gradient_kernel_modes(grid) -> np.ndarray:
     return np.stack([m.ravel() for m in modes], axis=1)
 
 
+class _Saddle(NamedTuple):
+    """A channel's constrained solve, and the torus's reference: fac factors
+    a saddle [[X, .], [C, 0]], X on the 2n velocities, bordered by k gauge
+    columns; con is the regime's Constraints."""
+
+    fac: _Factorization
+    con: Constraints
+
+    def solve(self, r: np.ndarray, what: str) -> np.ndarray:
+        """The velocities of the saddle's solution for [r; 0], for each r
+        along the last axis."""
+        n2 = r.shape[-1]
+        rhs = np.zeros(r.shape[:-1] + self.fac.matrix.shape[:1])
+        rhs[..., :n2] = r
+        return self.fac.solve(rhs, 1e-8, what)[..., :n2]
+
+    def project(self, vf, ff) -> np.ndarray:
+        """The Stokes saddle solved for [f with -R v in its BC rows; -div v;
+        0], and v + w (StokesProjector.project)."""
+        D, R, idx = self.con.D, self.con.R, self.con.idx
+        n = D.shape[0]
+        batch = np.broadcast_shapes(*(x.shape[:-1] for x in (vf, ff) if x is not None))
+        rhs = np.zeros(batch + self.fac.matrix.shape[:1])
+        if ff is not None:
+            rhs[..., :2 * n] = ff
+            rhs[..., idx] = 0.0
+        if vf is not None:
+            rhs[..., 2 * n:3 * n] = -matvec_last(D, vf)
+            rhs[..., idx] = -matvec_last(R, vf)
+        w = self.fac.solve(rhs, 1e-8, "stokes composite")[..., :2 * n]
+        return w if vf is None else vf + w
+
+    def project_transpose(self, zf) -> tuple[np.ndarray, np.ndarray]:
+        """One transposed saddle solve, whose divergence rows and BC rows of
+        the first block give v's cotangent, and whose first block with the
+        BC rows zeroed is f's."""
+        D, R, idx = self.con.D, self.con.R, self.con.idx
+        n = D.shape[0]
+        rhs = np.zeros(zf.shape[:-1] + self.fac.matrix.shape[:1])
+        rhs[..., :2 * n] = zf
+        x = self.fac.solve_transpose(rhs, 1e-8, "transposed stokes composite")
+        yv = zf - matvec_last(D.T, x[..., 2 * n:3 * n])
+        yv -= matvec_last(R.T, x[..., idx])
+        yf = x[..., :2 * n]
+        yf[..., idx] = 0.0
+        return yv, yf
+
+
+class _StreamFunction(NamedTuple):
+    """The torus's constrained solve, on the stream function: fac factors
+    K = T^T X B, B the basis of null(D) (_stream_basis) and T = M B or B the
+    test basis, bordered by the k gauge rows [modes; 0] that fix the stream
+    function's kernel (module docstring)."""
+
+    fac: _Factorization
+    B: sp.csr_matrix
+    T: sp.csr_matrix
+    X: sp.csr_matrix
+
+    def _through(self, solve, into, out, r, what):
+        """out x for each r along the last axis, x the first columns of
+        solve([into^T r; 0]), the gauge rows' right-hand side zero."""
+        nb = into.shape[1]
+        rhs = np.zeros(r.shape[:-1] + self.fac.matrix.shape[:1])
+        rhs[..., :nb] = matvec_last(into.T, r)
+        return matvec_last(out, solve(rhs, 1e-8, what)[..., :nb])
+
+    def solve(self, r: np.ndarray, what: str) -> np.ndarray:
+        """B K^{-1} T^T r, the member u of null(D) with T^T (X u - r) = 0,
+        for each r along the last axis."""
+        return self._through(self.fac.solve, self.T, self.B, r, what)
+
+    def project(self, vf, ff) -> np.ndarray:
+        """solve(X v + f) (StokesProjector.project)."""
+        r = ff
+        if vf is not None:
+            r = matvec_last(self.X, vf) if ff is None else matvec_last(self.X, vf) + ff
+        return self.solve(r, "stokes composite")
+
+    def project_transpose(self, zf) -> tuple[np.ndarray, np.ndarray]:
+        """(X^T y, y), y = T K^{-T} B^T z."""
+        y = self._through(self.fac.solve_transpose, self.B, self.T, zf,
+                          "transposed stokes composite")
+        return matvec_last(self.X.T, y), y
+
+
+def _stokes_saddle(op: EllipticOperator, bc: BcRegime) -> _Factorization:
+    """The factorization of (op, bc)'s Stokes saddle (module docstring),
+    bordered by gauge columns on the whole discrete-gradient kernel
+    (constants and the sawtooth modes), with matching slack columns in the
+    divergence rows.  The projection solves it on a channel; on the torus
+    it is the reference its reduction reproduces."""
+    geo, n = op.geo, op.n
+    con = _constraints(geo, bc)
+    A, _ = op.matrix(bc)
+    mu = geo.metric.quad_mu().ravel()
+    modes = _gradient_kernel_modes(geo.grid)
+    K = sp.bmat([[A, -con.G], [con.D, sp.csr_matrix((n, n))]])
+    S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
+    return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed",
+                             bc_rows=con.idx)
+
+
+def _phase_saddle(geo: Geometry, W, bc: BcRegime) -> _Factorization:
+    """The factorization of [[W, C^T], [C, 0]], bordered by k gauge columns
+    as the Stokes saddle is: the phase space's constrained solve on a
+    channel, and the reference for the torus's reduction."""
+    con, n = _constraints(geo, bc), geo.grid.n_nodes
+    mu = geo.metric.quad_mu().ravel()
+    modes = _gradient_kernel_modes(geo.grid)
+    S = _gauge_bordered(sp.bmat([[W, con.C.T], [con.C, None]]), mu[:, None] * modes, 2 * n)
+    return _Factorization.of(geo, S, modes.shape[1], "riesz saddle factorization failed",
+                             con.idx % n)
+
+
+def _stream_function(geo: Geometry, X, B, T, what: str) -> _StreamFunction:
+    """The _StreamFunction of first block X, basis B and test basis T: the
+    stream function in the nodes' dissection order, then the 2k mode
+    unknowns, then the k gauge rows."""
+    modes = _gradient_kernel_modes(geo.grid)
+    S = _gauge_bordered((T.T @ X @ B).tocsr(), modes, 0)
+    return _StreamFunction(_Factorization.of(geo, S, 3 * modes.shape[1], what, dofs=1),
+                           B, T, X)
+
+
 class PhaseSpace(NamedTuple):
     """The phase space null(C) of one (geometry, alpha, regime), C = [D; R]
     the divergence and the regime's BC rows.
 
     gram is the H^1 Gram matrix W, with u^T W v = <u, v>_1 (same stencils);
-    saddle the factorization of [[W, C^T], [C, 0]], bordered by k gauge
-    columns as the Stokes saddle is; dim = 2n - (rows of C - k), k equal to
-    C's rank deficiency (exactly on the torus, where the gauge columns span
-    C's left null space).  W and its saddle are built together and stored
-    as one record, so the factors always belong to that W.
+    system its constrained solve: on a channel the bordered saddle
+    [[W, C^T], [C, 0]], on the torus B^T W B on the stream function; dim =
+    2n - (rows of C - k), k equal to C's rank deficiency (exactly on the
+    torus, where dim = n + k, the columns of B less the k stream-function
+    modes).  W and its factorization are built together and stored as one
+    record, so the factors always belong to that W.
     """
 
     gram: sp.csr_matrix
-    saddle: _Factorization
+    system: _Saddle | _StreamFunction
     dim: int
 
 
@@ -568,7 +740,9 @@ class StokesProjector:
     docstring), so P P = P and R P v = 0 for every v.  A thin view over the
     geometry's store: bc_idx, R, D, G and constraints (C) are the fields of
     the regime's one Constraints record, and projectors for the same (alpha,
-    regime) on the same geometry object share one saddle factorization.
+    regime) on the same geometry object share one factorization, system:
+    the bordered Stokes saddle on a channel, and on the torus its reduction
+    to the stream function, of dimension n + k.
     """
 
     def __init__(self, op: EllipticOperator, bc: BcRegime):
@@ -576,64 +750,42 @@ class StokesProjector:
         self.bc = bc
         geo = op.geo
         self.n = geo.grid.n_nodes
-        self.mu = geo.metric.quad_mu().ravel()
-        self.bc_idx, self.R, self.D, self.G, self.constraints = _constraints(geo, bc)
-        self.saddle = _stored(geo, ("saddle", op.alpha, bc), self._factorize)
+        self.bc_idx, self.R, self.D, self.G, self.constraints, self.basis = \
+            _constraints(geo, bc)
+        self.system = _stored(geo, ("projection", op.alpha, bc), self._factorize)
 
     @property
     def lu(self):
-        """SuperLU of the saddle system."""
-        return self.saddle.lu
+        """SuperLU of the projection's factorization."""
+        return self.system.fac.lu
 
-    def _factorize(self) -> _Factorization:
-        n, geo = self.n, self.op.geo
-        A, _ = self.op.matrix(self.bc)
-
-        # gauge away the whole discrete-gradient kernel (constants and the
-        # sawtooth modes), with matching slack columns in the divergence rows
-        modes = _gradient_kernel_modes(geo.grid)
-        K = sp.bmat([[A, -self.G], [self.D, sp.csr_matrix((n, n))]])
-        S = _gauge_bordered(K, self.mu[:, None] * modes, 2 * n)
-        return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed",
-                                 bc_rows=self.bc_idx)
+    def _factorize(self) -> _Saddle | _StreamFunction:
+        op, B = self.op, self.basis
+        if B is None:
+            return _Saddle(_stokes_saddle(op, self.bc), _constraints(op.geo, self.bc))
+        m = op.geo.metric
+        M = sp.diags(np.tile((m.quad_mu() * m.e2phi).ravel(), 2))
+        return _stream_function(op.geo, op.interior, B, (M @ B).tocsr(),
+                                "stokes stream-function factorization failed")
 
     def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
-        """P(v + (1 - a^2 Lop)^{-1} f) from one saddle solve; v None is the
-        zero field, f None no source, and either may be a batch (..., nx, ny),
+        """P(v + (1 - a^2 Lop)^{-1} f) from one solve; v None is the zero
+        field, f None no source, and either may be a batch (..., nx, ny),
         solved member by member.
 
-        The saddle is solved for [f with -R v in its BC rows; -div v; 0] and
-        the result is v + w, in null(C) whether or not v satisfies the BC
-        rows, at every alpha.
+        On a channel the saddle is solved for [f with -R v in its BC rows;
+        -div v; 0] and the result is v + w, in null(C) whether or not v
+        satisfies the BC rows, at every alpha.  On the torus it is B a,
+        K a = B^T M (A v + f) (module docstring).
         """
-        n = self.n
         vf, ff = (None if x is None else x.flat() for x in (v, f))
-        batch = np.broadcast_shapes(*(x.shape[:-1] for x in (vf, ff) if x is not None))
-        rhs = np.zeros(batch + self.saddle.matrix.shape[:1])
-        if ff is not None:
-            rhs[..., :2 * n] = ff
-            rhs[..., self.bc_idx] = 0.0
-        if vf is not None:
-            rhs[..., 2 * n:3 * n] = -matvec_last(self.D, vf)
-            rhs[..., self.bc_idx] = -matvec_last(self.R, vf)
-        x = self.saddle.solve(rhs, 1e-8, "stokes composite")
-        w = VectorField.from_flat(self.op.geo.grid, x[..., :2 * n])
-        return w if v is None else v + w
+        return VectorField.from_flat(self.op.geo.grid, self.system.project(vf, ff))
 
     def project_transpose(self, z: VectorField) -> tuple[VectorField, VectorField]:
         """The transpose of project() applied to z, as the pair of cotangents
-        (P^T z, of f): one transposed saddle solve, whose divergence rows and
-        BC rows of the first block give v's, and whose first block with the
-        BC rows zeroed is f's; z may be a batch."""
-        n, grid = self.n, self.op.geo.grid
-        zf = z.flat()
-        rhs = np.zeros(zf.shape[:-1] + self.saddle.matrix.shape[:1])
-        rhs[..., :2 * n] = zf
-        x = self.saddle.solve_transpose(rhs, 1e-8, "transposed stokes composite")
-        yv = zf - matvec_last(self.D.T, x[..., 2 * n:3 * n])
-        yv -= matvec_last(self.R.T, x[..., self.bc_idx])
-        yf = x[..., :2 * n]
-        yf[..., self.bc_idx] = 0.0
+        (P^T z, of f), from one transposed solve; z may be a batch."""
+        grid = self.op.geo.grid
+        yv, yf = self.system.project_transpose(z.flat())
         return VectorField.from_flat(grid, yv), VectorField.from_flat(grid, yf)
 
     def phase_space(self) -> PhaseSpace:
@@ -642,25 +794,25 @@ class StokesProjector:
                        self._phase_space)
 
     def _phase_space(self) -> PhaseSpace:
-        geo, n2 = self.op.geo, 2 * self.n
-        W, C = _assemble_gram(geo, self.op.alpha), self.constraints
-        modes = _gradient_kernel_modes(geo.grid)
-        k = modes.shape[1]
-        S = _gauge_bordered(sp.bmat([[W, C.T], [C, None]]), self.mu[:, None] * modes, n2)
-        fac = _Factorization.of(geo, S, k, "riesz saddle factorization failed",
-                                 self.bc_idx % self.n)
-        return PhaseSpace(W, fac, n2 - (C.shape[0] - k))
+        geo, B = self.op.geo, self.basis
+        W = _assemble_gram(geo, self.op.alpha)
+        if B is None:
+            system = _Saddle(_phase_saddle(geo, W, self.bc), _constraints(geo, self.bc))
+        else:
+            system = _stream_function(geo, W, B, B,
+                                      "riesz stream-function factorization failed")
+        k = _gradient_kernel_modes(geo.grid).shape[1]
+        return PhaseSpace(W, system, 2 * self.n - (self.constraints.shape[0] - k))
 
     def riesz_representer(self, r: VectorField):
         """(d, dim): for each member of the batch r, the member d of null(C)
         with <d, c>_W = <r, c> for every c in null(C), W the H^1 Gram
         matrix; dim is null(C)'s dimension.
 
-        One solve with the stored phase-space saddle (phase_space()), which
-        is factored once per (geometry, alpha, regime) together with its W.
+        One solve with the stored phase space's system (phase_space()),
+        which is factored once per (geometry, alpha, regime) together with
+        its W.
         """
-        ps, n2 = self.phase_space(), 2 * self.n
-        rhs = np.zeros(r.c1.data.shape[:-2] + ps.saddle.matrix.shape[:1])
-        rhs[..., :n2] = r.flat()
-        d = ps.saddle.solve(rhs, 1e-8, "riesz saddle")[..., :n2]
+        ps = self.phase_space()
+        d = ps.system.solve(r.flat(), "riesz saddle")
         return VectorField.from_flat(self.op.geo.grid, d), ps.dim

@@ -218,7 +218,7 @@ def spray_to(problem: LaeProblem, ms: MaterialState, t: float) -> MaterialState:
 # ---------------------------------------------------------------------------
 
 def connector_contract(s: System, u: VectorField, v: VectorField) -> VectorField:
-    """K(Tu o v) = P(grad_v u + FF(u,v)) from one saddle solve.
+    """K(Tu o v) = P(grad_v u + FF(u,v)) from one projection solve.
 
     The paper's connector, with no caller outside the tests that check it."""
     m = s.metric

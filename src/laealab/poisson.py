@@ -35,7 +35,7 @@ class PoissonContext(dy.System):
     def gram_matrix(self):
         """Sparse matrix W with u^T W v = <u, v>_1 (same stencils).
 
-        W is built with the factored phase-space saddle it belongs to and
+        W is built with the factored phase-space system it belongs to and
         stored with it (StokesProjector.phase_space), so every context on
         the geometry shares both and a flow check factors nothing.
         """
@@ -168,7 +168,7 @@ def bracket(ctx: dy.System, f: Observable, g: Observable,
 
 def _transported_argument(ctx: dy.System, df: VectorField,
                           u: VectorField) -> VectorField:
-    """P(grad_{df} u + Dop(df, u)) + Bop(u, df) from one saddle solve: the
+    """P(grad_{df} u + Dop(df, u)) + Bop(u, df) from one projection solve: the
     sources of Dop and Bop add."""
     src = dy.b_alpha_source(ctx, u, df) + dy.d_alpha_source(ctx, df, u)
     return ctx.sp.project(ca.nabla_along(ctx.metric, df, u), src)
@@ -305,7 +305,7 @@ def tangent_rhs_transpose(ctx: dy.System, u: VectorField,
                           z: VectorField) -> VectorField:
     """The transpose of v -> tangent_rhs(ctx, u, v), applied to a batch z: the
     local parts, recorded by the code tangent_rhs evaluates, swept back on a
-    Tape, the saddle solve by its transpose."""
+    Tape, the projection solve by its transpose."""
     tape = Tape(ctx.geo.grid)
     v = tape.unknown()
     t, f = _tangent_terms(ctx.metric, u, v)

@@ -246,7 +246,7 @@ def test_projected_right_hand_sides_match_the_la_route(spec, n):
 @pytest.mark.parametrize("case", ["torus", "channel", "dirichlet", "neumann"])
 def test_rhs_at_alpha_zero_is_euler(case):
     # alpha is only a coefficient: at a = 0 the assembled (1 - a^2 Lop) is
-    # the identity and each source is exact zeros, the same saddle
+    # the identity and each source is exact zeros, the same projection
     # right-hand side as no source, so each operator reduces to P of its
     # Euler counterpart to the bit, P landing in null([D; R]) on a channel
     # ("channel" is the mixed one)
@@ -342,8 +342,10 @@ def test_step_keeps_zero_field_fixed():
     assert s.t == 1e-2
 
 
-def _saddle_solves_per_step(case, integrator, monkeypatch):
-    """(saddle solves, solves with other factors) of one step from an admissible u."""
+def _projection_solves_per_step(case, integrator, monkeypatch):
+    """(solves with the projection's factorization, the Stokes saddle on a
+    channel and the stream-function system on the torus, and solves with
+    other factors) of one step from an admissible u."""
     geo = torus(16) if case == "torus" else channel(16)
     cfg = dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3, integrator=integrator,
                           bc=BC_T if case == "torus" else BC_M)
@@ -359,21 +361,22 @@ def _saddle_solves_per_step(case, integrator, monkeypatch):
 
     monkeypatch.setattr(el._Factorization, "solve", counting)
     dy.step(prob, dy.State(u, 0.0))
-    saddle = sum(f is prob.sp.saddle for f in calls)
-    return saddle, len(calls) - saddle
+    projection = sum(f is prob.sp.system.fac for f in calls)
+    return projection, len(calls) - projection
 
 
 @pytest.mark.parametrize("case", ["torus", "channel"])
 def test_rk4_step_is_four_saddle_solves(case, monkeypatch):
-    # each stage's right-hand side is one Stokes-saddle solve, with the
+    # each stage's right-hand side is one projection solve (the Stokes
+    # saddle on a channel, the stream-function system on the torus), with the
     # solves of Fop and La folded in, and the step ends with the
     # integrator's result, not projected again
-    assert _saddle_solves_per_step(case, "rk4", monkeypatch) == (4, 0)
+    assert _projection_solves_per_step(case, "rk4", monkeypatch) == (4, 0)
 
 
 @pytest.mark.parametrize("case", ["torus", "channel"])
 def test_midpoint_step_is_two_saddle_solves(case, monkeypatch):
-    assert _saddle_solves_per_step(case, "midpoint", monkeypatch) == (2, 0)
+    assert _projection_solves_per_step(case, "midpoint", monkeypatch) == (2, 0)
 
 
 @pytest.mark.parametrize("case", ["torus", "channel"])

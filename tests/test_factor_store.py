@@ -7,7 +7,9 @@ freed when the run ends.  Every factorization, on the torus and on channels
 of every size, is ordered by nested dissection under SuperLU's NATURAL
 column order, a saddle's velocities before its constraints in each group,
 balanced by one power-of-two scaling rule, and agrees with a COLAMD
-factorization of the same matrix to round-off.
+factorization of the same matrix to round-off.  The torus projects on the
+stream function, and its Stokes saddle, built explicitly, is the reference:
+the stream-function system fills less than it.
 """
 
 import gc
@@ -133,7 +135,8 @@ def test_run_system_and_problem_share_one_geometry_and_saddle(factorized):
 
 
 def test_elliptic_suite_factorizes_each_matrix_once(factorized):
-    # 7 Stokes saddles and 3 elliptic LUs: the Dirichlet and Neumann 8x9
+    # 7 projections (a Stokes saddle on a channel, a stream-function system
+    # on the torus) and 3 elliptic LUs: the Dirichlet and Neumann 8x9
     # channels need no elliptic LU, their admissible fields being one saddle
     # solve with a source
     run_suite(ExperimentConfig.defaults(), "elliptic", (8, 12, 16))
@@ -181,16 +184,22 @@ def test_dropped_problem_frees_its_factorizations_without_gc():
         gc.enable()
 
 
+def _saddle(op, sp_, bc):
+    """The factorization of the Stokes saddle: the projector's own on a
+    channel, built explicitly on the torus."""
+    return sp_.system.fac if sp_.basis is None else el._stokes_saddle(op, bc)
+
+
 def _reference_solutions(op, sp_, bc, f):
-    """op.solve and sp_.project of f through a default (COLAMD) splu of each
-    unpermuted stored matrix."""
+    """op.solve and sp_.project of f through a default (COLAMD) splu of the
+    unpermuted stored elliptic matrix and Stokes saddle."""
     grid, n = op.geo.grid, op.geo.grid.n_nodes
     A, idx = op.matrix(bc)
     rhs = f.flat()
     rhs[idx] = 0.0
     solved = VectorField.from_flat(grid, spla.splu(A.tocsc()).solve(rhs))
 
-    S = sp_.saddle.matrix
+    S = _saddle(op, sp_, bc).matrix
     rhs = np.zeros(S.shape[0])
     rhs[2 * n:3 * n] = sp_.D @ f.flat()
     rhs[idx] = A[idx] @ f.flat()
@@ -245,9 +254,14 @@ def test_torus_dissection_order_matches_colamd(n, phi, alpha):
     bc = BcRegime.from_domain(TORUS)
     op = EllipticOperator(geo, alpha)
     sp_ = StokesProjector(op, bc)
-    # every unknown exactly once, the gauge rows last
+    # every unknown exactly once; the stream function's modes and gauge rows
+    # last, and the saddle's gauge rows
     _assert_permutation(op.factor(bc), 0)
-    _assert_permutation(sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)
+    stream = sp_.system.fac
+    _assert_permutation(stream, stream.matrix.shape[0] - sp_.n)
+    assert np.array_equal(stream.perm[:sp_.n], np.concatenate(_groups(geo, stream, sp_.n)))
+    saddle = _saddle(op, sp_, bc)
+    _assert_permutation(saddle, saddle.matrix.shape[0] - 3 * sp_.n)
     _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
 
@@ -277,7 +291,7 @@ def test_channel_dissection_order_matches_colamd(nx, regime, monkeypatch):
         op.factor(bc)
     assert options == ["NATURAL"] * 2
     _assert_permutation(op.factor(bc), 0)
-    _assert_permutation(sp_.saddle, sp_.saddle.matrix.shape[0] - 3 * sp_.n)
+    _assert_permutation(sp_.system.fac, sp_.system.fac.matrix.shape[0] - 3 * sp_.n)
     _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
 
@@ -289,7 +303,7 @@ def test_channel_riesz_representer_matches_colamd(mixed40):
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
     r = random_vector(geo.grid, seed=11, kmax=2)
     d, _ = sp_.riesz_representer(r)
-    nd = sp_.phase_space().saddle
+    nd = sp_.phase_space().system.fac
     rhs = np.zeros(nd.matrix.shape[0])
     rhs[:2 * sp_.n] = r.flat()
     ref = spla.splu(nd.matrix.tocsc()).solve(rhs)[:2 * sp_.n]
@@ -311,9 +325,19 @@ def _fill(lu) -> int:
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
 def test_torus_saddle_fills_less_than_colamd(alpha):
     geo = build_geometry(TORUS, 32, 32, PHI_T)
-    bc = BcRegime.from_domain(TORUS)
-    sp_ = StokesProjector(EllipticOperator(geo, alpha), bc)
-    assert _fill(sp_.lu) < _fill(spla.splu(sp_.saddle.matrix))
+    saddle = el._stokes_saddle(EllipticOperator(geo, alpha), BcRegime.from_domain(TORUS))
+    assert _fill(saddle.lu) < _fill(spla.splu(saddle.matrix))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_torus_stream_function_fills_less_than_its_saddle_and_colamd(alpha):
+    # 32^2 curved: 361,816 against the saddle's 1,399,194 at alpha 0.3, and
+    # 60,710 against 82,601 at alpha 0
+    geo = build_geometry(TORUS, 32, 32, PHI_T)
+    op, bc = EllipticOperator(geo, alpha), BcRegime.from_domain(TORUS)
+    sp_ = StokesProjector(op, bc)
+    assert _fill(sp_.lu) < _fill(el._stokes_saddle(op, bc).lu)
+    assert _fill(sp_.lu) < _fill(spla.splu(sp_.system.fac.matrix))
 
 
 @pytest.mark.parametrize("spec,nx,ny,phi", [(TORUS, 12, 12, PHI_T), (MIXED, 40, 41, PHI_C)],
@@ -322,7 +346,7 @@ def test_saddle_orders_each_groups_velocities_before_its_constraints(spec, nx, n
     geo, bc = build_geometry(spec, nx, ny, phi), BcRegime.from_domain(spec)
     op = EllipticOperator(geo, 0.3)
     sp_ = StokesProjector(op, bc)
-    n, fac = sp_.n, sp_.saddle
+    n, fac = sp_.n, _saddle(op, sp_, bc)
     size = fac.matrix.shape[0]
     _assert_permutation(fac, size - 3 * n)           # every unknown once, gauge rows last
     pos = _positions(fac)
@@ -352,8 +376,8 @@ def test_one_balancing_rule_on_every_grid(monkeypatch):
     geo = build_geometry(TORUS, 16, 16, PHI_T)
     bc = BcRegime.from_domain(TORUS)
     op = EllipticOperator(geo, 0.3)
-    sp_, pivot = factored(lambda: StokesProjector(op, bc))
-    n, fac = sp_.n, sp_.saddle
+    fac, pivot = factored(lambda: el._stokes_saddle(op, bc))
+    n = geo.grid.n_nodes
     # p and the divergence rows by 4, the power of two nearest |A| / |G| = 4.5
     torus = np.r_[np.ones(2 * n), np.full(n, 4.0), np.ones(fac.matrix.shape[0] - 3 * n)]
     assert np.array_equal(fac.rows, torus) and np.array_equal(fac.cols, torus)
@@ -363,7 +387,7 @@ def test_one_balancing_rule_on_every_grid(monkeypatch):
     # of two nearest |A| over the row's largest entry, never below 1
     mixed40, mixed = build_geometry(MIXED, 40, 41, PHI_C), BcRegime.from_domain(MIXED)
     channel, pivot = factored(lambda: StokesProjector(EllipticOperator(mixed40, 0.3), mixed))
-    n, fac, bc_idx = channel.n, channel.saddle, channel.bc_idx
+    n, fac, bc_idx = channel.n, channel.system.fac, channel.bc_idx
     V = abs(fac.matrix.tocsr()[:2 * n])
     interior = np.setdiff1d(np.arange(2 * n), bc_idx)
     big = V[interior][:, :2 * n].max()
@@ -378,11 +402,14 @@ def test_one_balancing_rule_on_every_grid(monkeypatch):
     assert (rows[bc_idx] > 1).any()
     assert pivot == el._SCALED_PIVOT
 
-    # alpha 0 (|A| = 1 < |G|), the torus elliptic LU (nothing to balance) and
-    # the phase-space saddle (|W| < |C|) are factored as they are
-    for build in (lambda: StokesProjector(EllipticOperator(geo, 0.0), bc).saddle,
-                  lambda: StokesProjector(EllipticOperator(mixed40, 0.0), mixed).saddle,
-                  lambda: op.factor(bc), lambda: sp_.phase_space().saddle):
+    # alpha 0 (|A| = 1 < |G|), the torus elliptic LU and the torus's
+    # stream-function systems (nothing to balance) and the phase-space saddle
+    # (|W| < |C|) are factored as they are
+    for build in (lambda: el._stokes_saddle(EllipticOperator(geo, 0.0), bc),
+                  lambda: StokesProjector(EllipticOperator(mixed40, 0.0), mixed).system.fac,
+                  lambda: op.factor(bc), lambda: StokesProjector(op, bc).system.fac,
+                  lambda: StokesProjector(op, bc).phase_space().system.fac,
+                  lambda: el._phase_saddle(geo, el._assemble_gram(geo, 0.3), bc)):
         fac, pivot = factored(build)
         assert fac.rows is None and fac.cols is None and pivot == el._ND_PIVOT
 
@@ -399,17 +426,17 @@ def test_channel_elliptic_lu_moves_no_rows(regime):
 
 def test_grouped_torus_saddle_fills_less_than_interleaved():
     geo = build_geometry(TORUS, 32, 32, PHI_T)
-    sp_ = StokesProjector(EllipticOperator(geo, 0.3), BcRegime.from_domain(TORUS))
-    S, n = sp_.saddle.matrix, sp_.n
-    perm = _interleaved(_groups(geo, sp_.saddle, 3 * n), n, 3, S.shape[0])
+    saddle = el._stokes_saddle(EllipticOperator(geo, 0.3), BcRegime.from_domain(TORUS))
+    S, n = saddle.matrix, geo.grid.n_nodes
+    perm = _interleaved(_groups(geo, saddle, 3 * n), n, 3, S.shape[0])
     interleaved = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=el._ND_PIVOT)
-    assert _fill(sp_.lu) <= 0.8 * _fill(interleaved)     # measured 0.71
+    assert _fill(saddle.lu) <= 0.8 * _fill(interleaved)     # measured 0.71
 
 
 def test_channel_saddle_fills_less_than_colamd(mixed40):
     sp_ = StokesProjector(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
-    assert _fill(sp_.lu) < _fill(spla.splu(sp_.saddle.matrix))
+    assert _fill(sp_.lu) < _fill(spla.splu(sp_.system.fac.matrix))
 
 
 @pytest.mark.parametrize("periodic_y", [True, False], ids=["torus", "channel"])

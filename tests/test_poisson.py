@@ -547,19 +547,23 @@ def test_flow_poisson_check_takes_a_plain_system_as_its_context(spec, ny, phi):
 @pytest.mark.parametrize("spec,nx,ny,phi", [(TORUS, 12, 12, PHI_T), (MIXED, 12, 13, PHI_C)],
                          ids=["torus", "mixed"])
 def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
+    # the stored factors belong to the stored W: a phase space built afresh
+    # (the saddle on the channel, the stream-function system on the torus)
+    # gives the stored one's bits, and the saddle [[W, C^T], [C, 0]], built
+    # explicitly from the stored W, agrees to round-off
     ctx = _context(spec, nx, ny, phi)
     ps = ctx.sp.phase_space()
     assert ps.gram is ctx.gram_matrix()
     r = _random_batch(ctx.geo.grid, 370)
     d, _ = ctx.sp.riesz_representer(r)
-    k = el._gradient_kernel_modes(ctx.geo.grid).shape[1]
-    fresh = el._Factorization.of(ctx.geo, ps.saddle.matrix, k, "fresh riesz saddle",
-                                 ctx.sp.bc_idx % ctx.sp.n)
-    n2 = 2 * ctx.sp.n
-    rhs = np.zeros(r.c1.data.shape[:-2] + ps.saddle.matrix.shape[:1])
-    rhs[..., :n2] = r.flat()
-    ref = fresh.solve(rhs, 1e-8, "fresh riesz saddle")[..., :n2]
-    assert np.array_equal(d.flat(), ref)
+    fresh = ctx.sp._phase_space()
+    assert fresh.system.fac is not ps.system.fac and (fresh.gram != ps.gram).nnz == 0
+    assert np.array_equal(d.flat(), fresh.system.solve(r.flat(), "fresh riesz system"))
+    saddle = el._Saddle(el._phase_saddle(ctx.geo, ps.gram, ctx.bc),
+                        el._constraints(ctx.geo, ctx.bc))
+    ref = saddle.solve(r.flat(), "explicit riesz saddle")
+    err = np.linalg.norm(d.flat() - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+    assert err.max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
