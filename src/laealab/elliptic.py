@@ -48,35 +48,61 @@ alpha, a = 0 included.  At a = 0 on a channel that is null([D; R]), the
 a -> 0 limit of the family on a fixed grid.
 
 The phase space of the flow check is null(C), the record's C.  Its saddle
-[[W, C^T], [C, 0]], W the H^1 Gram matrix, is factored once per (geometry,
-alpha, regime) and stored with that W as one record, PhaseSpace, so
-StokesProjector.riesz_representer is one solve.
+is [[W, C^T], [C, 0]], W the H^1 Gram matrix.
 
-On the torus, the regime with no wall rows, both saddles are replaced by
-their null-space reduction (Benzi, Golub & Liesen, Acta Numerica 14 (2005),
-sec. 6), a system on the discrete stream function.  B = [curl | H]
-(Constraints.B, (2n, n + 2k)) is a basis of null(D): curl psi = e^{-2 phi}
-(DY psi, -DX psi), which D annihilates because DX and DY commute, and the 2k
-fields e^{-2 phi} s e_i of the k gradient-kernel modes s.  Let M =
-diag(quad_mu e^{2 phi}) per component.  Summation by parts, with no wall
-terms, gives G^T M = -diag(quad_mu) D: G is the M-adjoint of -D, so null(G^T)
-= M null(D), and the saddle's u = v + w is exactly B a with
+Neither saddle is factored.  On every regime both are replaced by their
+null-space reduction (Benzi, Golub & Liesen, Acta Numerica 14 (2005), sec.
+6), a system on the discrete stream function.  The record carries a trial
+basis B of null(C) (Constraints.B) and a test basis T of {t : t_idx = 0,
+G^T t = 0}, the tests that see neither the BC rows nor p: T^T (A u - G p) =
+T^T A u.  So the saddle's u = v + w is exactly B a with
 
-    K a = B^T M (A v + f),    K = B^T M A B,
+    K a = T^T (A v + f),    K = T^T A B,
 
-K's n + 2k unknowns (the stream function in the nodes' dissection order, then
-the 2k mode unknowns) bordered by k gauge rows on the stream function's
-kernel, the modes s.  The projection is then divergence-free by
-construction, to round-off in B alone.  Its transpose is (A^T y, y), y = M B
-K^{-T} B^T z, and the phase space's solve is B (B^T W B)^{-1} B^T r, the same
-reduction of [[W, C^T], [C, 0]].  The reduced system fills 2.28M L+U at 64^2
-on the curved torus, against the saddle's 7.58M.  On a channel the wall rows
-break the adjointness (on the 8x9 mixed channel rank D = n - 2 but rank G =
-n - 4), so channels keep the saddles; whether a regime has wall rows is
-decided once, by whether its Constraints carry B.
+f's BC rows ignored because T vanishes on them.  K is bordered by the
+kernels of B's coefficients (as rows) and of T's (as columns), which fix
+the stream function's gauge.  The projection lands in null(C) by
+construction, to round-off in B alone.  Its transpose is (A^T y, y), y = T
+K^{-T} B^T z, and the phase space's solve is B (B^T W B)^{-1} B^T r,
+bordered by B's kernel on both sides.  One _StreamFunction serves every
+regime; the saddles (_stokes_saddle, _phase_saddle) are built only as the
+reference the tests hold it to.  The reduced systems fill 2.28M L+U on the
+curved 64^2 torus and 1.62M on the 64x65 channels, against the saddles'
+7.58M and 5.83M.
 
-Every factorization, the BC-substituted (1 - a^2 Lop), the Stokes saddle,
-the phase-space saddle and the stream-function systems, is one record,
+On the torus B = [curl | H], (2n, n + 2k): curl psi = e^{-2 phi} (DY psi,
+-DX psi), which D annihilates because DX and DY commute, and the 2k fields
+e^{-2 phi} s e_i of the k gradient-kernel modes s.  With M = diag(quad_mu
+e^{2 phi}) per component, summation by parts without wall terms gives G^T M
+= -diag(quad_mu) D, so null(G^T) = M null(D) and T = M B.  The border is
+the modes s on both sides.
+
+On a channel the wall rows break that adjointness (on the 8x9 mixed channel
+rank D = n - 2 but rank G = n - 4), so T is built from G^T's own kernel
+instead of as M B.  Let s be the x-modes, the constant and, for even nx,
+the sawtooth: the kernel of the periodic centred d/dx.
+
+    B = curl psi, psi on each wall row a combination of s (so u2 = 0 there,
+        the tangency row) and psi on rows 1 and ny - 2 eliminated node by
+        node through the wall's u1 row of R (u1 = 0 or free slip), whose
+        coefficient on it is nonzero; and the shears e^{-2 phi} (s f, 0),
+        f the unit vector of the middle row.  A shear is in null(C) but is
+        no curl: f is outside the range of the wall-closed d/dy, since
+        kappa . f != 0, kappa the tapered y-sawtooth that spans the kernel
+        of its transpose.  The torus's H is dropped: e^{-2 phi} e_1 is the
+        curl of y.
+    T = e^{2 phi} (DY^T chi, -DX^T chi), chi on each wall row a combination
+        of s and chi on rows 1 and ny - 2 fixed by (DY^T chi) = 0 at the
+        wall node; and the shears e^{2 phi} (s f, 0), outside the range of
+        DY^T since f sums to 1.  Each vanishes on every wall row, and G^T T
+        = 0 because DX and DY commute.
+
+K's unknowns are the stream function on the free rows 2 to ny - 3, then
+two wall amplitudes and one shear per x-mode; the border is psi = s (B's
+kernel) and chi = s kappa (T's).
+
+Every factorization, the BC-substituted (1 - a^2 Lop), the stream-function
+systems and the reference saddles, is one record,
 (SuperLU, permutation, matrix, row scaling, column scaling), whose solve
 holds every right-hand side's residual against the unpermuted, unscaled
 matrix; its transpose solve uses the same factors and holds the residual
@@ -86,13 +112,13 @@ nested dissection of the grid's nodes (on the torus the two wrap-around
 seams first), one group at a time, a group being a leaf box or a separator
 band: first the group's velocities (or stream function), then its
 constraints (p, or the divergence and wall rows), and the gauge rows (and
-the stream function's mode unknowns) last; that is the one ordering on every
-grid.  One balancing rule holds on every grid too (_balance): where the
-velocity block outweighs the coupling of its constraints, or its BC rows,
-those are scaled by powers of two before the matrix is factored.  That keeps
-the pivots large enough that SuperLU swaps no row of a channel's elliptic
-LU, the saddles fill less, and the projection stays divergence-free to
-~1e-11 on channels up to 128x129.
+the stream function's mode, wall and shear unknowns) last; that is the one
+ordering on every grid.  One balancing rule holds on every grid too
+(_balance): where the velocity block outweighs the coupling of its
+constraints, or its BC rows, those are scaled by powers of two before the
+matrix is factored.  That keeps the pivots large enough that SuperLU swaps
+no row of a channel's elliptic LU and the saddles fill less; the
+stream-function systems have nothing to balance.
 """
 
 from __future__ import annotations
@@ -170,17 +196,17 @@ def _stored(geo: Geometry, key, build):
     return store[key]
 
 
-def _reach(M, grid, n_node_dofs: int):
+def _reach(M, grid, nodes: np.ndarray):
     """(rx, ry): the largest x and y node distance that M's node unknowns couple.
 
-    Unknown r belongs to node r % n (unknowns beyond n_node_dofs are gauge
-    or wall rows and do not count); distances wrap around the periodic
-    directions only.
+    Unknown r < nodes.size belongs to node nodes[r] (the unknowns after them
+    are gauge, mode or wall rows and do not count); distances wrap around
+    the periodic directions only.
     """
-    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    nx, ny = grid.nx, grid.ny
     C = M.tocoo()
-    keep = (C.row < n_node_dofs) & (C.col < n_node_dofs)
-    r, c = C.row[keep] % n, C.col[keep] % n
+    keep = (C.row < nodes.size) & (C.col < nodes.size)
+    r, c = nodes[C.row[keep]], nodes[C.col[keep]]
     di = np.abs(r // ny - c // ny)
     dj = np.abs(r % ny - c % ny)
     if grid.periodic_y:
@@ -294,49 +320,49 @@ class _Factorization(NamedTuple):
     cols: np.ndarray | None = None
 
     @classmethod
-    def of(cls, geo: Geometry, M, k: int, what: str, walls: np.ndarray = _EMPTY,
-           bc_rows: np.ndarray = _EMPTY, dofs: int = 2) -> "_Factorization":
-        """The factorization of M, whose last k unknowns are gauge rows and
-        whose velocity rows bc_rows carry boundary conditions.
+    def of(cls, geo: Geometry, M, what: str, nodes: np.ndarray, kind: np.ndarray | None = None,
+           bc_rows: np.ndarray = _EMPTY) -> "_Factorization":
+        """The factorization of M, whose unknown r < nodes.size belongs to
+        node nodes[r] and whose velocity rows bc_rows carry boundary
+        conditions.
 
-        M's first dofs * n unknowns are the nodes' own: their velocities, u1
-        then u2 (dofs 2), or their stream function (dofs 1).  The unknowns
-        after them are constraints: p, or the divergence row, of node r - 2n
-        at unknown r < 3n, then the wall rows of nodes walls (the
-        phase-space saddle's), then the gauge rows.
+        kind[r] (default 0) says what unknown r is to its node: 0 the node's
+        own, a velocity component or its stream function; 1 its p or
+        divergence row; 2 its wall row (the phase-space saddle's).  Kinds
+        come in that order, and the unknowns past nodes.size (gauge rows,
+        and the stream function's mode, wall and shear unknowns) last.
 
         On every grid M is factored as M[perm][:, perm] under SuperLU's
         NATURAL column order.  perm takes the nested-dissection groups in
         elimination order, and within each group first its nodes' own
-        unknowns, u1 and u2 interleaved per node, then its p or divergence
-        rows, then its wall rows; the gauge rows go last, in order.  Centred
-        D and G do not couple a node's p to itself, so a p placed right
-        after its own node's velocities has a structurally zero pivot, and
-        SuperLU's row interchanges to get past it add fill; after the whole
-        group's velocities it has fill to pivot on.  A velocity-only M (the
-        elliptic LU) gets the node-interleaved dissection order, and a
-        stream-function M the plain dissection order.  M is balanced first
-        where its velocity block outweighs its coupling or its BC rows
-        (_balance).  The groups are built once per geometry and reach and
-        stored with the factorizations.  A singular M raises
-        SolveError, its message prefixed by what.
+        unknowns, a node's u1 and u2 together, then its p or divergence
+        rows, then its wall rows; the unknowns past nodes.size go last, in
+        order.  Centred D and G do not couple a node's p to itself, so a p
+        placed right after its own node's velocities has a structurally zero
+        pivot, and SuperLU's row interchanges to get past it add fill; after
+        the whole group's velocities it has fill to pivot on.  A
+        velocity-only M (the elliptic LU) thus gets the node-interleaved
+        dissection order, and a stream-function M the dissection order of
+        its unknowns' nodes.  M is balanced first where its velocity block
+        outweighs its coupling or its BC rows (_balance).  The groups are
+        built once per geometry and reach and stored with the
+        factorizations.  A singular M raises SolveError, its message
+        prefixed by what.
         """
         grid = geo.grid
-        n, m = grid.n_nodes, M.shape[0] - k
-        reach = _reach(M, grid, m - walls.size)
+        n, m = grid.n_nodes, nodes.size
+        kind = np.zeros(m, dtype=int) if kind is None else kind
+        reach = _reach(M, grid, nodes[kind < 2])
         groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
             grid.nx, grid.ny, *reach, grid.periodic_y))
         rank = np.empty(n, dtype=int)
         rank[np.concatenate(groups)] = np.arange(n)
         group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-        node_rank = rank[np.concatenate([np.tile(np.arange(n), dofs),
-                                         np.arange(m - dofs * n - walls.size), walls])]
-        # 0 the node's own, 1 p or divergence row, 2 wall row; lexsort is
-        # stable, so a node's u1 stays before its u2
-        kind = np.searchsorted([dofs * n, m - walls.size], np.arange(m), side="right")
+        node_rank = rank[nodes]
+        # lexsort is stable, so a node's u1 stays before its u2
         perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
                                np.arange(m, M.shape[0])])
-        rows, cols = _balance(M, dofs * n, m, bc_rows) or (None, None)
+        rows, cols = _balance(M, np.count_nonzero(kind == 0), m, bc_rows) or (None, None)
         S = M if rows is None else sp.diags(rows) @ M @ sp.diags(cols)
         try:
             lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
@@ -404,16 +430,9 @@ def _replace_rows(M, idx, R):
     return sp.diags(keep) @ M + P @ R
 
 
-def _gauge_bordered(K, Z, row0: int):
-    """CSC saddle [[K, Zc], [Zc^T, 0]], Zc the gauge columns Z placed at rows row0.
-
-    The gauge columns Z (mu-weighted gradient-kernel modes) fix the pressure
-    kernel exactly and give the constrained rows a matching slack.
-    """
-    Zc = np.zeros((K.shape[0], Z.shape[1]))
-    Zc[row0:row0 + Z.shape[0]] = Z
-    Zc = sp.csr_matrix(Zc)
-    return sp.bmat([[K, Zc], [Zc.T, None]], format="csc")
+def _bordered(K, cols: np.ndarray, rows: np.ndarray):
+    """CSC [[K, cols], [rows^T, 0]], K bordered by the dense columns cols and rows."""
+    return sp.bmat([[K, sp.csr_matrix(cols)], [sp.csr_matrix(rows).T, None]], format="csc")
 
 
 def _assemble_interior(geo: Geometry, alpha: float):
@@ -443,9 +462,13 @@ class Constraints(NamedTuple):
     R holds the regime's wall rows, which replace the velocity rows idx of
     (1 - a^2 Lop); D is the divergence, (n, 2n); G the pressure gradient,
     (2n, n), zero on the rows idx; and C = [D; R].  The torus's regime has
-    no walls, so its idx and R are empty, C is D, and B is the basis of
-    null(D) its projections are solved on (module docstring); B is None on
-    a channel.
+    no walls, so its idx and R are empty and C is D.
+
+    B is the trial basis of null(C) that projections are solved on, T their
+    test basis, a basis of {t : t_idx = 0, G^T t = 0} (module docstring);
+    kernel and test_kernel (dense, one column per mode) span the kernels of
+    B's and T's coefficients, and nodes[r] is the node of the stream
+    function's unknown r, the coefficients past nodes.size having none.
     """
 
     idx: np.ndarray
@@ -453,7 +476,11 @@ class Constraints(NamedTuple):
     D: sp.csr_matrix
     G: sp.csr_matrix
     C: sp.csr_matrix
-    B: sp.csr_matrix | None
+    B: sp.csr_matrix
+    T: sp.csr_matrix
+    kernel: np.ndarray
+    test_kernel: np.ndarray
+    nodes: np.ndarray
 
 
 def _constraints(geo: Geometry, bc: BcRegime) -> Constraints:
@@ -499,23 +526,93 @@ def _build_constraints(geo: Geometry, bc: BcRegime) -> Constraints:
     tape = Tape(grid)
     G = sp.vstack(tape.matrices(ca.gradient(metric, tape.scalar()).comps()), format="csr")
     G = _replace_rows(G, idx, sp.csr_matrix((idx.size, n)))
-    B = None if idx.size else _stream_basis(geo)
-    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"), B)
+    bases = _channel_bases(geo, idx, R) if idx.size else _torus_bases(geo)
+    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"), *bases)
 
 
-def _stream_basis(geo: Geometry) -> sp.csr_matrix:
-    """B = [curl | H], (2n, n + 2k): a basis of the torus's null(D).
+def _x_modes(nx: int) -> np.ndarray:
+    """(nx, ks): the kernel of the periodic centred d/dx, the constant and,
+    for even nx, the sawtooth."""
+    modes = [np.ones(nx)]
+    if nx % 2 == 0:
+        modes.append((-1.0) ** np.arange(nx))
+    return np.stack(modes, axis=1)
+
+
+def _dy_cokernel(ny: int) -> np.ndarray:
+    """kappa, which spans the kernel of dy1^T for a channel's d/dy dy1
+    (centred inside, grid._d1_wall's one-sided rows at the walls): the
+    y-sawtooth, tapered to 7/8, 1/2 and 1/8 over the three rows at each wall."""
+    taper = np.ones(ny)
+    taper[:3] = taper[:-4:-1] = (1 / 8, 1 / 2, 7 / 8)
+    return (-1.0) ** np.arange(ny) * taper
+
+
+def _torus_bases(geo: Geometry):
+    """The torus's (B, T, kernel, test_kernel, nodes): B = [curl | H], (2n,
+    n + 2k), a basis of null(D), and T = M B.
 
     curl psi = e^{-2 phi} (DY psi, -DX psi), which D annihilates because DX
-    and DY commute; its kernel is the k gradient-kernel modes s.  H holds
-    the 2k fields e^{-2 phi} s e_i, which D annihilates because DX s = DY s
-    = 0.  So B spans the (n - k) + 2k = n + k dimensions of null(D).
+    and DY commute; its kernel is the k gradient-kernel modes s, the stream
+    function's kernel and T's.  H holds the 2k fields e^{-2 phi} s e_i,
+    which D annihilates because DX s = DY s = 0.  So B spans the (n - k) +
+    2k = n + k dimensions of null(D).
     """
-    grid, em = geo.grid, sp.diags(geo.metric.em2phi.ravel())
-    modes = em @ _gradient_kernel_modes(grid)
-    zero = np.zeros_like(modes)
-    return sp.bmat([[em @ grid.DY, modes, zero], [-(em @ grid.DX), zero, modes]],
-                   format="csr")
+    grid, m = geo.grid, geo.metric
+    em = sp.diags(m.em2phi.ravel())
+    s = _gradient_kernel_modes(grid)
+    modes, zero = em @ s, np.zeros_like(s)
+    B = sp.bmat([[em @ grid.DY, modes, zero], [-(em @ grid.DX), zero, modes]], format="csr")
+    M = sp.diags(np.tile((m.quad_mu() * m.e2phi).ravel(), 2))
+    kernel = np.r_[s, np.zeros((2 * s.shape[1], s.shape[1]))]
+    return B, (M @ B).tocsr(), kernel, kernel, np.arange(grid.n_nodes)
+
+
+def _channel_bases(geo: Geometry, idx: np.ndarray, R):
+    """A channel's (B, T, kernel, test_kernel, nodes) (module docstring).
+
+    The coefficients are the stream function on the free nodes, rows 2 to
+    ny - 3, in natural order, then each wall's ks mode amplitudes, y0's
+    then yL's, then ks shear amplitudes.  B = [curl E | e^{-2 phi} S] and T
+    = [e^{2 phi} (DY^T, -DX^T) F | e^{2 phi} S], S the shears s (x) f, f
+    the unit vector of the middle row.  E and F map the coefficients to the
+    nodes: the wall's modes on each wall row, and rows 1 and ny - 2 filled
+    node by node, by E so that the wall's u1 row of R holds, by F so that
+    DY^T chi vanishes at the wall node.
+    """
+    grid, m = geo.grid, geo.metric
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    s = _x_modes(nx)
+    ks = s.shape[1]
+    i, j = np.divmod(np.arange(n), ny)
+    free = np.flatnonzero((j >= 2) & (j <= ny - 3))
+    wall = np.flatnonzero((j == 0) | (j == ny - 1))
+    nf = free.size
+    first = nf + ks * (j[wall] > 0)                     # the wall's first mode amplitude
+    E0 = sp.csr_matrix((np.r_[np.ones(nf), s[i[wall]].ravel()],
+                        (np.r_[free, np.repeat(wall, ks)],
+                         np.r_[np.arange(nf), (first[:, None] + np.arange(ks)).ravel()])),
+                       shape=(n, nf + 2 * ks))
+    at = idx[idx < n]                                   # the wall nodes' u1 rows
+    beside = at + np.where(at % ny == 0, 1, -1)
+
+    def eliminated(rows):
+        """E0 with rows beside filled so that rows @ out = 0, row r by its entry at beside[r]."""
+        pivots = np.asarray(rows[np.arange(at.size), beside]).ravel()
+        P = sp.csr_matrix((-1.0 / pivots, (beside, np.arange(at.size))), shape=(n, at.size))
+        return (E0 + P @ (rows @ E0)).tocsr()
+
+    em, e2 = sp.diags(m.em2phi.ravel()), sp.diags(m.e2phi.ravel())
+    E = eliminated((R[idx < n] @ sp.vstack([em @ grid.DY, -(em @ grid.DX)])).tocsr())
+    F = eliminated(grid.DYT[at])
+    S = sp.kron(s, np.eye(ny)[:, ny // 2:ny // 2 + 1], format="csr")
+    B = sp.bmat([[em @ grid.DY @ E, em @ S], [-(em @ grid.DX @ E), None]], format="csr")
+    T = sp.bmat([[e2 @ grid.DYT @ F, e2 @ S], [-(e2 @ grid.DXT @ F), None]], format="csr")
+    kappa, eye, shears = _dy_cokernel(ny), np.eye(ks), np.zeros((ks, ks))
+    kernel = np.r_[s[i[free]], eye, eye, shears]
+    test_kernel = np.r_[s[i[free]] * kappa[j[free], None], kappa[0] * eye, kappa[-1] * eye,
+                        shears]
+    return B, T, kernel, test_kernel, free
 
 
 class EllipticOperator:
@@ -553,7 +650,8 @@ class EllipticOperator:
         """The _Factorization of matrix(bc), balanced against its BC rows."""
         A, bc_idx = self.matrix(bc)
         return _stored(self.geo, ("lu", self.alpha, bc), lambda: _Factorization.of(
-            self.geo, A, 0, f"singular assembly for regime {bc.variant}", bc_rows=bc_idx))
+            self.geo, A, f"singular assembly for regime {bc.variant}",
+            np.tile(np.arange(self.n), 2), bc_rows=bc_idx))
 
     def solve(self, f: VectorField, bc: BcRegime) -> VectorField:
         """(1 - a^2 Lop)^{-1} f onto the regime's BC subspace, at every alpha;
@@ -576,22 +674,18 @@ def _gradient_kernel_modes(grid) -> np.ndarray:
     modes in addition to constants; with zeroed wall rows the y-parity modes
     join the kernel on the channel as well.  Returned as columns (n, k).
     """
-    nx, ny = grid.nx, grid.ny
-    ii, jj = np.arange(nx), np.arange(ny)
-    modes = [np.ones((nx, ny))]
-    if nx % 2 == 0:
-        modes.append(np.outer((-1.0) ** ii, np.ones(ny)))
+    ny = grid.ny
+    ys = [np.ones(ny)]
     if not grid.periodic_y or ny % 2 == 0:
-        modes.append(np.outer(np.ones(nx), (-1.0) ** jj))
-        if nx % 2 == 0:
-            modes.append(np.outer((-1.0) ** ii, (-1.0) ** jj))
-    return np.stack([m.ravel() for m in modes], axis=1)
+        ys.append((-1.0) ** np.arange(ny))
+    return np.stack([np.outer(x, y).ravel() for y in ys for x in _x_modes(grid.nx).T], axis=1)
 
 
 class _Saddle(NamedTuple):
-    """A channel's constrained solve, and the torus's reference: fac factors
-    a saddle [[X, .], [C, 0]], X on the 2n velocities, bordered by k gauge
-    columns; con is the regime's Constraints."""
+    """The reference constrained solve that tests compare the stream
+    function's against: fac factors a saddle [[X, .], [C, 0]], X on the 2n
+    velocities, bordered by k gauge columns (_stokes_saddle, _phase_saddle);
+    con is the regime's Constraints."""
 
     fac: _Factorization
     con: Constraints
@@ -637,10 +731,10 @@ class _Saddle(NamedTuple):
 
 
 class _StreamFunction(NamedTuple):
-    """The torus's constrained solve, on the stream function: fac factors
-    K = T^T X B, B the basis of null(D) (_stream_basis) and T = M B or B the
-    test basis, bordered by the k gauge rows [modes; 0] that fix the stream
-    function's kernel (module docstring)."""
+    """The constrained solve on the stream function, on every regime: fac
+    factors K = T^T X B, B the trial basis of null(C) and T the test basis
+    (M B on the torus, B for the phase space), bordered by the kernels of
+    T's and B's coefficients (module docstring)."""
 
     fac: _Factorization
     B: sp.csr_matrix
@@ -649,14 +743,14 @@ class _StreamFunction(NamedTuple):
 
     def _through(self, solve, into, out, r, what):
         """out x for each r along the last axis, x the first columns of
-        solve([into^T r; 0]), the gauge rows' right-hand side zero."""
+        solve([into^T r; 0]), the border rows' right-hand side zero."""
         nb = into.shape[1]
         rhs = np.zeros(r.shape[:-1] + self.fac.matrix.shape[:1])
         rhs[..., :nb] = matvec_last(into.T, r)
         return matvec_last(out, solve(rhs, 1e-8, what)[..., :nb])
 
     def solve(self, r: np.ndarray, what: str) -> np.ndarray:
-        """B K^{-1} T^T r, the member u of null(D) with T^T (X u - r) = 0,
+        """B K^{-1} T^T r, the member u of null(C) with T^T (X u - r) = 0,
         for each r along the last axis."""
         return self._through(self.fac.solve, self.T, self.B, r, what)
 
@@ -678,39 +772,44 @@ def _stokes_saddle(op: EllipticOperator, bc: BcRegime) -> _Factorization:
     """The factorization of (op, bc)'s Stokes saddle (module docstring),
     bordered by gauge columns on the whole discrete-gradient kernel
     (constants and the sawtooth modes), with matching slack columns in the
-    divergence rows.  The projection solves it on a channel; on the torus
-    it is the reference its reduction reproduces."""
+    divergence rows: the reference the stream function's projection
+    reproduces."""
     geo, n = op.geo, op.n
     con = _constraints(geo, bc)
     A, _ = op.matrix(bc)
-    mu = geo.metric.quad_mu().ravel()
-    modes = _gradient_kernel_modes(geo.grid)
     K = sp.bmat([[A, -con.G], [con.D, sp.csr_matrix((n, n))]])
-    S = _gauge_bordered(K, mu[:, None] * modes, 2 * n)
-    return _Factorization.of(geo, S, modes.shape[1], "stokes saddle factorization failed",
-                             bc_rows=con.idx)
+    return _Factorization.of(geo, _gauge_bordered(geo, K), "stokes saddle factorization failed",
+                             np.tile(np.arange(n), 3), np.repeat([0, 1], [2 * n, n]), con.idx)
 
 
 def _phase_saddle(geo: Geometry, W, bc: BcRegime) -> _Factorization:
     """The factorization of [[W, C^T], [C, 0]], bordered by k gauge columns
-    as the Stokes saddle is: the phase space's constrained solve on a
-    channel, and the reference for the torus's reduction."""
+    as the Stokes saddle is: the reference for the phase space's reduction."""
     con, n = _constraints(geo, bc), geo.grid.n_nodes
-    mu = geo.metric.quad_mu().ravel()
-    modes = _gradient_kernel_modes(geo.grid)
-    S = _gauge_bordered(sp.bmat([[W, con.C.T], [con.C, None]]), mu[:, None] * modes, 2 * n)
-    return _Factorization.of(geo, S, modes.shape[1], "riesz saddle factorization failed",
-                             con.idx % n)
+    S = _gauge_bordered(geo, sp.bmat([[W, con.C.T], [con.C, None]]))
+    return _Factorization.of(geo, S, "riesz saddle factorization failed",
+                             np.r_[np.tile(np.arange(n), 3), con.idx % n],
+                             np.repeat([0, 1, 2], [2 * n, n, con.idx.size]))
 
 
-def _stream_function(geo: Geometry, X, B, T, what: str) -> _StreamFunction:
-    """The _StreamFunction of first block X, basis B and test basis T: the
-    stream function in the nodes' dissection order, then the 2k mode
-    unknowns, then the k gauge rows."""
-    modes = _gradient_kernel_modes(geo.grid)
-    S = _gauge_bordered((T.T @ X @ B).tocsr(), modes, 0)
-    return _StreamFunction(_Factorization.of(geo, S, 3 * modes.shape[1], what, dofs=1),
-                           B, T, X)
+def _gauge_bordered(geo: Geometry, K):
+    """K bordered by the gauge columns mu s, s the gradient-kernel modes, in
+    its rows 2n to 3n and in matching rows: they fix the pressure kernel
+    exactly and give the constrained rows a matching slack."""
+    mu, modes = geo.metric.quad_mu().ravel(), _gradient_kernel_modes(geo.grid)
+    gauge = np.zeros((K.shape[0], modes.shape[1]))
+    gauge[2 * mu.size:3 * mu.size] = mu[:, None] * modes
+    return _bordered(K, gauge, gauge)
+
+
+def _stream_function(geo: Geometry, X, con: Constraints, T, border,
+                     what: str) -> _StreamFunction:
+    """The _StreamFunction of first block X, con's trial basis B and test
+    basis T, whose coefficients' kernel is border: K = T^T X B bordered by
+    the columns border and the rows con.kernel, its unknowns ordered by
+    their nodes (con.nodes) and the rest last."""
+    S = _bordered((T.T @ X @ con.B).tocsr(), border, con.kernel)
+    return _StreamFunction(_Factorization.of(geo, S, what, con.nodes), con.B, T, X)
 
 
 class PhaseSpace(NamedTuple):
@@ -718,16 +817,15 @@ class PhaseSpace(NamedTuple):
     the divergence and the regime's BC rows.
 
     gram is the H^1 Gram matrix W, with u^T W v = <u, v>_1 (same stencils);
-    system its constrained solve: on a channel the bordered saddle
-    [[W, C^T], [C, 0]], on the torus B^T W B on the stream function; dim =
-    2n - (rows of C - k), k equal to C's rank deficiency (exactly on the
-    torus, where dim = n + k, the columns of B less the k stream-function
-    modes).  W and its factorization are built together and stored as one
-    record, so the factors always belong to that W.
+    system its constrained solve, B^T W B on the stream function, bordered
+    by the kernel of B's coefficients on both sides; dim is null(C)'s
+    dimension, the columns of B less that kernel's (n + k on the torus).
+    W and its factorization are built together and stored as one record,
+    so the factors always belong to that W.
     """
 
     gram: sp.csr_matrix
-    system: _Saddle | _StreamFunction
+    system: _StreamFunction
     dim: int
 
 
@@ -738,11 +836,11 @@ class StokesProjector:
     H^1-orthogonal on fields that satisfy the wall rows; any other field v
     it projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
     docstring), so P P = P and R P v = 0 for every v.  A thin view over the
-    geometry's store: bc_idx, R, D, G and constraints (C) are the fields of
-    the regime's one Constraints record, and projectors for the same (alpha,
-    regime) on the same geometry object share one factorization, system:
-    the bordered Stokes saddle on a channel, and on the torus its reduction
-    to the stream function, of dimension n + k.
+    geometry's store: bc_idx, R, D, G, constraints (C) and basis (B) are
+    fields of the regime's one Constraints record, and projectors for the
+    same (alpha, regime) on the same geometry object share one
+    factorization, system: the Stokes saddle's reduction to the stream
+    function, on every regime.
     """
 
     def __init__(self, op: EllipticOperator, bc: BcRegime):
@@ -750,8 +848,8 @@ class StokesProjector:
         self.bc = bc
         geo = op.geo
         self.n = geo.grid.n_nodes
-        self.bc_idx, self.R, self.D, self.G, self.constraints, self.basis = \
-            _constraints(geo, bc)
+        con = _constraints(geo, bc)
+        self.bc_idx, self.R, self.D, self.G, self.constraints, self.basis = con[:6]
         self.system = _stored(geo, ("projection", op.alpha, bc), self._factorize)
 
     @property
@@ -759,13 +857,9 @@ class StokesProjector:
         """SuperLU of the projection's factorization."""
         return self.system.fac.lu
 
-    def _factorize(self) -> _Saddle | _StreamFunction:
-        op, B = self.op, self.basis
-        if B is None:
-            return _Saddle(_stokes_saddle(op, self.bc), _constraints(op.geo, self.bc))
-        m = op.geo.metric
-        M = sp.diags(np.tile((m.quad_mu() * m.e2phi).ravel(), 2))
-        return _stream_function(op.geo, op.interior, B, (M @ B).tocsr(),
+    def _factorize(self) -> _StreamFunction:
+        con = _constraints(self.op.geo, self.bc)
+        return _stream_function(self.op.geo, self.op.interior, con, con.T, con.test_kernel,
                                 "stokes stream-function factorization failed")
 
     def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
@@ -773,10 +867,8 @@ class StokesProjector:
         field, f None no source, and either may be a batch (..., nx, ny),
         solved member by member.
 
-        On a channel the saddle is solved for [f with -R v in its BC rows;
-        -div v; 0] and the result is v + w, in null(C) whether or not v
-        satisfies the BC rows, at every alpha.  On the torus it is B a,
-        K a = B^T M (A v + f) (module docstring).
+        It is B a, K a = T^T (A v + f) (module docstring): in null(C)
+        whether or not v satisfies the BC rows, at every alpha.
         """
         vf, ff = (None if x is None else x.flat() for x in (v, f))
         return VectorField.from_flat(self.op.geo.grid, self.system.project(vf, ff))
@@ -794,15 +886,12 @@ class StokesProjector:
                        self._phase_space)
 
     def _phase_space(self) -> PhaseSpace:
-        geo, B = self.op.geo, self.basis
+        geo = self.op.geo
+        con = _constraints(geo, self.bc)
         W = _assemble_gram(geo, self.op.alpha)
-        if B is None:
-            system = _Saddle(_phase_saddle(geo, W, self.bc), _constraints(geo, self.bc))
-        else:
-            system = _stream_function(geo, W, B, B,
-                                      "riesz stream-function factorization failed")
-        k = _gradient_kernel_modes(geo.grid).shape[1]
-        return PhaseSpace(W, system, 2 * self.n - (self.constraints.shape[0] - k))
+        system = _stream_function(geo, W, con, con.B, con.kernel,
+                                  "riesz stream-function factorization failed")
+        return PhaseSpace(W, system, con.B.shape[1] - con.kernel.shape[1])
 
     def riesz_representer(self, r: VectorField):
         """(d, dim): for each member of the batch r, the member d of null(C)

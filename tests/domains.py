@@ -10,6 +10,7 @@ from laealab.suites import DOMAINS
 TORUS, PHI_T = DOMAINS["torus"]
 MIXED, PHI_C = DOMAINS["mixed"]
 DIRICH, NEUMANN = DOMAINS["dirichlet"][0], DOMAINS["neumann"][0]
+REGIMES = {"mixed": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}   # the channel regimes
 
 
 def torus(n, phi=PHI_T):

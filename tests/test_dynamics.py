@@ -343,9 +343,9 @@ def test_step_keeps_zero_field_fixed():
 
 
 def _projection_solves_per_step(case, integrator, monkeypatch):
-    """(solves with the projection's factorization, the Stokes saddle on a
-    channel and the stream-function system on the torus, and solves with
-    other factors) of one step from an admissible u."""
+    """(solves with the projection's factorization, the stream-function
+    system on every regime, and solves with other factors) of one step from
+    an admissible u."""
     geo = torus(16) if case == "torus" else channel(16)
     cfg = dy.SolverConfig(alpha=0.3, dt=5e-3, t_end=5e-3, integrator=integrator,
                           bc=BC_T if case == "torus" else BC_M)
@@ -367,10 +367,9 @@ def _projection_solves_per_step(case, integrator, monkeypatch):
 
 @pytest.mark.parametrize("case", ["torus", "channel"])
 def test_rk4_step_is_four_saddle_solves(case, monkeypatch):
-    # each stage's right-hand side is one projection solve (the Stokes
-    # saddle on a channel, the stream-function system on the torus), with the
-    # solves of Fop and La folded in, and the step ends with the
-    # integrator's result, not projected again
+    # each stage's right-hand side is one projection solve (the
+    # stream-function system), with the solves of Fop and La folded in, and
+    # the step ends with the integrator's result, not projected again
     assert _projection_solves_per_step(case, "rk4", monkeypatch) == (4, 0)
 
 

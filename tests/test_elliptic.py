@@ -13,7 +13,7 @@ from laealab.orders import fit_order
 from laealab.reference import leray_fft
 from laealab.samples import eigenfield, phi_flat, random_scalar, random_vector
 
-from domains import DIRICH, MIXED, NEUMANN, PHI_T, TORUS, channel, torus
+from domains import DIRICH, MIXED, NEUMANN, PHI_C, PHI_T, REGIMES, TORUS, channel, torus
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_projection_with_a_source_matches_the_composed_oracle(spec, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the torus projects on the stream function; its bordered saddle, built
+# every regime projects on the stream function; its bordered saddle, built
 # explicitly, is the oracle
 # ---------------------------------------------------------------------------
 
@@ -348,13 +348,11 @@ def _relative(got, ref):
     return np.max(np.linalg.norm(got - ref, axis=-1) / np.linalg.norm(ref, axis=-1))
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.0])
-@pytest.mark.parametrize("phi", [PHI_T, phi_flat], ids=["curved", "flat"])
-@pytest.mark.parametrize("nx,ny", [(8, 8), (9, 9), (15, 16), (32, 32)],
-                         ids=["8x8", "9x9", "15x16", "32x32"])
-def test_torus_projection_matches_the_bordered_saddle(nx, ny, phi, alpha):
-    geo = build_geometry(TORUS, nx, ny, phi)
-    bc, grid = BcRegime.from_domain(TORUS), geo.grid
+def _matches_the_bordered_saddle(geo, spec, alpha):
+    """The projector's dim, once project (v, f, both, and batches),
+    project_transpose and riesz_representer have matched the explicit
+    saddles' to 1e-10."""
+    bc, grid = BcRegime.from_domain(spec), geo.grid
     op = EllipticOperator(geo, alpha)
     sp_ = StokesProjector(op, bc)
     con = el._constraints(geo, bc)
@@ -380,9 +378,38 @@ def test_torus_projection_matches_the_bordered_saddle(nx, ny, phi, alpha):
     riesz = el._Saddle(el._phase_saddle(geo, ps.gram, bc), con)
     d, dim = sp_.riesz_representer(fb)
     assert _relative(d.flat(), riesz.solve(fb.flat(), "riesz saddle")) <= 1e-10
+    return sp_, dim
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+@pytest.mark.parametrize("phi", [PHI_T, phi_flat], ids=["curved", "flat"])
+@pytest.mark.parametrize("nx,ny", [(8, 8), (9, 9), (15, 16), (32, 32)],
+                         ids=["8x8", "9x9", "15x16", "32x32"])
+def test_torus_projection_matches_the_bordered_saddle(nx, ny, phi, alpha):
+    geo = build_geometry(TORUS, nx, ny, phi)
+    sp_, dim = _matches_the_bordered_saddle(geo, TORUS, alpha)
     # n + k: the stream function less its k modes, and the 2k mode fields
-    k = el._gradient_kernel_modes(grid).shape[1]
-    assert dim == sp_.basis.shape[1] - k == grid.n_nodes + k
+    k = el._gradient_kernel_modes(geo.grid).shape[1]
+    assert dim == sp_.basis.shape[1] - k == geo.grid.n_nodes + k
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+@pytest.mark.parametrize("phi", [PHI_C, phi_flat], ids=["curved", "flat"])
+@pytest.mark.parametrize("nx,ny", [(8, 9), (9, 10), (15, 16), (32, 33)],
+                         ids=["8x9", "9x10", "15x16", "32x33"])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_channel_projection_matches_the_bordered_saddle(regime, nx, ny, phi, alpha):
+    # odd nx has no sawtooth mode, so one x-mode per wall and one shear
+    spec = REGIMES[regime]
+    geo = build_geometry(spec, nx, ny, phi)
+    sp_, dim = _matches_the_bordered_saddle(geo, spec, alpha)
+    # null(C)'s dimension 2n - (rows of C - k), C's rank deficiency k the
+    # gradient-kernel modes: the free stream function and two wall modes
+    # per x-mode, the x-modes' shears less the stream function's x-modes
+    n, k = geo.grid.n_nodes, el._gradient_kernel_modes(geo.grid).shape[1]
+    ks = 2 - nx % 2
+    assert dim == 2 * n - (sp_.constraints.shape[0] - k) == sp_.basis.shape[1] - ks
+    assert dim == nx * (ny - 4) + 2 * ks
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -394,6 +421,33 @@ def test_torus_projection_is_divergence_free_to_round_off(n, alpha):
     sp_, _, _ = projector(geo, TORUS, alpha)
     v = random_vector(geo.grid, seed=80, kmax=3)
     assert np.abs(sp_.D @ sp_.project(v).flat()).max() <= 1e-12 * v.linf()
+
+
+def test_dy_cokernel_spans_the_kernel_of_the_wall_closed_dy_transpose():
+    # kappa is exact in binary, and the channel's test kernel chi = s kappa
+    # rests on it
+    for ny in range(8, 14):
+        dy1 = build_geometry(MIXED, 8, ny, phi_flat).grid.DY[:ny, :ny].toarray()
+        kappa = el._dy_cokernel(ny)
+        assert np.abs(dy1.T @ kappa).max() <= 1e-13 * np.abs(dy1).max()
+        assert np.linalg.matrix_rank(dy1) == ny - 1
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_channel_projection_lands_in_null_c_to_round_off(regime, n, alpha):
+    # the trial basis B is divergence-free and satisfies the wall rows by
+    # construction, so D P v and R P v are round-off of the basis alone
+    # (at most 2.3e-13 and 5.4e-13 of |v| at 64x65; the saddle gives up to
+    # 5.4e-12 and 6.4e-14 at alpha 0.3)
+    spec = REGIMES[regime]
+    geo = channel(n, spec)
+    sp_, _, _ = projector(geo, spec, alpha)
+    v = random_vector(geo.grid, seed=80, kmax=3)
+    pv = sp_.project(v).flat()
+    assert np.abs(sp_.D @ pv).max() <= 1e-12 * v.linf()
+    assert np.abs(sp_.R @ pv).max() <= 1e-12 * v.linf()
 
 
 def test_h1_orthogonality_flat_torus_solver_level():

@@ -7,9 +7,9 @@ freed when the run ends.  Every factorization, on the torus and on channels
 of every size, is ordered by nested dissection under SuperLU's NATURAL
 column order, a saddle's velocities before its constraints in each group,
 balanced by one power-of-two scaling rule, and agrees with a COLAMD
-factorization of the same matrix to round-off.  The torus projects on the
-stream function, and its Stokes saddle, built explicitly, is the reference:
-the stream-function system fills less than it.
+factorization of the same matrix to round-off.  Every regime projects on
+the stream function, and its Stokes saddle, built explicitly, is the
+reference: the stream-function system fills less than it.
 """
 
 import gc
@@ -32,10 +32,9 @@ from laealab.geometry import build_geometry
 from laealab.samples import phi_flat, random_vector
 from laealab.suites import run_suite
 
-from domains import DIRICH, MIXED, NEUMANN, PHI_C, PHI_T, TORUS
+from domains import DIRICH, MIXED, PHI_C, PHI_T, REGIMES, TORUS
 
 CASES = ((TORUS, 12, PHI_T), (MIXED, 13, PHI_C))
-REGIMES = {"mixed": MIXED, "dirichlet": DIRICH, "neumann": NEUMANN}
 
 
 def _digest(A) -> str:
@@ -184,12 +183,6 @@ def test_dropped_problem_frees_its_factorizations_without_gc():
         gc.enable()
 
 
-def _saddle(op, sp_, bc):
-    """The factorization of the Stokes saddle: the projector's own on a
-    channel, built explicitly on the torus."""
-    return sp_.system.fac if sp_.basis is None else el._stokes_saddle(op, bc)
-
-
 def _reference_solutions(op, sp_, bc, f):
     """op.solve and sp_.project of f through a default (COLAMD) splu of the
     unpermuted stored elliptic matrix and Stokes saddle."""
@@ -199,7 +192,7 @@ def _reference_solutions(op, sp_, bc, f):
     rhs[idx] = 0.0
     solved = VectorField.from_flat(grid, spla.splu(A.tocsc()).solve(rhs))
 
-    S = _saddle(op, sp_, bc).matrix
+    S = el._stokes_saddle(op, bc).matrix
     rhs = np.zeros(S.shape[0])
     rhs[2 * n:3 * n] = sp_.D @ f.flat()
     rhs[idx] = A[idx] @ f.flat()
@@ -226,10 +219,11 @@ def _positions(fac) -> np.ndarray:
     return pos
 
 
-def _groups(geo, fac, node_dofs: int):
-    """The nested-dissection groups that ordered fac, from its matrix's reach."""
+def _groups(geo, fac, nodes: np.ndarray):
+    """The nested-dissection groups that ordered fac, from the reach of its
+    matrix's unknowns at nodes."""
     grid = geo.grid
-    reach = el._reach(fac.matrix, grid, node_dofs)
+    reach = el._reach(fac.matrix, grid, nodes)
     return el._dissection(grid.nx, grid.ny, *reach, grid.periodic_y)
 
 
@@ -259,8 +253,9 @@ def test_torus_dissection_order_matches_colamd(n, phi, alpha):
     _assert_permutation(op.factor(bc), 0)
     stream = sp_.system.fac
     _assert_permutation(stream, stream.matrix.shape[0] - sp_.n)
-    assert np.array_equal(stream.perm[:sp_.n], np.concatenate(_groups(geo, stream, sp_.n)))
-    saddle = _saddle(op, sp_, bc)
+    assert np.array_equal(stream.perm[:sp_.n],
+                          np.concatenate(_groups(geo, stream, np.arange(sp_.n))))
+    saddle = el._stokes_saddle(op, bc)
     _assert_permutation(saddle, saddle.matrix.shape[0] - 3 * sp_.n)
     _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
@@ -291,19 +286,27 @@ def test_channel_dissection_order_matches_colamd(nx, regime, monkeypatch):
         op.factor(bc)
     assert options == ["NATURAL"] * 2
     _assert_permutation(op.factor(bc), 0)
-    _assert_permutation(sp_.system.fac, sp_.system.fac.matrix.shape[0] - 3 * sp_.n)
+    # the stream function on the free nodes in their dissection order, its
+    # wall, shear and border unknowns last
+    stream, nodes = sp_.system.fac, el._constraints(geo, bc).nodes
+    _assert_permutation(stream, stream.matrix.shape[0] - nodes.size)
+    rank = np.empty(sp_.n, dtype=int)
+    rank[np.concatenate(_groups(geo, stream, nodes))] = np.arange(sp_.n)
+    assert np.array_equal(nodes[stream.perm[:nodes.size]], nodes[np.argsort(rank[nodes])])
     _assert_matches_colamd(op, sp_, bc, random_vector(geo.grid, seed=7, kmax=2))
 
 
 def test_channel_riesz_representer_matches_colamd(mixed40):
-    """The phase-space saddle has the wall rows of C past its node unknowns;
-    the dissection order puts each in its node's group, after the group's
-    velocities, and keeps the gauge rows last, in order."""
+    """The phase-space saddle, built explicitly, has the wall rows of C past
+    its node unknowns; the dissection order puts each in its node's group,
+    after the group's velocities, and keeps the gauge rows last, in order.
+    The representer on the stream function matches the saddle's COLAMD
+    solve."""
     geo, bc = mixed40, BcRegime.from_domain(MIXED)
     sp_ = StokesProjector(EllipticOperator(geo, 0.3), bc)
     r = random_vector(geo.grid, seed=11, kmax=2)
     d, _ = sp_.riesz_representer(r)
-    nd = sp_.phase_space().system.fac
+    nd = el._phase_saddle(geo, sp_.phase_space().gram, bc)
     rhs = np.zeros(nd.matrix.shape[0])
     rhs[:2 * sp_.n] = r.flat()
     ref = spla.splu(nd.matrix.tocsc()).solve(rhs)[:2 * sp_.n]
@@ -346,15 +349,16 @@ def test_saddle_orders_each_groups_velocities_before_its_constraints(spec, nx, n
     geo, bc = build_geometry(spec, nx, ny, phi), BcRegime.from_domain(spec)
     op = EllipticOperator(geo, 0.3)
     sp_ = StokesProjector(op, bc)
-    n, fac = sp_.n, _saddle(op, sp_, bc)
+    n, fac = sp_.n, el._stokes_saddle(op, bc)
     size = fac.matrix.shape[0]
     _assert_permutation(fac, size - 3 * n)           # every unknown once, gauge rows last
     pos = _positions(fac)
-    for g in _groups(geo, fac, 3 * n):
+    for g in _groups(geo, fac, np.arange(3 * n) % n):
         assert pos[np.concatenate([g, n + g])].max() < pos[2 * n + g].min()
     # the elliptic LU keeps the node-interleaved order, so its solves keep their bits
     lu = op.factor(bc)
-    assert np.array_equal(lu.perm, _interleaved(_groups(geo, lu, 2 * n), n, 2, 2 * n))
+    groups = _groups(geo, lu, np.arange(2 * n) % n)
+    assert np.array_equal(lu.perm, _interleaved(groups, n, 2, 2 * n))
 
 
 def test_one_balancing_rule_on_every_grid(monkeypatch):
@@ -386,8 +390,8 @@ def test_one_balancing_rule_on_every_grid(monkeypatch):
     # the mixed channel: its constraints by 2^e, each BC row alone by the power
     # of two nearest |A| over the row's largest entry, never below 1
     mixed40, mixed = build_geometry(MIXED, 40, 41, PHI_C), BcRegime.from_domain(MIXED)
-    channel, pivot = factored(lambda: StokesProjector(EllipticOperator(mixed40, 0.3), mixed))
-    n, fac, bc_idx = channel.n, channel.system.fac, channel.bc_idx
+    fac, pivot = factored(lambda: el._stokes_saddle(EllipticOperator(mixed40, 0.3), mixed))
+    n, bc_idx = mixed40.grid.n_nodes, el._constraints(mixed40, mixed).idx
     V = abs(fac.matrix.tocsr()[:2 * n])
     interior = np.setdiff1d(np.arange(2 * n), bc_idx)
     big = V[interior][:, :2 * n].max()
@@ -402,11 +406,14 @@ def test_one_balancing_rule_on_every_grid(monkeypatch):
     assert (rows[bc_idx] > 1).any()
     assert pivot == el._SCALED_PIVOT
 
-    # alpha 0 (|A| = 1 < |G|), the torus elliptic LU and the torus's
-    # stream-function systems (nothing to balance) and the phase-space saddle
+    # alpha 0 (|A| = 1 < |G|), the torus elliptic LU, the stream-function
+    # systems of every regime (nothing to balance) and the phase-space saddle
     # (|W| < |C|) are factored as they are
     for build in (lambda: el._stokes_saddle(EllipticOperator(geo, 0.0), bc),
-                  lambda: StokesProjector(EllipticOperator(mixed40, 0.0), mixed).system.fac,
+                  lambda: el._stokes_saddle(EllipticOperator(mixed40, 0.0), mixed),
+                  lambda: StokesProjector(EllipticOperator(mixed40, 0.3), mixed).system.fac,
+                  lambda: StokesProjector(EllipticOperator(mixed40, 0.3), mixed)
+                  .phase_space().system.fac,
                   lambda: op.factor(bc), lambda: StokesProjector(op, bc).system.fac,
                   lambda: StokesProjector(op, bc).phase_space().system.fac,
                   lambda: el._phase_saddle(geo, el._assemble_gram(geo, 0.3), bc)):
@@ -428,15 +435,38 @@ def test_grouped_torus_saddle_fills_less_than_interleaved():
     geo = build_geometry(TORUS, 32, 32, PHI_T)
     saddle = el._stokes_saddle(EllipticOperator(geo, 0.3), BcRegime.from_domain(TORUS))
     S, n = saddle.matrix, geo.grid.n_nodes
-    perm = _interleaved(_groups(geo, saddle, 3 * n), n, 3, S.shape[0])
+    perm = _interleaved(_groups(geo, saddle, np.arange(3 * n) % n), n, 3, S.shape[0])
     interleaved = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=el._ND_PIVOT)
     assert _fill(saddle.lu) <= 0.8 * _fill(interleaved)     # measured 0.71
 
 
 def test_channel_saddle_fills_less_than_colamd(mixed40):
-    sp_ = StokesProjector(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
-    assert _fill(sp_.lu) < _fill(spla.splu(sp_.system.fac.matrix))
+    saddle = el._stokes_saddle(EllipticOperator(mixed40, 0.3), BcRegime.from_domain(MIXED))
+    assert _fill(saddle.lu) < _fill(spla.splu(saddle.matrix))
+
+
+# (L+U of the stream function, of its bordered saddle) on the curved 32x33
+# channels, the same on all three regimes: the projection 230,366 against
+# 1.00M-1.01M at alpha 0.3 and 38,769 against 115K at alpha 0, the phase
+# space 229,468 against 0.84M-0.86M and 45,211 against 0.34M-0.70M
+STREAM_FILL = {("stokes", 0.3): 255_000, ("stokes", 0.0): 125_000,
+               ("phase", 0.3): 360_000, ("phase", 0.0): 125_000}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_channel_stream_function_fills_less_than_its_saddle(regime, alpha):
+    spec = REGIMES[regime]
+    geo, bc = build_geometry(spec, 32, 33, PHI_C), BcRegime.from_domain(spec)
+    op = EllipticOperator(geo, alpha)
+    sp_ = StokesProjector(op, bc)
+    ps = sp_.phase_space()
+    for kind, stream, saddle in (("stokes", sp_.system.fac, el._stokes_saddle(op, bc)),
+                                 ("phase", ps.system.fac, el._phase_saddle(geo, ps.gram, bc))):
+        assert _fill(stream.lu) <= STREAM_FILL[kind, alpha]
+        assert _fill(stream.lu) < _fill(saddle.lu)
+        assert _fill(stream.lu) < _fill(spla.splu(stream.matrix))
 
 
 @pytest.mark.parametrize("periodic_y", [True, False], ids=["torus", "channel"])
@@ -460,4 +490,4 @@ def test_reach_folds_y_distances_on_the_torus_only():
         grid = build_geometry(spec, 12, 9, phi_flat).grid
         n = grid.n_nodes
         M = sp.coo_matrix(([1.0, 1.0], ([0, n + 1], [7, n + 4 * 9])), shape=(2 * n, 2 * n))
-        assert el._reach(M, grid, 2 * n) == (4, 2 if folded else 7)
+        assert el._reach(M, grid, np.arange(2 * n) % n) == (4, 2 if folded else 7)

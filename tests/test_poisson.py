@@ -548,9 +548,9 @@ def test_flow_poisson_check_takes_a_plain_system_as_its_context(spec, ny, phi):
                          ids=["torus", "mixed"])
 def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
     # the stored factors belong to the stored W: a phase space built afresh
-    # (the saddle on the channel, the stream-function system on the torus)
-    # gives the stored one's bits, and the saddle [[W, C^T], [C, 0]], built
-    # explicitly from the stored W, agrees to round-off
+    # (the stream-function system) gives the stored one's bits, and the
+    # saddle [[W, C^T], [C, 0]], built explicitly from the stored W, agrees
+    # to round-off
     ctx = _context(spec, nx, ny, phi)
     ps = ctx.sp.phase_space()
     assert ps.gram is ctx.gram_matrix()
