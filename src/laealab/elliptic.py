@@ -12,10 +12,10 @@ which replace the wall nodes' equations:
 
 and the factorized system realizes the inverse mapping arbitrary fields onto
 the boundary-condition subspace.  The regime's wall rows R, the rows idx
-they replace, the divergence D, the pressure gradient G (zero on the rows
-idx) and C = [D; R] are one record, Constraints, stored once per (geometry,
-regime) and shared by every alpha.  The torus is the regime with no walls:
-its idx and R are empty, and every path runs on it unchanged.
+they replace, the divergence D and C = [D; R] are one record, Constraints,
+stored once per (geometry, regime) and shared by every alpha.  The torus is
+the regime with no walls: its idx and R are empty, and every path runs on
+it unchanged.
 
 The Stokes projector P maps every field into the phase space null(C), A
 below being (1 - a^2 Lop) with its rows idx replaced by R.  On a field with
@@ -27,8 +27,8 @@ projection.  The saddle's first block is A, so a source f there gives
 P(v + A^{-1} f) from the same one solve (block elimination), as v + w from
 the sparse saddle system in (w, p, lam):
 
-    A w - G p            = f        (on the BC rows, where G is zero, -R v
-                                     in place of f)
+    A w - G p            = f        (G the pressure gradient, zero on the
+                                     BC rows, where -R v takes f's place)
     div w + mu lam       = -div v   (mu absorbs the quadrature incompatibility)
     sum(mu p)            = 0        (gauge)
 
@@ -67,8 +67,8 @@ K^{-T} B^T z, and the phase space's solve is B (B^T W B)^{-1} B^T r,
 bordered by B's kernel on both sides.  One _StreamFunction serves every
 regime; the saddles (_stokes_saddle, _phase_saddle) are built only as the
 reference the tests hold it to.  The reduced systems fill 2.28M L+U on the
-curved 64^2 torus and 1.62M on the 64x65 channels, against the saddles'
-7.58M and 5.83M.
+curved 64^2 torus and 1.62M on the 64x65 channels, against 7.58M and 5.83M
+for the saddles under the same dissection order.
 
 On the torus B = [curl | H], (2n, n + 2k): curl psi = e^{-2 phi} (DY psi,
 -DX psi), which D annihilates because DX and DY commute, and the 2k fields
@@ -101,24 +101,22 @@ K's unknowns are the stream function on the free rows 2 to ny - 3, then
 two wall amplitudes and one shear per x-mode; the border is psi = s (B's
 kernel) and chi = s kappa (T's).
 
-Every factorization, the BC-substituted (1 - a^2 Lop), the stream-function
-systems and the reference saddles, is one record,
-(SuperLU, permutation, matrix, row scaling, column scaling), whose solve
-holds every right-hand side's residual against the unpermuted, unscaled
-matrix; its transpose solve uses the same factors and holds the residual
-against the transposed matrix, which gives the transpose of the
-projection, in v and in the source.  Each is ordered by
-nested dissection of the grid's nodes (on the torus the two wrap-around
-seams first), one group at a time, a group being a leaf box or a separator
-band: first the group's velocities (or stream function), then its
-constraints (p, or the divergence and wall rows), and the gauge rows (and
-the stream function's mode, wall and shear unknowns) last; that is the one
-ordering on every grid.  One balancing rule holds on every grid too
-(_balance): where the velocity block outweighs the coupling of its
-constraints, or its BC rows, those are scaled by powers of two before the
-matrix is factored.  That keeps the pivots large enough that SuperLU swaps
-no row of a channel's elliptic LU and the saddles fill less; the
-stream-function systems have nothing to balance.
+The lab factors three systems: the BC-substituted (1 - a^2 Lop) and the
+two stream-function systems.  Each is one record, (SuperLU, permutation,
+matrix, row scaling), whose solve holds every right-hand side's residual
+against the unpermuted, unscaled matrix; its transpose solve uses the same
+factors and holds the residual against the transposed matrix, which gives
+the transpose of the projection, in v and in the source.  Each is ordered
+by nested dissection of the grid's nodes (on the torus the two wrap-around
+seams first): a node's unknowns, its u1 and u2 or its stream function, in
+its node's place, and the stream function's mode, wall and shear unknowns
+and border rows last; that is the one ordering on every grid.  A channel's
+elliptic LU is balanced first (_balance): its BC rows are scaled by powers
+of two toward the interior's largest entry, which keeps their pivots large
+enough that SuperLU swaps no row.  The stream-function systems have no BC
+rows and the torus elliptic LU none, so they are factored as they are.  The
+reference saddles are factored by a plain splu, under SuperLU's own COLAMD
+order and unbalanced.
 """
 
 from __future__ import annotations
@@ -200,8 +198,8 @@ def _reach(M, grid, nodes: np.ndarray):
     """(rx, ry): the largest x and y node distance that M's node unknowns couple.
 
     Unknown r < nodes.size belongs to node nodes[r] (the unknowns after them
-    are gauge, mode or wall rows and do not count); distances wrap around
-    the periodic directions only.
+    are the stream function's mode, wall and shear unknowns and border rows,
+    and do not count); distances wrap around the periodic directions only.
     """
     nx, ny = grid.nx, grid.ny
     C = M.tocoo()
@@ -264,122 +262,90 @@ def _dissection(nx: int, ny: int, rx: int, ry: int, periodic_y: bool) -> list[np
     return out
 
 
-def _balance(M, n2: int, m: int, bc_rows: np.ndarray):
-    """(rows, cols), the power-of-two row and column scalings that balance M
-    before it is factored, or None.
+def _balance(M, bc_rows: np.ndarray):
+    """rows, the power-of-two row scaling that balances M before it is
+    factored, or None.
 
-    M's unknowns n2 to m are constraints coupled to its n2 velocities, and
-    bc_rows are velocity rows that carry boundary conditions.  |A| is the
-    largest entry of the velocity block outside bc_rows, |G| that of the
-    coupling.  Put after its group's velocities, a constraint's pivot is
-    about |G|^2/|A|, against entries about |G| in later velocity rows of its
-    column, and a BC row's pivot is at most its own largest entry, 1 for a
-    Dirichlet or tangency row and about 2/h for a free-slip row, against |A|
-    in the interior rows (1,676 at alpha 0.3 on the 64x65 channel).  So
-    where |A| outweighs them SuperLU takes small pivots at _ND_PIVOT: it
-    swaps rows past them, which adds fill, and their element growth shows
-    as divergence of the projection.
+    bc_rows are M's rows that carry boundary conditions.  A BC row's pivot
+    is at most its own largest entry, 1 for a Dirichlet or tangency row and
+    about 2/h for a free-slip row, against |A|, the largest entry of the
+    other rows (1,676 at alpha 0.3 on the 64x65 channel).  So where |A|
+    outweighs them SuperLU takes small pivots at _ND_PIVOT: it swaps rows
+    past them, which adds fill.
 
-    Scaling the constraint rows and columns by 2^e, e = round(log2(|A|/|G|)),
-    brings both to about |A|; each BC row is scaled alone by the power of
-    two nearest |A| over its largest entry, never below 1.  Every scale is
-    a power of two, so scaling rounds nothing, and a balanced M is pivoted
-    at _SCALED_PIVOT.  M with constraints is balanced only where e > 0: at
-    alpha 0 and in the phase-space saddle, whose Gram block is small, it is
-    not.  None where every scale would be 1 (the torus elliptic LU).
+    Each BC row is scaled alone by the power of two nearest |A| over its
+    largest entry, never below 1.  Every scale is a power of two, so scaling
+    rounds nothing, and a balanced M is pivoted at _SCALED_PIVOT.  None
+    where every scale would be 1 (no BC rows, as on the torus).
     """
-    V = abs(M.tocsr()[:n2])
-    interior = np.ones(n2, dtype=bool)
-    interior[bc_rows] = False
-    inner = V[interior]
-    big = inner[:, :n2].max()
-    cols = np.ones(M.shape[0])
-    if m > n2:
-        e = np.round(np.log2(big / inner[:, n2:m].max()))
-        if e <= 0:
-            return None
-        cols[n2:m] = 2.0 ** e
-    rows = cols.copy()
-    if bc_rows.size:
-        e = np.round(np.log2(big / V[bc_rows].max(axis=1).toarray().ravel()))
-        rows[bc_rows] = 2.0 ** np.maximum(e, 0.0)
-    if (rows == 1.0).all():
+    if not bc_rows.size:
         return None
-    return rows, cols
+    V = abs(M.tocsr())
+    interior = np.ones(M.shape[0], dtype=bool)
+    interior[bc_rows] = False
+    e = np.round(np.log2(V[interior].max() / V[bc_rows].max(axis=1).toarray().ravel()))
+    rows = np.ones(M.shape[0])
+    rows[bc_rows] = 2.0 ** np.maximum(e, 0.0)
+    return None if (rows == 1.0).all() else rows
 
 
 class _Factorization(NamedTuple):
-    """A factorized matrix: lu is SuperLU of (R matrix C)[perm][:, perm], perm
-    the dissection order of of(), R = diag(rows) and C = diag(cols) its
-    balancing (_balance); rows and cols None is R = C = 1."""
+    """A factorized matrix: lu is SuperLU of (R matrix)[perm][:, perm], perm
+    the dissection order of of() (the identity for the reference saddles)
+    and R = diag(rows) its balancing (_balance); rows None is R = 1."""
 
     lu: spla.SuperLU
     perm: np.ndarray
     matrix: sp.spmatrix
     rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
 
     @classmethod
-    def of(cls, geo: Geometry, M, what: str, nodes: np.ndarray, kind: np.ndarray | None = None,
+    def of(cls, geo: Geometry, M, what: str, nodes: np.ndarray,
            bc_rows: np.ndarray = _EMPTY) -> "_Factorization":
         """The factorization of M, whose unknown r < nodes.size belongs to
-        node nodes[r] and whose velocity rows bc_rows carry boundary
-        conditions.
-
-        kind[r] (default 0) says what unknown r is to its node: 0 the node's
-        own, a velocity component or its stream function; 1 its p or
-        divergence row; 2 its wall row (the phase-space saddle's).  Kinds
-        come in that order, and the unknowns past nodes.size (gauge rows,
-        and the stream function's mode, wall and shear unknowns) last.
+        node nodes[r], the unknowns past nodes.size (the stream function's
+        mode, wall and shear unknowns and border rows) to none, and whose
+        rows bc_rows carry boundary conditions.
 
         On every grid M is factored as M[perm][:, perm] under SuperLU's
-        NATURAL column order.  perm takes the nested-dissection groups in
-        elimination order, and within each group first its nodes' own
-        unknowns, a node's u1 and u2 together, then its p or divergence
-        rows, then its wall rows; the unknowns past nodes.size go last, in
-        order.  Centred D and G do not couple a node's p to itself, so a p
-        placed right after its own node's velocities has a structurally zero
-        pivot, and SuperLU's row interchanges to get past it add fill; after
-        the whole group's velocities it has fill to pivot on.  A
-        velocity-only M (the elliptic LU) thus gets the node-interleaved
-        dissection order, and a stream-function M the dissection order of
-        its unknowns' nodes.  M is balanced first where its velocity block
-        outweighs its coupling or its BC rows (_balance).  The groups are
+        NATURAL column order.  perm takes the node unknowns in the
+        nested-dissection order of their nodes, a node's u1 before its u2,
+        and the unknowns past nodes.size last, in order: the elliptic LU gets
+        the node-interleaved dissection order, and a stream-function system
+        the dissection order of its unknowns' nodes.  M is balanced first
+        where its interior outweighs its BC rows (_balance).  The groups are
         built once per geometry and reach and stored with the
         factorizations.  A singular M raises SolveError, its message
         prefixed by what.
         """
         grid = geo.grid
-        n, m = grid.n_nodes, nodes.size
-        kind = np.zeros(m, dtype=int) if kind is None else kind
-        reach = _reach(M, grid, nodes[kind < 2])
+        reach = _reach(M, grid, nodes)
         groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
             grid.nx, grid.ny, *reach, grid.periodic_y))
-        rank = np.empty(n, dtype=int)
-        rank[np.concatenate(groups)] = np.arange(n)
-        group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-        node_rank = rank[nodes]
-        # lexsort is stable, so a node's u1 stays before its u2
-        perm = np.concatenate([np.lexsort((node_rank, kind, group[node_rank])),
-                               np.arange(m, M.shape[0])])
-        rows, cols = _balance(M, np.count_nonzero(kind == 0), m, bc_rows) or (None, None)
-        S = M if rows is None else sp.diags(rows) @ M @ sp.diags(cols)
+        rank = np.empty(grid.n_nodes, dtype=int)
+        rank[np.concatenate(groups)] = np.arange(grid.n_nodes)
+        # each group is contiguous in rank, and a stable sort keeps a node's u1 before its u2
+        perm = np.r_[np.argsort(rank[nodes], kind="stable"), np.arange(nodes.size, M.shape[0])]
+        rows = _balance(M, bc_rows)
+        S = M if rows is None else sp.diags(rows) @ M
         try:
             lu = spla.splu(S.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
                            diag_pivot_thresh=_ND_PIVOT if rows is None else _SCALED_PIVOT)
         except RuntimeError as e:
             raise SolveError(f"{what}: {e}")
-        return cls(lu, perm, M, rows, cols)
+        return cls(lu, perm, M, rows)
 
     def solve(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """The solution of matrix x = b for each right-hand side b along rhs's last axis.
 
         The batch is permuted in and out with one fancy index each.  One
         SuperLU call per right-hand side, so a batch member gets the bits it
-        would get alone.  With scipy 1.17.1 on one OpenBLAS thread a 2-column
-        call matches two 1-column calls bit for bit on the 16^2 to 64^2 torus
-        and 32x33 mixed saddles, but a 4-, 8- or 16-column untransposed call
-        on the 32^2 torus or 32x33 mixed saddle differs in the last bits.
+        would get alone.  With scipy 1.17.1 on one OpenBLAS thread a
+        multi-column call matches per-column calls on the 16^2 torus and the
+        12x13 channel, but from 4 columns on an untransposed one differs in
+        the last bits on larger grids, depending on the right-hand sides:
+        the elliptic LU from the 24^2 torus on, the Stokes stream-function
+        system on the 48^2 torus and the 40x41 to 64x65 mixed channels.
         Each residual against the unpermuted matrix is held to tol on its own,
         so one bad member fails the batch.
         """
@@ -387,15 +353,16 @@ class _Factorization(NamedTuple):
 
     def solve_transpose(self, rhs: np.ndarray, tol: float, what: str) -> np.ndarray:
         """As solve(), for matrix^T x = b: the same factors under the same
-        permutation, the row and column scalings swapped, each residual held
-        against matrix^T."""
+        permutation, each residual held against matrix^T.  With R the row
+        scaling, matrix^T x = b is (R matrix)^T y = b with x = R y, so the
+        solution is scaled instead of the right-hand side."""
         return self._solve(rhs, tol, what, "T")
 
     def _solve(self, rhs, tol, what, trans):
-        lu, perm, A, rows, cols = self
-        if trans == "T":
-            A, rows, cols = A.T, cols, rows
-        b = (rhs if rows is None else rhs * rows)[..., perm]
+        lu, perm, A, rows = self
+        scale_in, scale_out = (rows, None) if trans == "N" else (None, rows)
+        A = A if trans == "N" else A.T
+        b = (rhs if scale_in is None else rhs * scale_in)[..., perm]
         if b.ndim == 1:
             x = lu.solve(b, trans)
         else:
@@ -403,8 +370,8 @@ class _Factorization(NamedTuple):
                           for c in b.reshape(-1, b.shape[-1])]).reshape(b.shape)
         y, x = x, np.empty_like(x)
         x[..., perm] = y
-        if cols is not None:
-            x *= cols
+        if scale_out is not None:
+            x *= scale_out
         if rhs.ndim == 1:
             res, norm = np.linalg.norm(A @ x - rhs), np.linalg.norm(rhs) + 1e-300
         else:
@@ -460,12 +427,12 @@ class Constraints(NamedTuple):
     """The constraints of one (geometry, regime), shared by every alpha.
 
     R holds the regime's wall rows, which replace the velocity rows idx of
-    (1 - a^2 Lop); D is the divergence, (n, 2n); G the pressure gradient,
-    (2n, n), zero on the rows idx; and C = [D; R].  The torus's regime has
-    no walls, so its idx and R are empty and C is D.
+    (1 - a^2 Lop); D is the divergence, (n, 2n); and C = [D; R].  The
+    torus's regime has no walls, so its idx and R are empty and C is D.
 
     B is the trial basis of null(C) that projections are solved on, T their
-    test basis, a basis of {t : t_idx = 0, G^T t = 0} (module docstring);
+    test basis, a basis of {t : t_idx = 0, G^T t = 0}, G the pressure
+    gradient (_assemble_gradient; module docstring);
     kernel and test_kernel (dense, one column per mode) span the kernels of
     B's and T's coefficients, and nodes[r] is the node of the stream
     function's unknown r, the coefficients past nodes.size having none.
@@ -474,7 +441,6 @@ class Constraints(NamedTuple):
     idx: np.ndarray
     R: sp.csr_matrix
     D: sp.csr_matrix
-    G: sp.csr_matrix
     C: sp.csr_matrix
     B: sp.csr_matrix
     T: sp.csr_matrix
@@ -523,11 +489,15 @@ def _build_constraints(geo: Geometry, bc: BcRegime) -> Constraints:
     R.eliminate_zeros()
     tape = Tape(grid)
     D = tape.matrices([ca.divergence(metric, tape.unknown())])[0]
-    tape = Tape(grid)
-    G = sp.vstack(tape.matrices(ca.gradient(metric, tape.scalar()).comps()), format="csr")
-    G = _replace_rows(G, idx, sp.csr_matrix((idx.size, n)))
     bases = _channel_bases(geo, idx, R) if idx.size else _torus_bases(geo)
-    return Constraints(idx, R, D, G, sp.vstack([D, R], format="csr"), *bases)
+    return Constraints(idx, R, D, sp.vstack([D, R], format="csr"), *bases)
+
+
+def _assemble_gradient(geo: Geometry, idx: np.ndarray):
+    """The pressure gradient G, (2n, n), zero on the rows idx."""
+    tape = Tape(geo.grid)
+    G = sp.vstack(tape.matrices(ca.gradient(geo.metric, tape.scalar()).comps()), format="csr")
+    return _replace_rows(G, idx, sp.csr_matrix((idx.size, geo.grid.n_nodes)))
 
 
 def _x_modes(nx: int) -> np.ndarray:
@@ -773,23 +743,22 @@ def _stokes_saddle(op: EllipticOperator, bc: BcRegime) -> _Factorization:
     bordered by gauge columns on the whole discrete-gradient kernel
     (constants and the sawtooth modes), with matching slack columns in the
     divergence rows: the reference the stream function's projection
-    reproduces."""
+    reproduces, factored by a plain splu (COLAMD, unbalanced)."""
     geo, n = op.geo, op.n
     con = _constraints(geo, bc)
     A, _ = op.matrix(bc)
-    K = sp.bmat([[A, -con.G], [con.D, sp.csr_matrix((n, n))]])
-    return _Factorization.of(geo, _gauge_bordered(geo, K), "stokes saddle factorization failed",
-                             np.tile(np.arange(n), 3), np.repeat([0, 1], [2 * n, n]), con.idx)
+    K = sp.bmat([[A, -_assemble_gradient(geo, con.idx)], [con.D, sp.csr_matrix((n, n))]])
+    S = _gauge_bordered(geo, K)
+    return _Factorization(spla.splu(S), np.arange(S.shape[0]), S)
 
 
 def _phase_saddle(geo: Geometry, W, bc: BcRegime) -> _Factorization:
     """The factorization of [[W, C^T], [C, 0]], bordered by k gauge columns
-    as the Stokes saddle is: the reference for the phase space's reduction."""
-    con, n = _constraints(geo, bc), geo.grid.n_nodes
+    and factored as the Stokes saddle is: the reference for the phase
+    space's reduction."""
+    con = _constraints(geo, bc)
     S = _gauge_bordered(geo, sp.bmat([[W, con.C.T], [con.C, None]]))
-    return _Factorization.of(geo, S, "riesz saddle factorization failed",
-                             np.r_[np.tile(np.arange(n), 3), con.idx % n],
-                             np.repeat([0, 1, 2], [2 * n, n, con.idx.size]))
+    return _Factorization(spla.splu(S), np.arange(S.shape[0]), S)
 
 
 def _gauge_bordered(geo: Geometry, K):
@@ -836,8 +805,8 @@ class StokesProjector:
     H^1-orthogonal on fields that satisfy the wall rows; any other field v
     it projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
     docstring), so P P = P and R P v = 0 for every v.  A thin view over the
-    geometry's store: bc_idx, R, D, G, constraints (C) and basis (B) are
-    fields of the regime's one Constraints record, and projectors for the
+    geometry's store: bc_idx, D, constraints (C) and basis (B) are fields
+    of the regime's one Constraints record, and projectors for the
     same (alpha, regime) on the same geometry object share one
     factorization, system: the Stokes saddle's reduction to the stream
     function, on every regime.
@@ -849,7 +818,7 @@ class StokesProjector:
         geo = op.geo
         self.n = geo.grid.n_nodes
         con = _constraints(geo, bc)
-        self.bc_idx, self.R, self.D, self.G, self.constraints, self.basis = con[:6]
+        self.bc_idx, self.D, self.constraints, self.basis = con.idx, con.D, con.C, con.B
         self.system = _stored(geo, ("projection", op.alpha, bc), self._factorize)
 
     @property

@@ -570,7 +570,9 @@ def test_stored_riesz_saddle_matches_a_fresh_factorization(spec, nx, ny, phi):
 # the batch axis: a batch of fields gives each member its own bits
 # ---------------------------------------------------------------------------
 
-BATCH_CASES = [(TORUS, 16, 16, PHI_T), (MIXED, 12, 13, PHI_C)]
+# on the 48x49 channel a multi-column SuperLU call differs from per-column
+# calls in the last bits, in the elliptic solve and the projection alike
+BATCH_CASES = [(TORUS, 16, 16, PHI_T), (MIXED, 12, 13, PHI_C), (MIXED, 48, 49, PHI_C)]
 
 
 def _batch(grid, fields):
@@ -589,8 +591,8 @@ def test_batched_operations_equal_per_field_bit_for_bit(spec, nx, ny, phi):
     geo = build_geometry(spec, nx, ny, phi)
     ctx = po.PoissonContext(geo, ALPHA, BcRegime.from_domain(spec))
     grid = geo.grid
-    # eight members: a multi-column SuperLU solve already differs from
-    # column-by-column solves at four on the channel saddle
+    # eight members: a multi-column SuperLU solve differs from
+    # column-by-column solves from four on
     vs = [random_vector(grid, seed=200 + k, kmax=2) for k in range(8)]
     T = _batch(grid, vs)
     a = T.c1.data
