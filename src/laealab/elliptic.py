@@ -101,13 +101,13 @@ K's unknowns are the stream function on the free rows 2 to ny - 3, then
 two wall amplitudes and one shear per x-mode; the border is psi = s (B's
 kernel) and chi = s kappa (T's).
 
-The lab factors three systems: the BC-substituted (1 - a^2 Lop) and the
-two stream-function systems.  Each is one record, (SuperLU, permutation,
-matrix, row scaling), whose solve holds every right-hand side's residual
-against the unpermuted, unscaled matrix; its transpose solve uses the same
+The lab factors three systems: the BC-substituted (1 - a^2 Lop) and the two
+stream-function systems.  Each is one record, (SuperLU, permutation, matrix,
+row scaling), whose solve holds every right-hand side's residual against the
+unpermuted, unscaled matrix, kept in CSR; its transpose solve uses the same
 factors and holds the residual against the transposed matrix, which gives
-the transpose of the projection, in v and in the source.  Each is ordered
-by nested dissection of the grid's nodes (on the torus the two wrap-around
+the transpose of the projection, in v and in the source.  Each is ordered by
+nested dissection of the grid's nodes (on the torus the two wrap-around
 seams first): a node's unknowns, its u1 and u2 or its stream function, in
 its node's place, and the stream function's mode, wall and shear unknowns
 and border rows last; that is the one ordering on every grid.  A channel's
@@ -266,12 +266,12 @@ def _balance(M, bc_rows: np.ndarray):
     """rows, the power-of-two row scaling that balances M before it is
     factored, or None.
 
-    bc_rows are M's rows that carry boundary conditions.  A BC row's pivot
-    is at most its own largest entry, 1 for a Dirichlet or tangency row and
-    about 2/h for a free-slip row, against |A|, the largest entry of the
-    other rows (1,676 at alpha 0.3 on the 64x65 channel).  So where |A|
-    outweighs them SuperLU takes small pivots at _ND_PIVOT: it swaps rows
-    past them, which adds fill.
+    M is CSR, and bc_rows are its rows that carry boundary conditions.  A
+    BC row's pivot is at most its own largest entry, 1 for a Dirichlet or
+    tangency row and about 2/h for a free-slip row, against |A|, the
+    largest entry of the other rows (1,676 at alpha 0.3 on the 64x65
+    channel).  So where |A| outweighs them SuperLU takes small pivots at
+    _ND_PIVOT: it swaps rows past them, which adds fill.
 
     Each BC row is scaled alone by the power of two nearest |A| over its
     largest entry, never below 1.  Every scale is a power of two, so scaling
@@ -280,7 +280,7 @@ def _balance(M, bc_rows: np.ndarray):
     """
     if not bc_rows.size:
         return None
-    V = abs(M.tocsr())
+    V = abs(M)
     interior = np.ones(M.shape[0], dtype=bool)
     interior[bc_rows] = False
     e = np.round(np.log2(V[interior].max() / V[bc_rows].max(axis=1).toarray().ravel()))
@@ -292,11 +292,12 @@ def _balance(M, bc_rows: np.ndarray):
 class _Factorization(NamedTuple):
     """A factorized matrix: lu is SuperLU of (R matrix)[perm][:, perm], perm
     the dissection order of of() (the identity for the reference saddles)
-    and R = diag(rows) its balancing (_balance); rows None is R = 1."""
+    and R = diag(rows) its balancing (_balance); rows None is R = 1.  matrix
+    is CSR, the format the residual of a solve reads fastest."""
 
     lu: spla.SuperLU
     perm: np.ndarray
-    matrix: sp.spmatrix
+    matrix: sp.csr_matrix
     rows: np.ndarray | None = None
 
     @classmethod
@@ -318,7 +319,7 @@ class _Factorization(NamedTuple):
         factorizations.  A singular M raises SolveError, its message
         prefixed by what.
         """
-        grid = geo.grid
+        grid, M = geo.grid, M.tocsr()
         reach = _reach(M, grid, nodes)
         groups = _stored(geo, ("dissection", None, reach), lambda: _dissection(
             grid.nx, grid.ny, *reach, grid.periodic_y))
@@ -398,8 +399,8 @@ def _replace_rows(M, idx, R):
 
 
 def _bordered(K, cols: np.ndarray, rows: np.ndarray):
-    """CSC [[K, cols], [rows^T, 0]], K bordered by the dense columns cols and rows."""
-    return sp.bmat([[K, sp.csr_matrix(cols)], [sp.csr_matrix(rows).T, None]], format="csc")
+    """CSR [[K, cols], [rows^T, 0]], K bordered by the dense columns cols and rows."""
+    return sp.bmat([[K, sp.csr_matrix(cols)], [sp.csr_matrix(rows).T, None]], format="csr")
 
 
 def _assemble_interior(geo: Geometry, alpha: float):
@@ -432,7 +433,10 @@ class Constraints(NamedTuple):
 
     B is the trial basis of null(C) that projections are solved on, T their
     test basis, a basis of {t : t_idx = 0, G^T t = 0}, G the pressure
-    gradient (_assemble_gradient; module docstring);
+    gradient (_assemble_gradient; module docstring), and Bt and Tt their
+    transposes, stored as CSR: a projection applies B^T or T^T to every
+    right-hand side, and a CSR transpose does it faster than the CSC view
+    B.T, with the same bits (each sum runs in the same order);
     kernel and test_kernel (dense, one column per mode) span the kernels of
     B's and T's coefficients, and nodes[r] is the node of the stream
     function's unknown r, the coefficients past nodes.size having none.
@@ -444,6 +448,8 @@ class Constraints(NamedTuple):
     C: sp.csr_matrix
     B: sp.csr_matrix
     T: sp.csr_matrix
+    Bt: sp.csr_matrix
+    Tt: sp.csr_matrix
     kernel: np.ndarray
     test_kernel: np.ndarray
     nodes: np.ndarray
@@ -489,8 +495,9 @@ def _build_constraints(geo: Geometry, bc: BcRegime) -> Constraints:
     R.eliminate_zeros()
     tape = Tape(grid)
     D = tape.matrices([ca.divergence(metric, tape.unknown())])[0]
-    bases = _channel_bases(geo, idx, R) if idx.size else _torus_bases(geo)
-    return Constraints(idx, R, D, sp.vstack([D, R], format="csr"), *bases)
+    B, T, *kernels = _channel_bases(geo, idx, R) if idx.size else _torus_bases(geo)
+    return Constraints(idx, R, D, sp.vstack([D, R], format="csr"), B, T,
+                       B.T.tocsr(), T.T.tocsr(), *kernels)
 
 
 def _assemble_gradient(geo: Geometry, idx: np.ndarray):
@@ -704,25 +711,28 @@ class _StreamFunction(NamedTuple):
     """The constrained solve on the stream function, on every regime: fac
     factors K = T^T X B, B the trial basis of null(C) and T the test basis
     (M B on the torus, B for the phase space), bordered by the kernels of
-    T's and B's coefficients (module docstring)."""
+    T's and B's coefficients (module docstring).  Bt and Tt are the CSR
+    transposes of B and T, the regime's Constraints' own."""
 
     fac: _Factorization
     B: sp.csr_matrix
     T: sp.csr_matrix
+    Bt: sp.csr_matrix
+    Tt: sp.csr_matrix
     X: sp.csr_matrix
 
-    def _through(self, solve, into, out, r, what):
+    def _through(self, solve, into_t, out, r, what):
         """out x for each r along the last axis, x the first columns of
-        solve([into^T r; 0]), the border rows' right-hand side zero."""
-        nb = into.shape[1]
+        solve([into_t r; 0]), the border rows' right-hand side zero."""
+        nb = into_t.shape[0]
         rhs = np.zeros(r.shape[:-1] + self.fac.matrix.shape[:1])
-        rhs[..., :nb] = matvec_last(into.T, r)
+        rhs[..., :nb] = matvec_last(into_t, r)
         return matvec_last(out, solve(rhs, 1e-8, what)[..., :nb])
 
     def solve(self, r: np.ndarray, what: str) -> np.ndarray:
         """B K^{-1} T^T r, the member u of null(C) with T^T (X u - r) = 0,
         for each r along the last axis."""
-        return self._through(self.fac.solve, self.T, self.B, r, what)
+        return self._through(self.fac.solve, self.Tt, self.B, r, what)
 
     def project(self, vf, ff) -> np.ndarray:
         """solve(X v + f) (StokesProjector.project)."""
@@ -733,7 +743,7 @@ class _StreamFunction(NamedTuple):
 
     def project_transpose(self, zf) -> tuple[np.ndarray, np.ndarray]:
         """(X^T y, y), y = T K^{-T} B^T z."""
-        y = self._through(self.fac.solve_transpose, self.B, self.T, zf,
+        y = self._through(self.fac.solve_transpose, self.Bt, self.T, zf,
                           "transposed stokes composite")
         return matvec_last(self.X.T, y), y
 
@@ -749,7 +759,7 @@ def _stokes_saddle(op: EllipticOperator, bc: BcRegime) -> _Factorization:
     A, _ = op.matrix(bc)
     K = sp.bmat([[A, -_assemble_gradient(geo, con.idx)], [con.D, sp.csr_matrix((n, n))]])
     S = _gauge_bordered(geo, K)
-    return _Factorization(spla.splu(S), np.arange(S.shape[0]), S)
+    return _Factorization(spla.splu(S.tocsc()), np.arange(S.shape[0]), S)
 
 
 def _phase_saddle(geo: Geometry, W, bc: BcRegime) -> _Factorization:
@@ -758,7 +768,7 @@ def _phase_saddle(geo: Geometry, W, bc: BcRegime) -> _Factorization:
     space's reduction."""
     con = _constraints(geo, bc)
     S = _gauge_bordered(geo, sp.bmat([[W, con.C.T], [con.C, None]]))
-    return _Factorization(spla.splu(S), np.arange(S.shape[0]), S)
+    return _Factorization(spla.splu(S.tocsc()), np.arange(S.shape[0]), S)
 
 
 def _gauge_bordered(geo: Geometry, K):
@@ -771,14 +781,14 @@ def _gauge_bordered(geo: Geometry, K):
     return _bordered(K, gauge, gauge)
 
 
-def _stream_function(geo: Geometry, X, con: Constraints, T, border,
+def _stream_function(geo: Geometry, X, con: Constraints, T, Tt, border,
                      what: str) -> _StreamFunction:
     """The _StreamFunction of first block X, con's trial basis B and test
-    basis T, whose coefficients' kernel is border: K = T^T X B bordered by
-    the columns border and the rows con.kernel, its unknowns ordered by
-    their nodes (con.nodes) and the rest last."""
+    basis T, Tt its CSR transpose, whose coefficients' kernel is border: K
+    = T^T X B bordered by the columns border and the rows con.kernel, its
+    unknowns ordered by their nodes (con.nodes) and the rest last."""
     S = _bordered((T.T @ X @ con.B).tocsr(), border, con.kernel)
-    return _StreamFunction(_Factorization.of(geo, S, what, con.nodes), con.B, T, X)
+    return _StreamFunction(_Factorization.of(geo, S, what, con.nodes), con.B, T, con.Bt, Tt, X)
 
 
 class PhaseSpace(NamedTuple):
@@ -805,9 +815,9 @@ class StokesProjector:
     H^1-orthogonal on fields that satisfy the wall rows; any other field v
     it projects as La v, La = (1 - a^2 Lop)^{-1} (1 - a^2 Lop) (module
     docstring), so P P = P and R P v = 0 for every v.  A thin view over the
-    geometry's store: bc_idx, D, constraints (C) and basis (B) are fields
-    of the regime's one Constraints record, and projectors for the
-    same (alpha, regime) on the same geometry object share one
+    geometry's store: constraints is C = [D; R] of the regime's one
+    Constraints record (_constraints), and projectors for the same
+    (alpha, regime) on the same geometry object share one
     factorization, system: the Stokes saddle's reduction to the stream
     function, on every regime.
     """
@@ -817,8 +827,7 @@ class StokesProjector:
         self.bc = bc
         geo = op.geo
         self.n = geo.grid.n_nodes
-        con = _constraints(geo, bc)
-        self.bc_idx, self.D, self.constraints, self.basis = con.idx, con.D, con.C, con.B
+        self.constraints = _constraints(geo, bc).C
         self.system = _stored(geo, ("projection", op.alpha, bc), self._factorize)
 
     @property
@@ -828,8 +837,8 @@ class StokesProjector:
 
     def _factorize(self) -> _StreamFunction:
         con = _constraints(self.op.geo, self.bc)
-        return _stream_function(self.op.geo, self.op.interior, con, con.T, con.test_kernel,
-                                "stokes stream-function factorization failed")
+        return _stream_function(self.op.geo, self.op.interior, con, con.T, con.Tt,
+                                con.test_kernel, "stokes stream-function factorization failed")
 
     def project(self, v: VectorField | None, f: VectorField | None = None) -> VectorField:
         """P(v + (1 - a^2 Lop)^{-1} f) from one solve; v None is the zero
@@ -858,7 +867,7 @@ class StokesProjector:
         geo = self.op.geo
         con = _constraints(geo, self.bc)
         W = _assemble_gram(geo, self.op.alpha)
-        system = _stream_function(geo, W, con, con.B, con.kernel,
+        system = _stream_function(geo, W, con, con.B, con.Bt, con.kernel,
                                   "riesz stream-function factorization failed")
         return PhaseSpace(W, system, con.B.shape[1] - con.kernel.shape[1])
 

@@ -26,6 +26,14 @@ from .grid import Grid, matvec_last
 
 
 class ScalarField:
+    """Node values data, (nx, ny) or a batch (..., nx, ny), on grid.
+
+    ScalarField(grid, data) is the external construction: it converts data
+    to binary64 and checks its shape.  Derivatives and arithmetic wrap the
+    arrays numpy makes from the field's own binary64 data (_trusted), which
+    have that type and shape already, so they skip both.
+    """
+
     __slots__ = ("grid", "data")
 
     def __init__(self, grid: Grid, data: np.ndarray):
@@ -36,27 +44,36 @@ class ScalarField:
         self.data = data
 
     def dx(self) -> "ScalarField":
-        return ScalarField(self.grid, self.grid.ddx(self.data))
+        return _trusted(self.grid, self.grid.ddx(self.data))
 
     def dy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.grid.ddy(self.data))
+        return _trusted(self.grid, self.grid.ddy(self.data))
 
     def __add__(self, other):
-        return ScalarField(self.grid, self.data + _raw(other))
+        return _trusted(self.grid, self.data + _raw(other))
 
     def __sub__(self, other):
-        return ScalarField(self.grid, self.data - _raw(other))
+        return _trusted(self.grid, self.data - _raw(other))
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.data)
+        return _trusted(self.grid, -self.data)
 
     def __mul__(self, w):
-        return ScalarField(self.grid, self.data * _raw(w))
+        return _trusted(self.grid, self.data * _raw(w))
 
     __rmul__ = __mul__
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.data)))
+
+
+def _trusted(grid: Grid, data: np.ndarray) -> ScalarField:
+    """ScalarField(grid, data) without the conversion and the shape check,
+    for data that numpy computed from fields' own data on grid."""
+    f = object.__new__(ScalarField)
+    f.grid = grid
+    f.data = data
+    return f
 
 
 def _raw(v):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laealab import calculus as ca
-from laealab.fields import VectorField
+from laealab.fields import ScalarField, VectorField
 from laealab.orders import fit_order
 from laealab.reference import (covariant_derivative_o4, covariant_lie_bracket,
                                curvature_traces_frame_loop, hodge_exterior)
@@ -424,6 +424,34 @@ def test_h1_pairing_equals_l2_of_helmholtz_operator_torus():
         hs.append(geo.grid.h)
         errs.append(abs(lhs - rhs))
     assert 1.5 < fit_order(hs, errs) < 2.8
+
+
+def test_external_data_is_checked_and_arithmetic_keeps_float64_and_the_batch():
+    # ScalarField(grid, data) converts and checks data from outside;
+    # derivatives and arithmetic wrap numpy's results unchecked, so those
+    # must come out binary64 and (..., nx, ny) on their own
+    g = channel(8).grid
+    for shape in ((g.ny, g.nx), (3, g.nx, g.ny + 1), (g.n_nodes,)):
+        with pytest.raises(ValueError, match="shape"):
+            ScalarField(g, np.zeros(shape))
+    ints = ScalarField(g, np.arange(g.n_nodes).reshape(g.shape))
+    assert ints.data.dtype == np.float64 and ints.data[1, 2] == g.ny + 2
+    batch = ScalarField(g, np.ones((2, 3) + g.shape, dtype=np.float32) / 3)
+    assert batch.data.dtype == np.float64 and batch.data.shape == (2, 3) + g.shape
+    one = ScalarField(g, np.sin(g.X) * g.Y)
+    cases = [(one.dx(), g.shape), (one.dy(), g.shape), (ints.dx(), g.shape),
+             (-one, g.shape), (one * 2, g.shape), (3 * one, g.shape),
+             (one * np.arange(g.ny), g.shape), (one + ints, g.shape), (one - 1, g.shape),
+             (batch.dx(), batch.data.shape), (batch.dy(), batch.data.shape),
+             (-batch, batch.data.shape), (one + batch, batch.data.shape),
+             (batch - one, batch.data.shape), (one * batch, batch.data.shape),
+             (batch * one, batch.data.shape),
+             (one * np.ones((4,) + g.shape, dtype=int), (4,) + g.shape)]
+    for r, shape in cases:
+        assert type(r) is ScalarField and r.grid is g
+        assert r.data.dtype == np.float64 and r.data.shape == shape
+    assert np.array_equal((one * batch).data, one.data * batch.data)
+    assert np.array_equal(batch.dy().data[1, 2], g.ddy(batch.data[1, 2]))
 
 
 def test_reductions_refuse_a_batch():

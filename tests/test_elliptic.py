@@ -282,7 +282,7 @@ def test_projection_lands_in_the_phase_space_for_every_input(spec, alpha):
     for n in (16, 32):
         geo = channel(n, spec)
         sp_, _, _ = projector(geo, spec, alpha)
-        assert sp_.constraints.shape[0] == geo.grid.n_nodes + sp_.bc_idx.size
+        assert sp_.constraints.shape[0] == geo.grid.n_nodes + el._constraints(geo, sp_.bc).idx.size
         w = random_vector(geo.grid, seed=16, kmax=2)
         pw = sp_.project(w)
         R = el._constraints(geo, sp_.bc).R
@@ -391,7 +391,7 @@ def test_torus_projection_matches_the_bordered_saddle(nx, ny, phi, alpha):
     sp_, dim = _matches_the_bordered_saddle(geo, TORUS, alpha)
     # n + k: the stream function less its k modes, and the 2k mode fields
     k = el._gradient_kernel_modes(geo.grid).shape[1]
-    assert dim == sp_.basis.shape[1] - k == geo.grid.n_nodes + k
+    assert dim == el._constraints(geo, sp_.bc).B.shape[1] - k == geo.grid.n_nodes + k
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
@@ -409,7 +409,8 @@ def test_channel_projection_matches_the_bordered_saddle(regime, nx, ny, phi, alp
     # per x-mode, the x-modes' shears less the stream function's x-modes
     n, k = geo.grid.n_nodes, el._gradient_kernel_modes(geo.grid).shape[1]
     ks = 2 - nx % 2
-    assert dim == 2 * n - (sp_.constraints.shape[0] - k) == sp_.basis.shape[1] - ks
+    B = el._constraints(geo, sp_.bc).B
+    assert dim == 2 * n - (sp_.constraints.shape[0] - k) == B.shape[1] - ks
     assert dim == nx * (ny - 4) + 2 * ks
 
 
@@ -421,7 +422,8 @@ def test_torus_projection_is_divergence_free_to_round_off(n, alpha):
     geo = torus(n)
     sp_, _, _ = projector(geo, TORUS, alpha)
     v = random_vector(geo.grid, seed=80, kmax=3)
-    assert np.abs(sp_.D @ sp_.project(v).flat()).max() <= 1e-12 * v.linf()
+    D = el._constraints(geo, sp_.bc).D
+    assert np.abs(D @ sp_.project(v).flat()).max() <= 1e-12 * v.linf()
 
 
 def test_dy_cokernel_spans_the_kernel_of_the_wall_closed_dy_transpose():
@@ -447,8 +449,9 @@ def test_channel_projection_lands_in_null_c_to_round_off(regime, n, alpha):
     sp_, _, _ = projector(geo, spec, alpha)
     v = random_vector(geo.grid, seed=80, kmax=3)
     pv = sp_.project(v).flat()
-    assert np.abs(sp_.D @ pv).max() <= 1e-12 * v.linf()
-    assert np.abs(el._constraints(geo, sp_.bc).R @ pv).max() <= 1e-12 * v.linf()
+    con = el._constraints(geo, sp_.bc)
+    assert np.abs(con.D @ pv).max() <= 1e-12 * v.linf()
+    assert np.abs(con.R @ pv).max() <= 1e-12 * v.linf()
 
 
 def test_h1_orthogonality_flat_torus_solver_level():

@@ -791,7 +791,7 @@ def _tangent_march(prob, ctx, u0, T, nsteps):
 def _svd_basis(ctx):
     """Dense orthonormal basis of null([D; R]), the phase space, by SVD."""
     A, idx = ctx.op.matrix(ctx.bc)
-    C = np.vstack([ctx.sp.D.toarray(), A.tocsr()[idx, :].toarray()])
+    C = np.vstack([el._constraints(ctx.op.geo, ctx.bc).D.toarray(), A.tocsr()[idx, :].toarray()])
     _, s, vt = np.linalg.svd(C)
     return vt[int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])):].T
 
